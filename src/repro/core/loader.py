@@ -25,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Generator, List, Sequence, Tuple
 
-from repro.faults.errors import DeviceError
 from repro.host.page_cache import PageCache
 from repro.sim import Environment, Event
+from repro.storage.errors import DeviceError
 from repro.storage.filestore import StoredFile
 
 #: Pages per loader read request.

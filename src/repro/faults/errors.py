@@ -3,10 +3,10 @@
 These exceptions model *environmental* failures — a device returning
 an I/O error, a machine losing power, a snapshot file failing its
 checksum — as opposed to :class:`~repro.sim.SimulationError`, which
-flags misuse of the simulation kernel itself. They live in their own
-leaf module (no imports) so that low layers like
-:mod:`repro.storage.device` can raise them without depending on the
-fault-injection machinery above.
+flags misuse of the simulation kernel itself. The base class and
+:class:`DeviceError` are defined in :mod:`repro.storage.errors`, so
+the block device can raise them without importing the fault-injection
+machinery above it; this module re-exports them with the rest.
 
 The recovery layer treats any :class:`FaultError` as retryable except
 :class:`DeadlineExceeded`, which marks an invocation that ran out of
@@ -15,19 +15,15 @@ its end-to-end time budget.
 
 from __future__ import annotations
 
+from repro.storage.errors import DeviceError, FaultError
 
-class FaultError(Exception):
-    """Base class for injected environmental failures."""
-
-
-class DeviceError(FaultError):
-    """A block-device read failed (injected error-rate window)."""
-
-    def __init__(self, device: str, offset: int, nbytes: int):
-        super().__init__(f"I/O error on {device} reading {nbytes}B @ {offset}")
-        self.device = device
-        self.offset = offset
-        self.nbytes = nbytes
+__all__ = [
+    "DeadlineExceeded",
+    "DeviceError",
+    "FaultError",
+    "HostCrashed",
+    "SnapshotCorrupted",
+]
 
 
 class HostCrashed(FaultError):

@@ -285,7 +285,7 @@ class FaultHandler:
         start = self.env.now
         space = self.space
 
-        if page in space.ept:
+        if page in space.ept or page in space.image:
             record = self._mapped_access(page, write, value, start)
             if record.duration_us > 0:
                 yield self.env.timeout(record.duration_us)
@@ -433,11 +433,9 @@ class FaultHandler:
         space = self.space
         params = self.params
 
-        if page in space.ept:
-            if not write:
-                # The overwhelmingly common case: a read of an
-                # already-mapped page costs nothing.
-                return FaultRecord(FaultKind.NONE, page, vnow, 0.0), vnow
+        if page in space.ept or page in space.image:
+            # The batched vCPU handles reads of mapped pages inline,
+            # without a record; writes (and direct callers) land here.
             record = self._mapped_access(page, write, value, vnow)
             end = vnow
             if record.duration_us > 0:
@@ -629,7 +627,7 @@ class FaultHandler:
         space = self.space
         if not write:
             return FaultRecord(FaultKind.NONE, page, start, 0.0)
-        if page in space.anon_contents:
+        if page in space.anon_contents or page in space.image:
             space.write_anon(page, self._required_value(value))
             return FaultRecord(FaultKind.NONE, page, start, 0.0)
         vma = space.resolve(page)

@@ -14,6 +14,15 @@ The address space also owns the installed host PTEs (which pages are
 mapped in hardware, and with what content token) so the fault handler
 can distinguish first accesses from repeats and tests can verify
 memory integrity end to end.
+
+A guest that booted, or a warm VM that already served an invocation,
+holds its whole non-zero memory in anonymous pages mapped at both
+levels. Rather than copying tens of thousands of entries into
+``pte``/``ept``/``anon_contents`` per VM, such a space carries a
+shared read-only :attr:`AddressSpace.image`: a page -> content map
+whose pages count as installed, EPT-mapped and privately held. Writes
+shadow image pages in ``anon_contents``/``pte``; the image itself is
+never mutated, so one snapshot's page map can back any number of VMs.
 """
 
 from __future__ import annotations
@@ -103,6 +112,10 @@ class AddressSpace:
         self.ept: set = set()
         #: Contents of anonymous pages that have been written.
         self.anon_contents: Dict[int, int] = {}
+        #: Shared read-only anonymous contents (see module docs):
+        #: every page here is mapped at PTE and EPT level unless a
+        #: write has shadowed it in ``anon_contents``/``pte``.
+        self.image: Dict[int, int] = {}
         #: Number of mmap() calls issued (paper §4.6 counts these).
         self.mmap_calls = 0
         #: Bumped whenever the VMA list changes; lets the fault
@@ -151,10 +164,24 @@ class AddressSpace:
         self.version += 1
         self._discard_state(start, start + npages)
 
+    def map_image(self, image: Dict[int, int]) -> None:
+        """Back the whole space with anonymous memory holding
+        ``image`` (page -> content), every page mapped at both levels.
+
+        O(1): the map is shared, not copied, so the caller must never
+        mutate it afterwards."""
+        self.mmap_anonymous(0, self.num_pages)
+        self.image = image
+
     def _discard_state(self, start: int, end: int) -> None:
         """Drop PTEs, anonymous contents and EPT entries in a range,
         iterating whichever side is smaller (restores map thousands of
         regions over an address space whose state is still empty)."""
+        if self.image:
+            # Remapping under an image: copy it into the private
+            # containers first so the pages outside the range survive
+            # (the shared map itself is never modified).
+            self._materialize_image()
         npages = end - start
         for mapping in (self.pte, self.anon_contents):
             if not mapping:
@@ -174,6 +201,16 @@ class AddressSpace:
             else:
                 for page in range(start, end):
                     ept.discard(page)
+
+    def _materialize_image(self) -> None:
+        """Copy the image into the private maps and drop it."""
+        image = self.image
+        self.image = {}
+        for page, value in image.items():
+            if page not in self.anon_contents:
+                self.anon_contents[page] = value
+                self.pte[page] = value
+        self.ept.update(image)
 
     def _carve(self, start: int, npages: int) -> None:
         """Remove [start, start+npages) from existing VMAs, splicing
@@ -224,7 +261,7 @@ class AddressSpace:
 
     def is_installed(self, page: int) -> bool:
         """True if a host PTE exists for ``page``."""
-        return page in self.pte
+        return page in self.pte or page in self.image
 
     def install_pte(self, page: int, value: int) -> None:
         """Install a host PTE mapping ``page`` to content ``value``."""
@@ -232,7 +269,13 @@ class AddressSpace:
 
     def rss_pages(self) -> int:
         """Resident set size in pages (what procfs reports)."""
-        return len(self.pte)
+        image = self.image
+        if not image:
+            return len(self.pte)
+        # Shadowed image pages sit in both maps; the intersection
+        # iterates the (small) private side.
+        shadowed = len(self.pte.keys() & image.keys())
+        return len(image) + len(self.pte) - shadowed
 
     def write_anon(self, page: int, value: int) -> None:
         """Record a write to an anonymous page's contents."""
@@ -241,10 +284,12 @@ class AddressSpace:
 
     def backing_value(self, page: int) -> int:
         """Content the process observes at ``page``: written anonymous
-        contents win; otherwise the backing file's page; otherwise
-        zero (fresh anonymous memory)."""
+        contents win; then the image; otherwise the backing file's
+        page; otherwise zero (fresh anonymous memory)."""
         if page in self.anon_contents:
             return self.anon_contents[page]
+        if page in self.image:
+            return self.image[page]
         vma = self.resolve(page)
         if vma is None:
             raise SimulationError(f"access to unmapped page {page} (SIGSEGV)")

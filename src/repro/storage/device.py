@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Generator, List, Optional
 
-from repro.faults.errors import DeviceError
 from repro.sim import Environment, Event, Resource, SimulationError
+from repro.storage.errors import DeviceError
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class Degradation:
     10x throughput collapse), ``iops_factor`` scales the IOPS cap
     (0.5 = the per-request interval floor doubles), and ``error_rate``
     is the probability a serviced request fails with
-    :class:`~repro.faults.errors.DeviceError` (drawn from the
+    :class:`~repro.storage.errors.DeviceError` (drawn from the
     environment's seeded ``rng``).
     """
 

@@ -26,6 +26,12 @@ from repro.storage.device import BlockDevice
 PAGE_SIZE = 4096
 """Bytes per page, matching the x86 base page size used throughout."""
 
+#: 32-bit FNV-1a parameters of :meth:`StoredFile.chunk_checksums`.
+_FNV_OFFSET = 2166136261
+_FNV_PRIME = 16777619
+_MOD32 = 1 << 32
+_MASK32 = _MOD32 - 1
+
 
 @dataclass
 class StoredFile:
@@ -84,17 +90,51 @@ class StoredFile:
             raise SimulationError(
                 f"chunk_pages must be >= 1, got {chunk_pages}"
             )
-        checksums = []
-        for start in range(0, self.num_pages, chunk_pages):
-            digest = 2166136261
-            for index in range(
-                start, min(start + chunk_pages, self.num_pages)
-            ):
-                value = self.pages.get(index, 0)
-                digest = (
-                    (digest ^ (value & 0xFFFFFFFF)) * 16777619
-                ) & 0xFFFFFFFF
-            checksums.append(digest)
+        # Folding a zero token is ``digest * FNV_PRIME mod 2**32``, so a
+        # run of z zero pages multiplies by FNV_PRIME**z: only non-zero
+        # entries are visited, and each all-zero chunk costs one list
+        # slot. Bit-identical to folding every page in turn.
+        num_pages = self.num_pages
+        powers: Dict[int, int] = {}
+        checksums: List[int] = []
+
+        def fold_zeros(digest: int, zeros: int) -> int:
+            factor = powers.get(zeros)
+            if factor is None:
+                factor = powers[zeros] = pow(_FNV_PRIME, zeros, _MOD32)
+            return (digest * factor) & _MASK32
+
+        def close(chunk: int, digest: int, cursor: int, until: int) -> None:
+            """Emit ``chunk`` (folded up to page ``cursor``) and the
+            all-zero chunks after it, up to chunk ``until``."""
+            end = min((chunk + 1) * chunk_pages, num_pages)
+            checksums.append(fold_zeros(digest, end - cursor))
+            if until > chunk + 1:
+                empty = fold_zeros(_FNV_OFFSET, chunk_pages)
+                checksums.extend([empty] * (until - chunk - 2))
+                last = (until - 1) * chunk_pages
+                checksums.append(
+                    fold_zeros(_FNV_OFFSET, min(chunk_pages, num_pages - last))
+                )
+
+        pages = self.pages
+        chunk = 0
+        digest = _FNV_OFFSET
+        cursor = 0  # first page of ``chunk`` not yet folded in
+        for index in sorted(pages):
+            target = index // chunk_pages
+            if target != chunk:
+                close(chunk, digest, cursor, target)
+                chunk = target
+                digest = _FNV_OFFSET
+                cursor = target * chunk_pages
+            if index > cursor:
+                digest = fold_zeros(digest, index - cursor)
+            value = pages[index] & _MASK32
+            digest = ((digest ^ value) * _FNV_PRIME) & _MASK32
+            cursor = index + 1
+        if num_pages:
+            close(chunk, digest, cursor, -(-num_pages // chunk_pages))
         return tuple(checksums)
 
     def read(
@@ -169,6 +209,12 @@ class FileStore:
             raise SimulationError(f"file {name!r} already exists")
         if num_pages < 0:
             raise SimulationError(f"negative file size: {num_pages}")
+        for page in pages or ():
+            if not 0 <= page < num_pages:
+                raise SimulationError(
+                    f"page {page} out of range for {name} "
+                    f"({num_pages} pages)"
+                )
         stored = StoredFile(
             name=name,
             device=self.device,

@@ -55,11 +55,10 @@ def create_snapshot(
     the record phase, off the measured critical path, so no simulated
     time is charged.
     """
+    if 0 in contents.values():
+        contents = {p: v for p, v in contents.items() if v != 0}
     memory = store.create(
-        f"{name}.mem",
-        num_pages,
-        pages={p: v for p, v in contents.items() if v != 0},
-        sparse=sparse,
+        f"{name}.mem", num_pages, pages=contents, sparse=sparse
     )
     vmstate = store.create(f"{name}.vmstate", VMSTATE_PAGES)
     return Snapshot(name=name, memory_file=memory, vmstate_file=vmstate)
@@ -77,9 +76,10 @@ def capture_memory_contents(
     invocation (paper Figure 5: "create new snapshot").
 
     Iterates only pages that can be non-zero — each mapping's backing
-    file entries plus the dirtied pages — so capturing a 2 GB guest
-    stays cheap. (``base`` is accepted for call-site symmetry; the
-    mappings themselves carry everything needed.)
+    file entries, the space's shared image, and the dirtied pages — so
+    capturing a 2 GB guest stays cheap. (``base`` is accepted for
+    call-site symmetry; the mappings themselves carry everything
+    needed.)
     """
     contents: Dict[int, int] = {}
     for vma in space.vmas():
@@ -99,7 +99,11 @@ def capture_memory_contents(
                 value = file_pages.get(file_page, 0)
                 if value != 0:
                     contents[base_guest + file_page] = value
-    # Private (dirtied) pages override whatever backs them.
+    # The shared image is anonymous memory the guest already holds;
+    # private (dirtied) pages override it and whatever backs them.
+    for page, value in space.image.items():
+        if value != 0:
+            contents[page] = value
     for page, value in space.anon_contents.items():
         if value != 0:
             contents[page] = value

@@ -15,7 +15,7 @@ grows — the paper's observation at 64-way parallelism (§6.6).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, List, Optional
+from typing import Any, Generator, List, Optional, Sequence, Union
 
 from repro.host.fault import (
     HORIZON_BLOCKED,
@@ -54,13 +54,43 @@ class GuestAccess:
     think_us: float = 0.0
 
 
-@dataclass
 class VCpuResult:
-    """Outcome of running one trace."""
+    """Outcome of running one trace.
 
-    started_us: float
-    finished_us: float
-    records: List[FaultRecord]
+    ``entries`` holds one item per access of ``trace``: its
+    :class:`FaultRecord`, or — for a read of an EPT-mapped page, which
+    the batched loop handles without allocating anything — the access's
+    start time. :attr:`records` builds the ``NONE`` records for those
+    on first use, so they cost nothing unless someone looks.
+    """
+
+    __slots__ = ("started_us", "finished_us", "_entries", "_trace", "_records")
+
+    def __init__(
+        self,
+        started_us: float,
+        finished_us: float,
+        entries: List[Union[FaultRecord, float]],
+        trace: Sequence[GuestAccess],
+    ):
+        self.started_us = started_us
+        self.finished_us = finished_us
+        self._entries = entries
+        self._trace = trace
+        self._records: Optional[List[FaultRecord]] = None
+
+    @property
+    def records(self) -> List[FaultRecord]:
+        """One :class:`FaultRecord` per access, in trace order."""
+        if self._records is None:
+            none = FaultKind.NONE
+            self._records = [
+                entry
+                if type(entry) is FaultRecord
+                else FaultRecord(none, access.page, entry, 0.0)
+                for access, entry in zip(self._trace, self._entries)
+            ]
+        return self._records
 
     @property
     def elapsed_us(self) -> float:
@@ -68,7 +98,12 @@ class VCpuResult:
 
     @property
     def fault_count(self) -> int:
-        return sum(1 for r in self.records if r.kind is not FaultKind.NONE)
+        none = FaultKind.NONE
+        return sum(
+            1
+            for entry in self._entries
+            if type(entry) is FaultRecord and entry.kind is not none
+        )
 
 
 class VCpu:
@@ -120,7 +155,7 @@ class VCpu:
         if tail_think_us > 0:
             yield from self._compute(tail_think_us)
         self._count_paths(len(records), slow=len(records))
-        return VCpuResult(started, self.env.now, records)
+        return VCpuResult(started, self.env.now, records, trace)
 
     def _count_paths(self, total: int, slow: int) -> None:
         """Attribute this run's accesses to the fast vs event path in
@@ -151,14 +186,18 @@ class VCpu:
         """
         env = self.env
         handler = self.handler
+        space = handler.space
         started = env.now
-        records: List[FaultRecord] = []
+        entries: List[Union[FaultRecord, float]] = []
         vnow = started
         horizon = self.observer_horizon
         fast_access = handler.fast_access
-        append = records.append
+        append = entries.append
         no_cpu = self.cpu is None
         slow = 0
+        # Mutated only in place, so the binding outlives any yield. (The
+        # image is read through the space: a remap replaces it.)
+        ept = space.ept
         for access in trace:
             if access.think_us > 0:
                 if no_cpu:
@@ -168,9 +207,15 @@ class VCpu:
                         yield env.wake_at(vnow)
                     yield from self._compute(access.think_us)
                     vnow = env.now
+            page = access.page
+            if not access.write and (page in ept or page in space.image):
+                # A read of a mapped page: no fault, no cost. Only its
+                # start time is kept (see VCpuResult).
+                append(vnow)
+                continue
             while True:
                 fast = fast_access(
-                    access.page,
+                    page,
                     access.write,
                     access.value,
                     vnow,
@@ -187,7 +232,7 @@ class VCpu:
                 if vnow > env.now:
                     yield env.wake_at(vnow)
                 record = yield from handler.access(
-                    access.page, write=access.write, value=access.value
+                    page, write=access.write, value=access.value
                 )
                 vnow = env.now
                 slow += 1
@@ -204,8 +249,8 @@ class VCpu:
                 vnow = env.now
         if vnow > env.now:
             yield env.wake_at(vnow)
-        self._count_paths(len(records), slow)
-        return VCpuResult(started, env.now, records)
+        self._count_paths(len(entries), slow)
+        return VCpuResult(started, env.now, entries, trace)
 
     def _compute(self, think_us: float) -> Generator[Event, Any, None]:
         """Burn CPU time, holding a host CPU slot if one is modelled."""

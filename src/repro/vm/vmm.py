@@ -171,13 +171,9 @@ class MicroVM:
         yield self.env.timeout(self.vmm_params.vmm_start_us)
         yield self.env.timeout(self.vmm_params.cold_boot_us)
         yield self.env.timeout(runtime_init_us)
-        self.space.mmap_anonymous(0, self.space.num_pages)
-        nonzero = {
-            page: value for page, value in contents.items() if value != 0
-        }
-        self.space.anon_contents.update(nonzero)
-        self.space.pte.update(nonzero)
-        self.space.ept.update(nonzero)
+        self.space.map_image(
+            {page: value for page, value in contents.items() if value != 0}
+        )
         self._setup_done = True
         return self.env.now - start
 
@@ -189,15 +185,10 @@ class MicroVM:
         of new pages fault (cheap anonymous faults)."""
         if self._setup_done:
             raise SimulationError(f"{self.label}: VM already set up")
-        self.space.mmap_anonymous(0, self.space.num_pages)
-        # Bulk-install every snapshot page: dict/set updates in C
-        # rather than a per-page Python loop. A warm start installs
-        # tens of thousands of PTEs, and this is the cluster serving
-        # path's hottest wall-clock cost.
-        pages = snapshot.memory_file.pages
-        self.space.anon_contents.update(pages)
-        self.space.pte.update(pages)
-        self.space.ept.update(pages)
+        # The snapshot's page map becomes the space's shared image, so
+        # a warm start costs O(1) however large the guest (memory
+        # files are immutable once written).
+        self.space.map_image(snapshot.memory_file.pages)
         self._setup_done = True
 
     @property

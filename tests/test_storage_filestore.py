@@ -44,6 +44,18 @@ def test_duplicate_create_rejected(setup):
         store.create("a", 1)
 
 
+@pytest.mark.parametrize(
+    "pages", [{9: 1}, {-1: 2}, {4: 3}, {0: 1, 9: 1, -1: 2}]
+)
+def test_create_rejects_out_of_range_pages(setup, pages):
+    _, _, store = setup
+    with pytest.raises(SimulationError):
+        store.create("f", 4, pages=pages)
+    assert not store.exists("f")
+    # Nothing was allocated: the next file still starts at offset 0.
+    assert store.create("g", 4, pages={0: 1, 3: 2}).base_offset == 0
+
+
 def test_get_missing_rejected(setup):
     _, _, store = setup
     with pytest.raises(SimulationError):
