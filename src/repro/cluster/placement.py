@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Sequence
+from typing import Callable, Dict, FrozenSet, Optional, Sequence
 
 
 class HostView(abc.ABC):
@@ -57,7 +57,8 @@ class StaticHostView(HostView):
     within the current window, so same-window arrivals see each
     other's load exactly like same-instant arrivals do on the
     single-heap path. The ``healthy`` field makes the view compatible
-    with :class:`HealthFiltered`.
+    with :class:`HealthFiltered`; with ``crashed`` it also serves
+    :func:`pick_failover`.
     """
 
     index: int
@@ -66,6 +67,7 @@ class StaticHostView(HostView):
     idle_warm: FrozenSet[str] = field(default_factory=frozenset)
     snapshots: FrozenSet[str] = field(default_factory=frozenset)
     healthy: bool = True
+    crashed: bool = False
 
     @property
     def load(self) -> int:
@@ -180,6 +182,28 @@ class HealthFiltered(PlacementPolicy):
         self.filtered_choices += 1
         views = [hosts[i] for i in healthy]
         return healthy[self.inner.choose(views, function)]
+
+
+def pick_failover(
+    views: Sequence[HostView],
+    placement: PlacementPolicy,
+    exclude: HostView,
+    function: str,
+) -> Optional[HostView]:
+    """A host other than ``exclude`` for a retry or hedge attempt,
+    chosen by ``placement`` among the healthy views (falling back to
+    any non-crashed one), or ``None`` when the cluster has no
+    alternative. The views need ``healthy`` and ``crashed``: live
+    scheduler hosts and the sharded router's barrier snapshots both
+    have them."""
+    candidates = [
+        v for v in views if v is not exclude and v.healthy and not v.crashed
+    ]
+    if not candidates:
+        candidates = [v for v in views if v is not exclude and not v.crashed]
+    if not candidates:
+        return None
+    return candidates[placement.choose(candidates, function)]
 
 
 class HotSwappablePlacement(PlacementPolicy):

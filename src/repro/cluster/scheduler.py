@@ -46,6 +46,7 @@ from repro.cluster.placement import (
     HotSwappablePlacement,
     PlacementPolicy,
     make_placement,
+    pick_failover,
 )
 from repro.faults import (
     DISABLED_DURABILITY,
@@ -100,10 +101,6 @@ SNAPSHOT_TIERS = (TIER_LOCAL_NVME, TIER_SHARED_EBS)
 #: so the uncontended cluster reproduces the cost table exactly.
 DEFAULT_TEST_INPUT = InputSpec(content_id=3, size_ratio=1.0)
 
-#: Distinguishes "parameter not given" (use the host's run tracer)
-#: from an explicit ``tracer=None``.
-_UNSET = object()
-
 
 @dataclass(frozen=True)
 class ClusterConfig:
@@ -141,8 +138,8 @@ class ClusterConfig:
     #: Per-host platform tunables (device spec, batching, CPU slots).
     platform: PlatformConfig = PlatformConfig()
     #: Self-healing knobs (retries, hedging, health, shedding,
-    #: deadlines). The default disables everything, which keeps the
-    #: legacy serving path and its exact event schedule.
+    #: deadlines). The default disables everything: each invocation
+    #: is then one inline attempt.
     recovery: RecoveryPolicy = DISABLED_RECOVERY
     #: Run seed: the environment's single randomness stream (fault
     #: error draws, backoff jitter) derives from it.
@@ -166,6 +163,21 @@ class ClusterConfig:
             and self.max_concurrent_per_host < 1
         ):
             raise ValueError("max_concurrent_per_host must be >= 1")
+
+
+def run_is_armed(
+    config: ClusterConfig, fault_plan: Optional[FaultPlan]
+) -> bool:
+    """Whether a run serves through the robust path (attempt processes
+    that can crash, retry and hedge). An empty plan still arms it (you
+    asked for fault machinery; you get its code path, which must then
+    be behaviour-identical). The durability plane also arms it:
+    verified restores and replica failover live on that path."""
+    return (
+        fault_plan is not None
+        or bool(config.recovery.armed_features)
+        or config.durability.enabled
+    )
 
 
 @dataclass
@@ -271,6 +283,10 @@ class _HostState(HostView):
     def has_snapshot_for(self, function: str) -> bool:
         return function in self.snapshots
 
+    @property
+    def crashed(self) -> bool:
+        return self.host.crashed
+
     # -- loader gates --------------------------------------------------
 
     def acquire_gate(self, artifacts: RecordArtifacts) -> set:
@@ -339,10 +355,12 @@ class ClusterSimulator(ClusterScheduler):
         against the run, with fault times relative to the end of the
         prep epoch. Passing a plan (even an empty one) or enabling
         any :class:`~repro.faults.RecoveryPolicy` feature routes
-        serving through the robust path — which with an empty plan
-        and idle features produces the same invocation outcomes and
-        latencies as the legacy inline path (the perf harness gates
-        this parity).
+        serving through the robust path, which runs each attempt as
+        its own process inside a retry/hedge round. An unarmed run
+        runs the same attempt body inline, so with an empty plan and
+        idle features both produce the same invocation outcomes,
+        latencies and causal event kinds (the perf harness gates the
+        latency parity).
 
         The observability plane rides along the same way: ``causal``
         (a :class:`~repro.metrics.causal.CausalTracer`), ``slo`` (a
@@ -408,16 +426,7 @@ class ClusterSimulator(ClusterScheduler):
         self._flight = getattr(self, "_flight", None)
         self._obs_epoch_us = 0.0
         self._inv_seq = 0
-        #: Armed = the run wants the robust serving path. An empty
-        #: plan still arms it (you asked for fault machinery; you get
-        #: its code path, which must then be behaviour-identical).
-        #: The durability plane also arms it: verified restores and
-        #: replica failover live on the attempt path.
-        self._armed = (
-            fault_plan is not None
-            or bool(recovery.armed_features)
-            or self.config.durability.enabled
-        )
+        self._armed = run_is_armed(self.config, fault_plan)
         self._report = ClusterReport(
             placement=self.config.placement,
             snapshot_tier=self.config.snapshot_tier,
@@ -597,10 +606,6 @@ class ClusterSimulator(ClusterScheduler):
         plan = [Policy.WARM]
         if self.config.restore_policy.is_faasnap_family:
             plan.append(self.config.restore_policy)
-        elif self.config.restore_policy is not Policy.WARM:
-            # REAP / Firecracker / cached share the plain record; the
-            # plain record already produces their artefacts.
-            pass
         return plan
 
     def _prepare(self) -> Generator[Event, Any, None]:
@@ -879,14 +884,14 @@ class ClusterSimulator(ClusterScheduler):
     # Everything below mutates a *running* simulation between event
     # dispatches; the service core exposes each as a journaled
     # command. None of them are reachable from the batch path, so the
-    # legacy event schedule cannot be perturbed.
+    # batch event schedule cannot be perturbed.
 
     def arm_fault_plan(self, plan: Optional[FaultPlan]) -> FaultInjector:
         """Arm ``plan`` mid-run (fault times relative to *now*),
         upgrading an unarmed run to the robust serving path first.
         A previously armed plan is disarmed; in-flight invocations
-        that started on the legacy path finish on it, new dispatches
-        take the robust path."""
+        that started unarmed finish their inline attempt, new
+        dispatches take the robust path."""
         self._install_robust_machinery()
         self._armed = True
         if self.injector is not None:
@@ -1032,134 +1037,138 @@ class ClusterSimulator(ClusterScheduler):
             )
         return artifacts
 
+    # -- serving: one attempt body, two drivers ------------------------
+    #
+    # ``_attempt`` (below) is the only serve body. An unarmed run (no
+    # fault plan, no recovery feature, no durability plane) runs it
+    # inline in the serve process: nothing can crash, retry or hedge
+    # such a run, so it needs no attempt process, and disabled
+    # recovery costs nothing by construction. An armed run goes
+    # through ``_serve_robust``: each try runs as its own *attempt
+    # process* that a host crash can interrupt, a deadline can
+    # abandon, and a hedge can race.
+
     def _serve(
         self, hs: _HostState, arrival: Arrival, instant: float, ctx=None
-    ) -> Generator[Event, Any, None]:
-        env = self.env
-        config = self.config
-        function = arrival.function
+    ) -> Generator[Event, Any, ServedInvocation]:
+        """Unarmed serve: one inline attempt. Returns the recorded
+        outcome."""
+        outcome, kind = InvocationOutcome.OK, None
+        try:
+            kind = yield from self._attempt(hs, arrival, ctx)
+        except FaultError:
+            # Reachable only when a live ``arm`` lands while this
+            # invocation is in flight.
+            outcome = InvocationOutcome.FAILED
+        return self._conclude(hs, arrival, instant, ctx, outcome, kind, 1)
 
-        # The driver counted us into ``hs.queued`` at placement time.
-        slot = None
-        if hs.admission is not None:
-            slot = hs.admission.request()
-            yield slot
-        hs.queued -= 1
-        hs.active += 1
-        hs.stats.admission_wait_us += env.now - instant
-        eph = None
-        tracer = hs.tracer
+    def _conclude(
+        self,
+        hs: _HostState,
+        arrival: Arrival,
+        instant: float,
+        ctx,
+        outcome: InvocationOutcome,
+        kind: Optional[StartKind],
+        attempts: int,
+    ) -> ServedInvocation:
+        """Emit the invocation's ``outcome`` event and record it on
+        ``hs`` — the one exit of both single-heap serve drivers."""
+        latency = self.env.now - instant
+        if outcome is InvocationOutcome.FAILED:
+            hs.stats.failures += 1
+            self._ctr_failed.inc()
         if ctx is not None:
             ctx.emit(
                 self._obs_now(),
-                "admitted",
+                "outcome",
+                outcome=outcome.value,
                 host=hs.host.host_id,
-                wait_us=env.now - instant,
+                kind=kind.value if kind is not None else None,
+                attempts=attempts,
+                latency_us=latency,
             )
-            eph = self._attempt_tracer(hs)
-            tracer = eph
-        try:
-            vm = hs.idle.reuse_mru(function)
-            if vm is not None:
-                kind = StartKind.WARM
-                if ctx is not None:
-                    ctx.emit(self._obs_now(), "start", kind=kind.value)
-                result = yield from hs.host.invocation(
-                    self._artifacts_for(hs, function, Policy.WARM),
-                    config.test_input,
-                    Policy.WARM,
-                    tracer=tracer,
-                )
-            else:
-                has_snapshot = config.snapshots_enabled and (
-                    config.assume_snapshots_exist
-                    or function in hs.snapshots
-                )
-                kind = (
-                    StartKind.SNAPSHOT if has_snapshot else StartKind.COLD
-                )
-                estimate = hs.known_memory.get(function, 0.0)
-                self._evict_until_fits(hs, estimate)
-                hs.memory_mb += estimate
-                vm = PooledVm(
-                    function=function,
-                    memory_mb=estimate,
-                    busy_until=0.0,
-                    last_used=env.now,
-                )
-                if ctx is not None:
-                    ctx.emit(self._obs_now(), "start", kind=kind.value)
-                if kind is StartKind.SNAPSHOT:
-                    result = yield from self._snapshot_start(
-                        hs, function, tracer=tracer
-                    )
-                else:
-                    result = yield from self._cold_start(
-                        hs, function, tracer=tracer
-                    )
+        served = ServedInvocation(
+            time_us=arrival.time_us,
+            function=arrival.function,
+            kind=kind,
+            latency_us=latency,
+            host=hs.host.host_id,
+            outcome=outcome,
+            attempts=attempts,
+        )
+        self._record_served(served)
+        return served
 
-            # Learn the function's warm footprint from the actual VM.
-            actual_mb = result.rss_pages * PAGE_SIZE / 1e6
-            hs.memory_mb += actual_mb - vm.memory_mb
-            vm.memory_mb = actual_mb
-            hs.known_memory[function] = actual_mb
-            # The first completed invocation leaves a snapshot behind
-            # (fleet semantics; shared storage publishes cluster-wide).
-            hs.snapshots.add(function)
-
-            now = env.now
-            vm.busy_until = now
-            vm.last_used = now
-            if config.keep_alive_ttl_us > 0:
-                hs.idle.park(vm)
-            else:
-                hs.memory_mb -= vm.memory_mb
-
-            hs.stats.invocations += 1
-            self._ctr_invocations.value += 1
-            if kind is StartKind.WARM:
-                hs.stats.warm_starts += 1
-                self._ctr_warm.value += 1
-            elif kind is StartKind.SNAPSHOT:
-                hs.stats.snapshot_starts += 1
-                self._ctr_snapshot.value += 1
-            else:
-                hs.stats.cold_starts += 1
-                self._ctr_cold.value += 1
-            if ctx is not None:
-                ctx.emit(
-                    self._obs_now(),
-                    "outcome",
-                    outcome=InvocationOutcome.OK.value,
-                    host=hs.host.host_id,
-                    kind=kind.value,
-                    latency_us=now - instant,
-                )
-            self._record_served(
-                ServedInvocation(
-                    time_us=arrival.time_us,
-                    function=function,
-                    kind=kind,
-                    latency_us=now - instant,
-                    host=hs.host.host_id,
-                )
+    def _shed_on_arrival(self, hs: _HostState, function: str, ctx) -> bool:
+        """Count a new arrival against the retry budget, then reject it
+        at admission if ``hs`` is drowning (taking one more arrival
+        would push everyone's tail out further). A shed undoes the
+        placement's queue count and is counted on ``hs``; the caller
+        reports the outcome."""
+        self._retry_budget.on_arrival()
+        depth = self.config.recovery.shedding.max_queue_depth
+        if depth is None or hs.load <= depth:
+            return False
+        hs.queued -= 1
+        hs.stats.shed += 1
+        self._ctr_shed.inc()
+        if ctx is not None:
+            ctx.emit(
+                self._obs_now(), "shed", host=hs.host.host_id, load=hs.load
             )
-        finally:
-            if ctx is not None:
-                self._fold_phases(hs, ctx, eph)
-            hs.active -= 1
-            if slot is not None:
-                hs.admission.release(slot)
+        self._flight_record(hs.host.host_id, "shed", function=function)
+        return True
 
-    # -- robust serving (the self-healing control plane) ---------------
-    #
-    # The legacy ``_serve`` above is the *unarmed* path: its inline
-    # structure (and therefore its exact event schedule) is what every
-    # golden figure and perf checksum was recorded against, so it is
-    # kept verbatim. When a run is armed (a fault plan was passed or
-    # any recovery feature is on), ``_serve_robust`` takes over: each
-    # try runs as its own *attempt process* that a host crash can
-    # interrupt, a deadline can abandon, and a hedge can race.
+    def _retry_backoff(
+        self,
+        failure: AllFailed,
+        rounds: int,
+        deadline_at: Optional[float],
+        hs: _HostState,
+        ctx,
+        retry_ok: bool = True,
+        **detail: Any,
+    ) -> Optional[float]:
+        """Judge a round whose attempts all failed: the backoff before
+        the next round, or ``None`` to give up.
+
+        A cause that is not a :class:`FaultError` is a genuine bug and
+        is re-raised. A retry needs ``retry_ok``, a retryable cause
+        (not a deadline), the retry policy's leave, a budget token, and
+        room for the backoff before ``deadline_at``. A granted retry is
+        counted on ``hs`` and traced with ``detail``."""
+        causes = [
+            c.cause if isinstance(c, Interrupt) else c
+            for c in failure.causes
+        ]
+        for cause in causes:
+            if not isinstance(cause, FaultError):
+                raise failure  # a genuine bug — surface it
+        retry = self.config.recovery.retry
+        if not (
+            retry_ok
+            and not any(isinstance(c, DeadlineExceeded) for c in causes)
+            and retry.enabled
+            and rounds < retry.max_attempts
+            and self._retry_budget.try_spend()
+        ):
+            return None
+        env = self.env
+        backoff = retry.backoff_us(rounds, env.rng)
+        if deadline_at is not None and env.now + backoff >= deadline_at:
+            return None
+        hs.stats.retries += 1
+        self._ctr_retries.inc()
+        if ctx is not None:
+            ctx.emit(
+                self._obs_now(),
+                "retry",
+                round=rounds,
+                backoff_us=backoff,
+                **detail,
+            )
+        return backoff
 
     def _serve_robust(
         self, hs: _HostState, arrival: Arrival, instant: float, ctx=None
@@ -1167,31 +1176,8 @@ class ClusterSimulator(ClusterScheduler):
         env = self.env
         recovery = self.config.recovery
         function = arrival.function
-        retry = recovery.retry
-        budget = self._retry_budget
         tracker = self._hedge_tracker
-        budget.on_arrival()
-
-        shedding = recovery.shedding
-        if (
-            shedding.max_queue_depth is not None
-            and hs.load > shedding.max_queue_depth
-        ):
-            # Reject at admission: the host is drowning, and taking
-            # one more arrival would push everyone's tail out further.
-            hs.queued -= 1
-            hs.stats.shed += 1
-            self._ctr_shed.inc()
-            if ctx is not None:
-                ctx.emit(
-                    self._obs_now(),
-                    "shed",
-                    host=hs.host.host_id,
-                    load=hs.load,
-                )
-            self._flight_record(
-                hs.host.host_id, "shed", function=function
-            )
+        if self._shed_on_arrival(hs, function, ctx):
             self._record_served(
                 ServedInvocation(
                     time_us=arrival.time_us,
@@ -1305,7 +1291,10 @@ class ClusterSimulator(ClusterScheduler):
                     break
                 if hedge_evt is not None and hedge_evt.processed:
                     hedged_this_round = True
-                    other = self._pick_failover(current, function)
+                    other = pick_failover(
+                        self._hosts, self._failover_placement, current,
+                        function,
+                    )
                     if other is not None:
                         launched += 1
                         tracker.fired += 1
@@ -1337,88 +1326,36 @@ class ClusterSimulator(ClusterScheduler):
             if outcome is not None:
                 break
 
-            # The whole round failed. Decide between retrying (with
-            # backoff + failover) and giving up.
-            causes = [
-                c.cause if isinstance(c, Interrupt) else c
-                for c in round_failure.causes
-            ]
-            for cause in causes:
-                if not isinstance(cause, FaultError):
-                    raise round_failure  # a genuine bug — surface it
-            retryable = not any(
-                isinstance(c, DeadlineExceeded) for c in causes
+            # The whole round failed: retry (with backoff + failover)
+            # or give up.
+            backoff = self._retry_backoff(
+                round_failure, rounds, deadline_at, hs, ctx
             )
-            if (
-                retryable
-                and retry.enabled
-                and rounds < retry.max_attempts
-                and budget.try_spend()
-            ):
-                backoff = retry.backoff_us(rounds, env.rng)
-                if deadline_at is not None and (
-                    env.now + backoff >= deadline_at
-                ):
-                    outcome = InvocationOutcome.FAILED
-                    break
-                hs.stats.retries += 1
-                self._ctr_retries.inc()
-                if ctx is not None:
-                    ctx.emit(
-                        self._obs_now(),
-                        "retry",
-                        round=rounds,
-                        backoff_us=backoff,
-                    )
-                self._flight_record(
-                    current.host.host_id, "retry", function=function
+            if backoff is None:
+                outcome = InvocationOutcome.FAILED
+                break
+            self._flight_record(
+                current.host.host_id, "retry", function=function
+            )
+            if backoff > 0:
+                yield env.timeout(backoff)
+            if recovery.failover:
+                nxt = pick_failover(
+                    self._hosts, self._failover_placement, current, function
                 )
-                if backoff > 0:
-                    yield env.timeout(backoff)
-                if recovery.failover:
-                    nxt = self._pick_failover(current, function)
-                    if nxt is not None:
-                        current = nxt
-                        if ctx is not None:
-                            ctx.emit(
-                                self._obs_now(),
-                                "failover",
-                                host=current.host.host_id,
-                            )
-                continue
-            outcome = InvocationOutcome.FAILED
-            break
+                if nxt is not None:
+                    current = nxt
+                    if ctx is not None:
+                        ctx.emit(
+                            self._obs_now(),
+                            "failover",
+                            host=current.host.host_id,
+                        )
 
         if outcome is InvocationOutcome.FAILED:
-            current.stats.failures += 1
             winner_host = current
-            self._ctr_failed.inc()
-        if ctx is not None:
-            ctx.emit(
-                self._obs_now(),
-                "outcome",
-                outcome=outcome.value,
-                host=winner_host.host.host_id,
-                kind=(
-                    winner_kind.value
-                    if winner_kind is not None
-                    and outcome is not InvocationOutcome.FAILED
-                    else None
-                ),
-                attempts=launched,
-                latency_us=env.now - instant,
-            )
-        self._record_served(
-            ServedInvocation(
-                time_us=arrival.time_us,
-                function=function,
-                kind=winner_kind if outcome is not InvocationOutcome.FAILED
-                else None,
-                latency_us=env.now - instant,
-                host=winner_host.host.host_id,
-                outcome=outcome,
-                attempts=launched,
-            )
+        self._conclude(
+            winner_host, arrival, instant, ctx, outcome, winner_kind, launched
         )
 
     def _launch_attempt(
@@ -1447,10 +1384,10 @@ class ClusterSimulator(ClusterScheduler):
     def _attempt(
         self, hs: _HostState, arrival: Arrival, ctx=None, attempt_no: int = 1
     ) -> Generator[Event, Any, StartKind]:
-        """One try at serving ``arrival`` on ``hs``; the body mirrors
-        the legacy ``_serve`` exactly, wrapped in the bookkeeping that
-        makes it abortable (queue/active counts, memory reservation
-        and admission slots all unwind on interruption)."""
+        """One try at serving ``arrival`` on ``hs`` — the only serve
+        body. Its bookkeeping makes it abortable: queue/active counts,
+        memory reservation and admission slots all unwind on
+        interruption."""
         env = self.env
         config = self.config
         recovery = config.recovery
@@ -1622,12 +1559,14 @@ class ClusterSimulator(ClusterScheduler):
                         hs, function, tracer=tracer
                     )
 
-            # Success: identical post-processing to the legacy path.
+            # Learn the function's warm footprint from the actual VM.
             actual_mb = result.rss_pages * PAGE_SIZE / 1e6
             hs.memory_mb += actual_mb - vm.memory_mb
             vm.memory_mb = actual_mb
             reserved_mb = 0.0
             hs.known_memory[function] = actual_mb
+            # The first completed invocation leaves a snapshot behind
+            # (fleet semantics; shared storage publishes cluster-wide).
             hs.snapshots.add(function)
             if self.durability is not None:
                 # A completed invocation (re)publishes the snapshot;
@@ -1722,28 +1661,6 @@ class ClusterSimulator(ClusterScheduler):
         else:
             hs.error_times.append(self.env.now)
 
-    def _pick_failover(
-        self, exclude: _HostState, function: str
-    ) -> Optional[_HostState]:
-        """A healthy host other than ``exclude`` for a retry or hedge
-        attempt, chosen by the run's placement policy over the
-        filtered candidates (falling back to any non-crashed host, or
-        ``None`` when the cluster has no alternative)."""
-        views = [
-            h
-            for h in self._hosts
-            if h is not exclude and h.healthy and not h.host.crashed
-        ]
-        if not views:
-            views = [
-                h
-                for h in self._hosts
-                if h is not exclude and not h.host.crashed
-            ]
-        if not views:
-            return None
-        return views[self._failover_placement.choose(views, function)]
-
     # -- fault-injector target interface -------------------------------
 
     def devices_for_scope(self, scope: str) -> List[BlockDevice]:
@@ -1814,22 +1731,17 @@ class ClusterSimulator(ClusterScheduler):
         self,
         hs: _HostState,
         function: str,
-        policy: Optional[Policy] = None,
-        tracer=_UNSET,
+        policy: Policy,
+        tracer,
     ):
         """Page-level snapshot restore + invocation on ``hs``.
 
-        ``policy`` overrides the configured restore policy (the
-        degraded-mode path restores with the cheaper baseline).
-        ``tracer`` overrides the host's run tracer (the causal path
-        substitutes a per-attempt tracer whose spans it folds into
-        the invocation's event stream).
+        ``policy`` is the restore policy (the degraded-mode path
+        passes the cheaper baseline). ``tracer`` records the restore's
+        spans: the host's run tracer, or the per-attempt tracer the
+        causal path folds into the invocation's event stream.
         """
         config = self.config
-        if policy is None:
-            policy = config.restore_policy
-        if tracer is _UNSET:
-            tracer = hs.tracer
         artifacts = self._artifacts_for(hs, function, policy)
         in_flight = hs.disk_active.get(function, 0)
         hs.disk_active[function] = in_flight + 1
@@ -1855,12 +1767,10 @@ class ClusterSimulator(ClusterScheduler):
             hs.disk_active[function] -= 1
         return result
 
-    def _cold_start(self, hs: _HostState, function: str, tracer=_UNSET):
+    def _cold_start(self, hs: _HostState, function: str, tracer):
         """VMM start + kernel boot + runtime init, then the invocation
         runs warm-equivalent (nothing pages in from a snapshot)."""
         config = self.config
-        if tracer is _UNSET:
-            tracer = hs.tracer
         profile = self._profiles[function]
         yield self.env.timeout(
             config.platform.vmm.vmm_start_us

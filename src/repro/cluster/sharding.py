@@ -61,7 +61,16 @@ trace, its fault sub-plan). The golden-parity test pins
 telemetry snapshot (:func:`~repro.metrics.exporters.merge_shard_snapshots`)
 across shard counts.
 
-Divergences from the single-heap path (documented, deterministic):
+Shared code
+-----------
+
+A host sim is a single-host :class:`~repro.cluster.scheduler.
+ClusterSimulator`: it reuses the single-heap setup, serving-epoch
+hooks, attempt body, inline unarmed serve, admission-shed check and
+retry decision, and the router picks failover and hedge hosts with
+the same :func:`~repro.cluster.placement.pick_failover` over barrier
+views. Only the cross-host round differs, and with it these
+divergences from the single-heap path (documented, deterministic):
 
 * TTL evictions happen when a host next receives a dispatch, not at
   every cluster arrival;
@@ -73,8 +82,9 @@ Divergences from the single-heap path (documented, deterministic):
 * hedges fire at the first window boundary where the primary attempt
   has been in flight longer than the threshold, and failover retries
   redispatch at ``max(window end, failure + backoff)``;
-* causal-trace events: hosts emit attempt-level events from their own
-  serve paths (source = host index, drained in each window digest),
+* causal-trace events: hosts emit attempt-level events from the
+  shared attempt body (source = host index, drained in each window
+  digest),
   the router emits routing decisions (source ``-1``) — so the sharded
   trace shows ``route``/``redispatch`` where the single-heap trace
   shows ``dispatch``/``failover``. Within the sharded family the
@@ -95,12 +105,14 @@ from repro.cluster.placement import (
     HealthFiltered,
     StaticHostView,
     make_placement,
+    pick_failover,
 )
 from repro.cluster.scheduler import (
     ClusterConfig,
     ClusterReport,
     ClusterSimulator,
     TIER_SHARED_EBS,
+    run_is_armed,
 )
 from repro.faults import (
     DeadlineExceeded,
@@ -109,7 +121,6 @@ from repro.faults import (
     RetryBudget,
     rebalance_tokens,
 )
-from repro.faults.errors import FaultError
 from repro.fleet.scheduler import (
     InvocationOutcome,
     ServedInvocation,
@@ -120,7 +131,7 @@ from repro.metrics.causal import CausalRecorder, ROUTER_SRC, TraceContext
 from repro.metrics.exporters import merge_shard_snapshots, registry_snapshot
 from repro.metrics.stats import Histogram
 from repro.metrics.telemetry import MetricsRegistry
-from repro.sim import AllFailed, Interrupt
+from repro.sim import AllFailed
 from repro.storage.device import Degradation
 from repro.storage.presets import EBS_IO2
 
@@ -259,11 +270,12 @@ class _Shed:
 class _ShardHostSim(ClusterSimulator):
     """A single-host cluster sim driven window-by-window.
 
-    Reuses the parent class's entire setup (:meth:`_begin_run`),
-    attempt body (:meth:`_attempt`), unarmed serve (:meth:`_serve`)
-    and fault-injector surface verbatim; what changes is the driver:
-    instead of iterating a trace, the host executes router dispatches
-    and reports digests at window barriers.
+    Reuses the parent class's setup (:meth:`_begin_run`), serving-
+    epoch hooks, attempt body (:meth:`_attempt`), unarmed serve
+    (:meth:`_serve`), shed check, retry decision and fault-injector
+    surface; what changes is the driver: instead of iterating a
+    trace, the host executes router dispatches and reports digests at
+    window barriers.
     """
 
     def __init__(self, fleet, config: ClusterConfig, host_index: int):
@@ -276,8 +288,6 @@ class _ShardHostSim(ClusterSimulator):
         super().__init__(fleet, sub)
         self.host_index = host_index
         self.total_hosts = total
-        #: serve-entry id → inv id, for harvesting unarmed completions.
-        self._inv_for_serve: Dict[int, int] = {}
 
     # Hooks into the parent's setup -----------------------------------
 
@@ -319,16 +329,7 @@ class _ShardHostSim(ClusterSimulator):
         )
         prep = env.process(self._prepare(), name="shard-prep")
         env.run(until=prep)
-        self._epoch = env.now
-        self._obs_epoch_us = self._epoch
-        self._report.prep_us = env.now
-        if self.injector is not None:
-            self.injector.arm(self, epoch_us=self._epoch)
-        if self.monitor is not None:
-            self.monitor.start()
-        if self.durability is not None:
-            self.durability.start_scrubber(self._host_id(0))
-        self._served_cursor = 0
+        self._epoch = self._start_serving_epoch()
         self._out_completions: List[_Completion] = []
         self._out_failures: List[_Failure] = []
         self._out_sheds: List[_Shed] = []
@@ -374,8 +375,7 @@ class _ShardHostSim(ClusterSimulator):
 
     def finalize(self) -> Dict[str, Any]:
         """End of run: per-host report pieces + telemetry snapshot."""
-        if self.monitor is not None:
-            self.monitor.stop()
+        self._stop_serving_epoch()
         report = self._finish_run()
         hs = self._hosts[0]
         snapshot = registry_snapshot(self.registry)
@@ -408,24 +408,6 @@ class _ShardHostSim(ClusterSimulator):
         self._out_completions = []
         self._out_failures = []
         self._out_sheds = []
-        if not self._armed:
-            # Unarmed serves are the parent class's verbatim ``_serve``;
-            # completions are harvested from its report entries.
-            new = self._report.served[self._served_cursor :]
-            self._served_cursor = len(self._report.served)
-            completions = completions + [
-                _Completion(
-                    inv_id=self._inv_for_serve.pop(id(s)),
-                    host_index=self.host_index,
-                    finish_us=s.time_us + s.latency_us,
-                    kind=s.kind,
-                    rounds=1,
-                    local_rounds=1,
-                    attempt_latency_us=s.latency_us,
-                    is_hedge=False,
-                )
-                for s in new
-            ]
         shared_bytes = 0
         if self._shared_device is not None:
             total = self._shared_device.stats.bytes_read
@@ -481,49 +463,39 @@ class _ShardHostSim(ClusterSimulator):
             )
         if self._armed:
             yield from self._serve_sharded(hs, d, ctx)
-        else:
-            arrival = Arrival(time_us=d.arrival_us, function=d.function)
-            yield from self._serve(hs, arrival, env.now, ctx)
-            # ``_serve`` appends its entry and returns with no further
-            # yields, so the new entry is the last one right now.
-            entry = self._report.served[-1]
-            self._inv_for_serve[id(entry)] = d.inv_id
-            self._latency_hist.observe(entry.latency_us)
+            return
+        arrival = Arrival(time_us=d.arrival_us, function=d.function)
+        served = yield from self._serve(hs, arrival, env.now, ctx)
+        self._latency_hist.observe(served.latency_us)
+        self._out_completions.append(
+            _Completion(
+                inv_id=d.inv_id,
+                host_index=self.host_index,
+                finish_us=served.time_us + served.latency_us,
+                kind=served.kind,
+                rounds=1,
+                local_rounds=1,
+                attempt_latency_us=served.latency_us,
+                is_hedge=False,
+            )
+        )
 
     def _serve_sharded(self, hs, d: _Dispatch, ctx=None):
-        """The armed serve chain for one dispatch: mirrors the parent
-        class's ``_serve_robust`` round loop, but everything cross-host
-        — failover, hedging, final outcomes — is handed back to the
-        router as failure/completion records."""
+        """The armed serve chain for one dispatch: the parent class's
+        round loop with its shared shed check and retry decision, but
+        everything cross-host — failover, hedging, final outcomes — is
+        handed back to the router as failure/completion records."""
         env = self.env
         recovery = self.config.recovery
-        retry = recovery.retry
-        budget = self._retry_budget
         function = d.function
 
         if d.is_hedge:
             hs.stats.hedges += 1
-        if d.is_initial:
-            budget.on_arrival()
-            shedding = recovery.shedding
-            if (
-                shedding.max_queue_depth is not None
-                and hs.load > shedding.max_queue_depth
-            ):
-                hs.queued -= 1
-                hs.stats.shed += 1
-                self._ctr_shed.inc()
-                if ctx is not None:
-                    ctx.emit(
-                        self._obs_now(),
-                        "shed",
-                        host=hs.host.host_id,
-                        load=hs.load,
-                    )
-                self._out_sheds.append(
-                    _Shed(d.inv_id, self.host_index, d.arrival_us)
-                )
-                return
+        if d.is_initial and self._shed_on_arrival(hs, function, ctx):
+            self._out_sheds.append(
+                _Shed(d.inv_id, self.host_index, d.arrival_us)
+            )
+            return
 
         deadline_at = (
             self._epoch + d.arrival_us + recovery.deadline_us
@@ -531,7 +503,23 @@ class _ShardHostSim(ClusterSimulator):
             else None
         )
         arrival = Arrival(time_us=d.arrival_us, function=function)
+        failover = bool(recovery.failover and self.total_hosts > 1)
         rounds = d.attempt_base
+
+        def fail(wants_retry: bool = False, backoff_us: float = 0.0):
+            self._out_failures.append(
+                _Failure(
+                    d.inv_id,
+                    self.host_index,
+                    env.now - self._epoch,
+                    rounds,
+                    rounds - d.attempt_base,
+                    wants_retry=wants_retry,
+                    backoff_us=backoff_us,
+                    is_hedge=d.is_hedge,
+                )
+            )
+
         pre_counted = True
         while True:
             rounds += 1
@@ -581,99 +569,29 @@ class _ShardHostSim(ClusterSimulator):
                             "deadline-exceeded",
                             deadline_us=recovery.deadline_us,
                         )
-                    self._out_failures.append(
-                        _Failure(
-                            d.inv_id,
-                            self.host_index,
-                            env.now - self._epoch,
-                            rounds,
-                            rounds - d.attempt_base,
-                            wants_retry=False,
-                            backoff_us=0.0,
-                            is_hedge=d.is_hedge,
-                        )
-                    )
+                    fail()
                     return
                 continue  # pragma: no cover - no other wake source
 
-            causes = [
-                c.cause if isinstance(c, Interrupt) else c
-                for c in round_failure.causes
-            ]
-            for cause in causes:
-                if not isinstance(cause, FaultError):
-                    raise round_failure  # a genuine bug — surface it
-            retryable = not any(
-                isinstance(c, DeadlineExceeded) for c in causes
+            backoff = self._retry_backoff(
+                round_failure,
+                rounds,
+                deadline_at,
+                hs,
+                ctx,
+                retry_ok=not d.is_hedge,
+                failover=failover,
             )
-            if (
-                not d.is_hedge
-                and retryable
-                and retry.enabled
-                and rounds < retry.max_attempts
-                and budget.try_spend()
-            ):
-                backoff = retry.backoff_us(rounds, env.rng)
-                if deadline_at is not None and (
-                    env.now + backoff >= deadline_at
-                ):
-                    self._out_failures.append(
-                        _Failure(
-                            d.inv_id,
-                            self.host_index,
-                            env.now - self._epoch,
-                            rounds,
-                            rounds - d.attempt_base,
-                            wants_retry=False,
-                            backoff_us=0.0,
-                            is_hedge=d.is_hedge,
-                        )
-                    )
-                    return
-                hs.stats.retries += 1
-                self._ctr_retries.inc()
-                if ctx is not None:
-                    ctx.emit(
-                        self._obs_now(),
-                        "retry",
-                        round=rounds,
-                        backoff_us=backoff,
-                        failover=bool(
-                            recovery.failover and self.total_hosts > 1
-                        ),
-                    )
-                if recovery.failover and self.total_hosts > 1:
-                    # Cross-host retry: the router picks the failover
-                    # host and redispatches after the backoff.
-                    self._out_failures.append(
-                        _Failure(
-                            d.inv_id,
-                            self.host_index,
-                            env.now - self._epoch,
-                            rounds,
-                            rounds - d.attempt_base,
-                            wants_retry=True,
-                            backoff_us=backoff,
-                            is_hedge=d.is_hedge,
-                        )
-                    )
-                    return
-                if backoff > 0:
-                    yield env.timeout(backoff)
-                continue
-            self._out_failures.append(
-                _Failure(
-                    d.inv_id,
-                    self.host_index,
-                    env.now - self._epoch,
-                    rounds,
-                    rounds - d.attempt_base,
-                    wants_retry=False,
-                    backoff_us=0.0,
-                    is_hedge=d.is_hedge,
-                )
-            )
-            return
+            if backoff is None:
+                fail()
+                return
+            if failover:
+                # Cross-host retry: the router picks the failover host
+                # and redispatches after the backoff.
+                fail(wants_retry=True, backoff_us=backoff)
+                return
+            if backoff > 0:
+                yield env.timeout(backoff)
 
 
 def _build_host_sims(
@@ -899,11 +817,7 @@ class ShardedClusterSimulator:
         config = self.config
         H = config.num_hosts
         recovery = config.recovery
-        armed = (
-            fault_plan is not None
-            or bool(recovery.armed_features)
-            or config.durability.enabled
-        )
+        armed = run_is_armed(config, fault_plan)
         registry = MetricsRegistry()
         self.registry = registry
         inner = make_placement(config.placement)
@@ -1129,7 +1043,7 @@ class ShardedClusterSimulator:
                     meta.done = True
                     if not armed:
                         # Unarmed entries are recorded host-side by
-                        # the verbatim legacy serve path.
+                        # the inline serve (``ClusterSimulator._serve``).
                         continue
                     tracker.record(rec.attempt_latency_us)
                     if rec.is_hedge:
@@ -1173,12 +1087,13 @@ class ShardedClusterSimulator:
                 retry_rec = meta.stashed_retry
                 meta.stashed_retry = None
                 if retry_rec is not None:
-                    target = self._pick_failover_host(
-                        views, failover, retry_rec.host_index,
+                    pick = pick_failover(
+                        views, failover, views[retry_rec.host_index],
                         meta.function,
                     )
-                    if target is None:
-                        target = retry_rec.host_index
+                    target = (
+                        retry_rec.host_index if pick is None else pick.index
+                    )
                     start = max(
                         w_end,
                         retry_rec.fail_us + retry_rec.backoff_us,
@@ -1265,12 +1180,13 @@ class ShardedClusterSimulator:
                             w_end >= meta.arrival_us + deadline
                         ):
                             continue
-                        target = self._pick_failover_host(
-                            views, failover, meta.primary_host,
+                        pick = pick_failover(
+                            views, failover, views[meta.primary_host],
                             meta.function,
                         )
-                        if target is None:
+                        if pick is None:
                             continue
+                        target = pick.index
                         meta.hedged = True
                         tracker.fired += 1
                         if crec is not None:
@@ -1352,29 +1268,6 @@ class ShardedClusterSimulator:
         self._durability_events.extend(
             digest.get("durability_events", ())
         )
-
-    @staticmethod
-    def _pick_failover_host(
-        views, failover, exclude: int, function: str
-    ) -> Optional[int]:
-        """Router twin of ``ClusterSimulator._pick_failover``, over
-        barrier views instead of live hosts."""
-        candidates = [
-            v
-            for v in views
-            if v.index != exclude and v.healthy
-        ]
-        if not candidates:
-            candidates = [
-                v
-                for v in views
-                if v.index != exclude and not getattr(v, "crashed", False)
-            ]
-        if not candidates:
-            return None
-        return candidates[
-            failover.choose(candidates, function)
-        ].index
 
     def _assemble(
         self, backend, served_router, failed_by_host, prep_us

@@ -204,9 +204,9 @@ class RecoveryPolicy:
     @property
     def armed_features(self) -> Tuple[str, ...]:
         """Names of the enabled recovery features. Non-empty means the
-        scheduler must take the robust serving path; empty (the
-        default policy) keeps the legacy inline path and its exact
-        event schedule."""
+        scheduler must take the robust serving path (each attempt a
+        process inside a retry/hedge round); empty (the default
+        policy) runs each invocation as one inline attempt."""
         features = []
         if self.retry.enabled:
             features.append("retries")

@@ -310,3 +310,73 @@ def test_locality_prefers_warm_then_snapshot_then_load():
 def test_make_placement_rejects_unknown_name():
     with pytest.raises(ValueError):
         make_placement("random")
+
+
+def test_pick_failover_prefers_healthy_then_any_live_host():
+    from repro.cluster.placement import StaticHostView, pick_failover
+
+    views = [StaticHostView(index=i) for i in range(4)]
+    views[1].healthy = False
+    views[2].healthy = False
+    views[2].crashed = True
+    # Healthy candidates only: host3 (host0 is the one being left).
+    assert pick_failover(views, LeastLoaded(), views[0], "f") is views[3]
+    # No healthy alternative: fall back to the drained-but-live host.
+    views[3].crashed = True
+    views[3].healthy = False
+    assert pick_failover(views, LeastLoaded(), views[0], "f") is views[1]
+    # Nothing left alive.
+    views[1].crashed = True
+    assert pick_failover(views, LeastLoaded(), views[0], "f") is None
+
+
+# -- the unarmed serve path ---------------------------------------------
+#
+# An unarmed run serves each invocation as one inline attempt. These
+# pin its event schedule and its causal vocabulary, which must equal
+# the armed path's on a fault-free run.
+
+def _unarmed_pin_run(**run_kwargs):
+    from repro.fleet import generate_arrivals, synthesize_fleet
+
+    fleet = synthesize_fleet(4, seed=5, profile_names=("json", "pyaes"))
+    trace = generate_arrivals(fleet, 0.25 * 3600 * SECOND, seed=5)
+    config = ClusterConfig(num_hosts=1, seed=3, max_concurrent_per_host=1)
+    sim = ClusterSimulator(fleet, config)
+    return sim, sim.run(trace, **run_kwargs)
+
+
+def test_unarmed_run_keeps_its_event_schedule():
+    sim, report = _unarmed_pin_run()
+    assert sim._armed is False
+    assert len(report.served) == 46
+    # Recorded before the unarmed serve became an inline attempt.
+    assert sim.env.events_processed == 56526
+    assert round(sum(s.latency_us for s in report.served), 3) == (
+        42459130.719
+    )
+    assert report.host_stats["host0"].admission_wait_us == (
+        1202680.7166680694
+    )
+
+
+def test_unarmed_causal_vocabulary_matches_armed():
+    from repro.faults import FaultPlan
+    from repro.metrics.causal import CausalTracer
+
+    def kinds_and_latencies(**run_kwargs):
+        causal = CausalTracer()
+        _, report = _unarmed_pin_run(causal=causal, **run_kwargs)
+        kinds = [
+            [e["kind"] for e in inv["events"] if e["kind"] != "phase"]
+            for inv in causal.document()["invocations"]
+        ]
+        return kinds, [s.latency_us for s in report.served]
+
+    unarmed, unarmed_latencies = kinds_and_latencies()
+    armed, armed_latencies = kinds_and_latencies(fault_plan=FaultPlan.empty())
+    assert unarmed == armed
+    assert unarmed_latencies == armed_latencies
+    assert {tuple(k) for k in unarmed} == {
+        ("dispatch", "attempt", "admitted", "start", "attempt-ok", "outcome")
+    }

@@ -224,6 +224,40 @@ def test_arm_and_disarm_mid_run():
     service.execute(DrainCommand())
 
 
+def test_arm_mid_flight_fails_unarmed_invocations_cleanly():
+    """Invocations dispatched before a live ``arm`` finish their
+    inline attempt; a fault that hits one ends it as a recorded
+    failure instead of an exception escaping the service."""
+    service = _service(
+        functions=2, hosts=1, max_concurrent=1, ttl_us=0.0,
+        source={"kind": "none"},
+    )
+    # Second round restores from the snapshots the first round left.
+    service.execute(InjectCommand(arrivals=(
+        (1_000_000.0, "fn0000"),
+        (1_000_000.0, "fn0001"),
+        (60_000_000.0, "fn0000"),
+        (60_000_000.0, "fn0001"),
+    )))
+    service.execute(AdvanceCommand(ms=60_000.0))
+    assert service.simulator._armed is False
+    plan = {
+        "device_faults": [
+            {"scope": "host0", "start_us": 0.0, "error_rate": 1.0}
+        ]
+    }
+    service.execute(ArmCommand(plan=plan))
+    service.execute(DrainCommand())
+    outcomes = [(s.function, s.outcome.value) for s in service.report.served]
+    assert outcomes == [
+        ("fn0000", "ok"),
+        ("fn0001", "ok"),
+        ("fn0000", "failed"),
+        ("fn0001", "failed"),
+    ]
+    assert service.report.host_stats["host0"].failures == 2
+
+
 def test_set_keepalive_live():
     service = _service()
     service.execute(SetKeepaliveCommand(ttl_ms=1_000.0))
@@ -256,6 +290,31 @@ def test_inject_wakes_sleeping_pump_for_earlier_arrival():
         (2_000_000.0, "fn0002"),
         (5_000_000.0, "fn0001"),
     ]
+
+
+def test_late_injection_is_latency_not_admission_wait():
+    """An arrival injected after its nominal instant is served at once:
+    the lateness shows in its latency, never as admission wait (no
+    slot was waited on), and armed and unarmed runs agree."""
+
+    def serve_late(armed):
+        service = _service(source={"kind": "none"})
+        if armed:
+            service.execute(ArmCommand(plan={}))
+        service.execute(AdvanceCommand(ms=5_000.0))
+        service.execute(InjectCommand(arrivals=((1_000_000.0, "fn0001"),)))
+        service.execute(DrainCommand())
+        report = service.report
+        assert service.simulator._armed is armed
+        waits = {h: s.admission_wait_us for h, s in report.host_stats.items()}
+        return waits, [s.latency_us for s in report.served]
+
+    unarmed = serve_late(armed=False)
+    assert unarmed == serve_late(armed=True)
+    waits, latencies = unarmed
+    assert waits == {"host0": 0.0, "host1": 0.0}
+    # Served at t=5 s for a t=1 s arrival: 4 s of lateness included.
+    assert len(latencies) == 1 and latencies[0] > 4_000_000.0
 
 
 # -- wire forms --------------------------------------------------------
