@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Performance regression harness for the simulation kernel.
+"""Performance regression harness and determinism matrix.
 
 Runs a fixed, deterministic workload — a slice of the paper's Figure 1
 and Figure 8 grids covering every restore policy and both the batching
@@ -15,60 +15,61 @@ fast path and the event-driven machinery — and reports:
 Usage:
 
     python benchmarks/perf_harness.py              # full workload
-    python benchmarks/perf_harness.py --smoke      # CI gate (~10 s)
+    python benchmarks/perf_harness.py --smoke      # CI perf gate
+    python benchmarks/perf_harness.py --parity     # determinism matrix
+    python benchmarks/perf_harness.py --check      # --smoke + --parity
     python benchmarks/perf_harness.py --smoke --update   # rebaseline
     python benchmarks/perf_harness.py --figures fig6 fig8   # time figures
 
-``--smoke`` compares events/sec against the committed baseline
-(``BENCH_core.json`` next to this file) and exits non-zero on a
-regression beyond ``--threshold`` (default 30%, generous because CI
-runners vary). The event *count* is checked exactly.
+``--smoke`` compares events/sec and the 4-host cluster smoke's
+invocations/sec against the committed baseline (``BENCH_core.json``
+next to this file) and exits non-zero on a regression beyond
+``--threshold`` (default 30%, generous because CI runners vary). The
+event *count* and the cluster's invocation count and latency checksum
+are checked exactly. ``--update`` rewrites only the baseline sections
+the run measured.
+
+``--parity`` runs :data:`PARITY_MATRIX`, the determinism contract as
+one table of rows; a failing row names the first digest component
+that diverged, and ``--report-out`` writes every cell's digest. Under
+``--check`` the plain cluster smoke runs once, as both the ``--smoke``
+measurement and the matrix's reference cell.
 
 ``--figures`` regenerates whole experiments and reports wall-clock per
 experiment; with ``--update`` the timings are recorded in the
 baseline's ``experiments`` section as an informational perf
 trajectory (not gated — full figures are too slow for CI).
-
-Sharded-cluster entries (PR 6):
-
-* ``--sharded-smoke`` — CI-sized determinism gate: the same fleet
-  trace at ``shards=1`` and ``shards=2`` must produce bit-identical
-  invocation counts, latency checksums, and merged telemetry, and
-  match the committed ``cluster_sharded.smoke`` baseline exactly.
-  ``--report-out`` writes the fleet-report JSON artifact.
-* ``--sharded-scale`` — the gated 64-host / 100k-invocation entry
-  (minutes-to-hours; never run in CI). Exact-gates invocations and
-  the latency checksum against ``cluster_sharded.scale`` (valid for
-  any shard count — the checksum is shard-count-invariant), floors
-  invocations/sec, and asserts the >= 3x shards=4 speedup when the
-  box has >= 4 cores.
-* ``--check`` — the full regression gate: ``--smoke`` plus the
-  sharded parity smoke plus the observability smoke.
-
-Observability entry (PR 9):
-
-* ``--obs-smoke`` — byte-level gates for the observability plane:
-  the cluster workload with causal tracing + SLO monitoring + the
-  flight recorder all enabled must match the all-off run's
-  invocation count and latency checksum exactly (zero
-  perturbation), and an armed 4-host drill traced at ``shards=1``
-  and ``shards=2`` must serialize to byte-identical causal trace
-  documents (shard invariance).
+``--sharded-scale`` gates the 64-host / 100k-invocation entry and
+``--hotpath`` the cold FAASNAP restore path; neither runs in CI.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
+import io
 import json
 import sys
+import tempfile
 import time
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.policies import MAIN_POLICIES, Policy  # noqa: E402
 from repro.experiments.common import fresh_platform, measure  # noqa: E402
+from repro.metrics.exporters import (  # noqa: E402
+    canonical_json,
+    canonical_sha256,
+)
+from repro.service.journal import (  # noqa: E402
+    DIGEST_COMPONENTS,
+    first_mismatch,
+)
 from repro.workloads.base import INPUT_A, InputSpec  # noqa: E402
 
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_core.json"
@@ -115,10 +116,85 @@ def run_workload(cells) -> dict:
     }
 
 
-#: Cluster-throughput entry: a hot 8-function fleet served on 4
-#: page-level hosts. ``invocations`` and the latency checksum are
-#: deterministic (exact-gated); invocations/sec is the throughput.
-CLUSTER_HOSTS = 4
+#: The cluster entries, each one fleet trace served on page-level
+#: hosts. ``invocations`` and the latency checksum are deterministic
+#: (exact-gated); invocations/sec is the throughput. ``CLUSTER_SMOKE``
+#: is the 4-host single-heap smoke. ``SHARDED_SMOKE`` is CI-sized and
+#: runs at shards=1 and shards=2 in the parity matrix.
+#: ``SHARDED_SCALE`` is the 64-host / 100k-invocation target — far too
+#: slow for CI, gated behind ``--sharded-scale``. A sharded entry's
+#: latency checksum is shard-count-invariant by the determinism
+#: contract, so one baseline gates every shard count.
+CLUSTER_SMOKE = {
+    "hosts": 4,
+    "functions": 8,
+    "seed": 7,
+    "duration_us": 120_000_000.0,
+    "hot_interarrival_us": 5_000_000.0,
+    "cold_interarrival_us": 60_000_000.0,
+}
+
+SHARDED_SMOKE = {
+    "hosts": 8,
+    "functions": 8,
+    "shards": 2,
+    "seed": 7,
+    "duration_us": 60_000_000.0,
+    "hot_interarrival_us": 2_000_000.0,
+    "cold_interarrival_us": 60_000_000.0,
+}
+
+SHARDED_SCALE = {
+    "hosts": 64,
+    "functions": 16,
+    "shards": 4,
+    "seed": 42,
+    "duration_us": 540_000_000.0,  # ~100k arrivals at this density
+    "hot_interarrival_us": 20_000.0,
+    "cold_interarrival_us": 1_000_000.0,
+}
+
+#: shards=4 must beat shards=1 by this factor — only meaningful (and
+#: only asserted) when the box actually has >= 4 cores to run the
+#: shard workers on.
+SHARDED_SPEEDUP_FLOOR = 3.0
+
+#: The components every cluster pin and feature row compares.
+CLUSTER_COMPONENTS = ("invocations", "latency_checksum_us")
+
+
+def _entry_inputs(entry: dict, **config_fields):
+    """The fleet, arrival trace and cluster config of one entry."""
+    from repro.cluster import ClusterConfig
+    from repro.fleet.workload import generate_arrivals, synthesize_fleet
+
+    fleet = synthesize_fleet(
+        entry["functions"],
+        seed=entry["seed"],
+        profile_names=("json", "pyaes"),
+        hot_interarrival_us=entry["hot_interarrival_us"],
+        cold_interarrival_us=entry["cold_interarrival_us"],
+    )
+    trace = generate_arrivals(
+        fleet, duration_us=entry["duration_us"], seed=entry["seed"]
+    )
+    config = ClusterConfig(
+        num_hosts=entry["hosts"],
+        placement="least-loaded",
+        keep_alive_ttl_us=30_000_000.0,
+        **config_fields,
+    )
+    return fleet, trace, config
+
+
+def _served(report) -> dict:
+    """The exact-gated outcome of a run."""
+    return {
+        "invocations": report.count(),
+        "latency_checksum_us": round(
+            sum(s.latency_us for s in report.served), 3
+        ),
+    }
 
 
 def run_cluster_workload(
@@ -127,39 +203,23 @@ def run_cluster_workload(
     observability=False,
     durability=None,
 ) -> dict:
-    """Serve a dense fleet trace on the multi-host cluster scheduler.
+    """Serve ``CLUSTER_SMOKE`` on the single-heap cluster scheduler.
 
-    ``sampler_interval_us`` turns on the telemetry gauge sampler; the
-    smoke gate runs the workload with and without it and requires
-    identical invocation counts and latency checksums (the
-    zero-perturbation guard). ``fault_plan`` routes serving through
-    the fault-injection machinery; the smoke gate passes an *empty*
-    plan and requires the same bit-identical results — arming the
-    fault plane must cost nothing when no fault fires.
-    ``observability`` attaches the full PR-9 plane — causal tracer,
-    SLO monitor, flight recorder — and extends the same contract:
-    everything on must still be bit-identical to everything off.
-    ``durability`` passes a :class:`DurabilityPolicy`; the durability
-    smoke gate requires a disabled policy to be bit-identical to the
-    default (no policy at all).
+    The arguments are the parity matrix's feature switches, none of
+    which may change a result: ``sampler_interval_us`` turns on the
+    telemetry gauge sampler; ``fault_plan`` (a ``FaultPlan`` document)
+    routes serving through the fault-injection machinery;
+    ``observability`` attaches the causal tracer, SLO monitor and
+    flight recorder; ``durability`` (a ``DurabilityPolicy`` document)
+    configures the durability plane.
     """
-    from repro.cluster import ClusterConfig, ClusterSimulator
-    from repro.fleet.workload import generate_arrivals, synthesize_fleet
+    from repro.cluster import ClusterSimulator
+    from repro.faults import DurabilityPolicy, FaultPlan
 
-    fleet = synthesize_fleet(
-        8,
-        seed=7,
-        profile_names=("json", "pyaes"),
-        hot_interarrival_us=5_000_000.0,
-        cold_interarrival_us=60_000_000.0,
-    )
-    trace = generate_arrivals(fleet, duration_us=120_000_000.0, seed=7)
-    config = ClusterConfig(
-        num_hosts=CLUSTER_HOSTS,
-        placement="least-loaded",
-        keep_alive_ttl_us=30_000_000.0,
-        **({"durability": durability} if durability is not None else {}),
-    )
+    config_fields = {}  # no document: no policy, the default untouched
+    if durability is not None:
+        config_fields["durability"] = DurabilityPolicy.from_dict(durability)
+    fleet, trace, config = _entry_inputs(CLUSTER_SMOKE, **config_fields)
     causal = slo = flight = None
     if observability:
         from repro.metrics.causal import CausalTracer
@@ -173,18 +233,17 @@ def run_cluster_workload(
     report = ClusterSimulator(fleet, config).run(
         trace,
         sampler_interval_us=sampler_interval_us,
-        fault_plan=fault_plan,
+        fault_plan=(
+            FaultPlan.from_dict(fault_plan) if fault_plan is not None else None
+        ),
         causal=causal,
         slo=slo,
         flight=flight,
     )
     elapsed = time.perf_counter() - started
     out = {
-        "hosts": CLUSTER_HOSTS,
-        "invocations": report.count(),
-        "latency_checksum_us": round(
-            sum(s.latency_us for s in report.served), 3
-        ),
+        "hosts": CLUSTER_SMOKE["hosts"],
+        **_served(report),
         "wall_seconds": round(elapsed, 3),
         "invocations_per_sec": round(report.count() / elapsed, 2),
     }
@@ -193,6 +252,31 @@ def run_cluster_workload(
         out["slo_alerts"] = len(slo.alerts)
         out["flight_recorded"] = flight.recorded
     return out
+
+
+def run_sharded_cluster_workload(entry: dict, shards: int) -> tuple:
+    """Serve one sharded-cluster entry; return its metrics and its
+    merged cross-shard telemetry.
+
+    The workload is fully determined by ``entry`` — ``shards`` only
+    picks the execution topology, so invocations and the latency
+    checksum must not depend on it.
+    """
+    from repro.cluster import ShardedClusterSimulator
+
+    fleet, trace, config = _entry_inputs(entry)
+    started = time.perf_counter()
+    simulator = ShardedClusterSimulator(fleet, config, shards=shards)
+    report = simulator.run(trace)
+    elapsed = time.perf_counter() - started
+    return {
+        "hosts": entry["hosts"],
+        "shards": simulator.shards,
+        "windows": simulator.windows_run,
+        **_served(report),
+        "wall_seconds": round(elapsed, 3),
+        "invocations_per_sec": round(report.count() / elapsed, 2),
+    }, simulator.merged_metrics
 
 
 #: Restore-bookkeeping hot-path microbench (the ROADMAP's
@@ -240,143 +324,29 @@ def run_hotpath_workload(invocations: int = HOTPATH_INVOCATIONS) -> dict:
     }
 
 
-#: The sharded-cluster entries. ``smoke`` is CI-sized: the
-#: ``cluster-shard-smoke`` job runs it at shards=1 and shards=2 and
-#: requires bit-identical invocation counts and latency checksums
-#: (the cross-shard determinism contract), plus exact agreement with
-#: the committed baseline. ``scale`` is the ISSUE's 64-host /
-#: 100k-invocation target — far too slow for CI, gated behind
-#: ``--sharded-scale``. Its latency checksum is shard-count-invariant
-#: by the determinism contract, so one baseline gates every shard
-#: count.
-SHARDED_SMOKE = {
-    "hosts": 8,
-    "functions": 8,
-    "shards": 2,
-    "seed": 7,
-    "duration_us": 60_000_000.0,
-    "hot_interarrival_us": 2_000_000.0,
-    "cold_interarrival_us": 60_000_000.0,
-}
-
-SHARDED_SCALE = {
-    "hosts": 64,
-    "functions": 16,
-    "shards": 4,
-    "seed": 42,
-    "duration_us": 540_000_000.0,  # ~100k arrivals at this density
-    "hot_interarrival_us": 20_000.0,
-    "cold_interarrival_us": 1_000_000.0,
-}
-
-#: shards=4 must beat shards=1 by this factor — only meaningful (and
-#: only asserted) when the box actually has >= 4 cores to run the
-#: shard workers on.
-SHARDED_SPEEDUP_FLOOR = 3.0
-
-
-def run_sharded_cluster_workload(entry: dict, shards: int) -> dict:
-    """Serve one sharded-cluster entry and return its metrics.
-
-    The workload is fully determined by ``entry`` — ``shards`` only
-    picks the execution topology, so invocations and the latency
-    checksum must not depend on it.
-    """
-    from repro.cluster import ClusterConfig, ShardedClusterSimulator
-    from repro.fleet.workload import generate_arrivals, synthesize_fleet
-
-    fleet = synthesize_fleet(
-        entry["functions"],
-        seed=entry["seed"],
-        profile_names=("json", "pyaes"),
-        hot_interarrival_us=entry["hot_interarrival_us"],
-        cold_interarrival_us=entry["cold_interarrival_us"],
-    )
-    trace = generate_arrivals(
-        fleet, duration_us=entry["duration_us"], seed=entry["seed"]
-    )
-    config = ClusterConfig(
-        num_hosts=entry["hosts"],
-        placement="least-loaded",
-        keep_alive_ttl_us=30_000_000.0,
-    )
-    started = time.perf_counter()
-    simulator = ShardedClusterSimulator(fleet, config, shards=shards)
-    report = simulator.run(trace)
-    elapsed = time.perf_counter() - started
-    return {
-        "hosts": entry["hosts"],
-        "shards": simulator.shards,
-        "windows": simulator.windows_run,
-        "invocations": report.count(),
-        "latency_checksum_us": round(
-            sum(s.latency_us for s in report.served), 3
-        ),
-        "wall_seconds": round(elapsed, 3),
-        "invocations_per_sec": round(report.count() / elapsed, 2),
-        "merged_metrics": simulator.merged_metrics,
-    }
-
-
-def _strip(metrics: dict) -> dict:
-    return {k: v for k, v in metrics.items() if k != "merged_metrics"}
-
-
-def check_sharded_smoke(report_out=None, baseline=None) -> int:
-    """CI gate: shards=1 vs shards=2 parity on the smoke entry."""
-    status = 0
-    single = run_sharded_cluster_workload(SHARDED_SMOKE, shards=1)
-    sharded = run_sharded_cluster_workload(
-        SHARDED_SMOKE, shards=SHARDED_SMOKE["shards"]
-    )
-    for key, value in _strip(sharded).items():
-        print(f"{'sharded.' + key:>26}: {value}")
-    for exact_key in ("invocations", "latency_checksum_us"):
-        if single[exact_key] != sharded[exact_key]:
-            print(
-                f"FAIL: sharded {exact_key} {sharded[exact_key]} != "
-                f"single-shard {single[exact_key]} — the cross-shard "
-                "merge is not deterministic",
-                file=sys.stderr,
-            )
-            status = 1
-    if single["merged_metrics"] != sharded["merged_metrics"]:
+def _pin_fails(what: str, pinned: dict, metrics: dict, components) -> bool:
+    """Print a FAIL line when ``metrics`` leaves its committed pin."""
+    mismatch = first_mismatch(pinned, metrics, components)
+    if mismatch is not None:
         print(
-            "FAIL: merged telemetry differs between shards=1 and "
-            f"shards={sharded['shards']}",
+            f"FAIL: {what} {mismatch['field']} {mismatch['actual']} != "
+            f"baseline {mismatch['expected']} — simulated behaviour changed",
             file=sys.stderr,
         )
-        status = 1
-    smoke_baseline = (baseline or {}).get("smoke")
-    if smoke_baseline is not None:
-        for exact_key in ("invocations", "latency_checksum_us"):
-            if sharded[exact_key] != smoke_baseline[exact_key]:
-                print(
-                    f"FAIL: sharded smoke {exact_key} "
-                    f"{sharded[exact_key]} != baseline "
-                    f"{smoke_baseline[exact_key]} — sharded cluster "
-                    "behaviour changed",
-                    file=sys.stderr,
-                )
-                status = 1
-    if report_out is not None:
-        artifact = {
-            "entry": SHARDED_SMOKE,
-            "single": _strip(single),
-            "sharded": _strip(sharded),
-            "parity": status == 0,
-            "merged_metrics": sharded["merged_metrics"],
-        }
-        Path(report_out).write_text(json.dumps(artifact, indent=2) + "\n")
-        print(f"fleet report written to {report_out}")
-    if status == 0:
+    return mismatch is not None
+
+
+def _floor_fails(what: str, key: str, pinned, metrics, threshold) -> bool:
+    """Print a FAIL line when the throughput ``metrics[key]`` is more
+    than ``threshold`` below its committed baseline."""
+    measured, floor = metrics[key], pinned[key] * (1.0 - threshold)
+    if measured < floor:
         print(
-            f"OK: sharded smoke parity — shards=1 and "
-            f"shards={sharded['shards']} agree on "
-            f"{sharded['invocations']} invocations, checksum "
-            f"{sharded['latency_checksum_us']}, merged telemetry equal"
+            f"FAIL: {measured:.2f} {what} is below {floor:.2f} "
+            f"(baseline {pinned[key]:.2f} - {threshold:.0%})",
+            file=sys.stderr,
         )
-    return status
+    return measured < floor
 
 
 def check_sharded_scale(shards, threshold, baseline=None) -> tuple:
@@ -384,35 +354,26 @@ def check_sharded_scale(shards, threshold, baseline=None) -> tuple:
     import os
 
     status = 0
-    metrics = run_sharded_cluster_workload(SHARDED_SCALE, shards=shards)
-    for key, value in _strip(metrics).items():
+    metrics, _ = run_sharded_cluster_workload(SHARDED_SCALE, shards=shards)
+    for key, value in metrics.items():
         print(f"{'sharded_scale.' + key:>30}: {value}")
     scale_baseline = (baseline or {}).get("scale")
     if scale_baseline is not None:
         # The checksum is shard-count-invariant, so these gates hold
         # for whatever --shards was requested.
-        for exact_key in ("invocations", "latency_checksum_us"):
-            if metrics[exact_key] != scale_baseline[exact_key]:
-                print(
-                    f"FAIL: sharded scale {exact_key} "
-                    f"{metrics[exact_key]} != baseline "
-                    f"{scale_baseline[exact_key]}",
-                    file=sys.stderr,
-                )
-                status = 1
-        floor = scale_baseline["invocations_per_sec"] * (1.0 - threshold)
-        if metrics["invocations_per_sec"] < floor:
-            print(
-                f"FAIL: {metrics['invocations_per_sec']:.2f} sharded "
-                f"invocations/sec is below {floor:.2f} (baseline "
-                f"{scale_baseline['invocations_per_sec']:.2f} "
-                f"- {threshold:.0%})",
-                file=sys.stderr,
-            )
-            status = 1
+        failed = [
+            _pin_fails(
+                "sharded scale", scale_baseline, metrics, CLUSTER_COMPONENTS
+            ),
+            _floor_fails(
+                "sharded invocations/sec", "invocations_per_sec",
+                scale_baseline, metrics, threshold,
+            ),
+        ]
+        status = int(any(failed))
     cores = os.cpu_count() or 1
     if shards > 1 and cores >= shards:
-        single = run_sharded_cluster_workload(SHARDED_SCALE, shards=1)
+        single, _ = run_sharded_cluster_workload(SHARDED_SCALE, shards=1)
         speedup = (
             metrics["invocations_per_sec"]
             / single["invocations_per_sec"]
@@ -434,152 +395,32 @@ def check_sharded_scale(shards, threshold, baseline=None) -> tuple:
     return status, metrics
 
 
-#: The observability smoke: an armed 4-host fleet slice dense enough
-#: to exercise crash, retry, and corruption events in the causal
-#: trace. Small — it gates byte-identity, not throughput.
-OBS_SMOKE_ARRIVALS = 60
-OBS_SMOKE_SHARDS = 2
-
-
-def _obs_smoke_inputs():
-    from repro.cluster import ClusterConfig
-    from repro.faults import FaultPlan, RecoveryPolicy
-    from repro.fleet.workload import Arrival, ArrivalTrace, FleetFunction
-
-    fleet = [
-        FleetFunction(
-            name=f"f{i}", profile_name="json", mean_interarrival_us=1e6
-        )
-        for i in range(3)
-    ]
-    arrivals = [
-        Arrival(time_us=i * 120_000.0, function=f"f{i % 3}")
-        for i in range(OBS_SMOKE_ARRIVALS)
-    ]
-    trace = ArrivalTrace(
-        arrivals=arrivals, duration_us=OBS_SMOKE_ARRIVALS * 120_000.0
-    )
-    plan = FaultPlan.from_dict(
+#: The parity matrix's two armed 4-host drills share one fleet (three
+#: json functions) and one trace (60 arrivals round-robin over them,
+#: 120 ms apart); each names its fault plan and durability policy.
+DRILLS = {
+    # Device brownout, host crash + reboot and a latent corruption:
+    # crash, retry and corruption events for the causal trace.
+    "observability": (
         {
             "device_faults": [
-                {
-                    "scope": "*",
-                    "start_us": 500_000.0,
-                    "duration_us": 3_000_000.0,
-                    "latency_factor": 40.0,
-                    "error_rate": 0.6,
-                }
+                {"scope": "*", "start_us": 500_000.0,
+                 "duration_us": 3_000_000.0, "latency_factor": 40.0,
+                 "error_rate": 0.6}
             ],
             "host_crashes": [
-                {
-                    "host": "host1",
-                    "at_us": 1_000_000.0,
-                    "reboot_after_us": 2_000_000.0,
-                }
+                {"host": "host1", "at_us": 1_000_000.0,
+                 "reboot_after_us": 2_000_000.0}
             ],
             "corruptions": [
                 {"host": "host2", "function": "f0", "at_us": 200_000.0}
             ],
-        }
-    )
-    config = ClusterConfig(
-        num_hosts=4, seed=7, recovery=RecoveryPolicy.full()
-    )
-    return fleet, trace, plan, config
-
-
-def check_obs_smoke() -> int:
-    """CI gate for the PR-9 observability plane.
-
-    Two byte-level contracts:
-
-    1. **Zero perturbation** — the cluster smoke workload with causal
-       tracing + SLO monitoring + flight recording all on must match
-       the all-off run's invocation count and latency checksum
-       exactly.
-    2. **Shard invariance** — an armed 4-host run (device brownout,
-       host crash + reboot, latent corruption) traced at ``shards=1``
-       and ``shards=2`` must serialize to byte-identical causal trace
-       documents.
-    """
-    from repro.cluster import ShardedClusterSimulator
-    from repro.metrics.causal import CausalTracer
-
-    status = 0
-
-    plain = run_cluster_workload()
-    instrumented = run_cluster_workload(observability=True)
-    for exact_key in ("invocations", "latency_checksum_us"):
-        if instrumented[exact_key] != plain[exact_key]:
-            print(
-                f"FAIL: observability-on cluster {exact_key} "
-                f"{instrumented[exact_key]} != observability-off "
-                f"{plain[exact_key]} — the observability plane "
-                "perturbed the simulation",
-                file=sys.stderr,
-            )
-            status = 1
-    print(
-        f"{'obs.zero_perturbation':>26}: "
-        f"{'FAIL' if status else 'ok'} "
-        f"(checksum {plain['latency_checksum_us']}, "
-        f"{instrumented['causal_events']} causal events, "
-        f"{instrumented['slo_alerts']} alerts, "
-        f"{instrumented['flight_recorded']} flight records)"
-    )
-
-    docs = {}
-    for shards in (1, OBS_SMOKE_SHARDS):
-        fleet, trace, plan, config = _obs_smoke_inputs()
-        causal = CausalTracer()
-        simulator = ShardedClusterSimulator(fleet, config, shards=shards)
-        report = simulator.run(trace, fault_plan=plan, causal=causal)
-        docs[shards] = causal.to_json()
-        print(
-            f"{'obs.sharded[%d].served' % shards:>26}: {report.count()} "
-            f"({len(causal.all_events())} events)"
-        )
-    if docs[1] != docs[OBS_SMOKE_SHARDS]:
-        print(
-            f"FAIL: causal trace document differs between shards=1 and "
-            f"shards={OBS_SMOKE_SHARDS} — the cross-shard causal merge "
-            "is not deterministic",
-            file=sys.stderr,
-        )
-        status = 1
-    if status == 0:
-        print(
-            "OK: observability smoke — all-on run bit-identical to "
-            f"all-off, causal document byte-identical across "
-            f"shards=1/{OBS_SMOKE_SHARDS} "
-            f"({len(docs[1])} bytes)"
-        )
-    return status
-
-
-def _durability_smoke_inputs():
-    from repro.cluster import ClusterConfig
-    from repro.faults import (
-        DurabilityPolicy,
-        FaultPlan,
-        RecoveryPolicy,
-    )
-    from repro.fleet.workload import Arrival, ArrivalTrace, FleetFunction
-
-    fleet = [
-        FleetFunction(
-            name=f"f{i}", profile_name="json", mean_interarrival_us=1e6
-        )
-        for i in range(3)
-    ]
-    arrivals = [
-        Arrival(time_us=i * 120_000.0, function=f"f{i % 3}")
-        for i in range(OBS_SMOKE_ARRIVALS)
-    ]
-    trace = ArrivalTrace(
-        arrivals=arrivals, duration_us=OBS_SMOKE_ARRIVALS * 120_000.0
-    )
-    plan = FaultPlan.from_dict(
+        },
+        None,
+    ),
+    # Six corruptions against verified restores, two replicas and the
+    # background scrubber.
+    "durability": (
         {
             "corruptions": [
                 {"host": f"host{h}", "function": f"f{f}", "at_us": at}
@@ -592,118 +433,240 @@ def _durability_smoke_inputs():
                     (2, 0, 5_200_000.0),
                 )
             ]
-        }
-    )
+        },
+        {"enabled": True, "replicas": 2, "scrub_interval_us": 1_500_000.0},
+    ),
+}
+
+SERVICE_SCRIPT = REPO_ROOT / "examples" / "service-smoke.cmds"
+
+
+def _cluster_digest(metrics: dict) -> dict:
+    """A cluster smoke's metrics without the wall-clock figures."""
+    return {
+        key: value
+        for key, value in metrics.items()
+        if key not in ("hosts", "wall_seconds", "invocations_per_sec")
+    }
+
+
+def _sharded_cell(shards: int) -> dict:
+    """The 8-host sharded smoke entry at ``shards``."""
+    metrics, merged = run_sharded_cluster_workload(SHARDED_SMOKE, shards)
+    return {
+        **{key: metrics[key] for key in CLUSTER_COMPONENTS},
+        "merged_metrics_sha256": canonical_sha256(merged),
+    }
+
+
+def _drill_cell(drill: str, shards: int, causal: bool = False) -> dict:
+    """One armed 4-host drill at ``shards``; ``causal`` also traces it."""
+    from repro.cluster import ClusterConfig, ShardedClusterSimulator
+    from repro.faults import DurabilityPolicy, FaultPlan, RecoveryPolicy
+    from repro.fleet.workload import Arrival, ArrivalTrace, FleetFunction
+    from repro.metrics.causal import CausalTracer
+
+    plan, durability = DRILLS[drill]
+    fleet = [
+        FleetFunction(
+            name=f"f{i}", profile_name="json", mean_interarrival_us=1e6
+        )
+        for i in range(3)
+    ]
+    arrivals = [
+        Arrival(time_us=i * 120_000.0, function=f"f{i % 3}") for i in range(60)
+    ]
+    trace = ArrivalTrace(arrivals, duration_us=len(arrivals) * 120_000.0)
+    config_fields = {}
+    if durability is not None:
+        config_fields["durability"] = DurabilityPolicy.from_dict(durability)
     config = ClusterConfig(
-        num_hosts=4,
-        seed=7,
-        recovery=RecoveryPolicy.full(),
-        durability=DurabilityPolicy(
-            enabled=True,
-            replicas=2,
-            scrub_interval_us=1_500_000.0,
-        ),
+        num_hosts=4, seed=7, recovery=RecoveryPolicy.full(), **config_fields
     )
-    return fleet, trace, plan, config
-
-
-def check_durability_smoke() -> int:
-    """CI gate for the PR-10 durability subsystem.
-
-    Two byte-level contracts:
-
-    1. **Disabled means gone** — the cluster smoke workload with an
-       explicit disabled :class:`DurabilityPolicy` must match the
-       no-policy run's invocation count and latency checksum exactly
-       (the legacy checksum behaviour is untouched).
-    2. **Shard invariance** — a corruption-heavy 4-host run with
-       durability (verified restores, 2 replicas, background scrub)
-       at ``shards=1`` and ``shards=2`` must produce byte-identical
-       detection/repair event streams and identical detection
-       counters.
-    """
-    from repro.cluster import ShardedClusterSimulator
-    from repro.faults import DurabilityPolicy
-
-    status = 0
-
-    plain = run_cluster_workload()
-    disabled = run_cluster_workload(durability=DurabilityPolicy())
-    for exact_key in ("invocations", "latency_checksum_us"):
-        if disabled[exact_key] != plain[exact_key]:
-            print(
-                f"FAIL: disabled-durability cluster {exact_key} "
-                f"{disabled[exact_key]} != no-policy "
-                f"{plain[exact_key]} — verification-off is not "
-                "bit-identical to the legacy path",
-                file=sys.stderr,
-            )
-            status = 1
-    print(
-        f"{'durability.disabled_parity':>30}: "
-        f"{'FAIL' if status else 'ok'} "
-        f"(checksum {plain['latency_checksum_us']})"
+    tracer = CausalTracer() if causal else None
+    simulator = ShardedClusterSimulator(fleet, config, shards=shards)
+    report = simulator.run(
+        trace, fault_plan=FaultPlan.from_dict(plan), causal=tracer
     )
+    stream = simulator.durability_events
+    cell = {
+        **_served(report),
+        "detected": report.fault_summary.get("corruptions_detected", 0),
+        "silent": report.fault_summary.get("silent_corrupt_serves", 0),
+        "stream_bytes": len(json.dumps(stream, sort_keys=True)),
+        "stream_sha256": canonical_sha256(stream),
+    }
+    if tracer is not None:
+        cell["causal_events"] = len(tracer.all_events())
+        cell["causal_bytes"] = len(tracer.to_json())
+        cell["causal_sha256"] = canonical_sha256(tracer.document())
+    return cell
 
-    streams = {}
-    summaries = {}
-    for shards in (1, OBS_SMOKE_SHARDS):
-        fleet, trace, plan, config = _durability_smoke_inputs()
-        simulator = ShardedClusterSimulator(fleet, config, shards=shards)
-        report = simulator.run(trace, fault_plan=plan)
-        streams[shards] = json.dumps(
-            simulator.durability_events, sort_keys=True
-        )
-        summaries[shards] = {
-            "invocations": report.count(),
-            "latency_checksum_us": round(
-                sum(s.latency_us for s in report.served), 3
+
+def _service_cell(workdir: Path, replay: bool) -> dict:
+    """The ``service-smoke.cmds`` session at seed 7, flattened to every
+    digest component of every journal entry. The ``replay=False`` cell
+    records the journal in ``workdir``; the ``replay=True`` cell
+    replays that journal, so it must be computed second."""
+    from repro.cli import main as cli_main
+    from repro.service import read_journal, replay_journal
+
+    journal = workdir / "service-smoke.journal"
+    if replay:
+        digests = replay_journal(journal).digests
+    else:
+        argv = ["serve", "--seed", "7", "--script", str(SERVICE_SCRIPT)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = cli_main(argv + ["--journal", str(journal)])
+        if status:
+            raise RuntimeError(f"service session exited {status}")
+        digests = [entry["digest"] for entry in read_journal(journal)[1]]
+    cell = {"entries": len(digests)}
+    for seq, digest in enumerate(digests, start=1):
+        for key in DIGEST_COMPONENTS:
+            if key in digest:
+                cell[f"seq{seq}.{key}"] = digest[key]
+    return cell
+
+
+@dataclass(frozen=True)
+class ParityRow:
+    """One determinism contract: the ``variant`` cell of ``scenario``
+    must match the ``base`` cell on ``components`` (``None``: every
+    component either cell carries), the ``pin`` section of
+    ``BENCH_core.json`` on the cluster components, and the
+    ``require``-d values."""
+
+    name: str
+    scenario: str
+    variant: dict
+    base: Optional[dict] = None
+    components: Optional[Tuple[str, ...]] = CLUSTER_COMPONENTS
+    pin: Optional[str] = None
+    require: Optional[dict] = None
+
+
+#: The determinism contract as one table. The feature rows hold the
+#: plain cluster smoke bit-identical with an instrument on or a plane
+#: armed but idle; the shard rows hold shards=1 ≡ shards=2; the last
+#: row holds a service session ≡ its journal replay.
+PARITY_MATRIX = (
+    ParityRow("reference", "cluster", {}, pin="cluster"),
+    ParityRow("telemetry", "cluster", {"sampler_interval_us": 100_000.0}, {}),
+    ParityRow("empty-fault-plan", "cluster", {"fault_plan": {}}, {}),
+    ParityRow("observability", "cluster", {"observability": True}, {}),
+    ParityRow("durability-off", "cluster", {"durability": {}}, {}),
+    ParityRow(
+        "sharded-entry", "sharded", {"shards": 2}, {"shards": 1},
+        CLUSTER_COMPONENTS + ("merged_metrics_sha256",),
+        pin="cluster_sharded.smoke",
+    ),
+    ParityRow(
+        "observability-drill", "drill",
+        {"drill": "observability", "causal": True, "shards": 2},
+        {"drill": "observability", "causal": True, "shards": 1},
+        CLUSTER_COMPONENTS
+        + ("causal_events", "causal_bytes", "causal_sha256"),
+    ),
+    ParityRow(
+        "durability-drill", "drill",
+        {"drill": "durability", "shards": 2},
+        {"drill": "durability", "shards": 1},
+        CLUSTER_COMPONENTS
+        + ("detected", "silent", "stream_bytes", "stream_sha256"),
+        require={"silent": 0},
+    ),
+    ParityRow(
+        "journal-replay", "service", {"replay": True}, {"replay": False},
+        components=None,
+    ),
+)
+
+
+def run_parity(baseline: dict, reference=None, report_out=None) -> int:
+    """Run every :data:`PARITY_MATRIX` row: one line per row, plus a
+    FAIL line naming the first diverging component of each row that
+    fails. Each cell is computed once; ``reference`` is an
+    already-measured ``run_cluster_workload()`` to reuse as the plain
+    cluster cell."""
+    cells = {}
+    if reference is not None:
+        cells[("cluster", "{}")] = _cluster_digest(reference)
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        scenarios = {
+            "cluster": lambda **variant: _cluster_digest(
+                run_cluster_workload(**variant)
             ),
-            "detected": report.fault_summary.get(
-                "corruptions_detected", 0
-            ),
-            "silent": report.fault_summary.get(
-                "silent_corrupt_serves", 0
-            ),
+            "sharded": _sharded_cell,
+            "drill": _drill_cell,
+            "service": functools.partial(_service_cell, Path(tmp)),
         }
-        print(
-            f"{'durability.sharded[%d]' % shards:>30}: "
-            f"{report.count()} served, "
-            f"{summaries[shards]['detected']} detected, "
-            f"{len(simulator.durability_events)} durability events"
-        )
-    if streams[1] != streams[OBS_SMOKE_SHARDS]:
-        print(
-            f"FAIL: durability event stream differs between shards=1 "
-            f"and shards={OBS_SMOKE_SHARDS} — the detection/repair "
-            "plane is not shard-invariant",
-            file=sys.stderr,
-        )
-        status = 1
-    if summaries[1] != summaries[OBS_SMOKE_SHARDS]:
-        print(
-            f"FAIL: durability summaries differ between shards=1 and "
-            f"shards={OBS_SMOKE_SHARDS}: {summaries[1]} != "
-            f"{summaries[OBS_SMOKE_SHARDS]}",
-            file=sys.stderr,
-        )
-        status = 1
-    if summaries[1]["silent"]:
-        print(
-            f"FAIL: {summaries[1]['silent']} corrupted restore(s) "
-            "served silently with verification on",
-            file=sys.stderr,
-        )
-        status = 1
-    if status == 0:
-        print(
-            "OK: durability smoke — disabled policy bit-identical to "
-            "no policy, detection/repair stream byte-identical across "
-            f"shards=1/{OBS_SMOKE_SHARDS} "
-            f"({len(streams[1])} bytes, "
-            f"{summaries[1]['detected']} detected, 0 silent)"
-        )
-    return status
+
+        def cell(scenario, variant):
+            key = (scenario, canonical_json(variant))
+            if key not in cells:
+                cells[key] = scenarios[scenario](**variant)
+            return cells[key]
+
+        for row in PARITY_MATRIX:
+            checks = []
+            if row.base is not None:
+                base = cell(row.scenario, row.base)
+                checks.append((json.dumps(row.base), base, row.components))
+            actual = cell(row.scenario, row.variant)
+            if row.pin is not None:
+                pinned = baseline
+                for key in row.pin.split("."):
+                    pinned = pinned.get(key, {})
+                pin = f"BENCH_core.json {row.pin}"
+                checks.append((pin, pinned, CLUSTER_COMPONENTS))
+            if row.require is not None:
+                checks.append(("required", row.require, tuple(row.require)))
+            mismatch = None
+            for against, expected, components in checks:
+                if components is None:
+                    components = tuple(dict.fromkeys([*expected, *actual]))
+                mismatch = first_mismatch(expected, actual, components)
+                if mismatch is not None:
+                    mismatch["against"] = against
+                    break
+            # Every scalar a cell carries, not its SHA-256 digests or
+            # the per-entry components of a journal.
+            shown = ", ".join(
+                f"{key} {value}"
+                for key, value in actual.items()
+                if not key.endswith("_sha256") and "." not in key
+            )
+            print(f"{row.name:>20}: {'FAIL' if mismatch else 'ok'} ({shown})")
+            if mismatch is not None:
+                print(
+                    f"FAIL: parity row {row.name}: first diverging "
+                    f"component {mismatch['field']}: "
+                    f"{json.dumps(row.variant)} has {mismatch['actual']!r}, "
+                    f"{mismatch['against']} has {mismatch['expected']!r}",
+                    file=sys.stderr,
+                )
+            rows.append({"row": row.name, "first_mismatch": mismatch})
+    failed = sum(row["first_mismatch"] is not None for row in rows)
+    if report_out is not None:
+        report = {
+            "schema": "repro.parity-matrix/1",
+            "parity": not failed,
+            "rows": rows,
+            "cells": [
+                {"scenario": scenario, "variant": json.loads(variant),
+                 "digest": digest}
+                for (scenario, variant), digest in cells.items()
+            ],
+        }
+        Path(report_out).write_text(json.dumps(report, indent=2) + "\n")
+        print(f"parity report written to {report_out}")
+    if failed:
+        print(f"PARITY: FALSE ({failed} of {len(rows)} rows diverged)")
+        return 1
+    print(f"PARITY: TRUE ({len(rows)} rows)")
+    return 0
 
 
 def time_figures(names) -> dict:
@@ -748,28 +711,13 @@ def main() -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="full regression gate: --smoke plus the sharded-cluster "
-        "parity smoke against the cluster_sharded baseline",
+        help="full regression gate: --smoke plus --parity",
     )
     parser.add_argument(
-        "--sharded-smoke",
+        "--parity",
         action="store_true",
-        help="only the sharded-cluster parity smoke (shards=1 vs 2, "
-        "bit-identical checksums and merged telemetry)",
-    )
-    parser.add_argument(
-        "--obs-smoke",
-        action="store_true",
-        help="observability gate: all-on (causal+slo+flight) run must "
-        "be bit-identical to all-off, and the causal trace document "
-        "byte-identical across shard counts",
-    )
-    parser.add_argument(
-        "--durability-smoke",
-        action="store_true",
-        help="durability gate: a disabled DurabilityPolicy must be "
-        "bit-identical to no policy, and the detection/repair event "
-        "stream byte-identical across shard counts",
+        help="the determinism matrix: feature on/off, shards=1 vs 2 "
+        "and journal replay must agree on every digest component",
     )
     parser.add_argument(
         "--sharded-scale",
@@ -787,8 +735,8 @@ def main() -> int:
     parser.add_argument(
         "--report-out",
         metavar="PATH",
-        help="with --sharded-smoke/--check: write the fleet-report "
-        "JSON artifact here",
+        help="with --parity/--check: write every parity cell's digest "
+        "here as JSON",
     )
     parser.add_argument(
         "--hotpath",
@@ -799,24 +747,19 @@ def main() -> int:
     )
     args = parser.parse_args()
 
+    baseline = (
+        json.loads(BASELINE_PATH.read_text()) if BASELINE_PATH.exists() else {}
+    )
+
     if args.hotpath:
         metrics = run_hotpath_workload()
         for key, value in metrics.items():
             print(f"{'hotpath.' + key:>28}: {value}")
-        full = (
-            json.loads(BASELINE_PATH.read_text())
-            if BASELINE_PATH.exists()
-            else {}
-        )
-        entry = full.get("cluster_hotpath")
+        entry = baseline.get("cluster_hotpath")
         if args.update:
-            recorded = dict(metrics)
-            if entry is not None and "before_ms_per_invocation" in entry:
-                recorded["before_ms_per_invocation"] = entry[
-                    "before_ms_per_invocation"
-                ]
-            full["cluster_hotpath"] = recorded
-            BASELINE_PATH.write_text(json.dumps(full, indent=2) + "\n")
+            # Keeps the entry's before_ms_per_invocation history.
+            baseline["cluster_hotpath"] = {**(entry or {}), **metrics}
+            BASELINE_PATH.write_text(json.dumps(baseline, indent=2) + "\n")
             print(f"cluster_hotpath baseline written to {BASELINE_PATH}")
             return 0
         if entry is not None:
@@ -837,38 +780,18 @@ def main() -> int:
             )
         return 0
 
-    sharded_baseline = None
-    if BASELINE_PATH.exists():
-        sharded_baseline = json.loads(BASELINE_PATH.read_text()).get(
-            "cluster_sharded"
-        )
-
-    if args.sharded_smoke:
-        return check_sharded_smoke(
-            report_out=args.report_out, baseline=sharded_baseline
-        )
-
-    if args.obs_smoke:
-        return check_obs_smoke()
-
-    if args.durability_smoke:
-        return check_durability_smoke()
+    if args.parity:
+        return run_parity(baseline, report_out=args.report_out)
 
     if args.sharded_scale:
         status, metrics = check_sharded_scale(
-            args.shards, args.threshold, baseline=sharded_baseline
+            args.shards, args.threshold, baseline.get("cluster_sharded")
         )
         if args.update:
-            full = (
-                json.loads(BASELINE_PATH.read_text())
-                if BASELINE_PATH.exists()
-                else {}
-            )
-            section = full.setdefault("cluster_sharded", {})
-            section["scale"] = _strip(metrics)
-            section["scale"]["workload"] = SHARDED_SCALE
+            section = baseline.setdefault("cluster_sharded", {})
+            section["scale"] = {**metrics, "workload": SHARDED_SCALE}
             section["speedup_floor"] = SHARDED_SPEEDUP_FLOOR
-            BASELINE_PATH.write_text(json.dumps(full, indent=2) + "\n")
+            BASELINE_PATH.write_text(json.dumps(baseline, indent=2) + "\n")
             print(f"cluster_sharded scale baseline written to {BASELINE_PATH}")
             return 0
         return status
@@ -889,29 +812,21 @@ def main() -> int:
         figure_timings = time_figures(args.figures or ["fig6", "fig8"])
 
     if args.update:
-        baseline = {
-            "smoke": metrics if args.smoke else run_workload(SMOKE_CELLS),
-            "cluster": cluster_metrics,
-        }
+        # Rewrite only the sections this run measured; every other
+        # section (scale entry, hot path history) is kept as it is.
+        baseline["smoke"] = (
+            metrics if args.smoke else run_workload(SMOKE_CELLS)
+        )
+        baseline["cluster"] = cluster_metrics
         if figure_timings is not None:
             baseline["experiments"] = {
                 "wall_seconds": figure_timings,
                 "note": "informational trajectory, not CI-gated",
             }
-        elif BASELINE_PATH.exists():
-            previous = json.loads(BASELINE_PATH.read_text())
-            if "experiments" in previous:
-                baseline["experiments"] = previous["experiments"]
-        if BASELINE_PATH.exists():
-            previous = json.loads(BASELINE_PATH.read_text())
-            if "cluster_sharded" in previous:
-                baseline["cluster_sharded"] = previous["cluster_sharded"]
-        sharded_smoke = run_sharded_cluster_workload(
+        sharded_smoke, _ = run_sharded_cluster_workload(
             SHARDED_SMOKE, shards=SHARDED_SMOKE["shards"]
         )
-        baseline.setdefault("cluster_sharded", {})["smoke"] = _strip(
-            sharded_smoke
-        )
+        baseline.setdefault("cluster_sharded", {})["smoke"] = sharded_smoke
         BASELINE_PATH.write_text(json.dumps(baseline, indent=2) + "\n")
         print(f"baseline written to {BASELINE_PATH}")
         return 0
@@ -919,112 +834,42 @@ def main() -> int:
     if not args.smoke:
         return 0
 
-    if not BASELINE_PATH.exists():
-        print(f"no baseline at {BASELINE_PATH}; run with --update", file=sys.stderr)
+    if "smoke" not in baseline or "cluster" not in baseline:
+        print(
+            f"no smoke/cluster baseline in {BASELINE_PATH}; run with --update",
+            file=sys.stderr,
+        )
         return 2
-    full_baseline = json.loads(BASELINE_PATH.read_text())
-    baseline = full_baseline["smoke"]
-
-    status = 0
-    if metrics["events"] != baseline["events"]:
-        print(
-            f"FAIL: dispatched {metrics['events']} heap events, baseline "
-            f"{baseline['events']} — simulated behaviour changed",
-            file=sys.stderr,
-        )
-        status = 1
-    floor = baseline["events_per_sec"] * (1.0 - args.threshold)
-    if metrics["events_per_sec"] < floor:
-        print(
-            f"FAIL: {metrics['events_per_sec']:.0f} events/sec is below "
-            f"{floor:.0f} (baseline {baseline['events_per_sec']:.0f} "
-            f"- {args.threshold:.0%})",
-            file=sys.stderr,
-        )
-        status = 1
-    cluster_baseline = full_baseline.get("cluster")
-    if cluster_baseline is None:
-        print(
-            "no cluster baseline in BENCH_core.json; run with --update",
-            file=sys.stderr,
-        )
-        status = 1
-    else:
-        for exact_key in ("invocations", "latency_checksum_us"):
-            if cluster_metrics[exact_key] != cluster_baseline[exact_key]:
-                print(
-                    f"FAIL: cluster {exact_key} {cluster_metrics[exact_key]} "
-                    f"!= baseline {cluster_baseline[exact_key]} — cluster "
-                    "behaviour changed",
-                    file=sys.stderr,
-                )
-                status = 1
-        cluster_floor = cluster_baseline["invocations_per_sec"] * (
-            1.0 - args.threshold
-        )
-        if cluster_metrics["invocations_per_sec"] < cluster_floor:
-            print(
-                f"FAIL: {cluster_metrics['invocations_per_sec']:.2f} cluster "
-                f"invocations/sec is below {cluster_floor:.2f} (baseline "
-                f"{cluster_baseline['invocations_per_sec']:.2f} "
-                f"- {args.threshold:.0%})",
-                file=sys.stderr,
-            )
-            status = 1
-
-    # Perturbation guard: the same cluster workload with the telemetry
-    # gauge sampler enabled must produce bit-identical results —
-    # instruments are pull-based, and the sampler's heap events only
-    # flip fault services between the (bit-identical) fast and event
-    # paths.
-    telemetry_metrics = run_cluster_workload(sampler_interval_us=100_000.0)
-    for exact_key in ("invocations", "latency_checksum_us"):
-        if telemetry_metrics[exact_key] != cluster_metrics[exact_key]:
-            print(
-                f"FAIL: telemetry-enabled cluster {exact_key} "
-                f"{telemetry_metrics[exact_key]} != telemetry-disabled "
-                f"{cluster_metrics[exact_key]} — telemetry perturbed the "
-                "simulation",
-                file=sys.stderr,
-            )
-            status = 1
-
-    # Fault-plane perturbation guard: the same workload with an armed
-    # (but empty) fault plan runs the robust serving path — attempt
-    # processes, race combinators, retry bookkeeping — and must still
-    # produce bit-identical invocation counts and latency checksums.
-    from repro.faults import FaultPlan
-
-    armed_metrics = run_cluster_workload(fault_plan=FaultPlan.empty())
-    for exact_key in ("invocations", "latency_checksum_us"):
-        if armed_metrics[exact_key] != cluster_metrics[exact_key]:
-            print(
-                f"FAIL: fault-armed cluster {exact_key} "
-                f"{armed_metrics[exact_key]} != unarmed "
-                f"{cluster_metrics[exact_key]} — the empty fault plan "
-                "perturbed the simulation",
-                file=sys.stderr,
-            )
-            status = 1
-
-    if args.check:
-        status = (
-            check_sharded_smoke(
-                report_out=args.report_out, baseline=sharded_baseline
-            )
-            or status
-        )
-        status = check_obs_smoke() or status
-        status = check_durability_smoke() or status
-
+    smoke_baseline, cluster_baseline = baseline["smoke"], baseline["cluster"]
+    failed = [
+        _pin_fails("kernel", smoke_baseline, metrics, ("events",)),
+        _floor_fails(
+            "events/sec", "events_per_sec", smoke_baseline, metrics,
+            args.threshold,
+        ),
+        _pin_fails(
+            "cluster", cluster_baseline, cluster_metrics, CLUSTER_COMPONENTS
+        ),
+        _floor_fails(
+            "cluster invocations/sec", "invocations_per_sec",
+            cluster_baseline, cluster_metrics, args.threshold,
+        ),
+    ]
+    status = int(any(failed))
     if status == 0:
         print(
             f"OK: events/sec within {args.threshold:.0%} of baseline "
             f"({metrics['events_per_sec']:.0f} vs "
-            f"{baseline['events_per_sec']:.0f}), event count exact; "
+            f"{smoke_baseline['events_per_sec']:.0f}), event count exact; "
             f"cluster {cluster_metrics['invocations_per_sec']:.2f} inv/sec "
-            f"({CLUSTER_HOSTS} hosts), checksums exact; telemetry and "
-            "fault-plane perturbation guards passed"
+            f"({CLUSTER_SMOKE['hosts']} hosts), checksums exact"
+        )
+    if args.check:
+        status = (
+            run_parity(
+                baseline, reference=cluster_metrics, report_out=args.report_out
+            )
+            or status
         )
     return status
 

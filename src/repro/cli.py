@@ -136,6 +136,39 @@ def _emit_run_outputs(
     return status
 
 
+def _observability_planes(
+    args: argparse.Namespace, causal: bool = False, slo_config=None
+) -> tuple:
+    """Fresh ``(causal tracer, SLO monitor, flight recorder)`` for one
+    run, each ``None`` unless asked for: ``causal`` and ``slo_config``
+    (a parsed ``--slo`` document) come from the command's own flags,
+    the flight recorder from ``--flight-out``."""
+    tracer = slo = flight = None
+    if causal:
+        from repro.metrics.causal import CausalTracer
+
+        tracer = CausalTracer()
+    if slo_config is not None:
+        from repro.metrics.slo import SloMonitor
+
+        slo = SloMonitor.from_dict(slo_config)
+    if args.flight_out:
+        from repro.metrics.flight import FlightRecorder
+
+        flight = FlightRecorder()
+    return tracer, slo, flight
+
+
+def _durability_doc(args: argparse.Namespace) -> Optional[dict]:
+    """The ``--durability`` JSON document, or ``None`` without the
+    flag. Passing the flag implies enabling the plane."""
+    if args.durability is None:
+        return None
+    doc = json.loads(args.durability)
+    doc.setdefault("enabled", True)
+    return doc
+
+
 def _cmd_invoke(args: argparse.Namespace) -> int:
     from repro.metrics.tracing import Tracer
 
@@ -299,6 +332,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     from repro.cluster import ClusterConfig, ClusterSimulator
+    from repro.faults import DurabilityPolicy
     from repro.fleet import StartKind, generate_arrivals, synthesize_fleet
     from repro.fleet.workload import US_PER_HOUR, US_PER_MINUTE
     from repro.metrics.tracing import Tracer
@@ -307,13 +341,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         args.functions, seed=args.seed, profile_names=("json", "pyaes")
     )
     trace = generate_arrivals(fleet, args.hours * US_PER_HOUR, seed=args.seed)
-    durability = None
-    if args.durability is not None:
-        from repro.faults import DurabilityPolicy
-
-        doc = json.loads(args.durability)
-        doc.setdefault("enabled", True)
-        durability = DurabilityPolicy.from_dict(doc)
+    doc = _durability_doc(args)
+    durability = DurabilityPolicy.from_dict(doc) if doc is not None else None
     config = ClusterConfig(
         num_hosts=args.hosts,
         placement=args.placement,
@@ -331,21 +360,11 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         else (100_000.0 if args.metrics_out else None)
     )
     sharded = args.shards > 0
-    causal = None
-    if args.causal_trace or (sharded and args.chrome_trace):
-        from repro.metrics.causal import CausalTracer
-
-        causal = CausalTracer()
-    slo = None
-    if args.slo is not None:
-        from repro.metrics.slo import SloMonitor
-
-        slo = SloMonitor.from_dict(json.loads(args.slo))
-    flight = None
-    if args.flight_out:
-        from repro.metrics.flight import FlightRecorder
-
-        flight = FlightRecorder()
+    causal, slo, flight = _observability_planes(
+        args,
+        causal=bool(args.causal_trace or (sharded and args.chrome_trace)),
+        slo_config=json.loads(args.slo) if args.slo is not None else None,
+    )
     if sharded:
         from repro.cluster import ShardedClusterSimulator
 
@@ -588,24 +607,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ),
         "source": source_stanza,
         "slo": json.loads(args.slo) if args.slo is not None else None,
+        # The raw dicts (not the monitor or the policy) go in the spec
+        # so the journal header stays JSON and replays rebuild them.
+        "durability": _durability_doc(args),
     }
-    if args.durability is not None:
-        # Same convention as `cluster --durability`: passing the flag
-        # implies enabling. The raw dict (not the policy) goes in the
-        # spec so the journal header stays JSON and replays rebuild it.
-        durability_doc = json.loads(args.durability)
-        durability_doc.setdefault("enabled", True)
-        spec["durability"] = durability_doc
-    causal = None
-    if args.causal_trace:
-        from repro.metrics.causal import CausalTracer
-
-        causal = CausalTracer()
-    flight = None
-    if args.flight_out:
-        from repro.metrics.flight import FlightRecorder
-
-        flight = FlightRecorder()
+    causal, _, flight = _observability_planes(
+        args, causal=bool(args.causal_trace)
+    )
     journal = JournalWriter(args.journal) if args.journal else None
     service = build_service(
         spec,
@@ -721,16 +729,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     flight_docs = {}
     alerts_fired = 0
     for name in names:
-        slo = None
-        if slo_config is not None:
-            from repro.metrics.slo import SloMonitor
-
-            slo = SloMonitor.from_dict(slo_config)
-        flight = None
-        if args.flight_out:
-            from repro.metrics.flight import FlightRecorder
-
-            flight = FlightRecorder()
+        _, slo, flight = _observability_planes(args, slo_config=slo_config)
         report = run_chaos(
             name,
             num_hosts=args.hosts,

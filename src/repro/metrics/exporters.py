@@ -15,15 +15,32 @@ them:
 :func:`parse_prometheus` exists for round-trip testing, and
 :func:`merge_shard_snapshots` folds the per-shard snapshots a forked
 experiment run returns into one cumulative view.
+:func:`canonical_sha256` fingerprints any JSON document — the
+service journal's digest extensions and the perf harness's parity
+cells use it.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import re
 from typing import Any, Dict, List, Optional
 
 from repro.metrics.telemetry import MetricsRegistry, Sampler
 from repro.metrics.tracing import Span, Tracer
+
+
+def canonical_json(doc: Any) -> str:
+    """``doc`` as canonical JSON: sorted keys, no whitespace."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def canonical_sha256(doc: Any) -> str:
+    """SHA-256 hex digest of :func:`canonical_json` — equal for equal
+    documents however their dicts were built."""
+    return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
+
 
 _PROM_NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 

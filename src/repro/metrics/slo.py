@@ -25,11 +25,11 @@ times.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+from repro.metrics.exporters import canonical_sha256
 
 SLO_SCHEMA = "repro.slo-status/1"
 
@@ -322,8 +322,7 @@ class SloMonitor:
 
     def status_sha(self, now_us: float) -> Tuple[dict, str]:
         doc = self.status(now_us)
-        blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        return doc, hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return doc, canonical_sha256(doc)
 
 
 def render_slo_status(doc: dict) -> str:

@@ -30,10 +30,8 @@ gate this bit-parity.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -46,7 +44,7 @@ from repro.fleet.workload import (
     generate_arrivals,
     synthesize_fleet,
 )
-from repro.metrics.exporters import DeltaExporter
+from repro.metrics.exporters import DeltaExporter, canonical_sha256
 from repro.metrics.slo import SloMonitor
 from repro.metrics.telemetry import Sampler
 from repro.service.commands import (
@@ -69,7 +67,11 @@ from repro.service.commands import (
     UndrainHostCommand,
     command_from_dict,
 )
-from repro.service.journal import JournalWriter, read_journal
+from repro.service.journal import (
+    JournalWriter,
+    first_mismatch,
+    read_journal,
+)
 from repro.sim import Event, Interrupt
 
 
@@ -238,10 +240,7 @@ class ClusterService:
         """One incremental telemetry document plus its canonical-JSON
         SHA-256 (the digest extension ``snapshot-telemetry`` pins)."""
         doc = self._delta.delta(now_us=self.env.now)
-        digest = hashlib.sha256(
-            json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-        ).hexdigest()
-        return doc, digest
+        return doc, canonical_sha256(doc)
 
     def slo_status(self) -> Tuple[Dict[str, Any], str]:
         """The SLO monitor's canonical status document at the current
@@ -252,12 +251,7 @@ class ClusterService:
         monitor = getattr(self.simulator, "_slo", None)
         if monitor is None:
             doc: Dict[str, Any] = {"enabled": False}
-            sha = hashlib.sha256(
-                json.dumps(
-                    doc, sort_keys=True, separators=(",", ":")
-                ).encode()
-            ).hexdigest()
-            return doc, sha
+            return doc, canonical_sha256(doc)
         now = self.env.now - (self._epoch_us or 0.0)
         return monitor.status_sha(now)
 
@@ -268,10 +262,7 @@ class ClusterService:
         ``{"enabled": false}`` so replays of a durability-free run
         still digest identically."""
         doc = self.simulator.durability_status()
-        sha = hashlib.sha256(
-            json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-        ).hexdigest()
-        return doc, sha
+        return doc, canonical_sha256(doc)
 
     # -- command execution ---------------------------------------------
 
@@ -605,7 +596,11 @@ class ReplayOutcome:
 
     spec: Dict[str, Any]
     entries: int = 0
+    #: The first diverging digest component of each entry that
+    #: diverged: ``{"seq", "field", "expected", "actual"}``.
     mismatches: List[Dict[str, Any]] = field(default_factory=list)
+    #: The digest each entry reproduced, in journal order.
+    digests: List[Dict[str, Any]] = field(default_factory=list)
     service: Optional[ClusterService] = None
 
     @property
@@ -615,25 +610,17 @@ class ReplayOutcome:
 
 def replay_journal(path) -> ReplayOutcome:
     """Rebuild the service a journal describes and re-execute its
-    command stream, comparing every recorded digest field against the
-    freshly computed one. An empty ``mismatches`` list is the
-    bit-identity verdict."""
+    command stream, comparing every recorded digest against the
+    freshly computed one with :func:`first_mismatch`. An empty
+    ``mismatches`` list is the bit-identity verdict."""
     spec, entries = read_journal(path)
     service = build_service(spec, use_source=False)
     outcome = ReplayOutcome(spec=spec, service=service)
     for entry in entries:
         outcome.entries += 1
-        result = service.execute_entry(entry)
-        actual = result["digest"]
-        expected = entry.get("digest", {})
-        for key, value in expected.items():
-            if actual.get(key) != value:
-                outcome.mismatches.append(
-                    {
-                        "seq": entry.get("seq"),
-                        "field": key,
-                        "expected": value,
-                        "actual": actual.get(key),
-                    }
-                )
+        actual = service.execute_entry(entry)["digest"]
+        outcome.digests.append(actual)
+        mismatch = first_mismatch(entry.get("digest", {}), actual)
+        if mismatch is not None:
+            outcome.mismatches.append({"seq": entry.get("seq"), **mismatch})
     return outcome

@@ -16,24 +16,54 @@ subsequent line is one executed command::
 self-contained even when the original arrivals came from stdin.
 ``digest`` is the simulation-state fingerprint after the command;
 :func:`~repro.service.core.replay_journal` re-executes the stream and
-compares digests field by field, which is the service's determinism
-gate.
+compares digests with :func:`first_mismatch`, which is the service's
+determinism gate.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, TextIO, Tuple
+from typing import Any, Dict, List, Optional, Sequence, TextIO, Tuple
+
+from repro.metrics.exporters import canonical_json
 
 JOURNAL_SCHEMA = "repro.service-journal/1"
+
+#: Journal digest components in comparison order: the cheap state
+#: scalars first, then the SHA-256 extensions the status commands add.
+DIGEST_COMPONENTS = (
+    "t_us",
+    "served",
+    "latency_checksum_us",
+    "events",
+    "telemetry_sha256",
+    "slo_sha256",
+    "durability_sha256",
+)
 
 
 class JournalError(ValueError):
     """A journal file that cannot be read."""
 
 
-def _canonical(doc: Dict[str, Any]) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+def first_mismatch(
+    expected: Dict[str, Any],
+    actual: Dict[str, Any],
+    components: Sequence[str] = DIGEST_COMPONENTS,
+) -> Optional[Dict[str, Any]]:
+    """Compare two digests component by component, in ``components``
+    order, and return the first that differs as ``{"field",
+    "expected", "actual"}``; ``None`` when all of them agree. A
+    component missing from a digest reads as ``None``, so a component
+    only one side carries is a mismatch."""
+    for key in components:
+        if expected.get(key) != actual.get(key):
+            return {
+                "field": key,
+                "expected": expected.get(key),
+                "actual": actual.get(key),
+            }
+    return None
 
 
 class JournalWriter:
@@ -66,15 +96,14 @@ class JournalWriter:
         if spec is not None:
             self._spec = dict(spec)
         fh = self._ensure_open()
-        fh.write(
-            _canonical({"schema": JOURNAL_SCHEMA, "spec": self._spec}) + "\n"
-        )
+        header = {"schema": JOURNAL_SCHEMA, "spec": self._spec}
+        fh.write(canonical_json(header) + "\n")
         self._header_written = True
 
     def append(self, entry: Dict[str, Any]) -> None:
         self.write_header()
         fh = self._ensure_open()
-        fh.write(_canonical(entry) + "\n")
+        fh.write(canonical_json(entry) + "\n")
         fh.flush()
         self.entries += 1
 
