@@ -459,9 +459,16 @@ def _sharded_cell(shards: int) -> dict:
     }
 
 
-def _drill_cell(drill: str, shards: int, causal: bool = False) -> dict:
-    """One armed 4-host drill at ``shards``; ``causal`` also traces it."""
-    from repro.cluster import ClusterConfig, ShardedClusterSimulator
+def _drill_cell(
+    drill: str, shards: int = 1, causal: bool = False, single_heap: bool = False
+) -> dict:
+    """One armed 4-host drill at ``shards``, or on the single-heap
+    scheduler with ``single_heap``; ``causal`` also traces it."""
+    from repro.cluster import (
+        ClusterConfig,
+        ClusterSimulator,
+        ShardedClusterSimulator,
+    )
     from repro.faults import DurabilityPolicy, FaultPlan, RecoveryPolicy
     from repro.fleet.workload import Arrival, ArrivalTrace, FleetFunction
     from repro.metrics.causal import CausalTracer
@@ -484,7 +491,10 @@ def _drill_cell(drill: str, shards: int, causal: bool = False) -> dict:
         num_hosts=4, seed=7, recovery=RecoveryPolicy.full(), **config_fields
     )
     tracer = CausalTracer() if causal else None
-    simulator = ShardedClusterSimulator(fleet, config, shards=shards)
+    if single_heap:
+        simulator = ClusterSimulator(fleet, config)
+    else:
+        simulator = ShardedClusterSimulator(fleet, config, shards=shards)
     report = simulator.run(
         trace, fault_plan=FaultPlan.from_dict(plan), causal=tracer
     )
@@ -548,8 +558,10 @@ class ParityRow:
 
 #: The determinism contract as one table. The feature rows hold the
 #: plain cluster smoke bit-identical with an instrument on or a plane
-#: armed but idle; the shard rows hold shards=1 ≡ shards=2; the last
-#: row holds a service session ≡ its journal replay.
+#: armed but idle; the shard rows hold shards=1 ≡ shards=2, and the
+#: single-heap durability row holds the durability event stream of the
+#: single-heap scheduler ≡ shards=1; the last row holds a service
+#: session ≡ its journal replay.
 PARITY_MATRIX = (
     ParityRow("reference", "cluster", {}, pin="cluster"),
     ParityRow("telemetry", "cluster", {"sampler_interval_us": 100_000.0}, {}),
@@ -575,6 +587,12 @@ PARITY_MATRIX = (
         CLUSTER_COMPONENTS
         + ("detected", "silent", "stream_bytes", "stream_sha256"),
         require={"silent": 0},
+    ),
+    ParityRow(
+        "durability-single-heap", "drill",
+        {"drill": "durability", "single_heap": True},
+        {"drill": "durability", "shards": 1},
+        ("detected", "silent", "stream_bytes", "stream_sha256"),
     ),
     ParityRow(
         "journal-replay", "service", {"replay": True}, {"replay": False},

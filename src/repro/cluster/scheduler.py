@@ -64,9 +64,14 @@ from repro.faults import (
     RetryBudget,
     SnapshotCorrupted,
 )
-from repro.faults.durability import VERIFY_CORRUPT, VERIFY_SILENT
+from repro.faults.durability import (
+    EVENT_PREFIX,
+    VERIFY_CORRUPT,
+    VERIFY_SILENT,
+    durability_stream,
+)
 from repro.faults.errors import FaultError
-from repro.metrics.causal import ROUTER_SRC, TraceContext
+from repro.metrics.causal import CausalRecorder, ROUTER_SRC, TraceContext
 from repro.metrics.flight import CLUSTER_RING
 from repro.metrics.telemetry import Sampler
 from repro.metrics.tracing import Tracer
@@ -100,6 +105,13 @@ SNAPSHOT_TIERS = (TIER_LOCAL_NVME, TIER_SHARED_EBS)
 #: Default cost-model test input (``CostModel.costs`` uses the same),
 #: so the uncontended cluster reproduces the cost table exactly.
 DEFAULT_TEST_INPUT = InputSpec(content_id=3, size_ratio=1.0)
+
+#: Record kinds that snapshot the flight rings into a postmortem
+#: (reason) right after landing in their ring.
+_POSTMORTEM_KINDS = {
+    "fault.crash": "host-crash",
+    "durability.quarantine": "replica-quarantined",
+}
 
 
 @dataclass(frozen=True)
@@ -308,6 +320,9 @@ class _HostState(HostView):
 class ClusterSimulator(ClusterScheduler):
     """Serves a fleet trace on N page-level simulated hosts."""
 
+    #: Origin stamp of this scheduler's event records.
+    _src = ROUTER_SRC
+
     def __init__(
         self,
         fleet: Sequence[FleetFunction],
@@ -403,27 +418,32 @@ class ClusterSimulator(ClusterScheduler):
             recovery.retry_budget_min, recovery.retry_budget_ratio
         )
 
-    def _begin_run(self, tracer, fault_plan: Optional[FaultPlan]) -> Environment:
+    def _begin_run(
+        self, tracer, fault_plan: Optional[FaultPlan], causal=None, slo=None,
+        flight=None,
+    ) -> Environment:
         """Set up everything a run needs up to (but excluding) the
         driver process: environment, report, placement, counters,
-        fault machinery, hosts, health monitor. Split out of ``run``
-        so the sharded execution path can reuse it verbatim for its
-        per-host sims."""
+        fault machinery, hosts, health monitor, and the observability
+        sinks ``causal``/``slo``/``flight`` (see :meth:`run`). Split
+        out of ``run`` so the sharded execution path can reuse it
+        verbatim for its per-host sims."""
         env = Environment(seed=self.config.seed)
         self.env = env
         self.registry = env.metrics
         recovery = self.config.recovery
-        # Observability plane. The service attaches these (or a shard
-        # host sim pre-binds ``_causal_rec``) *before* ``_begin_run``;
-        # everything is pure recording on the side of the heap, so an
-        # attached plane leaves the event schedule untouched.
-        self._causal = getattr(self, "_causal", None)
-        rec = getattr(self, "_causal_rec", None)
-        if rec is None and self._causal is not None:
-            rec = self._causal.recorder(ROUTER_SRC)
-        self._causal_rec = rec
-        self._slo = getattr(self, "_slo", None)
-        self._flight = getattr(self, "_flight", None)
+        # Observability plane: pure recording on the side of the heap,
+        # so attached sinks leave the event schedule untouched. The
+        # recorder keeps the records of the causal document, or else
+        # those of the durability stream.
+        self._causal = causal
+        self._slo = slo
+        self._flight = flight
+        self._rec: Optional[CausalRecorder] = None
+        if causal is not None:
+            self._rec = causal.recorder(self._src)
+        elif self.config.durability.enabled:
+            self._rec = CausalRecorder(self._src)
         self._obs_epoch_us = 0.0
         self._inv_seq = 0
         self._armed = run_is_armed(self.config, fault_plan)
@@ -463,9 +483,7 @@ class ClusterSimulator(ClusterScheduler):
         self._robust_ready = False
         if self._armed:
             self._install_robust_machinery()
-            self.injector = FaultInjector(
-                env, fault_plan, observer=self._fault_observer
-            )
+            self.injector = FaultInjector(env, fault_plan, observer=self._emit)
         self._build_hosts(env, tracer)
         self._host_by_id = {hs.host.host_id: hs for hs in self._hosts}
         if self.config.durability.enabled:
@@ -474,7 +492,7 @@ class ClusterSimulator(ClusterScheduler):
                 self.config.durability,
                 checksum_fn=self._snapshot_checksums,
                 budget_fn=lambda: self._retry_budget,
-                observer=self._durability_observer,
+                observer=self._emit,
             )
             if self.injector is not None:
                 self.injector.durability = self.durability
@@ -483,8 +501,12 @@ class ClusterSimulator(ClusterScheduler):
                 env,
                 recovery.health,
                 self._hosts,
-                on_drain=self._on_health_drain,
-                on_reintegrate=self._on_health_reintegrate,
+                on_drain=lambda hs: self._emit(
+                    hs.host.host_id, "health.drain"
+                ),
+                on_reintegrate=lambda hs: self._emit(
+                    hs.host.host_id, "health.reintegrate"
+                ),
             )
         return env
 
@@ -531,12 +553,10 @@ class ClusterSimulator(ClusterScheduler):
             report.host_stats[stats.host] = stats
         if self.injector is not None:
             report.fault_summary = self.injector.summary()
-        #: Merged durability event stream of the run (the sharded
-        #: path overwrites this with its cross-shard merge).
+        #: The run's durability event stream (see
+        #: :func:`~repro.faults.durability.durability_stream`).
         self.durability_events = (
-            list(self.durability.events)
-            if self.durability is not None
-            else []
+            durability_stream(self._rec.events) if self._rec is not None else []
         )
         # Completion order depends on latencies; report in the
         # canonical arrival order instead so reports compare equal
@@ -676,19 +696,17 @@ class ClusterSimulator(ClusterScheduler):
         # must see each other's load.
         hs.queued += 1
         ctx = None
-        if self._causal is not None:
+        if self._causal is not None or self._flight is not None:
             inv_id = self._inv_seq
             self._inv_seq += 1
-            self._causal.register(inv_id, arrival.function, arrival.time_us)
-            ctx = TraceContext(self._causal_rec, inv_id)
-            ctx.emit(
-                self._obs_now(),
-                "dispatch",
-                host=hs.host.host_id,
-                armed=self._armed,
-            )
-        self._flight_record(
-            hs.host.host_id, "dispatch", function=arrival.function
+            if self._causal is not None:
+                self._causal.register(
+                    inv_id, arrival.function, arrival.time_us
+                )
+            ctx = TraceContext(self._rec, inv_id)
+        self._emit(
+            hs.host.host_id, "dispatch", ctx,
+            armed=self._armed, function=arrival.function,
         )
         serve = self._serve_robust if self._armed else self._serve
         proc = env.process(
@@ -712,12 +730,15 @@ class ClusterSimulator(ClusterScheduler):
 
     # -- observability plane --------------------------------------------
     #
-    # Causal tracing, the SLO monitor, and the flight recorder are all
-    # *recording-only*: no helper below creates a simulation event,
-    # draws from any RNG, or changes a branch the heap takes. That is
-    # the zero-perturbation contract — the perf harness runs the
-    # cluster workload with all three attached and requires the exact
-    # latency checksum of the bare run.
+    # Every cluster-plane event — an invocation's step, a fault, a
+    # drain, a cache drop, an SLO alert, a durability action — goes
+    # through ``_emit`` once, as one record that the causal document,
+    # the flight rings and the durability stream all read. Everything
+    # here is *recording-only*: no helper below creates a simulation
+    # event, draws from any RNG, or changes a branch the heap takes.
+    # That is the zero-perturbation contract — the perf harness runs
+    # the cluster workload with every sink attached and requires the
+    # exact latency checksum of the bare run.
 
     def _obs_now(self) -> float:
         """Current virtual time relative to the serving epoch."""
@@ -741,50 +762,63 @@ class ClusterSimulator(ClusterScheduler):
         if hs.tracer is not None:
             hs.tracer.roots.extend(eph.roots)
 
-    def _record_served(self, served: ServedInvocation) -> None:
-        """Append one outcome to the report and feed the SLO/flight
-        planes. The single funnel for every serving path."""
-        self._report.served.append(served)
-        if self._slo is None and self._flight is None:
+    def _emit(
+        self, ring: Optional[str], kind: str, ctx=None, /, **detail: Any
+    ) -> None:
+        """The cluster plane's one emit call: one record on the serving
+        clock — an invocation event of ``ctx``, or a host-level event
+        without one. ``ring`` names the host (or
+        :data:`~repro.metrics.flight.CLUSTER_RING`) whose flight ring
+        shows the record and becomes its ``host`` detail; ``None``
+        keeps the record out of the rings. Kinds in
+        :data:`_POSTMORTEM_KINDS` then dump a postmortem. A no-op
+        when no sink is attached."""
+        rec, flight = self._rec, self._flight
+        if rec is None and flight is None:
             return
         t_us = self._obs_now()
-        ok = served.outcome not in (
-            InvocationOutcome.FAILED,
-            InvocationOutcome.SHED,
-        )
-        fired = ()
+        inv_id = None if ctx is None else ctx.inv_id
+        if ring is not None:
+            detail.setdefault("host", ring)
+        # Without a causal tracer only the durability stream is kept:
+        # a long flight-recorded run must not hold every record.
+        if rec is not None and (
+            self._causal is not None or kind.startswith(EVENT_PREFIX)
+        ):
+            rec.emit(inv_id, t_us, kind, **detail)
+        if flight is None or ring is None:
+            return
+        if inv_id is not None:
+            detail["inv_id"] = inv_id
+        flight.record(t_us, ring, kind, **detail)
+        reason = _POSTMORTEM_KINDS.get(kind)
+        if reason is not None:
+            self._flight_dump(reason, **detail)
+
+    def _record_served(self, served: ServedInvocation) -> None:
+        """Append one outcome to the report, feed the SLO monitor, and
+        dump a postmortem for a failure. The single funnel for every
+        serving path."""
+        self._report.served.append(served)
         if self._slo is not None:
-            fired = self._slo.observe(t_us, served.latency_us, ok)
-        if self._flight is not None:
-            self._flight.record(
-                t_us,
-                served.host,
-                "served",
-                function=served.function,
-                outcome=served.outcome.value,
-                latency_us=round(served.latency_us, 3),
-                attempts=served.attempts,
+            ok = served.outcome not in (
+                InvocationOutcome.FAILED,
+                InvocationOutcome.SHED,
             )
+            fired = self._slo.observe(self._obs_now(), served.latency_us, ok)
             for alert in fired:
-                self._flight.record(
-                    t_us,
-                    CLUSTER_RING,
-                    "slo.alert",
-                    objective=alert["objective"],
-                    rule=alert["rule"],
+                self._emit(
+                    CLUSTER_RING, "slo.alert",
+                    objective=alert["objective"], rule=alert["rule"],
                 )
                 self._flight_dump("burn-rate-alert", alert=alert)
-            if served.outcome is InvocationOutcome.FAILED:
-                self._flight_dump(
-                    "invocation-failed",
-                    function=served.function,
-                    host=served.host,
-                    attempts=served.attempts,
-                )
-
-    def _flight_record(self, host: str, kind: str, **detail: Any) -> None:
-        if self._flight is not None:
-            self._flight.record(self._obs_now(), host, kind, **detail)
+        if served.outcome is InvocationOutcome.FAILED:
+            self._flight_dump(
+                "invocation-failed",
+                function=served.function,
+                host=served.host,
+                attempts=served.attempts,
+            )
 
     def _flight_dump(self, reason: str, **context: Any) -> None:
         """Snapshot the flight rings into a postmortem, annotated with
@@ -809,11 +843,6 @@ class ClusterSimulator(ClusterScheduler):
             for hs in self._hosts
         }
         self._flight.dump(self._obs_now(), reason, **context)
-
-    def _fault_observer(self, kind: str, scope: str, **detail: Any) -> None:
-        """Injector callback — fault applications land in the flight
-        ring of the host (or scope) they hit."""
-        self._flight_record(scope, kind, **detail)
 
     # -- durability plane -----------------------------------------------
 
@@ -845,16 +874,6 @@ class ClusterSimulator(ClusterScheduler):
         self._checksum_cache[key] = checksums
         return checksums
 
-    def _durability_observer(
-        self, kind: str, host: str, **detail: Any
-    ) -> None:
-        """Durability-manager callback: scrub/quarantine/repair events
-        land in the host's flight ring, and a quarantine triggers a
-        postmortem dump (the repair timeline leading up to it)."""
-        self._flight_record(host, kind, **detail)
-        if kind == "durability.quarantine":
-            self._flight_dump("replica-quarantined", host=host, **detail)
-
     def durability_status(self) -> Dict[str, Any]:
         """Canonical durability-plane document (the
         ``durability-status`` service command)."""
@@ -873,12 +892,6 @@ class ClusterSimulator(ClusterScheduler):
         doc.update(self.durability.scrub_now())
         return doc
 
-    def _on_health_drain(self, state) -> None:
-        self._flight_record(state.host.host_id, "health.drain")
-
-    def _on_health_reintegrate(self, state) -> None:
-        self._flight_record(state.host.host_id, "health.reintegrate")
-
     # -- live-service control operations -------------------------------
     #
     # Everything below mutates a *running* simulation between event
@@ -896,9 +909,7 @@ class ClusterSimulator(ClusterScheduler):
         self._armed = True
         if self.injector is not None:
             self.injector.disarm()
-        self.injector = FaultInjector(
-            self.env, plan, observer=self._fault_observer
-        )
+        self.injector = FaultInjector(self.env, plan, observer=self._emit)
         if self.durability is not None:
             self.injector.durability = self.durability
         self.injector.arm(self, epoch_us=self.env.now)
@@ -927,6 +938,11 @@ class ClusterSimulator(ClusterScheduler):
         self.config = dataclasses.replace(
             self.config, keep_alive_ttl_us=ttl_us
         )
+
+    def set_slo_monitor(self, monitor) -> None:
+        """Install (or replace) the SLO monitor that every later
+        outcome feeds."""
+        self._slo = monitor
 
     def add_host_live(self) -> _HostState:
         """Grow the cluster by one host at the current instant.
@@ -994,7 +1010,7 @@ class ClusterSimulator(ClusterScheduler):
             self._report.evictions += 1
             self._ctr_evictions.value += 1
             evicted += 1
-        self._flight_record(host_id, "ops.drain", evicted=evicted)
+        self._emit(host_id, "ops.drain", evicted=evicted)
         return evicted
 
     def undrain_host_live(self, host_id: str) -> None:
@@ -1005,7 +1021,7 @@ class ClusterSimulator(ClusterScheduler):
         if not hs.host.crashed:
             hs.healthy = True
             hs.error_times.clear()
-        self._flight_record(host_id, "ops.undrain")
+        self._emit(host_id, "ops.undrain")
 
     def _evict_expired(self, hs: _HostState, now: float) -> None:
         for vm in hs.idle.pop_expired(now, self.config.keep_alive_ttl_us):
@@ -1078,16 +1094,14 @@ class ClusterSimulator(ClusterScheduler):
         if outcome is InvocationOutcome.FAILED:
             hs.stats.failures += 1
             self._ctr_failed.inc()
-        if ctx is not None:
-            ctx.emit(
-                self._obs_now(),
-                "outcome",
-                outcome=outcome.value,
-                host=hs.host.host_id,
-                kind=kind.value if kind is not None else None,
-                attempts=attempts,
-                latency_us=latency,
-            )
+        self._emit(
+            hs.host.host_id, "outcome", ctx,
+            outcome=outcome.value,
+            kind=kind.value if kind is not None else None,
+            attempts=attempts,
+            latency_us=latency,
+            function=arrival.function,
+        )
         served = ServedInvocation(
             time_us=arrival.time_us,
             function=arrival.function,
@@ -1113,11 +1127,9 @@ class ClusterSimulator(ClusterScheduler):
         hs.queued -= 1
         hs.stats.shed += 1
         self._ctr_shed.inc()
-        if ctx is not None:
-            ctx.emit(
-                self._obs_now(), "shed", host=hs.host.host_id, load=hs.load
-            )
-        self._flight_record(hs.host.host_id, "shed", function=function)
+        self._emit(
+            hs.host.host_id, "shed", ctx, load=hs.load, function=function
+        )
         return True
 
     def _retry_backoff(
@@ -1128,6 +1140,7 @@ class ClusterSimulator(ClusterScheduler):
         hs: _HostState,
         ctx,
         retry_ok: bool = True,
+        at: Optional[_HostState] = None,
         **detail: Any,
     ) -> Optional[float]:
         """Judge a round whose attempts all failed: the backoff before
@@ -1137,7 +1150,8 @@ class ClusterSimulator(ClusterScheduler):
         is re-raised. A retry needs ``retry_ok``, a retryable cause
         (not a deadline), the retry policy's leave, a budget token, and
         room for the backoff before ``deadline_at``. A granted retry is
-        counted on ``hs`` and traced with ``detail``."""
+        counted on ``hs`` and recorded with ``detail`` in the ring of
+        ``at``, the host the retry leaves (default ``hs``)."""
         causes = [
             c.cause if isinstance(c, Interrupt) else c
             for c in failure.causes
@@ -1160,14 +1174,10 @@ class ClusterSimulator(ClusterScheduler):
             return None
         hs.stats.retries += 1
         self._ctr_retries.inc()
-        if ctx is not None:
-            ctx.emit(
-                self._obs_now(),
-                "retry",
-                round=rounds,
-                backoff_us=backoff,
-                **detail,
-            )
+        self._emit(
+            (hs if at is None else at).host.host_id, "retry", ctx,
+            round=rounds, backoff_us=backoff, **detail,
+        )
         return backoff
 
     def _serve_robust(
@@ -1247,11 +1257,10 @@ class ClusterSimulator(ClusterScheduler):
                 if race.triggered and race.ok:
                     windex, winner_kind = race.value
                     winner_host = hosts_used[windex]
-                    if ctx is not None and len(procs) > 1:
+                    if len(procs) > 1:
                         # The winner/loser link of a hedge pair.
-                        ctx.emit(
-                            self._obs_now(),
-                            "hedge-result",
+                        self._emit(
+                            None, "hedge-result", ctx,
                             winner=attempt_ids[windex],
                             losers=tuple(
                                 a
@@ -1278,12 +1287,10 @@ class ClusterSimulator(ClusterScheduler):
                 # the "has actually fired" test.
                 if deadline_evt is not None and deadline_evt.processed:
                     cause = DeadlineExceeded(function, recovery.deadline_us)
-                    if ctx is not None:
-                        ctx.emit(
-                            self._obs_now(),
-                            "deadline-exceeded",
-                            deadline_us=recovery.deadline_us,
-                        )
+                    self._emit(
+                        None, "deadline-exceeded", ctx,
+                        deadline_us=recovery.deadline_us,
+                    )
                     for proc in procs:
                         if proc.is_alive:
                             proc.interrupt(cause)
@@ -1299,17 +1306,10 @@ class ClusterSimulator(ClusterScheduler):
                         launched += 1
                         tracker.fired += 1
                         other.stats.hedges += 1
-                        if ctx is not None:
-                            ctx.emit(
-                                self._obs_now(),
-                                "hedge",
-                                host=other.host.host_id,
-                                attempt=launched,
-                                threshold_us=threshold,
-                            )
-                        self._flight_record(
-                            other.host.host_id,
-                            "hedge",
+                        self._emit(
+                            other.host.host_id, "hedge", ctx,
+                            attempt=launched,
+                            threshold_us=threshold,
                             function=function,
                         )
                         procs.append(
@@ -1329,14 +1329,12 @@ class ClusterSimulator(ClusterScheduler):
             # The whole round failed: retry (with backoff + failover)
             # or give up.
             backoff = self._retry_backoff(
-                round_failure, rounds, deadline_at, hs, ctx
+                round_failure, rounds, deadline_at, hs, ctx,
+                at=current, function=function,
             )
             if backoff is None:
                 outcome = InvocationOutcome.FAILED
                 break
-            self._flight_record(
-                current.host.host_id, "retry", function=function
-            )
             if backoff > 0:
                 yield env.timeout(backoff)
             if recovery.failover:
@@ -1345,12 +1343,9 @@ class ClusterSimulator(ClusterScheduler):
                 )
                 if nxt is not None:
                     current = nxt
-                    if ctx is not None:
-                        ctx.emit(
-                            self._obs_now(),
-                            "failover",
-                            host=current.host.host_id,
-                        )
+                    self._emit(
+                        None, "failover", ctx, host=current.host.host_id
+                    )
 
         if outcome is InvocationOutcome.FAILED:
             winner_host = current
@@ -1394,23 +1389,15 @@ class ClusterSimulator(ClusterScheduler):
         function = arrival.function
         started = env.now
 
-        if ctx is not None:
-            ctx.emit(
-                self._obs_now(),
-                "attempt",
-                attempt=attempt_no,
-                host=hs.host.host_id,
-            )
+        self._emit(
+            None, "attempt", ctx, attempt=attempt_no, host=hs.host.host_id
+        )
         if hs.host.crashed:
             # Placed onto a host that died before we started.
-            if ctx is not None:
-                ctx.emit(
-                    self._obs_now(),
-                    "attempt-failed",
-                    attempt=attempt_no,
-                    host=hs.host.host_id,
-                    cause="HostCrashed",
-                )
+            self._emit(
+                hs.host.host_id, "attempt-failed", ctx,
+                attempt=attempt_no, cause="HostCrashed", function=function,
+            )
             raise HostCrashed(hs.host.host_id)
 
         slot = None
@@ -1418,7 +1405,7 @@ class ClusterSimulator(ClusterScheduler):
         reserved_mb = 0.0
         eph = None
         tracer = hs.tracer
-        if ctx is not None:
+        if self._causal is not None:
             eph = self._attempt_tracer(hs)
             tracer = eph
         try:
@@ -1429,13 +1416,10 @@ class ClusterSimulator(ClusterScheduler):
             hs.active += 1
             admitted = True
             hs.stats.admission_wait_us += env.now - started
-            if ctx is not None:
-                ctx.emit(
-                    self._obs_now(),
-                    "admitted",
-                    attempt=attempt_no,
-                    wait_us=env.now - started,
-                )
+            self._emit(
+                None, "admitted", ctx,
+                attempt=attempt_no, wait_us=env.now - started,
+            )
 
             policy = config.restore_policy
             shedding = recovery.shedding
@@ -1450,27 +1434,18 @@ class ClusterSimulator(ClusterScheduler):
                 policy = shedding.degraded_policy
                 hs.stats.degraded_starts += 1
                 self._ctr_degraded.inc()
-                if ctx is not None:
-                    ctx.emit(
-                        self._obs_now(),
-                        "degraded",
-                        attempt=attempt_no,
-                        policy=policy.value,
-                    )
-                self._flight_record(
-                    hs.host.host_id, "degraded", function=function
+                self._emit(
+                    hs.host.host_id, "degraded", ctx,
+                    attempt=attempt_no, policy=policy.value,
+                    function=function,
                 )
 
             vm = hs.idle.reuse_mru(function)
             if vm is not None:
                 kind = StartKind.WARM
-                if ctx is not None:
-                    ctx.emit(
-                        self._obs_now(),
-                        "start",
-                        attempt=attempt_no,
-                        kind=kind.value,
-                    )
+                self._emit(
+                    None, "start", ctx, attempt=attempt_no, kind=kind.value
+                )
                 result = yield from hs.host.invocation(
                     self._artifacts_for(hs, function, Policy.WARM),
                     config.test_input,
@@ -1504,13 +1479,9 @@ class ClusterSimulator(ClusterScheduler):
                     busy_until=0.0,
                     last_used=env.now,
                 )
-                if ctx is not None:
-                    ctx.emit(
-                        self._obs_now(),
-                        "start",
-                        attempt=attempt_no,
-                        kind=kind.value,
-                    )
+                self._emit(
+                    None, "start", ctx, attempt=attempt_no, kind=kind.value
+                )
                 if kind is StartKind.SNAPSHOT:
                     if self.durability is not None:
                         # Verified restore: check the chosen replica's
@@ -1525,22 +1496,17 @@ class ClusterSimulator(ClusterScheduler):
                         if verdict == VERIFY_CORRUPT:
                             hs.stats.snapshot_corruptions += 1
                             self._ctr_corrupt.inc()
-                            if ctx is not None:
-                                ctx.emit(
-                                    self._obs_now(),
-                                    "verify-failed",
-                                    attempt=attempt_no,
-                                    host=hs.host.host_id,
-                                )
+                            self._emit(
+                                None, "verify-failed", ctx,
+                                attempt=attempt_no, host=hs.host.host_id,
+                            )
                             raise SnapshotCorrupted(
                                 hs.host.host_id, function
                             )
-                        if verdict == VERIFY_SILENT and ctx is not None:
-                            ctx.emit(
-                                self._obs_now(),
-                                "verify-skipped",
-                                attempt=attempt_no,
-                                host=hs.host.host_id,
+                        if verdict == VERIFY_SILENT:
+                            self._emit(
+                                None, "verify-skipped", ctx,
+                                attempt=attempt_no, host=hs.host.host_id,
                             )
                     elif (
                         self.injector is not None
@@ -1602,49 +1568,34 @@ class ClusterSimulator(ClusterScheduler):
             else:
                 hs.stats.cold_starts += 1
                 self._ctr_cold.value += 1
-            if ctx is not None:
-                ctx.emit(
-                    self._obs_now(),
-                    "attempt-ok",
-                    attempt=attempt_no,
-                    host=hs.host.host_id,
-                    kind=kind.value,
-                    latency_us=env.now - started,
-                )
+            self._emit(
+                None, "attempt-ok", ctx,
+                attempt=attempt_no,
+                host=hs.host.host_id,
+                kind=kind.value,
+                latency_us=env.now - started,
+            )
             return kind
         except BaseException as exc:
             cause = exc.cause if isinstance(exc, Interrupt) else exc
             if isinstance(cause, (DeviceError, SnapshotCorrupted)):
                 self._note_failure(hs)
-            if ctx is not None:
-                if isinstance(cause, str):
-                    # A hedge loser interrupted with a reason string.
-                    ctx.emit(
-                        self._obs_now(),
-                        "attempt-cancelled",
-                        attempt=attempt_no,
-                        host=hs.host.host_id,
-                        reason=cause,
-                    )
-                else:
-                    ctx.emit(
-                        self._obs_now(),
-                        "attempt-failed",
-                        attempt=attempt_no,
-                        host=hs.host.host_id,
-                        cause=type(cause).__name__,
-                    )
-            if not isinstance(cause, str):
-                self._flight_record(
-                    hs.host.host_id,
-                    "attempt-failed",
-                    function=function,
+            if isinstance(cause, str):
+                # A hedge loser interrupted with a reason string.
+                self._emit(
+                    None, "attempt-cancelled", ctx,
+                    attempt=attempt_no, host=hs.host.host_id, reason=cause,
+                )
+            else:
+                self._emit(
+                    hs.host.host_id, "attempt-failed", ctx,
+                    attempt=attempt_no,
                     cause=type(cause).__name__,
+                    function=function,
                 )
             raise
         finally:
-            if ctx is not None:
-                self._fold_phases(hs, ctx, eph)
+            self._fold_phases(hs, ctx, eph)
             if reserved_mb:
                 hs.memory_mb -= reserved_mb
             if admitted:
@@ -1707,13 +1658,10 @@ class ClusterSimulator(ClusterScheduler):
         hs.attempt_procs.clear()
         # Wake anyone sleeping on a read whose owner just died.
         hs.host.cache.abandon_all_pending()
-        self._flight_record(
-            host_id,
-            "fault.crash",
-            vms_lost=vms_lost,
-            attempts_interrupted=interrupted,
+        self._emit(
+            host_id, "fault.crash",
+            vms_lost=vms_lost, attempts_interrupted=interrupted,
         )
-        self._flight_dump("host-crash", host=host_id)
 
     def reboot_host(self, host_id: str) -> None:
         """Bring a crashed host back cold. With a health monitor the
@@ -1725,7 +1673,7 @@ class ClusterSimulator(ClusterScheduler):
         hs.last_bad_us = self.env.now
         if self.monitor is None and not hs.drained:
             hs.healthy = True
-        self._flight_record(host_id, "fault.reboot")
+        self._emit(host_id, "fault.reboot")
 
     def _snapshot_start(
         self,
@@ -1750,9 +1698,7 @@ class ClusterSimulator(ClusterScheduler):
             # the cost-table methodology (cold caches, fresh readahead
             # window) for a function that has not run recently.
             hs.host.drop_function_caches(artifacts)
-            self._flight_record(
-                hs.host.host_id, "page-cache.drop", function=function
-            )
+            self._emit(hs.host.host_id, "page-cache.drop", function=function)
         gate = hs.acquire_gate(artifacts)
         try:
             result = yield from hs.host.invocation(

@@ -82,13 +82,13 @@ divergences from the single-heap path (documented, deterministic):
 * hedges fire at the first window boundary where the primary attempt
   has been in flight longer than the threshold, and failover retries
   redispatch at ``max(window end, failure + backoff)``;
-* causal-trace events: hosts emit attempt-level events from the
-  shared attempt body (source = host index, drained in each window
-  digest),
-  the router emits routing decisions (source ``-1``) — so the sharded
-  trace shows ``route``/``redispatch`` where the single-heap trace
-  shows ``dispatch``/``failover``. Within the sharded family the
-  merged document is byte-identical for every shard count.
+* causal-trace events: hosts emit attempt-level and host-level
+  records from the shared serving code (source = host index, drained
+  into each window digest's one ``events`` batch), the router emits
+  routing decisions (source ``-1``) — so the sharded trace shows
+  ``route``/``redispatch`` where the single-heap trace shows
+  ``dispatch``/``failover``. Within the sharded family the merged
+  document is byte-identical for every shard count.
 """
 
 from __future__ import annotations
@@ -121,13 +121,14 @@ from repro.faults import (
     RetryBudget,
     rebalance_tokens,
 )
+from repro.faults.durability import durability_stream
 from repro.fleet.scheduler import (
     InvocationOutcome,
     ServedInvocation,
     StartKind,
 )
 from repro.fleet.workload import Arrival, ArrivalTrace
-from repro.metrics.causal import CausalRecorder, ROUTER_SRC, TraceContext
+from repro.metrics.causal import CausalTracer, ROUTER_SRC, TraceContext
 from repro.metrics.exporters import merge_shard_snapshots, registry_snapshot
 from repro.metrics.stats import Histogram
 from repro.metrics.telemetry import MetricsRegistry
@@ -288,6 +289,7 @@ class _ShardHostSim(ClusterSimulator):
         super().__init__(fleet, sub)
         self.host_index = host_index
         self.total_hosts = total
+        self._src = host_index
 
     # Hooks into the parent's setup -----------------------------------
 
@@ -310,19 +312,17 @@ class _ShardHostSim(ClusterSimulator):
         causal: bool = False,
     ) -> Dict[str, Any]:
         """Run the prep epoch and arm fault machinery; returns the
-        initial digest. ``causal`` installs a per-host
-        :class:`~repro.metrics.causal.CausalRecorder` (source = host
-        index) whose events each window digest drains back to the
-        router."""
+        initial digest. ``causal`` traces the host's invocations too:
+        its recorder (source = host index) then keeps every record,
+        not only the durability stream; each digest drains it back
+        to the router."""
         host_id = self._host_id(0)
         sub_plan = plan_for_host(fault_plan, host_id)
         if sub_plan is None and armed:
             sub_plan = FaultPlan.empty()
-        if causal:
-            # Installed before ``_begin_run`` so its getattr pickup
-            # keeps this host-sourced recorder.
-            self._causal_rec = CausalRecorder(self.host_index)
-        env = self._begin_run(None, sub_plan)
+        env = self._begin_run(
+            None, sub_plan, causal=CausalTracer() if causal else None
+        )
         self.sampler = None
         self._latency_hist = self.registry.histogram(
             "cluster.latency_us", edges=LATENCY_HISTOGRAM_EDGES
@@ -391,12 +391,13 @@ class _ShardHostSim(ClusterSimulator):
             "snapshot": snapshot,
             "latency_histogram": self._latency_hist.histogram,
             "fault_summary": dict(report.fault_summary),
-            "durability_events": (
-                self.durability.drain_events()
-                if self.durability is not None
-                else []
-            ),
+            "events": self._drain_events(),
         }
+
+    def _drain_events(self):
+        """The records emitted since the last digest (one batch for
+        the causal document and the durability stream alike)."""
+        return self._rec.drain() if self._rec is not None else ()
 
     # Internals --------------------------------------------------------
 
@@ -429,6 +430,7 @@ class _ShardHostSim(ClusterSimulator):
             ),
             "shared_bytes": shared_bytes,
             "window_events": window_events,
+            "events": self._drain_events(),
         }
         if self.durability is not None:
             # Quarantine-aware warm view: the router must not route a
@@ -438,9 +440,6 @@ class _ShardHostSim(ClusterSimulator):
                 for f in out["snapshots"]
                 if self.durability.has_readable(hs.host.host_id, f)
             )
-            out["durability_events"] = self.durability.drain_events()
-        if self._causal_rec is not None:
-            out["causal_events"] = self._causal_rec.drain()
         return out
 
     def _submission(self, d: _Dispatch):
@@ -453,14 +452,12 @@ class _ShardHostSim(ClusterSimulator):
         hs.queued += 1
         self._report.memory_samples_mb.append(hs.memory_mb)
         ctx = None
-        if self._causal_rec is not None:
-            ctx = TraceContext(self._causal_rec, d.inv_id)
-            ctx.emit(
-                self._obs_now(),
-                "dispatch",
-                host=hs.host.host_id,
-                hedge=d.is_hedge,
-            )
+        if self._causal is not None:
+            ctx = TraceContext(self._rec, d.inv_id)
+        self._emit(
+            hs.host.host_id, "dispatch", ctx,
+            hedge=d.is_hedge, function=d.function,
+        )
         if self._armed:
             yield from self._serve_sharded(hs, d, ctx)
             return
@@ -563,12 +560,10 @@ class _ShardHostSim(ClusterSimulator):
                         proc.interrupt(
                             DeadlineExceeded(function, recovery.deadline_us)
                         )
-                    if ctx is not None:
-                        ctx.emit(
-                            self._obs_now(),
-                            "deadline-exceeded",
-                            deadline_us=recovery.deadline_us,
-                        )
+                    self._emit(
+                        None, "deadline-exceeded", ctx,
+                        deadline_us=recovery.deadline_us,
+                    )
                     fail()
                     return
                 continue  # pragma: no cover - no other wake source
@@ -581,6 +576,7 @@ class _ShardHostSim(ClusterSimulator):
                 ctx,
                 retry_ok=not d.is_hedge,
                 failover=failover,
+                function=function,
             )
             if backoff is None:
                 fail()
@@ -798,10 +794,10 @@ class ShardedClusterSimulator:
         self.merged_metrics: Optional[Dict[str, Any]] = None
         self.latency_histogram: Optional[Histogram] = None
         self.windows_run = 0
-        #: Cross-shard merged durability events, sorted
-        #: ``(t_us, host, seq)`` — byte-identical across shard counts.
+        #: The run's durability event stream (see
+        #: :func:`~repro.faults.durability.durability_stream`) —
+        #: byte-identical across shard counts.
         self.durability_events: List[Dict[str, Any]] = []
-        self._durability_events: List[Dict[str, Any]] = []
 
     def run(
         self,
@@ -815,6 +811,9 @@ class ShardedClusterSimulator:
         drained events, producing one merged document whose bytes are
         invariant to the shard count."""
         config = self.config
+        #: Every record the hosts ship, merged for the causal document
+        #: and the durability stream.
+        self._events: List[Any] = []
         H = config.num_hosts
         recovery = config.recovery
         armed = run_is_armed(config, fault_plan)
@@ -900,8 +899,6 @@ class ShardedClusterSimulator:
             self._apply_digest(
                 views[i], begin[i], tokens, shared_bytes, published, i
             )
-            if causal is not None:
-                causal.extend(begin[i].get("causal_events", ()))
         prep_us = max(begin[i]["prep_us"] for i in range(H))
 
         arrivals = trace.arrivals
@@ -996,8 +993,6 @@ class ShardedClusterSimulator:
                 self._apply_digest(
                     views[i], digest, tokens, shared_bytes, published, i
                 )
-                if causal is not None:
-                    causal.extend(digest.get("causal_events", ()))
                 for j, c in enumerate(digest["completions"]):
                     events.append((c.finish_us, i, j, "done", c))
                 for j, f in enumerate(digest["failures"]):
@@ -1243,7 +1238,7 @@ class ShardedClusterSimulator:
             w += 1
 
         return self._assemble(
-            backend, served_router, failed_by_host, prep_us
+            backend, served_router, failed_by_host, prep_us, causal
         )
 
     def _apply_digest(
@@ -1265,12 +1260,10 @@ class ShardedClusterSimulator:
         shared_bytes[index] = digest["shared_bytes"]
         if self.config.snapshot_tier == TIER_SHARED_EBS:
             published.update(digest["snapshots"])
-        self._durability_events.extend(
-            digest.get("durability_events", ())
-        )
+        self._events.extend(digest["events"])
 
     def _assemble(
-        self, backend, served_router, failed_by_host, prep_us
+        self, backend, served_router, failed_by_host, prep_us, causal
     ) -> ClusterReport:
         config = self.config
         finals = backend.finalize()
@@ -1296,13 +1289,10 @@ class ShardedClusterSimulator:
                     report.fault_summary[key] = (
                         report.fault_summary.get(key, 0) + value
                     )
-            self._durability_events.extend(
-                fin.get("durability_events", ())
-            )
-        self._durability_events.sort(
-            key=lambda e: (e["t_us"], e["host"], e["seq"])
-        )
-        self.durability_events = self._durability_events
+            self._events.extend(fin["events"])
+        if causal is not None:
+            causal.extend(self._events)
+        self.durability_events = durability_stream(self._events)
         report.served.extend(served_router)
         report.served.sort(key=lambda s: (s.time_us, s.function))
         router_snapshot = registry_snapshot(self.registry)

@@ -25,9 +25,11 @@ production snapshot store needs:
   are counted separately.
 
 Everything is deterministic: corruption targets replicas and chunks
-by a per-snapshot counter (no RNG), events are stamped with virtual
-time plus a per-host sequence number, and the merged event stream is
-byte-identical across shard counts (``shards=1`` ≡ ``shards=N``).
+by a per-snapshot counter (no RNG). Scrub, quarantine, repair and
+rebuild events are records of the cluster plane's one event stream
+(:class:`~repro.metrics.causal.TraceEvent`, serving-relative clock);
+:func:`durability_stream` renders them, byte-identical for the
+single-heap scheduler and every shard count.
 
 With :data:`DISABLED_DURABILITY` (the default policy) the manager is
 never constructed and the cluster run is bit-identical to one
@@ -42,6 +44,7 @@ from typing import (
     Callable,
     Dict,
     Generator,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -60,6 +63,9 @@ VERIFY_OK = "ok"
 VERIFY_CORRUPT = "corrupt"  # detected at read time -> quarantine
 VERIFY_SILENT = "silent"  # verification off: wrong memory served
 VERIFY_UNTRACKED = "untracked"  # no checksums known for the artefacts
+
+#: Kind prefix of the durability plane's records in the event stream.
+EVENT_PREFIX = "durability."
 
 
 @dataclass(frozen=True)
@@ -175,8 +181,10 @@ class DurabilityManager:
     artefacts exist yet (replica sets are created lazily on first
     touch). ``budget_fn()`` returns the run's
     :class:`~repro.faults.recovery.RetryBudget` (or ``None``); repair
-    traffic spends from it. ``observer(kind, host, **detail)`` mirrors
-    the injector's flight-recorder hook.
+    traffic spends from it. ``observer(host, kind, **detail)`` is the
+    cluster plane's emit call (the injector's takes the same): every
+    scrub/quarantine/repair/rebuild event goes through it once, with
+    ``kind`` prefixed :data:`EVENT_PREFIX`.
     """
 
     def __init__(
@@ -196,11 +204,7 @@ class DurabilityManager:
         #: Corruption marks that arrived before the snapshot existed,
         #: applied when the replica set is first materialised.
         self._pending_corruptions: Dict[Tuple[str, str], int] = {}
-        self._seq: Dict[str, int] = {}
         self._procs: List[Any] = []
-        #: Deterministic event stream, merged and sorted
-        #: ``(t_us, host, seq)`` across shards.
-        self.events: List[Dict[str, Any]] = []
         # Counters (plain ints; exported as pull counters).
         self.corruptions_applied = 0
         self.detected_restore = 0
@@ -246,24 +250,8 @@ class DurabilityManager:
         )
 
     def _emit(self, kind: str, host: str, **detail: Any) -> None:
-        seq = self._seq.get(host, 0)
-        self._seq[host] = seq + 1
-        event = {
-            "t_us": round(self.env.now, 3),
-            "host": host,
-            "seq": seq,
-            "kind": kind,
-        }
-        event.update(detail)
-        self.events.append(event)
         if self.observer is not None:
-            self.observer(f"durability.{kind}", host, **detail)
-
-    def drain_events(self) -> List[Dict[str, Any]]:
-        """Pop and return the accumulated events (sharded workers
-        ship them through window digests)."""
-        events, self.events = self.events, []
-        return events
+            self.observer(host, EVENT_PREFIX + kind, **detail)
 
     # -- replica-set lifecycle -----------------------------------------
 
@@ -547,3 +535,33 @@ class DurabilityManager:
             "rebuilds": self.rebuilds,
             "scrub_cycles": self.scrub_cycles,
         }
+
+
+def durability_stream(records: Iterable[Any]) -> List[Dict[str, Any]]:
+    """Render the :data:`EVENT_PREFIX` records among ``records`` (any
+    :class:`~repro.metrics.causal.TraceEvent` iterable) as the
+    durability event stream: ``{t_us, host, seq, kind, **detail}``
+    dicts with ``t_us`` serving-relative to the nanosecond, ``seq``
+    counting each host's durability events in emission order and
+    ``kind`` unprefixed, sorted ``(t_us, host, seq)``. Each entry is a
+    function of its host's own records only, so the stream is
+    byte-identical for a single-heap run and every shard count."""
+    counts: Dict[str, int] = {}
+    stream = []
+    mine = [r for r in records if r.kind.startswith(EVENT_PREFIX)]
+    for record in sorted(mine, key=lambda r: (r.src, r.seq)):
+        detail = dict(record.detail)
+        host = detail.pop("host")
+        seq = counts.get(host, 0)
+        counts[host] = seq + 1
+        stream.append(
+            {
+                "t_us": round(record.t_us, 3),
+                "host": host,
+                "seq": seq,
+                "kind": record.kind[len(EVENT_PREFIX):],
+                **detail,
+            }
+        )
+    stream.sort(key=lambda e: (e["t_us"], e["host"], e["seq"]))
+    return stream

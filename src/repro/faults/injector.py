@@ -40,9 +40,10 @@ class FaultInjector:
     ):
         self.env = env
         self.plan = plan if plan is not None else FaultPlan.empty()
-        #: Optional ``observer(kind, scope, **detail)`` callback fired
-        #: (synchronously, purely for recording — the flight recorder)
-        #: when a fault is applied or revoked. Never a sim event.
+        #: Optional ``observer(scope, kind, **detail)`` callback — the
+        #: cluster plane's emit call — fired synchronously, purely for
+        #: recording, when a fault is applied or revoked. Never a sim
+        #: event.
         self.observer = observer
         #: Optional :class:`~repro.faults.durability.DurabilityManager`.
         #: When attached, corruption events land on real replica
@@ -140,7 +141,7 @@ class FaultInjector:
 
     def _notify(self, kind: str, scope: str, **detail: Any) -> None:
         if self.observer is not None:
-            self.observer(kind, scope, **detail)
+            self.observer(scope, kind, **detail)
 
     def _close_window(self, entry: list) -> None:
         if entry not in self._open_windows:

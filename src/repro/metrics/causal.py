@@ -1,12 +1,17 @@
-"""End-to-end causal invocation traces.
+"""The cluster plane's one event record.
 
 Single-host span trees (:mod:`repro.metrics.tracing`) show where one
 attempt's time goes, but a cluster invocation is a *story*: routed,
 placed, admitted, maybe retried on another host (``attempt=N``),
 maybe hedged (with a winner and cancelled losers), maybe caught in a
-host crash and redispatched. This module records that story as a
-flat, deterministic event log and assembles it into one canonical
-trace document per run.
+host crash and redispatched. Each step is one :class:`TraceEvent`
+carrying its ``inv_id``; host-level events (faults, drains, cache
+drops, SLO alerts, durability actions) are records with
+``inv_id=None``. The causal document (:class:`CausalTracer`) is the
+view of the records with an ``inv_id``; flight rings
+(:mod:`repro.metrics.flight`) and the durability stream
+(:func:`repro.faults.durability.durability_stream`) are views of the
+same records.
 
 The design is constrained by two contracts the cluster plane already
 pins with exact checksums:
@@ -36,7 +41,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-CAUSAL_SCHEMA = "repro.causal-trace/1"
+CAUSAL_SCHEMA = "repro.causal-trace/2"
 
 #: ``src`` stamp for events emitted by the router / single-heap
 #: scheduler rather than by a host.
@@ -59,14 +64,15 @@ def _canon_value(value: Any) -> Any:
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One causal event in an invocation's story.
+    """One cluster-plane event: a step of an invocation's story, or a
+    host-level event (``inv_id=None``).
 
     ``detail`` is a key-sorted tuple of ``(key, value)`` pairs so the
     event is hashable, picklable, and canonical — two emitters
     passing the same kwargs produce equal events.
     """
 
-    inv_id: int
+    inv_id: Optional[int]
     t_us: float
     src: int
     seq: int
@@ -105,7 +111,7 @@ class CausalRecorder:
     # Positional-only markers keep detail keys like ``kind=`` from
     # colliding with the event's own fields.
     def emit(
-        self, inv_id: int, t_us: float, kind: str, /, **detail: Any
+        self, inv_id: Optional[int], t_us: float, kind: str, /, **detail: Any
     ) -> None:
         pairs = tuple(
             (key, _canon_value(value)) for key, value in sorted(detail.items())
@@ -135,12 +141,13 @@ class TraceContext:
     Created at dispatch and threaded through serving, admission,
     attempts, retries, and hedges; every layer that touches the
     invocation emits through the same context, so the story reads in
-    one place.
+    one place. ``recorder`` is ``None`` when only a flight recorder
+    shows the invocation's events.
     """
 
     __slots__ = ("recorder", "inv_id")
 
-    def __init__(self, recorder: CausalRecorder, inv_id: int):
+    def __init__(self, recorder: Optional[CausalRecorder], inv_id: int):
         self.recorder = recorder
         self.inv_id = inv_id
 
@@ -206,7 +213,9 @@ class CausalTracer:
 
     def document(self) -> dict:
         """The merged causal trace: invocations sorted by id, each
-        invocation's events sorted by ``(t_us, src, seq)``.
+        invocation's events sorted by ``(t_us, src, seq)``. Host-level
+        events (``inv_id=None``) belong to no invocation and are left
+        out.
 
         Both sort keys are pure functions of per-source event
         histories, so the document is byte-identical across shard
@@ -216,7 +225,8 @@ class CausalTracer:
             inv_id: [] for inv_id in self._invocations
         }
         for event in self.all_events():
-            per_inv.setdefault(event.inv_id, []).append(event)
+            if event.inv_id is not None:
+                per_inv.setdefault(event.inv_id, []).append(event)
         invocations = []
         for inv_id in sorted(per_inv):
             function, arrival_us = self._invocations.get(inv_id, ("?", None))

@@ -1,17 +1,20 @@
 """A failure flight recorder for the cluster plane.
 
-Keeps a bounded ring buffer of recent scheduler, fault, and
-page-cache events *per host*, and snapshots those rings into a
-postmortem document whenever something goes wrong — an invocation
-fails, a host crashes, or an SLO burn-rate alert fires. The point is
-the same as an aircraft flight recorder: when the failure is
-noticed, the interesting events are the ones *just before* it, and
-full tracing of a long run is too heavy to keep around on the
-off-chance.
+Keeps a bounded ring per host of the latest cluster-plane records
+(:class:`~repro.metrics.causal.TraceEvent`) that name that host's
+ring, and snapshots those rings into a postmortem document whenever
+something goes wrong — an invocation fails, a host crashes, a replica
+is quarantined, or an SLO burn-rate alert fires. The point is the
+same as an aircraft flight recorder: when the failure is noticed, the
+interesting events are the ones *just before* it, and full tracing of
+a long run is too heavy to keep around on the off-chance.
 
-Recording is pure-Python deque appends driven from code paths the
-scheduler already executes — no simulation events, no RNG — so an
-attached recorder keeps the cluster latency checksum bit-identical
+A ring is a view, not a second recorder: the scheduler's one emit
+call stamps each record once and shows it here as a flat entry —
+``t_us`` (to the nanosecond), ``kind``, ``inv_id`` for an
+invocation's event, and the record's detail. Recording is pure-Python
+deque appends — no simulation events, no RNG — so an attached
+recorder keeps the cluster latency checksum bit-identical
 (zero-perturbation contract). The recorder is a single-heap /
 service-plane instrument: shard workers do not carry one (rings
 would have to cross the result pipes every barrier), which mirrors
@@ -24,7 +27,7 @@ import json
 from collections import deque
 from typing import Any, Dict, List, Optional
 
-FLIGHT_SCHEMA = "repro.flight-recorder/1"
+FLIGHT_SCHEMA = "repro.flight-recorder/2"
 
 #: Ring key for events not attributable to a single host (routing,
 #: SLO alerts, budget exhaustion).
@@ -63,13 +66,18 @@ class FlightRecorder:
         return ring
 
     def record(
-        self, t_us: float, host: str, kind: str, **detail: Any
+        self, t_us: float, host: str, kind: str, /, **detail: Any
     ) -> None:
-        """Append one event to ``host``'s ring (oldest falls out)."""
+        """Append one event to ``host``'s ring (oldest falls out).
+
+        The entry's own ``t_us`` and ``kind`` win over a detail key of
+        the same name (the outcome record's start ``kind`` stays in
+        the causal document)."""
         self.recorded += 1
-        self._ring(host).append(
-            {"t_us": round(t_us, 3), "kind": kind, **detail}
-        )
+        entry = dict(detail)
+        entry["t_us"] = round(t_us, 3)
+        entry["kind"] = kind
+        self._ring(host).append(entry)
 
     def dump(self, t_us: float, reason: str, **context: Any) -> Optional[dict]:
         """Snapshot every ring into a postmortem.

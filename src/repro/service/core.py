@@ -108,19 +108,15 @@ class ClusterService:
         self.simulator = simulator
         self._source = arrival_source
         self._journal = journal
-        # The observability plane rides on simulator attributes that
-        # ``_begin_run`` picks up (``getattr`` with a None default),
-        # so they must be installed before it runs.
-        simulator._causal = causal
-        simulator._slo = slo
-        simulator._flight = flight
         self.causal = causal
         self.slo = slo
         self.flight = flight
         # Mirror the legacy batch ``run`` construction order exactly:
         # _begin_run, then sampler creation + start, then the driver
         # process — anything else would shift event sequence numbers.
-        env = simulator._begin_run(tracer, fault_plan)
+        env = simulator._begin_run(
+            tracer, fault_plan, causal=causal, slo=slo, flight=flight
+        )
         self.env = env
         simulator.sampler = None
         self.sampler: Optional[Sampler] = None
@@ -248,7 +244,7 @@ class ClusterService:
         ``slo-status`` pins). With no monitor installed the document
         is ``{"enabled": false}`` so replays of an SLO-free run still
         digest identically."""
-        monitor = getattr(self.simulator, "_slo", None)
+        monitor = self.slo
         if monitor is None:
             doc: Dict[str, Any] = {"enabled": False}
             return doc, canonical_sha256(doc)
@@ -384,7 +380,7 @@ class ClusterService:
             return {"telemetry": doc, "telemetry_sha256": sha}
         if isinstance(command, SetSloCommand):
             monitor = SloMonitor.from_dict(command.config)
-            sim._slo = monitor
+            sim.set_slo_monitor(monitor)
             self.slo = monitor
             return {"slo": monitor.config_dict()}
         if isinstance(command, SloStatusCommand):

@@ -235,6 +235,8 @@ def test_publish_never_heals_a_quarantined_replica():
 
 def test_background_repair_restores_quarantined_replica():
     env, manager = make_manager()
+    emitted = []
+    manager.observer = lambda host, kind, **detail: emitted.append(kind)
     manager.mark_corrupt("host0", "f0")
     manager.verify_restore("host0", "f0")
     rs = manager.ensure("host0", "f0")
@@ -242,8 +244,7 @@ def test_background_repair_restores_quarantined_replica():
     assert rs.replicas[0].state == HEALTHY
     assert rs.replicas[0].intact
     assert manager.repairs == 1
-    kinds = [e["kind"] for e in manager.events]
-    assert kinds == ["quarantine", "repair"]
+    assert emitted == ["durability.quarantine", "durability.repair"]
 
 
 def test_repair_defers_until_budget_allows():
@@ -488,6 +489,47 @@ def test_sharded_durability_event_stream_is_shard_invariant():
         assert report.fault_summary["corruptions_applied"] == 3
     assert streams[1] == streams[2]
     assert streams[1] != "[]"
+
+
+def test_durability_events_share_the_flight_rings_serving_clock():
+    # One record, one clock: each durability event of a single-heap
+    # run is stamped serving-relative, exactly as its flight-ring
+    # entry is (not on the absolute clock that includes prep).
+    from repro.metrics.flight import FlightRecorder
+
+    fleet = fleet_of("f0", "f1")
+    trace = spaced_trace(12, spacing_us=300_000.0)
+    plan = _corruption_plan(
+        ("host0", "f0", 200_000.0), ("host1", "f1", 900_000.0)
+    )
+    config = ClusterConfig(
+        num_hosts=2,
+        seed=7,
+        keep_alive_ttl_us=0.0,
+        assume_snapshots_exist=True,
+        recovery=RecoveryPolicy.full(),
+        durability=DurabilityPolicy(
+            enabled=True, replicas=2, scrub_interval_us=1_000_000.0
+        ),
+    )
+    flight = FlightRecorder(capacity_per_host=4096)
+    simulator = ClusterSimulator(fleet, config)
+    simulator.run(trace, fault_plan=plan, flight=flight)
+    events = simulator.durability_events
+    assert {e["kind"] for e in events} >= {"quarantine", "repair"}
+    rings = flight.document()["rings"]
+    for host in {e["host"] for e in events}:
+        stream = [
+            (e["t_us"], "durability." + e["kind"])
+            for e in sorted(events, key=lambda e: e["seq"])
+            if e["host"] == host
+        ]
+        ring = [
+            (e["t_us"], e["kind"])
+            for e in rings[host]
+            if e["kind"].startswith("durability.")
+        ]
+        assert stream == ring
 
 
 def test_bitrot_storm_drill_detects_everything():

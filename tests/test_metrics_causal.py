@@ -101,6 +101,8 @@ def test_document_merge_is_stable_across_emitter_packing():
         TraceEvent(1, 5.0, ROUTER_SRC, 0, "b"),
         TraceEvent(1, 2.0, 1, 0, "c"),
         TraceEvent(2, 1.0, 0, 1, "d"),
+        # A host-level record belongs to no invocation.
+        TraceEvent(None, 3.0, 1, 1, "fault.crash", (("host", "host1"),)),
     ]
     one = CausalTracer()
     one.register(1, "f0", 0.0)
@@ -115,6 +117,7 @@ def test_document_merge_is_stable_across_emitter_packing():
     doc = one.document()
     assert doc["schema"] == CAUSAL_SCHEMA
     assert invocation_kinds(doc, 1) == ["c", "b", "a"]  # (t, src, seq)
+    assert [inv["inv_id"] for inv in doc["invocations"]] == [1, 2]
 
 
 def test_render_invocation_is_readable():
@@ -243,3 +246,16 @@ def test_single_heap_causal_trace_round_trips_through_json():
     assert srcs == {ROUTER_SRC}
     kinds = {e["kind"] for inv in doc["invocations"] for e in inv["events"]}
     assert {"dispatch", "attempt", "retry", "outcome"} <= kinds
+
+
+def test_rerun_records_into_each_runs_own_tracer():
+    # ``run`` promises repeatable runs: a second run of the same
+    # simulator with a fresh tracer must not write into the first's.
+    fleet, trace, plan, config = _storm_inputs()
+    trace = ArrivalTrace(arrivals=trace.arrivals[:20], duration_us=2e6)
+    simulator = ClusterSimulator(fleet, config)
+    first, second = CausalTracer(), CausalTracer()
+    simulator.run(trace, fault_plan=plan, causal=first)
+    simulator.run(trace, fault_plan=plan, causal=second)
+    assert all(inv["events"] for inv in second.document()["invocations"])
+    assert first.to_json() == second.to_json()

@@ -78,7 +78,7 @@ def test_render_postmortem_is_readable():
 # -- scheduler integration ---------------------------------------------
 
 
-def _storm_run(flight, slo=None):
+def _storm_run(flight, slo=None, causal=None):
     from repro.cluster import ClusterConfig, ClusterSimulator
     from repro.faults import FaultPlan, RecoveryPolicy
     from repro.fleet.workload import Arrival, ArrivalTrace, FleetFunction
@@ -115,7 +115,7 @@ def _storm_run(flight, slo=None):
         num_hosts=4, seed=7, recovery=RecoveryPolicy.full()
     )
     return ClusterSimulator(fleet, config).run(
-        trace, fault_plan=plan, slo=slo, flight=flight
+        trace, fault_plan=plan, slo=slo, flight=flight, causal=causal
     )
 
 
@@ -148,3 +148,34 @@ def test_burn_rate_alert_triggers_a_dump():
     assert alert_dumps[0]["context"]["alert"]["objective"] in {
         o.name for o in slo.objectives
     }
+
+
+def test_flight_rings_are_views_of_the_causal_records():
+    from repro.metrics.causal import CausalTracer
+
+    causal = CausalTracer()
+    both = FlightRecorder()
+    _storm_run(both, causal=causal)
+    only = FlightRecorder()
+    _storm_run(only)
+    # The rings show the same records with or without a causal tracer,
+    # so a flight-only run dumps the same postmortems.
+    assert [(p["t_us"], p["reason"]) for p in only.postmortems] == [
+        (p["t_us"], p["reason"]) for p in both.postmortems
+    ]
+    assert only.dump_triggers == both.dump_triggers
+    assert only.to_json() == both.to_json()
+    # Every ring entry of an invocation is one of its causal events.
+    recorded = {
+        (inv["inv_id"], round(e["t_us"], 3), e["kind"])
+        for inv in causal.document()["invocations"]
+        for e in inv["events"]
+    }
+    entries = [
+        (e["inv_id"], e["t_us"], e["kind"])
+        for ring in both.document()["rings"].values()
+        for e in ring
+        if "inv_id" in e
+    ]
+    assert entries
+    assert set(entries) <= recorded
