@@ -6,11 +6,10 @@ functions, and FaaSnap's faster restore path directly improves the
 latency of every snapshot-served invocation.
 """
 
+from repro.cluster import ClusterConfig, ClusterSimulator
 from repro.core.policies import Policy
 from repro.fleet import (
     CostModel,
-    FleetConfig,
-    FleetSimulator,
     StartKind,
     generate_arrivals,
     synthesize_fleet,
@@ -33,7 +32,8 @@ def test_fleet_snapshot_tier(bench_once):
             ("reap", Policy.REAP, True),
             ("faasnap", Policy.FAASNAP, True),
         ]:
-            config = FleetConfig(
+            config = ClusterConfig(
+                num_hosts=1,
                 restore_policy=policy,
                 keep_alive_ttl_us=1 * US_PER_MINUTE,
                 memory_budget_mb=8_192.0,
@@ -43,9 +43,9 @@ def test_fleet_snapshot_tier(bench_once):
                 f.name: cost_model.costs(f.profile_name, policy)
                 for f in fleet
             }
-            reports[label] = FleetSimulator(fleet, config, costs=costs).run(
-                trace
-            )
+            reports[label] = ClusterSimulator(
+                fleet, config, costs=costs
+            ).run(trace)
         return reports
 
     reports = bench_once(run)

@@ -14,11 +14,10 @@ Run:  python examples/fleet_simulation.py [--functions 200] [--hours 6]
 
 import argparse
 
+from repro.cluster import ClusterConfig, ClusterSimulator
 from repro.core.policies import Policy
 from repro.fleet import (
     CostModel,
-    FleetConfig,
-    FleetSimulator,
     StartKind,
     generate_arrivals,
     synthesize_fleet,
@@ -31,7 +30,8 @@ PROFILES = ("json", "pyaes", "compression", "chameleon", "image")
 
 
 def simulate(fleet, trace, cost_model, restore_policy, snapshots, ttl_min):
-    config = FleetConfig(
+    config = ClusterConfig(
+        num_hosts=1,
         restore_policy=restore_policy,
         keep_alive_ttl_us=ttl_min * US_PER_MINUTE,
         memory_budget_mb=8_192.0,
@@ -41,7 +41,7 @@ def simulate(fleet, trace, cost_model, restore_policy, snapshots, ttl_min):
         f.name: cost_model.costs(f.profile_name, restore_policy)
         for f in fleet
     }
-    simulator = FleetSimulator(fleet, config, costs=costs)
+    simulator = ClusterSimulator(fleet, config, costs=costs)
     return simulator.run(trace)
 
 

@@ -8,8 +8,8 @@ Commands:
 * ``experiment`` — regenerate a paper table/figure by id
   (``--cluster`` switches a figure to its contention-aware mode).
 * ``validate`` — check the paper's claims C1-C4.
-* ``fleet`` — run a small fleet simulation (paper §7.1) against the
-  static cost table.
+* ``fleet`` — run a small fleet simulation (paper §7.1): the cluster
+  serving loop on one host, each start charged its measured cost.
 * ``cluster`` — the same serving problem on N page-level simulated
   hosts, where restore contention is emergent.
 * ``telemetry`` — run a function under full instrumentation and
@@ -284,10 +284,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
+    from repro.cluster import ClusterConfig, ClusterSimulator
     from repro.fleet import (
         CostModel,
-        FleetConfig,
-        FleetSimulator,
         StartKind,
         generate_arrivals,
         synthesize_fleet,
@@ -298,18 +297,20 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         args.functions, seed=args.seed, profile_names=("json", "pyaes")
     )
     trace = generate_arrivals(fleet, args.hours * US_PER_HOUR, seed=args.seed)
-    config = FleetConfig(
-        restore_policy=Policy(args.policy),
+    policy = Policy(args.policy)
+    config = ClusterConfig(
+        num_hosts=1,
+        restore_policy=policy,
         keep_alive_ttl_us=args.ttl_minutes * US_PER_MINUTE,
         memory_budget_mb=args.memory_gb * 1024,
     )
     cost_model = CostModel()
     if args.jobs is not None:
         cost_model.precompute(
-            [(name, Policy(args.policy)) for name in ("json", "pyaes")],
-            jobs=args.jobs,
+            [(name, policy) for name in ("json", "pyaes")], jobs=args.jobs
         )
-    report = FleetSimulator(fleet, config, cost_model=cost_model).run(trace)
+    costs = {f.name: cost_model.costs(f.profile_name, policy) for f in fleet}
+    report = ClusterSimulator(fleet, config, costs=costs).run(trace)
     print(
         render_table(
             ["metric", "value"],

@@ -1,14 +1,24 @@
-"""Contention-aware multi-host cluster serving.
+"""Multi-host cluster serving: the one serving loop.
 
 :class:`ClusterSimulator` serves an arrival trace across ``N``
 simulated :class:`~repro.core.host.Host` machines sharing one virtual
-clock. It keeps the fleet scheduler's serving hierarchy (warm reuse,
-snapshot restore, cold boot, keep-alive TTL, per-host memory budget)
-but replaces the static :class:`~repro.fleet.costs.FunctionCosts`
-table with the *actual page-level simulation*: every snapshot start
-runs the full restore — loader reads, guest faults, device queueing —
-on its host's own block device and page cache. Consequences the cost
-table cannot express become emergent:
+clock, under paper §7.1's serving hierarchy: warm reuse, snapshot
+restore, cold boot, keep-alive TTL and a per-host memory budget.
+
+It runs at two fidelities behind the same placement, keep-alive pool,
+eviction, admission and report code:
+
+* **page level** (the default): every start runs the *actual
+  page-level simulation* — a snapshot start runs the full restore
+  (loader reads, guest faults, device queueing) on its host's own
+  block device and page cache;
+* **cost table** (``costs=``): every start is charged its measured
+  :class:`~repro.fleet.costs.FunctionCosts` entry on the clock, with
+  no record phases and no artefacts — cheap enough for long fleet
+  traces, blind to contention.
+
+At page level, consequences the cost table cannot express become
+emergent:
 
 * concurrent restores on one host queue on its device (Fig. 10's
   bursty-parallel effect), so 8 simultaneous starts are each slower
@@ -20,24 +30,37 @@ table cannot express become emergent:
   each host its own.
 
 In the uncontended limit (one host, arrivals spaced apart,
-``cold_cache_between_runs=True``) the page-level path reproduces the
-cost-table latencies, because the cost model measures exactly this
-situation; a regression test pins the two within 1%.
+``cold_cache_between_runs=True``) the two fidelities agree, because
+the cost model measures exactly this situation: a regression test
+serves one trace both ways and pins identical start kinds and
+latencies within 1%.
 
 Timeline: the record phases that create each function's snapshot
 artefacts run in a *prep* epoch before the trace starts (the trace's
-``t=0`` is the end of prep), mirroring how the fleet layer's cost
-measurement happens outside the replayed trace. Whether the
-*scheduler* may use a snapshot still follows fleet semantics — a
-function's first completed invocation leaves its snapshot behind —
-unless ``assume_snapshots_exist`` pre-populates them.
+``t=0`` is the end of prep), mirroring how the cost table is measured
+outside the replayed trace; a table run has an empty prep epoch.
+Whether the *scheduler* may use a snapshot still follows fleet
+semantics — a function's first completed invocation leaves its
+snapshot behind — unless ``assume_snapshots_exist`` pre-populates
+them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Sequence, Set
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Generator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.cluster.placement import (
     CountingPlacement,
@@ -79,16 +102,19 @@ from repro.core.host import Host
 from repro.core.policies import Policy
 from repro.core.restore import PlatformConfig, RecordArtifacts
 from repro.fleet.scheduler import (
-    ClusterScheduler,
     FleetReport,
     IdlePool,
     InvocationOutcome,
     PooledVm,
     ServedInvocation,
     StartKind,
-    US_PER_MINUTE,
 )
-from repro.fleet.workload import Arrival, ArrivalTrace, FleetFunction
+from repro.fleet.workload import (
+    US_PER_MINUTE,
+    Arrival,
+    ArrivalTrace,
+    FleetFunction,
+)
 from repro.sim import AllFailed, Environment, Event, Interrupt, Resource
 from repro.storage.device import BlockDevice
 from repro.storage.filestore import PAGE_SIZE, FileStore
@@ -96,15 +122,25 @@ from repro.storage.presets import EBS_IO2
 from repro.workloads.base import INPUT_A, InputSpec, WorkloadProfile
 from repro.workloads.registry import get_profile
 
+if TYPE_CHECKING:  # the fleet package imports this module at run time
+    from repro.fleet.costs import FunctionCosts
+
 #: Snapshot-store tiers: every host restores from its own NVMe, or
 #: all hosts share one remote EBS-like volume (paper §6.5 / Fig. 11).
 TIER_LOCAL_NVME = "local-nvme"
 TIER_SHARED_EBS = "shared-ebs"
 SNAPSHOT_TIERS = (TIER_LOCAL_NVME, TIER_SHARED_EBS)
 
-#: Default cost-model test input (``CostModel.costs`` uses the same),
-#: so the uncontended cluster reproduces the cost table exactly.
+#: The input every serving invocation runs by default, and the one
+#: :class:`~repro.fleet.costs.CostModel` measures with, so the
+#: uncontended page-level cluster reproduces the cost table.
 DEFAULT_TEST_INPUT = InputSpec(content_id=3, size_ratio=1.0)
+
+#: Why a cost-table run refuses the robust path and durability.
+_TABLE_UNARMED = (
+    "a cost-table run cannot arm faults, recovery or durability: the "
+    "table holds one restore policy and no snapshot files"
+)
 
 #: Record kinds that snapshot the flight rings into a postmortem
 #: (reason) right after landing in their ring.
@@ -317,8 +353,9 @@ class _HostState(HostView):
             del self.gates[key]
 
 
-class ClusterSimulator(ClusterScheduler):
-    """Serves a fleet trace on N page-level simulated hosts."""
+class ClusterSimulator:
+    """Serves a fleet trace on N simulated hosts, page by page or
+    from a cost table (see the module docstring)."""
 
     #: Origin stamp of this scheduler's event records.
     _src = ROUTER_SRC
@@ -327,12 +364,24 @@ class ClusterSimulator(ClusterScheduler):
         self,
         fleet: Sequence[FleetFunction],
         config: Optional[ClusterConfig] = None,
+        costs: Optional[Mapping[str, FunctionCosts]] = None,
     ):
+        """``costs`` (keyed by fleet function name) selects the
+        cost-table backend: each start is charged its table entry
+        instead of running the page-level restore."""
         self.fleet = list(fleet)
         names = [f.name for f in self.fleet]
         if len(set(names)) != len(names):
             raise ValueError("fleet function names must be unique")
         self.config = config or ClusterConfig()
+        self._costs: Optional[Dict[str, FunctionCosts]] = None
+        if costs is not None:
+            missing = [name for name in names if name not in costs]
+            if missing:
+                raise ValueError(
+                    f"cost table has no entry for {', '.join(missing)}"
+                )
+            self._costs = dict(costs)
         #: Each fleet function gets its own clone of its Table 2
         #: profile, so distinct functions have distinct snapshot files
         #: even when they share a behaviour profile.
@@ -428,6 +477,8 @@ class ClusterSimulator(ClusterScheduler):
         sinks ``causal``/``slo``/``flight`` (see :meth:`run`). Split
         out of ``run`` so the sharded execution path can reuse it
         verbatim for its per-host sims."""
+        if self._costs is not None and run_is_armed(self.config, fault_plan):
+            raise ValueError(_TABLE_UNARMED)
         env = Environment(seed=self.config.seed)
         self.env = env
         self.registry = env.metrics
@@ -594,6 +645,11 @@ class ClusterSimulator(ClusterScheduler):
             store=self._shared_store,
         )
         hs = _HostState(index, host, config)
+        if self._costs is not None:
+            hs.known_memory = {
+                name: entry.warm_memory_mb
+                for name, entry in self._costs.items()
+            }
         if self._shared_store is not None:
             # One volume: a snapshot captured anywhere restores
             # anywhere.
@@ -630,7 +686,10 @@ class ClusterSimulator(ClusterScheduler):
 
     def _prepare(self) -> Generator[Event, Any, None]:
         """Prep epoch: run every needed record phase, then return the
-        hosts to a cold-cache state."""
+        hosts to a cold-cache state. A cost-table run has nothing to
+        record."""
+        if self._costs is not None:
+            return
         config = self.config
         shared = config.snapshot_tier == TIER_SHARED_EBS
         recorders = self._hosts[:1] if shared else self._hosts
@@ -905,6 +964,8 @@ class ClusterSimulator(ClusterScheduler):
         A previously armed plan is disarmed; in-flight invocations
         that started unarmed finish their inline attempt, new
         dispatches take the robust path."""
+        if self._costs is not None:
+            raise ValueError(_TABLE_UNARMED)
         self._install_robust_machinery()
         self._armed = True
         if self.injector is not None:
@@ -1069,14 +1130,16 @@ class ClusterSimulator(ClusterScheduler):
     ) -> Generator[Event, Any, ServedInvocation]:
         """Unarmed serve: one inline attempt. Returns the recorded
         outcome."""
-        outcome, kind = InvocationOutcome.OK, None
+        outcome, kind, latency_us = InvocationOutcome.OK, None, None
         try:
-            kind = yield from self._attempt(hs, arrival, ctx)
+            kind, latency_us = yield from self._attempt(hs, arrival, ctx)
         except FaultError:
             # Reachable only when a live ``arm`` lands while this
             # invocation is in flight.
             outcome = InvocationOutcome.FAILED
-        return self._conclude(hs, arrival, instant, ctx, outcome, kind, 1)
+        return self._conclude(
+            hs, arrival, instant, ctx, outcome, kind, 1, latency_us
+        )
 
     def _conclude(
         self,
@@ -1087,10 +1150,13 @@ class ClusterSimulator(ClusterScheduler):
         outcome: InvocationOutcome,
         kind: Optional[StartKind],
         attempts: int,
+        latency_us: Optional[float] = None,
     ) -> ServedInvocation:
         """Emit the invocation's ``outcome`` event and record it on
-        ``hs`` — the one exit of both single-heap serve drivers."""
-        latency = self.env.now - instant
+        ``hs`` — the one exit of both single-heap serve drivers. The
+        latency is read off the clock unless ``latency_us`` (a table
+        start's charge) is given."""
+        latency = self.env.now - instant if latency_us is None else latency_us
         if outcome is InvocationOutcome.FAILED:
             hs.stats.failures += 1
             self._ctr_failed.inc()
@@ -1255,7 +1321,7 @@ class ClusterSimulator(ClusterScheduler):
                     round_failure = exc
                     break
                 if race.triggered and race.ok:
-                    windex, winner_kind = race.value
+                    windex, (winner_kind, _) = race.value
                     winner_host = hosts_used[windex]
                     if len(procs) > 1:
                         # The winner/loser link of a hedge pair.
@@ -1378,11 +1444,17 @@ class ClusterSimulator(ClusterScheduler):
 
     def _attempt(
         self, hs: _HostState, arrival: Arrival, ctx=None, attempt_no: int = 1
-    ) -> Generator[Event, Any, StartKind]:
+    ) -> Generator[Event, Any, Tuple[StartKind, Optional[float]]]:
         """One try at serving ``arrival`` on ``hs`` — the only serve
         body. Its bookkeeping makes it abortable: queue/active counts,
         memory reservation and admission slots all unwind on
-        interruption."""
+        interruption.
+
+        Returns the start kind and, for a cost-table start, its
+        latency: the admission wait plus the table entry. Summing the
+        two keeps the entry exact, where a difference of two clock
+        readings can be an ulp off; a page-level start returns
+        ``None`` and is timed off the clock."""
         env = self.env
         config = self.config
         recovery = config.recovery
@@ -1415,10 +1487,10 @@ class ClusterSimulator(ClusterScheduler):
             hs.queued -= 1
             hs.active += 1
             admitted = True
-            hs.stats.admission_wait_us += env.now - started
+            wait_us = env.now - started
+            hs.stats.admission_wait_us += wait_us
             self._emit(
-                None, "admitted", ctx,
-                attempt=attempt_no, wait_us=env.now - started,
+                None, "admitted", ctx, attempt=attempt_no, wait_us=wait_us
             )
 
             policy = config.restore_policy
@@ -1445,12 +1517,6 @@ class ClusterSimulator(ClusterScheduler):
                 kind = StartKind.WARM
                 self._emit(
                     None, "start", ctx, attempt=attempt_no, kind=kind.value
-                )
-                result = yield from hs.host.invocation(
-                    self._artifacts_for(hs, function, Policy.WARM),
-                    config.test_input,
-                    Policy.WARM,
-                    tracer=tracer,
                 )
             else:
                 has_snapshot = config.snapshots_enabled and (
@@ -1517,6 +1583,23 @@ class ClusterSimulator(ClusterScheduler):
                         hs.stats.snapshot_corruptions += 1
                         self._ctr_corrupt.inc()
                         raise SnapshotCorrupted(hs.host.host_id, function)
+
+            latency_us: Optional[float] = None
+            if self._costs is not None:
+                entry = self._costs[function]
+                charge_us = entry.start_cost_us(kind.value)
+                yield env.timeout(charge_us)
+                latency_us = wait_us + charge_us
+                actual_mb = entry.warm_memory_mb
+            else:
+                if kind is StartKind.WARM:
+                    result = yield from hs.host.invocation(
+                        self._artifacts_for(hs, function, Policy.WARM),
+                        config.test_input,
+                        Policy.WARM,
+                        tracer=tracer,
+                    )
+                elif kind is StartKind.SNAPSHOT:
                     result = yield from self._snapshot_start(
                         hs, function, policy=policy, tracer=tracer
                     )
@@ -1524,9 +1607,8 @@ class ClusterSimulator(ClusterScheduler):
                     result = yield from self._cold_start(
                         hs, function, tracer=tracer
                     )
-
-            # Learn the function's warm footprint from the actual VM.
-            actual_mb = result.rss_pages * PAGE_SIZE / 1e6
+                # Learn the function's warm footprint from the actual VM.
+                actual_mb = result.rss_pages * PAGE_SIZE / 1e6
             hs.memory_mb += actual_mb - vm.memory_mb
             vm.memory_mb = actual_mb
             reserved_mb = 0.0
@@ -1575,7 +1657,7 @@ class ClusterSimulator(ClusterScheduler):
                 kind=kind.value,
                 latency_us=env.now - started,
             )
-            return kind
+            return kind, latency_us
         except BaseException as exc:
             cause = exc.cause if isinstance(exc, Interrupt) else exc
             if isinstance(cause, (DeviceError, SnapshotCorrupted)):

@@ -538,7 +538,7 @@ class _ShardHostSim(ClusterSimulator):
 
             if round_failure is None:
                 if race.triggered and race.ok:
-                    _, kind = race.value
+                    _, (kind, _) = race.value
                     self._latency_hist.observe(
                         env.now - (self._epoch + d.arrival_us)
                     )

@@ -15,17 +15,21 @@ This package makes that tradeoff measurable:
 * :mod:`~repro.fleet.costs` — measures each function's warm /
   snapshot / cold serving costs and memory footprint by running the
   page-level core simulation once per (function, policy).
-* :mod:`~repro.fleet.scheduler` — an event-driven fleet simulator
-  with keep-alive TTLs and a host memory budget, reporting latency
-  percentiles, start-type mix, and memory usage.
+* :mod:`~repro.fleet.scheduler` — the serving vocabulary: start
+  kinds, invocation outcomes, the keep-alive pool and the report
+  (latency percentiles, start-type mix, memory usage).
+
+The serving loop itself — keep-alive TTLs, a per-host memory budget,
+warm / snapshot / cold start choice — is
+:class:`repro.cluster.ClusterSimulator`. Pass it a cost table
+(``costs={name: FunctionCosts}``) to charge each start its measured
+cost instead of running the page-level restore; see
+``docs/cluster.md`` ("Two fidelities").
 """
 
 from repro.fleet.costs import CostModel, FunctionCosts
 from repro.fleet.scheduler import (
-    ClusterScheduler,
-    FleetConfig,
     FleetReport,
-    FleetSimulator,
     IdlePool,
     PooledVm,
     ServedInvocation,
@@ -40,12 +44,9 @@ from repro.fleet.workload import (
 
 __all__ = [
     "ArrivalTrace",
-    "ClusterScheduler",
     "CostModel",
-    "FleetConfig",
     "FleetFunction",
     "FleetReport",
-    "FleetSimulator",
     "FunctionCosts",
     "IdlePool",
     "PooledVm",

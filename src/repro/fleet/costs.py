@@ -1,9 +1,10 @@
 """Per-function serving costs, measured by the core simulation.
 
-The fleet simulator schedules thousands of invocations; replaying
-each one at page granularity would be wasteful and adds nothing —
-serving cost depends only on (function, start kind, restore policy),
-all of which the page-level simulator measures exactly once here.
+A long fleet trace need not replay every start at page granularity:
+in the uncontended limit a start's cost depends only on (function,
+start kind, restore policy), which the page-level simulator measures
+exactly once here. :class:`repro.cluster.ClusterSimulator` charges
+the table per start when given ``costs=``.
 
 * **warm** — a warm VM serves the invocation (paper §3.1's Warm).
 * **snapshot** — restore under the configured policy (Firecracker /
@@ -14,9 +15,12 @@ all of which the page-level simulator measures exactly once here.
   run with warm-equivalent memory (nothing to page in from a
   snapshot).
 
-Memory numbers feed the scheduler's budget: a warm VM holds its RSS;
-a stored snapshot holds no memory (it lives on disk) but its restore
-temporarily populates the page cache.
+Every measurement serves
+:data:`~repro.cluster.scheduler.DEFAULT_TEST_INPUT`, the input the
+page-level cluster serves by default. Memory numbers feed the
+scheduler's budget: a warm VM holds its RSS; a stored snapshot holds
+no memory (it lives on disk) but its restore temporarily populates
+the page cache.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from repro.core.daemon import FaaSnapPlatform
 from repro.core.policies import Policy
 from repro.core.restore import PlatformConfig
 from repro.experiments.runner import parallel_map
-from repro.workloads.base import INPUT_A, InputSpec
+from repro.workloads.base import INPUT_A
 from repro.workloads.registry import get_profile
 
 
@@ -54,54 +58,23 @@ class FunctionCosts:
 
 class CostModel:
     """Measures and caches :class:`FunctionCosts` per (profile,
-    policy) using one shared page-level platform."""
+    policy). Every pair is measured on its own fresh page-level
+    platform, so a cost never depends on what was measured before it
+    or on how many jobs measured it."""
 
     def __init__(self, config: Optional[PlatformConfig] = None):
         self.config = config or PlatformConfig()
-        self._platform = FaaSnapPlatform(self.config)
         self._cache: Dict[Tuple[str, Policy], FunctionCosts] = {}
 
-    def costs(
-        self,
-        profile_name: str,
-        policy: Policy,
-        test_input: Optional[InputSpec] = None,
-    ) -> FunctionCosts:
+    def costs(self, profile_name: str, policy: Policy) -> FunctionCosts:
         """Measured costs for ``profile_name`` restored via ``policy``."""
         key = (profile_name, policy)
         cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-
-        profile = get_profile(profile_name)
-        test_input = test_input or InputSpec(content_id=3, size_ratio=1.0)
-        try:
-            handle = self._platform.function(profile_name)
-        except KeyError:
-            handle = self._platform.register_function(profile)
-
-        warm = self._platform.invoke(
-            handle, test_input, Policy.WARM, record_input=INPUT_A
-        )
-        snapshot = self._platform.invoke(
-            handle, test_input, policy, record_input=INPUT_A
-        )
-        cold_us = (
-            self.config.vmm.vmm_start_us
-            + self.config.vmm.cold_boot_us
-            + profile.runtime_init_us
-            + warm.total_us
-        )
-        costs = FunctionCosts(
-            profile_name=profile_name,
-            policy=policy,
-            warm_us=warm.total_us,
-            snapshot_us=snapshot.total_us,
-            cold_us=cold_us,
-            warm_memory_mb=warm.rss_pages * 4096 / 1e6,
-        )
-        self._cache[key] = costs
-        return costs
+        if cached is None:
+            cached = self._cache[key] = _measure_pair(
+                (self.config, profile_name, policy)
+            )
+        return cached
 
     def precompute(
         self,
@@ -109,11 +82,9 @@ class CostModel:
         jobs: Optional[int] = None,
     ) -> List[FunctionCosts]:
         """Measure many (profile, policy) pairs up front, optionally in
-        parallel, and seed the cache.
-
-        Each pair is measured on its own fresh platform in both the
-        serial and the parallel path, so ``jobs=1`` and ``jobs=N``
-        produce identical costs. Pairs already cached are skipped.
+        parallel, and seed the cache. ``jobs=1`` and ``jobs=N`` produce
+        the costs :meth:`costs` does. Pairs already cached are
+        skipped.
         """
         todo = [
             (name, policy)
@@ -132,5 +103,30 @@ def _measure_pair(
 ) -> FunctionCosts:
     """Measure one (profile, policy) pair on a fresh platform
     (module-level so the process pool can pickle it)."""
+    # Imported here: the cluster package imports this one.
+    from repro.cluster.scheduler import DEFAULT_TEST_INPUT
+
     config, profile_name, policy = payload
-    return CostModel(config).costs(profile_name, policy)
+    profile = get_profile(profile_name)
+    platform = FaaSnapPlatform(config)
+    handle = platform.register_function(profile)
+    warm = platform.invoke(
+        handle, DEFAULT_TEST_INPUT, Policy.WARM, record_input=INPUT_A
+    )
+    snapshot = platform.invoke(
+        handle, DEFAULT_TEST_INPUT, policy, record_input=INPUT_A
+    )
+    cold_us = (
+        config.vmm.vmm_start_us
+        + config.vmm.cold_boot_us
+        + profile.runtime_init_us
+        + warm.total_us
+    )
+    return FunctionCosts(
+        profile_name=profile_name,
+        policy=policy,
+        warm_us=warm.total_us,
+        snapshot_us=snapshot.total_us,
+        cold_us=cold_us,
+        warm_memory_mb=warm.rss_pages * 4096 / 1e6,
+    )

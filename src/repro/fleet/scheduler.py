@@ -1,38 +1,29 @@
-"""Event-driven fleet scheduler with keep-alive and memory budget.
+"""Serving vocabulary shared by every scheduler: start kinds,
+invocation outcomes, the keep-alive pool and the serving report.
 
-Implements the serving hierarchy of paper §7.1: an invocation lands
-on a warm VM if one is idle, is served from a snapshot if one exists,
-and cold-boots otherwise. Warm VMs are kept alive for a TTL after
-their last invocation (AWS Lambda keeps 15-60 minutes, §2.1) and are
-evicted LRU-first under a host memory budget — eviction-to-snapshot
-being exactly the role the paper assigns FaaSnap.
+Paper §7.1's serving hierarchy: an invocation lands on a warm VM if
+one is idle, is served from a snapshot if one exists, and cold-boots
+otherwise. Warm VMs are kept alive for a TTL after their last
+invocation (AWS Lambda keeps 15-60 minutes, §2.1) and are evicted
+LRU-first under a host memory budget — eviction-to-snapshot being
+exactly the role the paper assigns FaaSnap.
 
-:class:`FleetSimulator` is the *fast path*: it replays arrivals
-against a static per-function cost table, so a million-invocation
-trace runs in milliseconds but concurrent restores cannot contend.
-The page-level, multi-host path lives in
-:class:`repro.cluster.ClusterSimulator`; both implement the common
-:class:`ClusterScheduler` interface so experiments can switch between
-them.
+The loop that applies these rules is
+:class:`repro.cluster.ClusterSimulator`. It runs at two fidelities:
+page-level restores, or a measured
+:class:`~repro.fleet.costs.FunctionCosts` table charged per start
+(``costs=``), which keeps a long fleet trace cheap to replay.
 """
 
 from __future__ import annotations
 
-import abc
 import enum
 import heapq
 import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
-
-from repro.core.policies import Policy
-from repro.fleet.costs import CostModel, FunctionCosts
-from repro.fleet.workload import ArrivalTrace, FleetFunction
-from repro.metrics.telemetry import MetricsRegistry
-
-US_PER_MINUTE = 60_000_000.0
+from typing import Deque, Dict, List, Optional, Tuple
 
 
 class StartKind(enum.Enum):
@@ -72,24 +63,9 @@ SERVED_OK = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class FleetConfig:
-    """Scheduler policy knobs."""
-
-    #: Restore policy used for snapshot starts.
-    restore_policy: Policy = Policy.FAASNAP
-    #: Keep a finished VM warm for this long (§2.1: 15-60 min at AWS).
-    keep_alive_ttl_us: float = 15 * US_PER_MINUTE
-    #: Host memory available for keeping VMs (warm or running), MB.
-    memory_budget_mb: float = 16_384.0
-    #: Disable to model a platform with no snapshot tier (warm or
-    #: cold only) — the baseline FaaSnap argues against.
-    snapshots_enabled: bool = True
-
-
 @dataclass
 class PooledVm:
-    """A VM tracked by the keep-alive machinery (fleet and cluster)."""
+    """A VM tracked by the keep-alive machinery."""
 
     function: str
     memory_mb: float
@@ -98,9 +74,6 @@ class PooledVm:
     #: True while the VM sits in an idle pool; cleared on reuse and
     #: eviction so stale heap entries can be recognised and skipped.
     idle: bool = False
-
-
-_Vm = PooledVm
 
 
 class IdlePool:
@@ -192,8 +165,7 @@ class ServedInvocation:
     #: never started (shed, or failed before any start decision).
     kind: Optional[StartKind]
     latency_us: float
-    #: Host that served the invocation (single-host schedulers use
-    #: the default).
+    #: Host that served the invocation.
     host: str = "host0"
     #: Structured end state — see :class:`InvocationOutcome`.
     outcome: InvocationOutcome = InvocationOutcome.OK
@@ -216,10 +188,11 @@ class ServedInvocation:
 
 @dataclass
 class FleetReport:
-    """Outcome of one fleet simulation."""
+    """Outcome of one serving run."""
 
     served: List[ServedInvocation] = field(default_factory=list)
-    #: Memory in use (warm + running VMs) sampled at each arrival.
+    #: Memory in use (warm + running VMs, all hosts) sampled at each
+    #: arrival, before the arrival's own VM reserves memory.
     memory_samples_mb: List[float] = field(default_factory=list)
     evictions: int = 0
 
@@ -288,142 +261,3 @@ class FleetReport:
         if not self.memory_samples_mb:
             return 0.0
         return sum(self.memory_samples_mb) / len(self.memory_samples_mb)
-
-
-class ClusterScheduler(abc.ABC):
-    """Anything that replays an arrival trace into a report.
-
-    The cost-table :class:`FleetSimulator` and the page-level
-    :class:`repro.cluster.ClusterSimulator` both satisfy this, so
-    fleet experiments can swap the fast path for the contention-aware
-    path without changing their driver code.
-    """
-
-    @abc.abstractmethod
-    def run(self, trace: ArrivalTrace) -> FleetReport:
-        """Serve every arrival in ``trace`` and report the outcome."""
-
-
-class FleetSimulator(ClusterScheduler):
-    """Replays an arrival trace against measured serving costs."""
-
-    def __init__(
-        self,
-        fleet: Sequence[FleetFunction],
-        config: FleetConfig,
-        cost_model: Optional[CostModel] = None,
-        costs: Optional[Dict[str, FunctionCosts]] = None,
-    ):
-        """``costs`` may be supplied directly (keyed by fleet function
-        name); otherwise each function's costs are measured through
-        ``cost_model`` (created on demand)."""
-        self.fleet = {f.name: f for f in fleet}
-        self.config = config
-        if costs is not None:
-            self._costs = dict(costs)
-        else:
-            cost_model = cost_model or CostModel()
-            self._costs = {
-                f.name: cost_model.costs(
-                    f.profile_name, config.restore_policy
-                )
-                for f in fleet
-            }
-
-    def run(self, trace: ArrivalTrace) -> FleetReport:
-        report = FleetReport()
-        idle = IdlePool()
-        running: List = []  # heap of (busy_until, seq, _Vm)
-        seq = itertools.count()
-        has_snapshot: Dict[str, bool] = {name: False for name in self.fleet}
-        memory_mb = 0.0
-
-        # The fast path has no Environment, so the run owns a
-        # standalone registry. The gauges close over this frame's
-        # cells (``memory_mb`` is a nonlocal of the helpers below, so
-        # the lambda reads the same cell they update).
-        registry = self.registry = MetricsRegistry()
-        ctr_invocations = registry.counter("fleet.scheduler.invocations")
-        ctr_warm = registry.counter("fleet.scheduler.warm_starts")
-        ctr_snapshot = registry.counter("fleet.scheduler.snapshot_starts")
-        ctr_cold = registry.counter("fleet.scheduler.cold_starts")
-        ctr_evictions = registry.counter("fleet.scheduler.evictions")
-        registry.gauge(
-            "fleet.scheduler.memory_in_use_mb", lambda: memory_mb
-        )
-        registry.gauge("fleet.scheduler.idle_vms", lambda: len(idle))
-
-        def complete_up_to(now: float) -> None:
-            nonlocal memory_mb
-            while running and running[0][0] <= now:
-                _, _, vm = heapq.heappop(running)
-                # The first completed invocation leaves a snapshot
-                # behind (the record phase, Figure 5).
-                has_snapshot[vm.function] = True
-                if self.config.keep_alive_ttl_us > 0:
-                    vm.last_used = vm.busy_until
-                    idle.park(vm)
-                else:
-                    memory_mb -= vm.memory_mb
-
-        def evict_expired(now: float) -> None:
-            nonlocal memory_mb
-            for vm in idle.pop_expired(now, self.config.keep_alive_ttl_us):
-                memory_mb -= vm.memory_mb
-                report.evictions += 1
-                ctr_evictions.value += 1
-
-        def evict_lru_until_fits(extra_mb: float) -> None:
-            nonlocal memory_mb
-            while memory_mb + extra_mb > self.config.memory_budget_mb:
-                vm = idle.pop_lru()
-                if vm is None:
-                    break
-                memory_mb -= vm.memory_mb
-                report.evictions += 1
-                ctr_evictions.value += 1
-
-        for arrival in trace.arrivals:
-            now = arrival.time_us
-            complete_up_to(now)
-            evict_expired(now)
-
-            name = arrival.function
-            costs = self._costs[name]
-            # Reuse the most recently used warm VM, if any.
-            reused = idle.reuse_mru(name)
-            ctr_invocations.value += 1
-            if reused is not None:
-                vm = reused
-                kind = StartKind.WARM
-                latency = costs.warm_us
-                ctr_warm.value += 1
-            else:
-                if self.config.snapshots_enabled and has_snapshot[name]:
-                    kind = StartKind.SNAPSHOT
-                    latency = costs.snapshot_us
-                    ctr_snapshot.value += 1
-                else:
-                    kind = StartKind.COLD
-                    latency = costs.cold_us
-                    ctr_cold.value += 1
-                evict_lru_until_fits(costs.warm_memory_mb)
-                memory_mb += costs.warm_memory_mb
-                vm = PooledVm(
-                    function=name,
-                    memory_mb=costs.warm_memory_mb,
-                    busy_until=0.0,
-                    last_used=now,
-                )
-            vm.busy_until = now + latency
-            vm.last_used = now
-            heapq.heappush(running, (vm.busy_until, next(seq), vm))
-
-            report.served.append(
-                ServedInvocation(
-                    time_us=now, function=name, kind=kind, latency_us=latency
-                )
-            )
-            report.memory_samples_mb.append(memory_mb)
-
-        return report

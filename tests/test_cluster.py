@@ -55,25 +55,65 @@ def burst(name, count):
 def test_uncontended_single_host_matches_cost_table():
     """One host, arrivals spaced apart: the page-level cluster must
     reproduce the cost-table latencies (cold / snapshot / warm) within
-    1%, because the cost model measures exactly this situation."""
+    1%, because the cost model measures exactly this situation. The
+    same trace served from the table (``costs=``) is the other
+    fidelity: identical start kinds, each latency exactly its table
+    entry and within 1% of the page-level one."""
     costs = CostModel().costs("hello-world", Policy.FAASNAP)
     config = ClusterConfig(
         num_hosts=1,
         restore_policy=Policy.FAASNAP,
         keep_alive_ttl_us=18 * SECOND,
     )
-    report = ClusterSimulator(fleet_of("hello-world"), config).run(
-        trace_of(
-            (0.0, "hello-world"),
-            (30 * SECOND, "hello-world"),
-            (45 * SECOND, "hello-world"),
-        )
+    fleet = fleet_of("hello-world")
+    trace = trace_of(
+        (0.0, "hello-world"),
+        (30 * SECOND, "hello-world"),
+        (45 * SECOND, "hello-world"),
     )
+    report = ClusterSimulator(fleet, config).run(trace)
+    table = ClusterSimulator(
+        fleet, config, costs={"hello-world": costs}
+    ).run(trace)
     kinds = [s.kind for s in report.served]
     assert kinds == [StartKind.COLD, StartKind.SNAPSHOT, StartKind.WARM]
+    assert [s.kind for s in table.served] == kinds
     expected = [costs.cold_us, costs.snapshot_us, costs.warm_us]
-    for served, want in zip(report.served, expected):
+    for served, charged, want in zip(report.served, table.served, expected):
         assert served.latency_us == pytest.approx(want, rel=0.01)
+        assert charged.latency_us == want
+        assert charged.latency_us == pytest.approx(
+            served.latency_us, rel=0.01
+        )
+
+
+def test_cost_table_refuses_armed_runs_and_missing_entries():
+    """The table holds one restore policy and no snapshot files, so a
+    table run cannot arm faults, recovery or durability; and every
+    fleet function needs an entry."""
+    from repro.faults import (
+        DurabilityPolicy,
+        FaultPlan,
+        RecoveryPolicy,
+        RetryPolicy,
+    )
+
+    costs = {"json": CostModel().costs("json", Policy.FAASNAP)}
+    fleet, trace = fleet_of("json"), trace_of((0.0, "json"))
+    for config in (
+        ClusterConfig(recovery=RecoveryPolicy(retry=RetryPolicy(enabled=True))),
+        ClusterConfig(durability=DurabilityPolicy(enabled=True)),
+    ):
+        with pytest.raises(ValueError, match="cost-table"):
+            ClusterSimulator(fleet, config, costs=costs).run(trace)
+    with pytest.raises(ValueError, match="cost-table"):
+        ClusterSimulator(fleet, costs=costs).run(
+            trace, fault_plan=FaultPlan.empty()
+        )
+    with pytest.raises(ValueError, match="cost-table"):  # a live ``arm``
+        ClusterSimulator(fleet, costs=costs).arm_fault_plan(FaultPlan.empty())
+    with pytest.raises(ValueError, match="no entry for pyaes"):
+        ClusterSimulator(fleet_of("json", "pyaes"), costs=costs)
 
 
 # -- emergent contention ----------------------------------------------

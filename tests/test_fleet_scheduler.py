@@ -2,15 +2,10 @@
 
 import pytest
 
+from repro.cluster import ClusterConfig, ClusterSimulator
 from repro.core.policies import Policy
 from repro.fleet.costs import FunctionCosts
-from repro.fleet.scheduler import (
-    FleetConfig,
-    FleetReport,
-    FleetSimulator,
-    ServedInvocation,
-    StartKind,
-)
+from repro.fleet.scheduler import FleetReport, ServedInvocation, StartKind
 from repro.fleet.workload import Arrival, ArrivalTrace, FleetFunction
 
 SECOND = 1_000_000.0
@@ -35,14 +30,15 @@ def make_sim(ttl=15 * MINUTE, budget=10_000.0, snapshots=True, names=("f",)):
         )
         for name in names
     ]
-    config = FleetConfig(
+    config = ClusterConfig(
+        num_hosts=1,
         restore_policy=Policy.FAASNAP,
         keep_alive_ttl_us=ttl,
         memory_budget_mb=budget,
         snapshots_enabled=snapshots,
     )
     costs = {name: COSTS for name in names}
-    return FleetSimulator(fleet, config, costs=costs)
+    return ClusterSimulator(fleet, config, costs=costs)
 
 
 def trace(*arrivals):
@@ -179,9 +175,10 @@ def test_zero_ttl_trace_replay_releases_memory():
     report = sim.run(trace(*arrivals))
     assert report.count(StartKind.WARM) == 0
     assert report.evictions == 0
-    # Memory at each arrival holds only still-running VMs; with 10 s
-    # spacing every prior VM has finished and been released.
-    assert report.memory_samples_mb == [COSTS.warm_memory_mb] * 5
+    # Memory at each arrival holds only still-running VMs, sampled
+    # before the arrival's own VM reserves; with 10 s spacing every
+    # prior VM has finished and been released.
+    assert report.memory_samples_mb == [0.0] * 5
 
 
 def test_snapshots_disabled_trace_replay():

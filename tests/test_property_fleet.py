@@ -3,9 +3,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import ClusterConfig, ClusterSimulator
 from repro.core.policies import Policy
 from repro.fleet.costs import FunctionCosts
-from repro.fleet.scheduler import FleetConfig, FleetSimulator, StartKind
+from repro.fleet.scheduler import StartKind
 from repro.fleet.workload import Arrival, ArrivalTrace, FleetFunction
 
 SECOND = 1_000_000.0
@@ -47,18 +48,19 @@ def arrival_traces(draw):
     )
 
 
-def build(names, ttl_minutes, budget_mb, snapshots):
+def build(names, ttl_minutes, budget_mb, snapshots, num_hosts=1):
     fleet = [
         FleetFunction(name=n, profile_name="json", mean_interarrival_us=MINUTE)
         for n in names
     ]
-    config = FleetConfig(
+    config = ClusterConfig(
+        num_hosts=num_hosts,
         restore_policy=Policy.FAASNAP,
         keep_alive_ttl_us=ttl_minutes * MINUTE,
         memory_budget_mb=budget_mb,
         snapshots_enabled=snapshots,
     )
-    return FleetSimulator(fleet, config, costs={n: COSTS for n in names})
+    return ClusterSimulator(fleet, config, costs={n: COSTS for n in names})
 
 
 @given(
@@ -66,12 +68,25 @@ def build(names, ttl_minutes, budget_mb, snapshots):
     st.floats(min_value=0.0, max_value=60.0),
     st.floats(min_value=200.0, max_value=4000.0),
     st.booleans(),
+    st.integers(min_value=1, max_value=3),
 )
 @settings(max_examples=60, deadline=None)
-def test_every_arrival_served_with_valid_latency(trace_data, ttl, budget, snapshots):
+def test_every_arrival_served_with_valid_latency(
+    trace_data, ttl, budget, snapshots, num_hosts
+):
     names, trace = trace_data
-    report = build(names, ttl, budget, snapshots).run(trace)
+    report = build(names, ttl, budget, snapshots, num_hosts).run(trace)
     assert report.count() == len(trace)
+    # Served exactly once: the served (time, function) multiset is the
+    # trace's, and the hosts' invocation counts add up to it.
+    assert sorted((s.time_us, s.function) for s in report.served) == sorted(
+        (a.time_us, a.function) for a in trace.arrivals
+    )
+    assert len(report.host_stats) == num_hosts
+    assert (
+        sum(stats.invocations for stats in report.host_stats.values())
+        == len(trace)
+    )
     valid = {COSTS.warm_us, COSTS.snapshot_us, COSTS.cold_us}
     for served in report.served:
         assert served.latency_us in valid
