@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import List, Optional
@@ -169,34 +170,51 @@ def _durability_doc(args: argparse.Namespace) -> Optional[dict]:
     return doc
 
 
+#: The policies ``--policy all`` runs, in table order.
+_ALL_POLICIES = (
+    Policy.WARM, Policy.FIRECRACKER, Policy.CACHED, Policy.REAP, Policy.FAASNAP
+)
+
+
+def _input_arg(text: str) -> str:
+    """argparse ``type=`` of ``--input``: ``A``, ``B`` or a positive
+    size ratio; anything else is a usage error."""
+    try:
+        if text in ("A", "B") or 0.0 < float(text) < math.inf:
+            return text
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected 'A', 'B' or a positive size ratio, got {text!r}"
+    )
+
+
+def _invocation_plan(args: argparse.Namespace, profile) -> tuple:
+    """The test input and the policies of an ``invoke``/``telemetry``
+    run, from its ``--input`` and ``--policy``."""
+    if args.input == "A":
+        test_input = INPUT_A
+    elif args.input == "B":
+        test_input = profile.input_b()
+    else:
+        test_input = InputSpec(content_id=9, size_ratio=float(args.input))
+    policies = (
+        _ALL_POLICIES if args.policy == "all" else (Policy(args.policy),)
+    )
+    return test_input, policies
+
+
 def _cmd_invoke(args: argparse.Namespace) -> int:
     from repro.metrics.tracing import Tracer
 
     platform = FaaSnapPlatform(remote_storage=args.remote)
     handle = platform.register_function(get_profile(args.function))
     tracer = (
-        Tracer(platform.env, default_tags={"host": platform.host.host_id})
+        Tracer(default_tags={"host": platform.host.host_id})
         if args.trace_out or args.chrome_trace
         else None
     )
-    if args.input == "A":
-        test_input = INPUT_A
-    elif args.input == "B":
-        test_input = handle.profile.input_b()
-    else:
-        test_input = InputSpec(content_id=9, size_ratio=float(args.input))
-
-    policies = (
-        [Policy(args.policy)]
-        if args.policy != "all"
-        else [
-            Policy.WARM,
-            Policy.FIRECRACKER,
-            Policy.CACHED,
-            Policy.REAP,
-            Policy.FAASNAP,
-        ]
-    )
+    test_input, policies = _invocation_plan(args, handle.profile)
     rows = []
     for policy in policies:
         result = platform.invoke(
@@ -822,32 +840,12 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
 
     platform = FaaSnapPlatform(remote_storage=args.remote)
     handle = platform.register_function(get_profile(args.function))
-    tracer = Tracer(
-        platform.env, default_tags={"host": platform.host.host_id}
-    )
+    tracer = Tracer(default_tags={"host": platform.host.host_id})
     registry = platform.metrics
     sampler = Sampler(
         registry, platform.env, args.sample_interval_ms * 1000.0
     )
-
-    if args.input == "A":
-        test_input = INPUT_A
-    elif args.input == "B":
-        test_input = handle.profile.input_b()
-    else:
-        test_input = InputSpec(content_id=9, size_ratio=float(args.input))
-
-    policies = (
-        [Policy(args.policy)]
-        if args.policy != "all"
-        else [
-            Policy.WARM,
-            Policy.FIRECRACKER,
-            Policy.CACHED,
-            Policy.REAP,
-            Policy.FAASNAP,
-        ]
-    )
+    test_input, policies = _invocation_plan(args, handle.profile)
     # The sampler's pending timeout would hang the bare
     # ``env.run()`` the record phase uses; ``invoke`` drives the
     # loop with ``run(until=...)`` throughout, so starting the
@@ -892,18 +890,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     invoke = sub.add_parser("invoke", help="invoke one function")
-    invoke.add_argument("function", choices=profile_names())
-    invoke.add_argument(
-        "--policy",
-        default="all",
-        choices=["all"] + [p.value for p in Policy],
-    )
-    invoke.add_argument(
-        "--input",
-        default="B",
-        help="'A', 'B', or a numeric size ratio (record phase uses A)",
-    )
-    invoke.add_argument("--remote", action="store_true", help="EBS storage")
+    _add_invocation_args(invoke, default_policy="all")
     invoke.add_argument(
         "--trace-out",
         default=None,
@@ -1254,20 +1241,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one function fully instrumented and print the "
         "telemetry report",
     )
-    telemetry.add_argument("function", choices=profile_names())
-    telemetry.add_argument(
-        "--policy",
-        default=Policy.FAASNAP.value,
-        choices=["all"] + [p.value for p in Policy],
-    )
-    telemetry.add_argument(
-        "--input",
-        default="B",
-        help="'A', 'B', or a numeric size ratio (record phase uses A)",
-    )
-    telemetry.add_argument(
-        "--remote", action="store_true", help="EBS storage"
-    )
+    _add_invocation_args(telemetry, default_policy=Policy.FAASNAP.value)
     telemetry.add_argument(
         "--sample-interval-ms",
         type=float,
@@ -1298,6 +1272,26 @@ def build_parser() -> argparse.ArgumentParser:
     telemetry.set_defaults(handler=_cmd_telemetry)
 
     return parser
+
+
+def _add_invocation_args(
+    parser: argparse.ArgumentParser, default_policy: str
+) -> None:
+    """The function, ``--policy``, ``--input`` and ``--remote`` of the
+    single-platform commands (``invoke``, ``telemetry``)."""
+    parser.add_argument("function", choices=profile_names())
+    parser.add_argument(
+        "--policy",
+        default=default_policy,
+        choices=["all"] + [p.value for p in Policy],
+    )
+    parser.add_argument(
+        "--input",
+        type=_input_arg,
+        default="B",
+        help="'A', 'B', or a positive size ratio (record phase uses A)",
+    )
+    parser.add_argument("--remote", action="store_true", help="EBS storage")
 
 
 def _add_telemetry_outputs(parser: argparse.ArgumentParser) -> None:

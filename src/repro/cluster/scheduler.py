@@ -97,7 +97,7 @@ from repro.faults.errors import FaultError
 from repro.metrics.causal import CausalRecorder, ROUTER_SRC, TraceContext
 from repro.metrics.flight import CLUSTER_RING
 from repro.metrics.telemetry import Sampler
-from repro.metrics.tracing import Tracer
+from repro.metrics.tracing import phase_spans
 from repro.core.host import Host
 from repro.core.policies import Policy
 from repro.core.restore import PlatformConfig, RecordArtifacts
@@ -302,7 +302,6 @@ class _HostState(HostView):
         #: re-run the loader; the pages may have been evicted).
         self.gates: Dict[str, List[Any]] = {}
         self.stats = HostStats(host=host.host_id)
-        self.tracer = None
         #: Health plane (read by :class:`HealthFiltered` placement).
         self.healthy = True
         #: Operator-drained: out of rotation by command, not by
@@ -654,8 +653,6 @@ class ClusterSimulator:
             # One volume: a snapshot captured anywhere restores
             # anywhere.
             hs.snapshots = self._shared_snapshots
-        if self._run_tracer is not None:
-            hs.tracer = self._run_tracer.tagged(host=host.host_id)
         gauge = self.registry.gauge
         host_id = host.host_id
         gauge(
@@ -803,30 +800,39 @@ class ClusterSimulator:
         """Current virtual time relative to the serving epoch."""
         return self.env.now - self._obs_epoch_us
 
-    def _attempt_tracer(self, hs: "_HostState"):
-        """An ephemeral span tracer for one attempt's restore phases.
-
-        Used only when causal tracing is on: the attempt's span tree
-        is folded into the causal log as ``phase`` events afterwards
-        (and grafted onto the run tracer's document if one is also
-        attached), via :meth:`_fold_phases`.
-        """
-        return Tracer(self.env, default_tags={"host": hs.host.host_id})
-
-    def _fold_phases(self, hs: "_HostState", ctx, eph) -> None:
-        if eph is None:
+    def _record_phases(self, hs: "_HostState", ctx, result) -> None:
+        """The restore's phase view, built once per page-level start:
+        the span tree goes to the run tracer, tagged with the host,
+        and its depth-first flattening becomes the invocation's
+        ``phase`` records, each stamped at its span's start."""
+        if self._run_tracer is not None:
+            root = self._run_tracer.add(result, host=hs.host.host_id)
+        elif self._causal is not None:
+            root = phase_spans(result, host=hs.host.host_id)
+        else:
             return
-        for root in eph.roots:
-            ctx.emit_phases(root, self._obs_epoch_us)
-        if hs.tracer is not None:
-            hs.tracer.roots.extend(eph.roots)
+        if self._causal is None:
+            return
+        epoch = self._obs_epoch_us
+        for span, depth in root.walk():
+            self._emit(
+                None, "phase", ctx, span.start_us - epoch,
+                name=span.name, depth=depth, duration_us=span.duration_us,
+            )
 
     def _emit(
-        self, ring: Optional[str], kind: str, ctx=None, /, **detail: Any
+        self,
+        ring: Optional[str],
+        kind: str,
+        ctx=None,
+        t_us: Optional[float] = None,
+        /,
+        **detail: Any,
     ) -> None:
         """The cluster plane's one emit call: one record on the serving
         clock — an invocation event of ``ctx``, or a host-level event
-        without one. ``ring`` names the host (or
+        without one — stamped now unless ``t_us`` says otherwise.
+        ``ring`` names the host (or
         :data:`~repro.metrics.flight.CLUSTER_RING`) whose flight ring
         shows the record and becomes its ``host`` detail; ``None``
         keeps the record out of the rings. Kinds in
@@ -835,7 +841,8 @@ class ClusterSimulator:
         rec, flight = self._rec, self._flight
         if rec is None and flight is None:
             return
-        t_us = self._obs_now()
+        if t_us is None:
+            t_us = self._obs_now()
         inv_id = None if ctx is None else ctx.inv_id
         if ring is not None:
             detail.setdefault("host", ring)
@@ -1475,11 +1482,6 @@ class ClusterSimulator:
         slot = None
         admitted = False
         reserved_mb = 0.0
-        eph = None
-        tracer = hs.tracer
-        if self._causal is not None:
-            eph = self._attempt_tracer(hs)
-            tracer = eph
         try:
             if hs.admission is not None:
                 slot = hs.admission.request()
@@ -1585,6 +1587,7 @@ class ClusterSimulator:
                         raise SnapshotCorrupted(hs.host.host_id, function)
 
             latency_us: Optional[float] = None
+            result = None
             if self._costs is not None:
                 entry = self._costs[function]
                 charge_us = entry.start_cost_us(kind.value)
@@ -1597,16 +1600,13 @@ class ClusterSimulator:
                         self._artifacts_for(hs, function, Policy.WARM),
                         config.test_input,
                         Policy.WARM,
-                        tracer=tracer,
                     )
                 elif kind is StartKind.SNAPSHOT:
                     result = yield from self._snapshot_start(
-                        hs, function, policy=policy, tracer=tracer
+                        hs, function, policy=policy
                     )
                 else:
-                    result = yield from self._cold_start(
-                        hs, function, tracer=tracer
-                    )
+                    result = yield from self._cold_start(hs, function)
                 # Learn the function's warm footprint from the actual VM.
                 actual_mb = result.rss_pages * PAGE_SIZE / 1e6
             hs.memory_mb += actual_mb - vm.memory_mb
@@ -1657,6 +1657,8 @@ class ClusterSimulator:
                 kind=kind.value,
                 latency_us=env.now - started,
             )
+            if result is not None:
+                self._record_phases(hs, ctx, result)
             return kind, latency_us
         except BaseException as exc:
             cause = exc.cause if isinstance(exc, Interrupt) else exc
@@ -1677,7 +1679,6 @@ class ClusterSimulator:
                 )
             raise
         finally:
-            self._fold_phases(hs, ctx, eph)
             if reserved_mb:
                 hs.memory_mb -= reserved_mb
             if admitted:
@@ -1757,19 +1758,11 @@ class ClusterSimulator:
             hs.healthy = True
         self._emit(host_id, "fault.reboot")
 
-    def _snapshot_start(
-        self,
-        hs: _HostState,
-        function: str,
-        policy: Policy,
-        tracer,
-    ):
+    def _snapshot_start(self, hs: _HostState, function: str, policy: Policy):
         """Page-level snapshot restore + invocation on ``hs``.
 
         ``policy`` is the restore policy (the degraded-mode path
-        passes the cheaper baseline). ``tracer`` records the restore's
-        spans: the host's run tracer, or the per-attempt tracer the
-        causal path folds into the invocation's event stream.
+        passes the cheaper baseline).
         """
         config = self.config
         artifacts = self._artifacts_for(hs, function, policy)
@@ -1788,18 +1781,19 @@ class ClusterSimulator:
                 config.test_input,
                 policy,
                 loader_gate=gate,
-                tracer=tracer,
             )
         finally:
             hs.release_gate(artifacts)
             hs.disk_active[function] -= 1
         return result
 
-    def _cold_start(self, hs: _HostState, function: str, tracer):
+    def _cold_start(self, hs: _HostState, function: str):
         """VMM start + kernel boot + runtime init, then the invocation
-        runs warm-equivalent (nothing pages in from a snapshot)."""
+        runs warm-equivalent (nothing pages in from a snapshot). The
+        result carries the boot's start, so its phases show the boot."""
         config = self.config
         profile = self._profiles[function]
+        boot_start_us = self.env.now
         yield self.env.timeout(
             config.platform.vmm.vmm_start_us
             + config.platform.vmm.cold_boot_us
@@ -1809,6 +1803,6 @@ class ClusterSimulator:
             self._artifacts_for(hs, function, Policy.WARM),
             config.test_input,
             Policy.WARM,
-            tracer=tracer,
         )
+        result.boot_start_us = boot_start_us
         return result

@@ -192,9 +192,9 @@ class FaaSnapPlatform:
         and tests with B or a scaled input; pass both to reproduce a
         specific figure cell). ``drop_caches`` reproduces the paper's
         methodology of evicting all snapshot files before each test.
-        ``tracer`` (see :class:`repro.metrics.tracing.Tracer`) records
-        a span tree of the invocation, the simulated equivalent of the
-        artifact's Zipkin traces.
+        ``tracer`` (see :class:`repro.metrics.tracing.Tracer`) receives
+        the invocation's span tree, a view of the result and the
+        simulated equivalent of the artifact's Zipkin traces.
         """
         artifacts = self.ensure_record(
             function, record_input or INPUT_A, policy
@@ -208,12 +208,14 @@ class FaaSnapPlatform:
                 test_input,
                 policy,
                 loader_gate=set(),
-                tracer=tracer,
                 tag=tag,
             ),
             name=f"invoke:{tag}",
         )
-        return self.env.run(until=process)
+        result = self.env.run(until=process)
+        if tracer is not None:
+            tracer.add(result)
+        return result
 
     def invoke_burst(
         self,

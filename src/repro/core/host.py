@@ -197,7 +197,6 @@ class Host:
         test_input: InputSpec,
         policy: Policy,
         loader_gate: Optional[set] = None,
-        tracer=None,
         tag: Optional[str] = None,
     ) -> Generator[Event, Any, InvocationResult]:
         """Process generator: one test-phase invocation on this host's
@@ -217,7 +216,6 @@ class Host:
             policy,
             tag,
             loader_gate=loader_gate,
-            tracer=tracer,
         )
 
     # -- crash lifecycle -----------------------------------------------

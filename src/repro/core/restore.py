@@ -143,6 +143,18 @@ class InvocationResult:
     rss_pages: int = 0
     cache_pages: int = 0
     private_buffer_pages: int = 0
+    #: Instants on the simulated clock that the phase view
+    #: (:func:`repro.metrics.tracing.phase_spans`) reads: the request,
+    #: the guest's first instruction, and the end of the invocation
+    #: (past the guest's finish when a loader join drained).
+    request_us: float = 0.0
+    invoke_start_us: float = 0.0
+    end_us: float = 0.0
+    #: The concurrent loader's run, when this invocation started one.
+    loader: Optional[LoaderStats] = None
+    #: Start of the cold boot (VMM start, kernel boot, runtime init)
+    #: that preceded the invocation, for a cluster cold start.
+    boot_start_us: Optional[float] = None
 
     @property
     def memory_footprint_mb(self) -> float:
@@ -404,12 +416,11 @@ def invocation_process(
     policy: Policy,
     tag: str,
     loader_gate: Optional[Set[str]] = None,
-    tracer=None,
 ) -> Generator[Event, Any, InvocationResult]:
     """Process helper: one test-phase invocation under ``policy``.
 
-    ``tracer`` (a :class:`repro.metrics.tracing.Tracer`) records a
-    Zipkin-style span tree of the invocation's phases.
+    The result carries the phase instants, so the invocation's span
+    tree is a view of it (:func:`repro.metrics.tracing.phase_spans`).
     """
     _check_artifacts(artifacts, policy)
     profile = artifacts.profile
@@ -494,35 +505,6 @@ def invocation_process(
         fetch_time_us = loader_stats.fetch_time_us
         fetch_bytes = loader_stats.bytes_read
 
-    if tracer is not None:
-        root = tracer.record(
-            f"{profile.name} [{policy.value}]", request_time, env.now
-        )
-        setup_span = tracer.record(
-            "setup", request_time, request_time + setup_us, parent=root
-        )
-        if policy is Policy.REAP and fetch_time_us > 0:
-            tracer.record(
-                "working-set fetch + UFFDIO_COPY",
-                request_time + setup_us - fetch_time_us,
-                request_time + setup_us,
-                parent=setup_span,
-            )
-        tracer.record(
-            "invoke", invoke_started, invoke_started + invoke_us, parent=root
-        )
-        if loader_proc is not None and loader_stats.finished_us > 0:
-            span = tracer.record(
-                "concurrent loader",
-                loader_stats.started_us,
-                loader_stats.finished_us,
-                parent=root,
-            )
-            span.annotate(
-                f"fetched {loader_stats.bytes_read / 1e6:.1f} MB in "
-                f"{loader_stats.requests} requests"
-            )
-
     telemetry = getattr(cache, "telemetry", None)
     if telemetry is not None:
         profiler = telemetry.profiler
@@ -562,6 +544,10 @@ def invocation_process(
         rss_pages=vm.space.rss_pages(),
         cache_pages=cache_pages,
         private_buffer_pages=private_buffer_pages,
+        request_us=request_time,
+        invoke_start_us=invoke_started,
+        end_us=env.now,
+        loader=loader_stats if loader_proc is not None else None,
     )
 
 

@@ -1,17 +1,18 @@
 """The cluster plane's one event record.
 
-Single-host span trees (:mod:`repro.metrics.tracing`) show where one
-attempt's time goes, but a cluster invocation is a *story*: routed,
-placed, admitted, maybe retried on another host (``attempt=N``),
-maybe hedged (with a winner and cancelled losers), maybe caught in a
-host crash and redispatched. Each step is one :class:`TraceEvent`
-carrying its ``inv_id``; host-level events (faults, drains, cache
-drops, SLO alerts, durability actions) are records with
-``inv_id=None``. The causal document (:class:`CausalTracer`) is the
-view of the records with an ``inv_id``; flight rings
-(:mod:`repro.metrics.flight`) and the durability stream
-(:func:`repro.faults.durability.durability_stream`) are views of the
-same records.
+A restore's span tree (:func:`repro.metrics.tracing.phase_spans`)
+shows where one attempt's time goes, and its depth-first flattening
+becomes the attempt's ``phase`` records. A cluster invocation is a
+*story*: routed, placed, admitted, maybe retried on another host
+(``attempt=N``), maybe hedged (with a winner and cancelled losers),
+maybe caught in a host crash and redispatched. Each step is one
+:class:`TraceEvent` carrying its ``inv_id``; host-level events
+(faults, drains, cache drops, SLO alerts, durability actions) are
+records with ``inv_id=None``. The causal document
+(:class:`CausalTracer`) is the view of the records with an
+``inv_id``; flight rings (:mod:`repro.metrics.flight`) and the
+durability stream (:func:`repro.faults.durability.durability_stream`)
+are views of the same records.
 
 The design is constrained by two contracts the cluster plane already
 pins with exact checksums:
@@ -153,28 +154,6 @@ class TraceContext:
 
     def emit(self, t_us: float, kind: str, /, **detail: Any) -> None:
         self.recorder.emit(self.inv_id, t_us, kind, **detail)
-
-    def emit_phases(self, span, epoch_us: float, depth: int = 0) -> None:
-        """Fold a restore-phase span tree into ``phase`` events.
-
-        Each span becomes one event at its (serving-relative) start
-        time, carrying name, nesting depth, and duration. Still-open
-        spans (an attempt cancelled mid-restore) carry
-        ``open=True`` and no duration.
-        """
-        closed = span.end_us is not None
-        detail: Dict[str, Any] = {
-            "name": span.name,
-            "depth": depth,
-            "duration_us": (
-                span.end_us - span.start_us if closed else None
-            ),
-        }
-        if not closed:
-            detail["open"] = True
-        self.emit(span.start_us - epoch_us, "phase", **detail)
-        for child in span.children:
-            self.emit_phases(child, epoch_us, depth + 1)
 
 
 class CausalTracer:

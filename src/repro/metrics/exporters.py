@@ -8,9 +8,9 @@ them:
 * :func:`registry_snapshot` / :func:`to_json_doc` — structured JSON
   for machine consumption (the ``--metrics-out`` document);
 * :func:`to_chrome_trace` — Chrome ``trace_event`` JSON derived from
-  the existing :class:`~repro.metrics.tracing.Tracer` span trees,
-  loadable in ``chrome://tracing`` / Perfetto (the ``--chrome-trace``
-  document).
+  a :class:`~repro.metrics.tracing.Tracer`'s span trees (each a view
+  of one invocation's result), loadable in ``chrome://tracing`` /
+  Perfetto (the ``--chrome-trace`` document).
 
 :func:`parse_prometheus` exists for round-trip testing, and
 :func:`merge_shard_snapshots` folds the per-shard snapshots a forked
@@ -319,9 +319,7 @@ def _span_events(
         "name": span.name,
         "cat": "sim",
         "ts": span.start_us,
-        "dur": (
-            span.end_us - span.start_us if span.end_us is not None else 0.0
-        ),
+        "dur": span.end_us - span.start_us,
         "pid": pid,
         "tid": tid,
     }
@@ -330,8 +328,6 @@ def _span_events(
         args.update(span.tags)
     if span.annotations:
         args["annotations"] = list(span.annotations)
-    if span.end_us is None:
-        args["open"] = True
     if args:
         event["args"] = args
     events.append(event)
@@ -368,7 +364,7 @@ def causal_to_chrome_trace(doc: Dict[str, Any]) -> Dict[str, Any]:
     pid = host in sorted order (router last), tid = invocation id,
     event ``id`` = ``inv:src:seq`` — so the export diffs clean
     between ``shards=1`` and ``shards=N``. ``phase`` events (the
-    restore-phase fold) become complete ("X") slices; everything
+    restore-phase records) become complete ("X") slices; everything
     else becomes an instant ("i") event on the invocation's track.
     """
     hosts: set = set()

@@ -1,26 +1,28 @@
-"""Span tracing for invocations.
+"""Span trees of invocations.
 
 The paper's artifact evaluates runs by inspecting per-invocation
 traces in Zipkin (appendix A.4: "the execution traces of invocations
 are accessible on the Zipkin web page"). This module provides the
-same visibility for simulated invocations: a :class:`Tracer` records
-nested spans on the simulated timeline, :func:`render_trace` prints
-them as an indented tree with durations, and
+same visibility for simulated invocations. A restore reports its
+phases once, in its :class:`~repro.core.restore.InvocationResult`;
+:func:`phase_spans` is the span-tree view of that result, a
+:class:`Tracer` collects the trees of a run, :func:`render_trace`
+prints one as an indented tree with durations, and
 :meth:`Tracer.to_json` exports the Zipkin-flavoured JSON document
-that the CLI's ``--trace-out`` writes.
+that the CLI's ``--trace-out`` writes. The cluster's causal ``phase``
+records are the depth-first flattening of the same tree
+(:meth:`Span.walk`).
 
-Spans carry string *tags* (Zipkin's binary annotations). The cluster
-scheduler hands each host a :meth:`Tracer.tagged` view — a tracer
-that shares the parent's root list but stamps everything it records
-with e.g. ``host=host3`` — so a multi-host trace keeps per-host
-attribution while still serialising as one document.
+Spans carry string *tags* (Zipkin's binary annotations), e.g. the
+``host`` that ran the invocation, so a multi-host trace keeps
+per-host attribution while still serialising as one document.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 
 @dataclass
@@ -29,7 +31,7 @@ class Span:
 
     name: str
     start_us: float
-    end_us: Optional[float] = None
+    end_us: float
     children: List["Span"] = field(default_factory=list)
     annotations: List[str] = field(default_factory=list)
     #: Zipkin-style key/value tags (e.g. ``{"host": "host2"}``).
@@ -37,20 +39,7 @@ class Span:
 
     @property
     def duration_us(self) -> float:
-        if self.end_us is None:
-            raise ValueError(f"span {self.name!r} is still open")
         return self.end_us - self.start_us
-
-    def duration_until(self, clock_us: float) -> float:
-        """Elapsed time with open spans clamped to ``clock_us``.
-
-        A span drained mid-flight (e.g. a tracer exported while the
-        simulation still has work queued) has no end; its observed
-        duration is "at least clock - start". The clamp never goes
-        negative — a span opened after ``clock_us`` reads as 0.
-        """
-        end = self.end_us if self.end_us is not None else clock_us
-        return max(0.0, end - self.start_us)
 
     def annotate(self, note: str) -> None:
         self.annotations.append(note)
@@ -58,35 +47,16 @@ class Span:
     def tag(self, key: str, value: str) -> None:
         self.tags[key] = value
 
-    def to_dict(self, clamp_to_us: Optional[float] = None) -> dict:
-        """JSON-ready representation (Zipkin-flavoured fields).
-
-        Still-open spans serialize with an explicit ``open: true``
-        marker, so consumers can branch on the marker instead of
-        discovering a null arithmetically. Without ``clamp_to_us``
-        their ``duration_us`` is ``null``; with it (the drain-time
-        clock, typically ``env.now``) the duration is clamped to the
-        clock — "ran at least this long" — while ``open`` stays true.
-        """
-        if self.end_us is not None:
-            duration = self.end_us - self.start_us
-        elif clamp_to_us is not None:
-            duration = self.duration_until(clamp_to_us)
-        else:
-            duration = None
-        d = {
+    def to_dict(self) -> dict:
+        """JSON-ready representation (Zipkin-flavoured fields)."""
+        return {
             "name": self.name,
             "timestamp_us": self.start_us,
-            "duration_us": duration,
+            "duration_us": self.end_us - self.start_us,
             "annotations": list(self.annotations),
             "tags": dict(self.tags),
-            "children": [
-                child.to_dict(clamp_to_us) for child in self.children
-            ],
+            "children": [child.to_dict() for child in self.children],
         }
-        if self.end_us is None:
-            d["open"] = True
-        return d
 
     def find(self, name: str) -> Optional["Span"]:
         """Depth-first lookup of a descendant span by name."""
@@ -98,147 +68,94 @@ class Span:
                 return found
         return None
 
+    def walk(self, depth: int = 0) -> Iterator[Tuple["Span", int]]:
+        """This span and its descendants depth-first, with depths."""
+        yield self, depth
+        for child in self.children:
+            yield from child.walk(depth + 1)
+
 
 class Tracer:
-    """Records a tree of spans against a simulation clock.
+    """The span trees of a run, in the order their invocations ended.
 
-    ``default_tags`` are stamped onto every span this tracer creates;
-    :meth:`tagged` derives a view with extra defaults that records
-    into the same document.
-
-    ``env`` may be None for a tracer that only collects post-hoc
-    :meth:`record` spans (timestamps supplied by the caller) —
-    :meth:`start` needs a clock and requires an environment.
+    ``default_tags`` are stamped onto every tree :meth:`add` appends.
     """
 
-    def __init__(self, env=None, default_tags: Optional[Dict[str, str]] = None):
-        self.env = env
+    def __init__(self, default_tags: Optional[Dict[str, str]] = None):
         self.default_tags: Dict[str, str] = dict(default_tags or {})
         self.roots: List[Span] = []
-        self._stack: List[Span] = []
 
-    def tagged(self, **tags: str) -> "Tracer":
-        """A view of this tracer with extra default tags.
+    def add(self, result, **tags: str) -> Span:
+        """Append the span tree of ``result`` (an
+        :class:`~repro.core.restore.InvocationResult`), tagged with
+        the default tags plus ``tags``."""
+        root = phase_spans(result, **{**self.default_tags, **tags})
+        self.roots.append(root)
+        return root
 
-        The view shares the parent's ``roots`` (all spans end up in
-        one exported document) but has its own open-span stack, so
-        concurrent recorders — one per simulated host — do not nest
-        into each other's spans.
-        """
-        view = Tracer(
-            self.env, default_tags={**self.default_tags, **tags}
-        )
-        view.roots = self.roots
-        return view
-
-    def start(self, name: str) -> Span:
-        """Open a span; it nests under the innermost open span."""
-        if self.env is None:
-            raise ValueError(
-                "this tracer has no clock; construct it with an "
-                "environment to open live spans"
-            )
-        span = Span(
-            name=name, start_us=self.env.now, tags=dict(self.default_tags)
-        )
-        if self._stack:
-            self._stack[-1].children.append(span)
-        else:
-            self.roots.append(span)
-        self._stack.append(span)
-        return span
-
-    def end(self, span: Span) -> Span:
-        """Close ``span`` (and any dangling children still open)."""
-        if span not in self._stack:
-            raise ValueError(f"span {span.name!r} is not open")
-        while self._stack:
-            closing = self._stack.pop()
-            closing.end_us = self.env.now
-            if closing is span:
-                break
-        return span
-
-    def record(
-        self,
-        name: str,
-        start_us: float,
-        end_us: float,
-        parent: Optional[Span] = None,
-    ) -> Span:
-        """Attach a completed span post-hoc (e.g. a concurrent loader
-        whose timing was captured by its own stats)."""
-        span = Span(
-            name=name,
-            start_us=start_us,
-            end_us=end_us,
-            tags=dict(self.default_tags),
-        )
-        if parent is not None:
-            parent.children.append(span)
-        elif self._stack:
-            self._stack[-1].children.append(span)
-        else:
-            self.roots.append(span)
-        return span
-
-    def span(self, name: str):
-        """Context manager form::
-
-            with tracer.span("restore"):
-                ...
-        """
-        tracer = self
-
-        class _SpanContext:
-            def __enter__(self):
-                self.current = tracer.start(name)
-                return self.current
-
-            def __exit__(self, exc_type, exc, tb):
-                tracer.end(self.current)
-                return False
-
-        return _SpanContext()
-
-    def to_json(self, clamp_to_us: Optional[float] = None) -> str:
-        """All recorded root spans as a JSON document.
-
-        ``clamp_to_us`` (typically ``env.now`` at export time) clamps
-        still-open spans' durations to the clock; see
-        :meth:`Span.to_dict`.
-        """
+    def to_json(self) -> str:
+        """All recorded root spans as a JSON document."""
         return json.dumps(
-            [root.to_dict(clamp_to_us) for root in self.roots],
+            [root.to_dict() for root in self.roots],
             indent=2,
             sort_keys=True,
         )
 
 
-def export_json(tracer: Tracer) -> str:
-    """All recorded root spans as a JSON document."""
-    return tracer.to_json()
+def phase_spans(result, **tags: str) -> Span:
+    """The span tree of one invocation: a pure view of its result.
 
-
-def render_trace(
-    span: Span, indent: int = 0, clamp_to_us: Optional[float] = None
-) -> str:
-    """Indented text rendering of a span tree (a textual Zipkin).
-
-    Open spans render as ``open`` with no duration, or — when
-    ``clamp_to_us`` supplies the drain-time clock — as
-    ``>= X ms (open)``, the clamped lower bound on their duration.
+    The root runs from the request to the end of the invocation. Its
+    children are the set-up (holding REAP's blocking working-set
+    fetch), the guest's run, and a concurrent loader's fetch with the
+    bytes and requests it read. A cold start's root runs from the
+    start of the boot, with a ``cold boot`` child before the
+    invocation's own children. Every span carries ``tags``.
     """
-    pad = "  " * indent
-    if span.end_us is not None:
-        duration = f"{span.duration_us / 1000:.2f} ms"
-    elif clamp_to_us is not None:
-        duration = f">= {span.duration_until(clamp_to_us) / 1000:.2f} ms (open)"
+    # Imported here: repro.core needs the simulator, whose engine
+    # imports this package.
+    from repro.core.policies import Policy
+
+    def span(name: str, start_us: float, end_us: float, parent=None) -> Span:
+        node = Span(name, start_us, end_us, tags=dict(tags))
+        if parent is not None:
+            parent.children.append(node)
+        return node
+
+    request, end = result.request_us, result.end_us
+    boot = result.boot_start_us
+    if boot is None:
+        root = span(f"{result.function} [{result.policy.value}]", request, end)
     else:
-        duration = "open"
-    lines = [f"{pad}{span.name}: {duration}"]
+        root = span(f"{result.function} [cold]", boot, end)
+        span("cold boot", boot, request, root)
+    setup = span("setup", request, request + result.setup_us, root)
+    if result.policy is Policy.REAP and result.fetch_time_us > 0:
+        span(
+            "working-set fetch + UFFDIO_COPY",
+            request + result.setup_us - result.fetch_time_us,
+            request + result.setup_us,
+            setup,
+        )
+    invoke_start = result.invoke_start_us
+    span("invoke", invoke_start, invoke_start + result.invoke_us, root)
+    loader = result.loader
+    if loader is not None and loader.finished_us > 0:
+        span(
+            "concurrent loader", loader.started_us, loader.finished_us, root
+        ).annotate(
+            f"fetched {loader.bytes_read / 1e6:.1f} MB in "
+            f"{loader.requests} requests"
+        )
+    return root
+
+
+def render_trace(span: Span, indent: int = 0) -> str:
+    """Indented text rendering of a span tree (a textual Zipkin)."""
+    pad = "  " * indent
+    lines = [f"{pad}{span.name}: {span.duration_us / 1000:.2f} ms"]
     for note in span.annotations:
         lines.append(f"{pad}  - {note}")
     for child in span.children:
-        lines.append(render_trace(child, indent + 1, clamp_to_us))
+        lines.append(render_trace(child, indent + 1))
     return "\n".join(lines)

@@ -36,6 +36,17 @@ def test_invoke_rejects_unknown_function():
         main(["invoke", "nope"])
 
 
+@pytest.mark.parametrize("command", ["invoke", "telemetry"])
+@pytest.mark.parametrize("value", ["foo", "0", "-1"])
+def test_bad_input_is_a_usage_error(command, value, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "hello-world", "--input", value])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --input" in err
+    assert "positive size ratio" in err
+
+
 def test_experiment_unknown_id(capsys):
     assert main(["experiment", "fig99"]) == 2
     assert "unknown experiment" in capsys.readouterr().err

@@ -299,6 +299,70 @@ def test_cluster_trace_spans_tagged_with_host():
     assert hosts == {"host0", "host1"}
 
 
+@pytest.mark.parametrize(
+    "policy, ttl_us",
+    [
+        # Cold, then snapshot restores: the cold start's boot and
+        # REAP's fetch-in-set-up are both in the tree.
+        (Policy.REAP, 0.0),
+        # Cold, then warm starts, with FaaSnap's concurrent loader.
+        (Policy.FAASNAP, 600 * SECOND),
+    ],
+    ids=["reap-no-keepalive", "faasnap-keepalive"],
+)
+def test_phase_records_are_the_span_trees_flattened(policy, ttl_us):
+    from repro.metrics.causal import CausalTracer
+
+    fleet = fleet_of("json")
+    config = ClusterConfig(
+        num_hosts=1, restore_policy=policy, keep_alive_ttl_us=ttl_us
+    )
+    sim = ClusterSimulator(fleet, config)
+    tracer, causal = Tracer(), CausalTracer()
+    report = sim.run(
+        trace_of(*((i * 30 * SECOND, "json") for i in range(4))),
+        tracer=tracer,
+        causal=causal,
+    )
+    epoch = sim._obs_epoch_us
+    zipkin = sorted(
+        [
+            (span.name, depth, span.duration_us, span.start_us - epoch)
+            for span, depth in root.walk()
+        ]
+        for root in tracer.roots
+    )
+    phases = {}
+    for inv in causal.document()["invocations"]:
+        phases[(inv["arrival_us"], inv["function"])] = [
+            (
+                e["detail"]["name"],
+                e["detail"]["depth"],
+                e["detail"]["duration_us"],
+                e["t_us"],
+            )
+            for e in inv["events"]
+            if e["kind"] == "phase"
+        ]
+    assert sorted(phases.values()) == zipkin
+
+    # No admission wait: a cold start's root spans its whole latency,
+    # boot included.
+    labels = {
+        StartKind.COLD: "cold",
+        StartKind.WARM: "warm",
+        StartKind.SNAPSHOT: policy.value,
+    }
+    assert {s.kind for s in report.served} >= {StartKind.COLD}
+    for served in report.served:
+        tree = phases[(served.time_us, served.function)]
+        name, depth, duration_us, _ = tree[0]
+        assert (name, depth) == (f"json [{labels[served.kind]}]", 0)
+        if served.kind is StartKind.COLD:
+            assert duration_us == pytest.approx(served.latency_us, rel=1e-12)
+            assert tree[1][:2] == ("cold boot", 1)
+
+
 # -- placement policies (unit, on stub views) -------------------------
 
 

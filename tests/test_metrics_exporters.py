@@ -121,8 +121,9 @@ REQUIRED_KEYS = {"ph", "ts", "dur", "pid", "tid", "name"}
 
 def test_chrome_trace_has_required_keys():
     tracer = Tracer()
-    root = tracer.record("invocation", 0.0, 100.0)
-    tracer.record("setup", 0.0, 40.0, parent=root)
+    root = Span(name="invocation", start_us=0.0, end_us=100.0)
+    root.children.append(Span(name="setup", start_us=0.0, end_us=40.0))
+    tracer.roots.append(root)
     doc = to_chrome_trace(tracer)
     assert doc["displayTimeUnit"] == "ms"
     events = doc["traceEvents"]
@@ -139,11 +140,12 @@ def test_chrome_trace_has_required_keys():
 
 def test_chrome_trace_groups_pids_by_host_and_tids_by_root():
     tracer = Tracer()
-    a = tracer.record("a", 0.0, 10.0)
+    a = Span(name="a", start_us=0.0, end_us=10.0)
     a.tag("host", "host1")
-    b = tracer.record("b", 5.0, 15.0)
+    b = Span(name="b", start_us=5.0, end_us=15.0)
     b.tag("host", "host0")
-    tracer.record("a.child", 1.0, 2.0, parent=a)
+    a.children.append(Span(name="a.child", start_us=1.0, end_us=2.0))
+    tracer.roots.extend([a, b])
     events = {e["name"]: e for e in to_chrome_trace(tracer)["traceEvents"]}
     # pids follow sorted host-name order (stable across shard counts
     # and span completion order); children inherit the parent's.
@@ -154,14 +156,6 @@ def test_chrome_trace_groups_pids_by_host_and_tids_by_root():
     assert events["b"]["tid"] == 1
     assert events["a.child"]["tid"] == 0
     assert events["a"]["args"]["host"] == "host1"
-
-
-def test_chrome_trace_marks_open_spans():
-    tracer = Tracer()
-    tracer.roots.append(Span(name="dangling", start_us=7.0))
-    (event,) = to_chrome_trace(tracer)["traceEvents"]
-    assert event["dur"] == 0.0
-    assert event["args"]["open"] is True
 
 
 # -- fleet serving-report document ------------------------------------

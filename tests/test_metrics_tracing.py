@@ -1,10 +1,9 @@
-"""Tests for span tracing, including integration with invocations."""
+"""Tests for span trees, including the phase view of invocations."""
 
 import pytest
 
 from repro.core import FaaSnapPlatform, Policy
 from repro.metrics.tracing import Span, Tracer, render_trace
-from repro.sim import Environment
 from repro.workloads.base import INPUT_A, WorkloadProfile
 
 TINY = WorkloadProfile(
@@ -21,58 +20,6 @@ TINY = WorkloadProfile(
 )
 
 
-def test_span_nesting_and_durations():
-    env = Environment()
-    tracer = Tracer(env)
-
-    def proc():
-        with tracer.span("outer"):
-            yield env.timeout(10)
-            with tracer.span("inner"):
-                yield env.timeout(5)
-            yield env.timeout(1)
-
-    env.run(until=env.process(proc()))
-    (outer,) = tracer.roots
-    assert outer.name == "outer"
-    assert outer.duration_us == pytest.approx(16)
-    (inner,) = outer.children
-    assert inner.duration_us == pytest.approx(5)
-    assert inner.start_us == pytest.approx(10)
-
-
-def test_open_span_duration_raises():
-    span = Span(name="x", start_us=0.0)
-    with pytest.raises(ValueError):
-        span.duration_us
-
-
-def test_end_unknown_span_raises():
-    env = Environment()
-    tracer = Tracer(env)
-    orphan = Span(name="orphan", start_us=0.0)
-    with pytest.raises(ValueError):
-        tracer.end(orphan)
-
-
-def test_end_closes_dangling_children():
-    env = Environment()
-    tracer = Tracer(env)
-    outer = tracer.start("outer")
-    tracer.start("inner-left-open")
-    tracer.end(outer)
-    assert outer.end_us is not None
-    assert outer.children[0].end_us is not None
-
-
-def test_open_span_serializes_with_marker():
-    span = Span(name="open", start_us=3.0)
-    payload = span.to_dict()
-    assert payload["duration_us"] is None
-    assert payload["open"] is True
-    assert payload["timestamp_us"] == 3.0
-
-
 def test_closed_span_serializes_without_marker():
     span = Span(name="closed", start_us=3.0, end_us=8.0)
     payload = span.to_dict()
@@ -80,25 +27,18 @@ def test_closed_span_serializes_without_marker():
     assert "open" not in payload
 
 
-def test_open_child_marker_survives_json():
-    import json
-
-    root = Span(name="root", start_us=0.0, end_us=10.0)
-    root.children.append(Span(name="dangling", start_us=2.0))
-    parsed = json.loads(json.dumps(root.to_dict()))
-    assert "open" not in parsed
-    assert parsed["children"][0]["open"] is True
-    assert parsed["children"][0]["duration_us"] is None
-
-
 def test_record_posthoc_span():
-    env = Environment()
-    tracer = Tracer(env)
-    root = tracer.record("root", 0.0, 100.0)
-    child = tracer.record("child", 10.0, 60.0, parent=root)
-    assert tracer.roots == [root]
+    tracer = Tracer()
+    root = Span(name="root", start_us=0.0, end_us=100.0)
+    child = Span(name="child", start_us=10.0, end_us=60.0)
+    root.children.append(child)
+    tracer.roots.append(root)
     assert root.find("child") is child
     assert root.find("ghost") is None
+    assert [(span.name, depth) for span, depth in root.walk()] == [
+        ("root", 0),
+        ("child", 1),
+    ]
 
 
 def test_render_trace_tree():
@@ -114,14 +54,12 @@ def test_render_trace_tree():
 def test_export_json_roundtrips():
     import json
 
-    from repro.metrics.tracing import export_json
-
-    env = Environment()
-    tracer = Tracer(env)
-    root = tracer.record("root", 0.0, 50.0)
+    tracer = Tracer()
+    root = Span(name="root", start_us=0.0, end_us=50.0)
     root.annotate("hello")
-    tracer.record("child", 5.0, 25.0, parent=root)
-    parsed = json.loads(export_json(tracer))
+    root.children.append(Span(name="child", start_us=5.0, end_us=25.0))
+    tracer.roots.append(root)
+    parsed = json.loads(tracer.to_json())
     assert parsed[0]["name"] == "root"
     assert parsed[0]["duration_us"] == 50.0
     assert parsed[0]["annotations"] == ["hello"]
@@ -136,79 +74,57 @@ def test_span_tags_serialize():
     assert payload["tags"] == {"host": "host3", "policy": "faasnap"}
 
 
-def test_default_tags_stamped_on_start_and_record():
-    env = Environment()
-    tracer = Tracer(env, default_tags={"host": "host1"})
-    started = tracer.start("a")
-    tracer.end(started)
-    recorded = tracer.record("b", 0.0, 1.0)
-    assert started.tags == {"host": "host1"}
-    assert recorded.tags == {"host": "host1"}
-
-
-def test_tagged_view_shares_roots_with_merged_tags():
-    env = Environment()
-    tracer = Tracer(env, default_tags={"run": "r1"})
-    view = tracer.tagged(host="host2")
-    span = view.record("restore", 0.0, 10.0)
-    # The view writes into the parent tracer's root list, with the
-    # parent's tags plus its own.
-    assert tracer.roots == [span]
-    assert span.tags == {"run": "r1", "host": "host2"}
-    # ...but keeps its own open-span stack: a span the view opens
-    # does not nest into the parent tracer's open span.
-    outer = tracer.start("outer")
-    inner = view.start("inner")
-    assert inner in tracer.roots
-    assert inner not in outer.children
-    tracer.end(outer)
-    view.end(inner)
-
-
-def test_tracer_without_env_records_but_cannot_start():
-    tracer = Tracer()
-    span = tracer.record("posthoc", 0.0, 2.0)
-    assert tracer.roots == [span]
-    with pytest.raises(ValueError):
-        tracer.start("live")
-
-
 def test_tracer_to_json_parses():
     import json
 
     tracer = Tracer()
-    root = tracer.record("root", 0.0, 50.0)
-    tracer.record("child", 5.0, 25.0, parent=root)
+    root = Span(name="root", start_us=0.0, end_us=50.0)
+    root.children.append(Span(name="child", start_us=5.0, end_us=25.0))
     root.tag("host", "host0")
+    tracer.roots.append(root)
     parsed = json.loads(tracer.to_json())
     assert parsed[0]["tags"] == {"host": "host0"}
     assert parsed[0]["children"][0]["name"] == "child"
 
 
-def test_invocation_records_span_tree():
+@pytest.mark.parametrize(
+    "policy",
+    [Policy.WARM, Policy.FIRECRACKER, Policy.CACHED, Policy.REAP, Policy.FAASNAP],
+    ids=lambda p: p.value,
+)
+def test_invocation_records_span_tree(policy):
     platform = FaaSnapPlatform()
     handle = platform.register_function(TINY)
-    tracer = Tracer(platform.env)
-    result = platform.invoke(
-        handle, INPUT_A, Policy.FAASNAP, tracer=tracer
-    )
+    tracer = Tracer(default_tags={"host": "host0"})
+    result = platform.invoke(handle, INPUT_A, policy, tracer=tracer)
     (root,) = tracer.roots
-    assert "tiny-trace" in root.name
+    assert root.name == f"tiny-trace [{policy.value}]"
+    assert root.start_us == result.request_us
+    assert root.end_us == result.end_us
+    assert all(span.tags == {"host": "host0"} for span, _ in root.walk())
     setup = root.find("setup")
     invoke = root.find("invoke")
-    loader = root.find("concurrent loader")
-    assert setup is not None and invoke is not None and loader is not None
+    assert setup is not None and invoke is not None
     assert setup.duration_us == pytest.approx(result.setup_us)
     assert invoke.duration_us == pytest.approx(result.invoke_us)
-    assert loader.annotations  # fetched N MB note
-    # The loader overlaps setup: it starts at request time.
-    assert loader.start_us == pytest.approx(root.start_us)
+    fetch = setup.find("working-set fetch + UFFDIO_COPY")
+    assert (fetch is not None) == (policy is Policy.REAP)
+    if fetch is not None:
+        assert fetch.duration_us == pytest.approx(result.fetch_time_us)
+        assert fetch.end_us == setup.end_us
+    loader = root.find("concurrent loader")
+    assert (loader is not None) == policy.uses_loader
+    if loader is not None:
+        assert loader.annotations  # fetched N MB note
+        # The loader overlaps setup: it starts at request time.
+        assert loader.start_us == pytest.approx(root.start_us)
+        assert loader.duration_us == pytest.approx(result.fetch_time_us)
 
 
 def test_reap_invocation_traces_fetch():
     platform = FaaSnapPlatform()
     handle = platform.register_function(TINY)
-    tracer = Tracer(platform.env)
+    tracer = Tracer()
     platform.invoke(handle, INPUT_A, Policy.REAP, tracer=tracer)
     (root,) = tracer.roots
     fetch = root.find("working-set fetch + UFFDIO_COPY")
