@@ -43,7 +43,7 @@ from repro.core.working_set import (
     ReapWorkingSet,
     WorkingSetGroups,
 )
-from repro.host.fault import FaultKind, FaultRecord
+from repro.host.fault import FaultKind, FaultRecord, FaultStats
 from repro.host.page_cache import PageCache
 from repro.host.params import HostParams
 from repro.sim import Environment, Event, Resource
@@ -134,7 +134,8 @@ class InvocationResult:
     #: loader) — Table 3's fetch columns.
     fetch_time_us: float = 0.0
     fetch_bytes: int = 0
-    fault_records: List[FaultRecord] = field(default_factory=list)
+    #: The invocation's fault log, taken over from its VM's handler.
+    fault_log: FaultStats = field(default_factory=FaultStats)
     uffd_faults: int = 0
     #: Memory footprint after the invocation (paper §7.3): the VMM
     #: process's resident pages, the page-cache pages holding this
@@ -172,10 +173,13 @@ class InvocationResult:
     def total_ms(self) -> float:
         return self.total_us / 1000.0
 
+    @property
+    def fault_records(self) -> List[FaultRecord]:
+        """The fault log as records, built on each read."""
+        return self.fault_log.records
+
     def fault_count(self, kind: Optional[FaultKind] = None) -> int:
-        if kind is None:
-            return len(self.fault_records)
-        return sum(1 for r in self.fault_records if r.kind is kind)
+        return self.fault_log.count(kind)
 
     @property
     def major_faults(self) -> int:
@@ -183,15 +187,15 @@ class InvocationResult:
 
     @property
     def fault_time_us(self) -> float:
-        return sum(r.duration_us for r in self.fault_records)
+        return self.fault_log.total_time_us()
 
     @property
     def fault_block_requests(self) -> int:
-        return sum(r.block_requests for r in self.fault_records)
+        return self.fault_log.total_block_requests()
 
     @property
     def guest_fault_bytes(self) -> int:
-        return sum(r.bytes_read for r in self.fault_records)
+        return self.fault_log.total_bytes_read()
 
 
 def artifact_file_names(artifacts: RecordArtifacts) -> List[str]:
@@ -321,12 +325,9 @@ def run_record_phase(
             derived_store, f"{tag}.loadingset", artifacts.loading_set, warm
         )
     else:
-        faulted = [
-            record.page
-            for record in vm.handler.stats.records
-            if record.kind is not FaultKind.NONE
-        ]
-        artifacts.reap_ws = ReapWorkingSet.from_fault_pages(faulted)
+        artifacts.reap_ws = ReapWorkingSet.from_fault_pages(
+            vm.handler.stats.pages
+        )
         artifacts.reap_ws_file = write_working_set_file(
             derived_store, f"{tag}.reapws", artifacts.reap_ws, warm
         )
@@ -335,7 +336,7 @@ def run_record_phase(
     if telemetry is not None:
         telemetry.profiler.phase("record", phase_start, env.now)
         telemetry.record_phases.value += 1
-        telemetry.absorb_fault_records(vm.handler.stats.records)
+        telemetry.absorb_fault_records(vm.handler.stats)
 
     cache.drop_all()
     store.device.reset_stats()
@@ -519,7 +520,7 @@ def invocation_process(
         if loader_proc is not None and loader_stats.finished_us > 0:
             profiler.add("loader.fetch", loader_stats.fetch_time_us)
         telemetry.invocations.value += 1
-        telemetry.absorb_fault_records(vm.handler.stats.records)
+        telemetry.absorb_fault_records(vm.handler.stats)
         if vm.uffd is not None:
             telemetry.uffd_delegated.value += vm.uffd.delegated_faults
 
@@ -539,7 +540,9 @@ def invocation_process(
         invoke_us=invoke_us,
         fetch_time_us=fetch_time_us,
         fetch_bytes=fetch_bytes,
-        fault_records=list(vm.handler.stats.records),
+        # The VM is this invocation's own: nothing writes to its log
+        # any more, so the result takes it over without a copy.
+        fault_log=vm.handler.stats,
         uffd_faults=vm.uffd.delegated_faults if vm.uffd else 0,
         rss_pages=vm.space.rss_pages(),
         cache_pages=cache_pages,

@@ -90,13 +90,7 @@ class ReapWorkingSet:
     @classmethod
     def from_fault_pages(cls, pages: Iterable[int]) -> "ReapWorkingSet":
         """Deduplicate a fault stream, keeping first-fault order."""
-        seen = set()
-        ordered: List[int] = []
-        for page in pages:
-            if page not in seen:
-                seen.add(page)
-                ordered.append(page)
-        return cls(pages_in_fault_order=ordered)
+        return cls(pages_in_fault_order=list(dict.fromkeys(pages)))
 
     def __len__(self) -> int:
         return len(self.pages_in_fault_order)

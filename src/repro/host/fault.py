@@ -32,17 +32,26 @@ COW         First write to a clean file-backed page: the private
             copy-on-write break (guest memory is MAP_PRIVATE).
 ==========  ========================================================
 
-Each handled fault appends a :class:`FaultRecord`, from which the
-paper's histograms (Fig. 2), fault counts and times (Fig. 9), and
-waiting-time breakdowns (Table 3) are computed.
+Each handled fault appends one row to the VM's fault log
+(:class:`FaultStats`), a set of typed columns: kind code, page, start
+and duration, plus block requests and bytes read for the kinds that
+do I/O. The fast path appends to the columns without allocating an
+object per fault; :class:`FaultRecord` is the row view, built when
+someone reads the log. The paper's histograms (Fig. 2), fault counts
+and times (Fig. 9), and waiting-time breakdowns (Table 3) are
+computed from the log.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
+from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Any, Generator, List, Optional, Tuple
+from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from typing import Any, Generator, Iterator, List, Optional, Sequence, Tuple
 
 from repro.host.page_cache import PageCache
 from repro.host.params import HostParams
@@ -180,7 +189,8 @@ FAULTING_KINDS = frozenset(
 
 @dataclass(slots=True)
 class FaultRecord:
-    """One handled fault on the simulated timeline."""
+    """One handled fault on the simulated timeline: a row of a
+    :class:`FaultStats` log, built when someone reads it."""
 
     kind: FaultKind
     page: int
@@ -191,40 +201,172 @@ class FaultRecord:
     bytes_read: int = 0
 
 
-@dataclass
-class FaultStats:
-    """Aggregated view over a list of fault records."""
+#: Every kind, indexed by its code in a fault log's ``kinds`` column.
+KINDS: Tuple[FaultKind, ...] = tuple(FaultKind)
+KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
+NONE_CODE = KIND_CODE[FaultKind.NONE]
+PRESENT_CODE = KIND_CODE[FaultKind.PRESENT]
+ANON_CODE = KIND_CODE[FaultKind.ANON]
+MINOR_CODE = KIND_CODE[FaultKind.MINOR]
+MAJOR_CODE = KIND_CODE[FaultKind.MAJOR]
+UFFD_CODE = KIND_CODE[FaultKind.UFFD]
+COW_CODE = KIND_CODE[FaultKind.COW]
+#: Kinds whose rows carry I/O columns (block requests, bytes read).
+IO_CODES = frozenset({MAJOR_CODE, UFFD_CODE})
+#: ``bytes.translate`` tables: code ``c`` -> 1, every other byte -> 0.
+_KIND_MASKS = tuple(
+    bytes(1 if b == code else 0 for b in range(256))
+    for code in range(len(KINDS))
+)
+_IO_MASK = bytes(1 if b in IO_CODES else 0 for b in range(256))
 
-    records: List[FaultRecord] = field(default_factory=list)
+
+class FaultStats:
+    """One VM's fault log, stored as typed columns.
+
+    Row ``i`` is one handled fault: ``kinds[i]`` (a code into
+    :data:`KINDS`), ``pages[i]``, ``start_us[i]`` and
+    ``duration_us[i]``. A NONE access is no fault and has no row.
+    Block requests and bytes read are kept only for the rows that can
+    do I/O (:data:`IO_CODES`: MAJOR and UFFD), in row order, in
+    ``io_requests`` / ``io_bytes``. The fault fast path appends to the
+    columns directly; :attr:`records` builds the :class:`FaultRecord`
+    view on demand.
+    """
+
+    __slots__ = (
+        "kinds",
+        "pages",
+        "start_us",
+        "duration_us",
+        "io_requests",
+        "io_bytes",
+    )
+
+    def __init__(self) -> None:
+        self.kinds = bytearray()
+        self.pages = array("q")
+        self.start_us = array("d")
+        self.duration_us = array("d")
+        self.io_requests = array("q")
+        self.io_bytes = array("q")
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FaultStats):
+            return NotImplemented
+        return all(
+            getattr(self, name) == getattr(other, name)
+            for name in self.__slots__
+        )
+
+    __hash__ = None  # type: ignore[assignment]
 
     def add(self, record: FaultRecord) -> None:
-        self.records.append(record)
+        """Append one record (the event path)."""
+        code = KIND_CODE[record.kind]
+        if code == NONE_CODE:
+            raise ValueError("a NONE access is no fault and has no row")
+        if code in IO_CODES:
+            self.log_io(
+                code,
+                record.page,
+                record.start_us,
+                record.duration_us,
+                record.block_requests,
+                record.bytes_read,
+            )
+        else:
+            self.log(code, record.page, record.start_us, record.duration_us)
+
+    def log(
+        self, code: int, page: int, start_us: float, duration_us: float
+    ) -> None:
+        """Append one row of a kind that does no I/O."""
+        self.kinds.append(code)
+        self.pages.append(page)
+        self.start_us.append(start_us)
+        self.duration_us.append(duration_us)
+
+    def log_io(
+        self,
+        code: int,
+        page: int,
+        start_us: float,
+        duration_us: float,
+        block_requests: int,
+        bytes_read: int,
+    ) -> None:
+        """Append one row of an :data:`IO_CODES` kind."""
+        self.log(code, page, start_us, duration_us)
+        self.io_requests.append(block_requests)
+        self.io_bytes.append(bytes_read)
+
+    @property
+    def records(self) -> List[FaultRecord]:
+        """The log as :class:`FaultRecord` objects, in row order."""
+        io = zip(self.io_requests, self.io_bytes)
+        records = []
+        append = records.append
+        for code, page, start, duration in zip(
+            self.kinds, self.pages, self.start_us, self.duration_us
+        ):
+            kind = KINDS[code]
+            if code in IO_CODES:
+                append(FaultRecord(kind, page, start, duration, *next(io)))
+            else:
+                append(FaultRecord(kind, page, start, duration))
+        return records
+
+    def _of_kind(self, column: Sequence[Any], code: int) -> Iterator[Any]:
+        """The entries of a row column for the rows of kind ``code``."""
+        return compress(column, self.kinds.translate(_KIND_MASKS[code]))
+
+    def kind_totals(self) -> List[Tuple[int, int, float]]:
+        """``(code, rows, total duration)`` for each kind in the log, in
+        the order the kinds first appear; each total sums its rows'
+        durations in row order."""
+        kinds = self.kinds
+        present = [code for code in range(len(KINDS)) if code in kinds]
+        present.sort(key=kinds.index)
+        return [
+            (
+                code,
+                kinds.count(code),
+                reduce(operator.add, self._of_kind(self.duration_us, code)),
+            )
+            for code in present
+        ]
+
+    def block_requests(self, kind: FaultKind) -> List[int]:
+        """Block requests of each row of ``kind`` (one of the
+        :data:`IO_CODES` kinds), in row order."""
+        io_kinds = bytes(compress(self.kinds, self.kinds.translate(_IO_MASK)))
+        mask = io_kinds.translate(_KIND_MASKS[KIND_CODE[kind]])
+        return list(compress(self.io_requests, mask))
 
     def count(self, kind: Optional[FaultKind] = None) -> int:
         if kind is None:
-            return len(self.records)
-        return sum(1 for r in self.records if r.kind is kind)
+            return len(self.kinds)
+        return self.kinds.count(KIND_CODE[kind])
 
     def total_time_us(self, kind: Optional[FaultKind] = None) -> float:
         if kind is None:
-            return sum(r.duration_us for r in self.records)
-        return sum(r.duration_us for r in self.records if r.kind is kind)
+            return sum(self.duration_us)
+        return sum(self._of_kind(self.duration_us, KIND_CODE[kind]))
 
     def total_block_requests(self) -> int:
-        return sum(r.block_requests for r in self.records)
+        return sum(self.io_requests)
 
     def total_bytes_read(self) -> int:
-        return sum(r.bytes_read for r in self.records)
+        return sum(self.io_bytes)
 
     def durations(self, kind: Optional[FaultKind] = None) -> List[float]:
         if kind is None:
-            return [r.duration_us for r in self.records]
-        return [r.duration_us for r in self.records if r.kind is kind]
-
-    def merged_with(self, other: "FaultStats") -> "FaultStats":
-        merged = FaultStats()
-        merged.records = self.records + other.records
-        return merged
+            return self.duration_us.tolist()
+        return list(self._of_kind(self.duration_us, KIND_CODE[kind]))
 
 
 class FaultHandler:
@@ -286,12 +428,15 @@ class FaultHandler:
         space = self.space
 
         if page in space.ept or page in space.image:
-            record = self._mapped_access(page, write, value, start)
-            if record.duration_us > 0:
-                yield self.env.timeout(record.duration_us)
-                record.duration_us = self.env.now - start
-            if record.kind is not FaultKind.NONE:
-                self.stats.add(record)
+            if not (write and self._store_mapped(page, value)):
+                return FaultRecord(FaultKind.NONE, page, start, 0.0)
+            cow_us = self.params.anon_fault_us + self.params.cow_copy_us
+            if cow_us > 0:
+                yield self.env.timeout(cow_us)
+            record = FaultRecord(
+                FaultKind.COW, page, start, self.env.now - start
+            )
+            self.stats.add(record)
             return record
 
         if space.is_installed(page):
@@ -402,14 +547,17 @@ class FaultHandler:
         that anonymous ≈2.5 µs, minor ≈3.7 µs and EPT-fixup faults
         have deterministic service times makes aggregation exact):
         accesses whose outcome and cost depend only on state this VM
-        itself mutates — EPT hits, installed-PTE fixups, anonymous
-        zero-fills, sparse-file holes, and page-cache minor faults on
-        an unbounded cache — are handled without touching the event
-        heap. ``vnow`` is the caller's virtual clock; the return is
-        ``(record, new_vnow)`` computed with exactly the float
-        arithmetic the per-event path would have produced, so a later
-        :meth:`Environment.wake_at` flush lands the real clock on a
-        bit-identical instant.
+        itself mutates — installed-PTE fixups, anonymous zero-fills,
+        sparse-file holes, and page-cache minor faults on an unbounded
+        cache — are handled without touching the event heap. ``vnow``
+        is the caller's virtual clock. ``page`` must not be mapped in
+        EPT or the image: the caller handles mapped pages itself (a
+        read is no fault; a store goes through :meth:`mapped_write`).
+        A serviced access appends its fault to the log as a row,
+        allocating no :class:`FaultRecord`, and returns its end instant,
+        computed with exactly the float arithmetic the per-event path
+        would have produced, so a later :meth:`Environment.wake_at`
+        flush lands the real clock on a bit-identical instant.
 
         Major faults are also serviced synchronously when the device
         is idle and no other simulation event fires before the fault
@@ -433,28 +581,15 @@ class FaultHandler:
         space = self.space
         params = self.params
 
-        if page in space.ept or page in space.image:
-            # The batched vCPU handles reads of mapped pages inline,
-            # without a record; writes (and direct callers) land here.
-            record = self._mapped_access(page, write, value, vnow)
-            end = vnow
-            if record.duration_us > 0:
-                end = vnow + record.duration_us
-                record.duration_us = end - vnow
-            if record.kind is not FaultKind.NONE:
-                self.stats.records.append(record)
-            return record, end
-
         if page in space.pte:
             end = vnow + self._cost(params.present_fault_us, page, 1)
             if end >= horizon:
                 return HORIZON_BLOCKED
             space.ept.add(page)
-            record = FaultRecord(FaultKind.PRESENT, page, vnow, end - vnow)
             if write:
                 space.write_anon(page, self._required_value(value))
-            self.stats.records.append(record)
-            return record, end
+            self.stats.log(PRESENT_CODE, page, vnow, end - vnow)
+            return end
 
         if self.uffd is not None:
             registration = self.uffd.lookup(page)
@@ -488,9 +623,8 @@ class FaultHandler:
             space.ept.add(page)
             if write:
                 space.write_anon(page, self._required_value(value))
-            record = FaultRecord(FaultKind.ANON, page, vnow, end - vnow)
-            self.stats.records.append(record)
-            return record, end
+            self.stats.log(ANON_CODE, page, vnow, end - vnow)
+            return end
 
         backing = vma.backing
         file = backing.file
@@ -521,9 +655,8 @@ class FaultHandler:
             space.ept.add(page)
             if write:
                 space.write_anon(page, self._required_value(value))
-            record = FaultRecord(FaultKind.MINOR, page, vnow, end - vnow)
-            self.stats.records.append(record)
-            return record, end
+            self.stats.log(MINOR_CODE, page, vnow, end - vnow)
+            return end
 
         # MAJOR fault. Its service time is computable synchronously
         # when (a) the device would grant a queue slot and the
@@ -558,16 +691,15 @@ class FaultHandler:
         space.install_pte(page, file.page_value(file_page))
         space.ept.add(page)
         self._apply_write(page, write, value)
-        record = FaultRecord(
-            FaultKind.MAJOR,
+        self.stats.log_io(
+            MAJOR_CODE,
             page,
             vnow,
             end - vnow,
             len(plan.reads),
             plan.bytes_total,
         )
-        self.stats.add(record)
-        return record, end
+        return end
 
     def _fast_uffd(
         self,
@@ -614,34 +746,36 @@ class FaultHandler:
         space.install_pte(page, content)
         space.ept.add(page)
         self._apply_write(page, write, value)
-        record = FaultRecord(
-            FaultKind.UFFD, page, vnow, end - vnow, requests, bytes_read
+        self.stats.log_io(
+            UFFD_CODE, page, vnow, end - vnow, requests, bytes_read
         )
-        self.stats.add(record)
-        return record, end
+        return end
 
-    def _mapped_access(
-        self, page: int, write: bool, value: Optional[int], start: float
-    ) -> FaultRecord:
-        """Access to a page the guest already has mapped in EPT."""
+    def mapped_write(
+        self, page: int, value: Optional[int], vnow: float
+    ) -> Optional[float]:
+        """Store to a page the guest already has mapped in EPT, on the
+        caller's virtual clock ``vnow``. A first store to a clean
+        MAP_PRIVATE file page is a copy-on-write break: it is logged,
+        and its end instant returned. Any other store is no fault and
+        returns ``None``."""
+        if not self._store_mapped(page, value):
+            return None
+        params = self.params
+        end = vnow + (params.anon_fault_us + params.cow_copy_us)
+        self.stats.log(COW_CODE, page, vnow, end - vnow)
+        return end
+
+    def _store_mapped(self, page: int, value: Optional[int]) -> bool:
+        """Apply a store to an EPT-mapped page; True when it is the
+        first store to a clean MAP_PRIVATE file page (a CoW break)."""
         space = self.space
-        if not write:
-            return FaultRecord(FaultKind.NONE, page, start, 0.0)
-        if page in space.anon_contents or page in space.image:
-            space.write_anon(page, self._required_value(value))
-            return FaultRecord(FaultKind.NONE, page, start, 0.0)
-        vma = space.resolve(page)
-        if vma is not None and isinstance(vma.backing, FileBacking):
-            # First store to a clean MAP_PRIVATE file page: CoW break.
-            space.write_anon(page, self._required_value(value))
-            return FaultRecord(
-                FaultKind.COW,
-                page,
-                start,
-                self.params.anon_fault_us + self.params.cow_copy_us,
-            )
+        cow = False
+        if page not in space.anon_contents and page not in space.image:
+            vma = space.resolve(page)
+            cow = vma is not None and isinstance(vma.backing, FileBacking)
         space.write_anon(page, self._required_value(value))
-        return FaultRecord(FaultKind.NONE, page, start, 0.0)
+        return cow
 
     def _device_counters(self):
         if self.io_device is None:

@@ -20,10 +20,10 @@ from every layer, namespaced like ``host0.page_cache.hits``:
 **Zero-perturbation invariant.** Instruments never schedule events
 and hot paths never push samples: gauges and pull-counters read live
 state only when collected, and per-fault data is absorbed in one pass
-at invocation end from the :class:`~repro.host.fault.FaultRecord`
-lists the simulation already keeps. A run therefore produces
-bit-identical results with telemetry read or ignored — the golden
-parity tests machine-check this.
+at invocation end from the columnar fault log
+(:class:`~repro.host.fault.FaultStats`) the simulation already keeps.
+A run therefore produces bit-identical results with telemetry read or
+ignored — the golden parity tests machine-check this.
 
 :class:`Sampler` turns gauges into time series by polling them on a
 configurable *virtual-clock* interval; it is the one telemetry piece
@@ -42,10 +42,23 @@ service vs queueing, loader fetch) for drill-down.
 
 from __future__ import annotations
 
+import collections
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from functools import partial, reduce
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.metrics.report import render_table
 from repro.metrics.stats import FIGURE2_EDGES, Histogram
@@ -127,6 +140,16 @@ class HistogramInstrument:
             index = 0
         self.histogram.counts[index] += 1
         self.sum += value
+
+    def observe_all(self, values: Sequence[float]) -> None:
+        """Observe each of ``values`` in order: the same bucket counts
+        and the same running sum, to the bit, as one :meth:`observe`
+        per value."""
+        counts = self.histogram.counts
+        ranks = map(partial(bisect_right, self.histogram.edges), values)
+        for rank, n in collections.Counter(ranks).items():
+            counts[rank - 1 if rank > 0 else 0] += n
+        self.sum = reduce(operator.add, values, self.sum)
 
     @property
     def count(self) -> int:
@@ -544,64 +567,46 @@ class HostTelemetry:
         self.uffd_delegated = counter(f"{root}.uffd.delegated_faults")
         self.invocations = counter(f"{root}.invocations")
         self.record_phases = counter(f"{root}.record_phases")
-        #: FaultKind -> (counter, profiler label), keyed by enum
-        #: identity to skip the DynamicClassAttribute ``.value`` read
-        #: and the label f-string on the per-invocation absorb path.
-        self._fault_counters: Dict[Any, Tuple[Counter, str]] = {}
+        #: Fault-log kind code -> (counter, profiler label), created
+        #: when the kind is first absorbed (an int key: no enum hash).
+        self._fault_counters: Dict[int, Tuple[Counter, str]] = {}
 
-    def absorb_fault_records(self, records) -> None:
-        """Fold one invocation's fault records into the host's
-        counters, fault-time histogram, and profiler components.
+    def absorb_fault_records(self, log) -> None:
+        """Fold one VM's fault log (a
+        :class:`~repro.host.fault.FaultStats`) into the host's counters,
+        fault-time histogram, and profiler components.
 
-        Cache semantics per record: a MINOR fault is a page-cache hit;
-        a MAJOR fault that issued its own block requests is a miss; a
+        Cache semantics per row: a MINOR fault is a page-cache hit; a
+        MAJOR fault that issued its own block requests is a miss; a
         MAJOR fault with none waited on another thread's in-flight
         read (the shared-wait path of paper §6.5/§6.6).
-        """
-        from repro.host.fault import FaultKind
 
+        The fold works on the columns: kind codes key the counters, so
+        no enum is hashed. Each duration is observed in row order,
+        each kind's total is summed in row order, and a kind's counter
+        is created where its first row is, so the result is
+        bit-identical to a fold over the records one at a time.
+        """
+        from repro.host.fault import KINDS, FaultKind
+
+        self.fault_time.observe_all(log.duration_us)
         counters = self._fault_counters
-        observe = self.fault_time.observe
-        none_kind = FaultKind.NONE
-        minor_kind = FaultKind.MINOR
-        major_kind = FaultKind.MAJOR
-        # Batch per kind: one counter bump and one profiler charge per
-        # kind instead of per record. The histogram still observes each
-        # duration individually (bucket counts are order-independent).
-        totals: Dict[FaultKind, List[float]] = {}
-        hits = misses = shared = 0
-        for record in records:
-            kind = record.kind
-            if kind is none_kind:
-                continue
-            duration = record.duration_us
-            observe(duration)
-            agg = totals.get(kind)
-            if agg is None:
-                totals[kind] = [1, duration]
-            else:
-                agg[0] += 1
-                agg[1] += duration
-            if kind is minor_kind:
-                hits += 1
-            elif kind is major_kind:
-                if record.block_requests > 0:
-                    misses += 1
-                else:
-                    shared += 1
-        for kind, (count, total_us) in totals.items():
-            entry = counters.get(kind)
+        for code, count, total_us in log.kind_totals():
+            entry = counters.get(code)
             if entry is None:
-                entry = counters[kind] = (
-                    self.registry.counter(f"{self.root}.fault.{kind.value}"),
-                    f"fault.{kind.value}",
+                value = KINDS[code].value
+                entry = counters[code] = (
+                    self.registry.counter(f"{self.root}.fault.{value}"),
+                    f"fault.{value}",
                 )
             ctr, label = entry
             ctr.value += count
             self.profiler.add(label, total_us, count)
-        self.cache_hits.value += hits
+        majors = log.block_requests(FaultKind.MAJOR)
+        misses = len(majors) - majors.count(0)
+        self.cache_hits.value += log.count(FaultKind.MINOR)
         self.cache_misses.value += misses
-        self.cache_shared_waits.value += shared
+        self.cache_shared_waits.value += len(majors) - misses
 
 
 # -- run report --------------------------------------------------------

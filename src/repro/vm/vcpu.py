@@ -15,13 +15,14 @@ grows — the paper's observation at 64-way parallelism (§6.6).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, List, Optional, Sequence, Union
+from typing import Any, Generator, List, Optional, Sequence
 
 from repro.host.fault import (
     HORIZON_BLOCKED,
     FaultHandler,
     FaultKind,
     FaultRecord,
+    FaultStats,
 )
 from repro.sim import Environment, Event, Resource
 
@@ -57,26 +58,43 @@ class GuestAccess:
 class VCpuResult:
     """Outcome of running one trace.
 
-    ``entries`` holds one item per access of ``trace``: its
-    :class:`FaultRecord`, or — for a read of an EPT-mapped page, which
-    the batched loop handles without allocating anything — the access's
-    start time. :attr:`records` builds the ``NONE`` records for those
-    on first use, so they cost nothing unless someone looks.
+    The faults live in the handler's log (rows ``first_row`` onward);
+    ``logged`` holds one byte per access of ``trace``, 1 when the
+    access logged a row, and ``none_starts`` the start instants of the
+    accesses that did not (reads of EPT-mapped pages and plain stores,
+    which the batched loop handles without allocating anything).
+    :attr:`records` and :attr:`fault_count` are built from these on
+    first use, so they cost nothing unless someone looks.
     """
 
-    __slots__ = ("started_us", "finished_us", "_entries", "_trace", "_records")
+    __slots__ = (
+        "started_us",
+        "finished_us",
+        "_trace",
+        "_log",
+        "_first_row",
+        "_logged",
+        "_none_starts",
+        "_records",
+    )
 
     def __init__(
         self,
         started_us: float,
         finished_us: float,
-        entries: List[Union[FaultRecord, float]],
         trace: Sequence[GuestAccess],
+        log: FaultStats,
+        first_row: int,
+        logged: bytearray,
+        none_starts: List[float],
     ):
         self.started_us = started_us
         self.finished_us = finished_us
-        self._entries = entries
         self._trace = trace
+        self._log = log
+        self._first_row = first_row
+        self._logged = logged
+        self._none_starts = none_starts
         self._records: Optional[List[FaultRecord]] = None
 
     @property
@@ -84,11 +102,13 @@ class VCpuResult:
         """One :class:`FaultRecord` per access, in trace order."""
         if self._records is None:
             none = FaultKind.NONE
+            rows = iter(self._log.records[self._first_row :])
+            starts = iter(self._none_starts)
             self._records = [
-                entry
-                if type(entry) is FaultRecord
-                else FaultRecord(none, access.page, entry, 0.0)
-                for access, entry in zip(self._trace, self._entries)
+                next(rows)
+                if logged
+                else FaultRecord(none, access.page, next(starts), 0.0)
+                for access, logged in zip(self._trace, self._logged)
             ]
         return self._records
 
@@ -98,12 +118,19 @@ class VCpuResult:
 
     @property
     def fault_count(self) -> int:
-        none = FaultKind.NONE
-        return sum(
-            1
-            for entry in self._entries
-            if type(entry) is FaultRecord and entry.kind is not none
-        )
+        return self._logged.count(1)
+
+
+def _note(
+    record: FaultRecord, logged: bytearray, none_starts: List[float]
+) -> None:
+    """Account one event-path access for :class:`VCpuResult`: the
+    handler logged it unless it was no fault."""
+    if record.kind is FaultKind.NONE:
+        logged.append(0)
+        none_starts.append(record.start_us)
+    else:
+        logged.append(1)
 
 
 class VCpu:
@@ -115,8 +142,8 @@ class VCpu:
     clock and the whole run sleeps once via
     :meth:`~repro.sim.Environment.wake_at`, instead of dispatching one
     heap event per page. Service costs are deterministic (paper §3),
-    so every :class:`FaultRecord` and the final clock are bit-identical
-    to the per-event path; only major faults, in-flight-read waits and
+    so every fault-log row and the final clock are bit-identical to the
+    per-event path; only major faults, in-flight-read waits and
     userfaultfd delegations drop back to the event-driven slow path.
     """
 
@@ -144,18 +171,23 @@ class VCpu:
         if self.batch_faults:
             return (yield from self._run_trace_batched(trace, tail_think_us))
         started = self.env.now
-        records: List[FaultRecord] = []
+        log = self.handler.stats
+        first_row = len(log)
+        logged = bytearray()
+        none_starts: List[float] = []
         for access in trace:
             if access.think_us > 0:
                 yield from self._compute(access.think_us)
             record = yield from self.handler.access(
                 access.page, write=access.write, value=access.value
             )
-            records.append(record)
+            _note(record, logged, none_starts)
         if tail_think_us > 0:
             yield from self._compute(tail_think_us)
-        self._count_paths(len(records), slow=len(records))
-        return VCpuResult(started, self.env.now, records, trace)
+        self._count_paths(len(logged), slow=len(logged))
+        return VCpuResult(
+            started, self.env.now, trace, log, first_row, logged, none_starts
+        )
 
     def _count_paths(self, total: int, slow: int) -> None:
         """Attribute this run's accesses to the fast vs event path in
@@ -187,12 +219,17 @@ class VCpu:
         env = self.env
         handler = self.handler
         space = handler.space
+        log = handler.stats
         started = env.now
-        entries: List[Union[FaultRecord, float]] = []
+        first_row = len(log)
+        logged = bytearray()
+        none_starts: List[float] = []
         vnow = started
         horizon = self.observer_horizon
         fast_access = handler.fast_access
-        append = entries.append
+        mapped_write = handler.mapped_write
+        mark = logged.append
+        none_start = none_starts.append
         no_cpu = self.cpu is None
         slow = 0
         # Mutated only in place, so the binding outlives any yield. (The
@@ -208,27 +245,34 @@ class VCpu:
                     yield from self._compute(access.think_us)
                     vnow = env.now
             page = access.page
-            if not access.write and (page in ept or page in space.image):
-                # A read of a mapped page: no fault, no cost. Only its
-                # start time is kept (see VCpuResult).
-                append(vnow)
+            if page in ept or page in space.image:
+                # A mapped page: a read is no fault and no cost; a store
+                # faults only to break copy-on-write.
+                if access.write:
+                    end = mapped_write(page, access.value, vnow)
+                    if end is not None:
+                        vnow = end
+                        mark(1)
+                        continue
+                mark(0)
+                none_start(vnow)
                 continue
             while True:
-                fast = fast_access(
+                end = fast_access(
                     page,
                     access.write,
                     access.value,
                     vnow,
                     horizon.next_at if horizon is not None else INFINITY,
                 )
-                if fast is HORIZON_BLOCKED and vnow > env.now:
+                if end is HORIZON_BLOCKED and vnow > env.now:
                     # An eager install would land at or past the next
                     # observer read. Flush so the observer catches up
                     # (moving its horizon forward), then retry.
                     yield env.wake_at(vnow)
                     continue
                 break
-            if fast is None or fast is HORIZON_BLOCKED:
+            if end is None or end is HORIZON_BLOCKED:
                 if vnow > env.now:
                     yield env.wake_at(vnow)
                 record = yield from handler.access(
@@ -236,9 +280,11 @@ class VCpu:
                 )
                 vnow = env.now
                 slow += 1
+                _note(record, logged, none_starts)
             else:
-                record, vnow = fast
-            append(record)
+                # fast_access logged the fault.
+                vnow = end
+                mark(1)
         if tail_think_us > 0:
             if self.cpu is None:
                 vnow += tail_think_us
@@ -249,8 +295,10 @@ class VCpu:
                 vnow = env.now
         if vnow > env.now:
             yield env.wake_at(vnow)
-        self._count_paths(len(entries), slow)
-        return VCpuResult(started, env.now, entries, trace)
+        self._count_paths(len(logged), slow)
+        return VCpuResult(
+            started, env.now, trace, log, first_row, logged, none_starts
+        )
 
     def _compute(self, think_us: float) -> Generator[Event, Any, None]:
         """Burn CPU time, holding a host CPU slot if one is modelled."""

@@ -6,6 +6,7 @@ benchmarks.
 """
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -67,6 +68,31 @@ def test_invoke_returns_result(platform, fn, policy):
     assert result.function == "tiny"
     assert result.invoke_us > 0
     assert result.total_us >= result.invoke_us
+
+
+@pytest.mark.parametrize("policy", MAIN_POLICIES)
+def test_result_fault_view_matches_records_and_pickles(platform, fn, policy):
+    """The result's fault accessors read the columnar log; each must
+    equal the per-record sum over its record view, and the view must
+    survive a trip through pickle (as between ``--jobs`` workers)."""
+    result = platform.invoke(fn, INPUT_B, policy)
+    records = result.fault_records
+    assert records
+    clone = pickle.loads(pickle.dumps(result))
+    assert clone.fault_records == records
+    assert result.fault_count() == len(records)
+    for kind in FaultKind:
+        assert result.fault_count(kind) == sum(
+            1 for r in records if r.kind is kind
+        )
+    assert result.major_faults == sum(
+        1 for r in records if r.kind is FaultKind.MAJOR
+    )
+    assert result.fault_time_us == sum(r.duration_us for r in records)
+    assert result.fault_block_requests == sum(
+        r.block_requests for r in records
+    )
+    assert result.guest_fault_bytes == sum(r.bytes_read for r in records)
 
 
 def test_warm_is_fastest_and_firecracker_slowest(platform, fn):
