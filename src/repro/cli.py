@@ -36,6 +36,7 @@ Perfetto.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -90,74 +91,53 @@ def _write_output(path: str, text: str, what: str) -> int:
     return 0
 
 
-def _write_trace(tracer, path: str) -> int:
-    return _write_output(
-        path, tracer.to_json(), f"{len(tracer.roots)} trace(s)"
-    )
-
-
-def _write_chrome_trace(tracer, path: str) -> int:
-    from repro.metrics.exporters import to_chrome_trace
-
-    doc = to_chrome_trace(tracer)
-    return _write_output(
-        path,
-        json.dumps(doc, indent=2, sort_keys=True),
-        f"chrome trace ({len(doc['traceEvents'])} events)",
-    )
-
-
-def _write_metrics(registry, path: str, sampler=None, total_us=None) -> int:
-    from repro.metrics.exporters import to_json_doc
-
-    doc = to_json_doc(registry, sampler=sampler, total_us=total_us)
-    return _write_output(
-        path,
-        json.dumps(doc, indent=2, sort_keys=True),
-        f"metrics ({len(doc['counters']) + len(doc['gauges']) + len(doc['histograms'])} instruments)",
-    )
+def _write_json(path: str, doc, what: str) -> int:
+    return _write_output(path, json.dumps(doc, indent=2, sort_keys=True), what)
 
 
 def _emit_run_outputs(
     args: argparse.Namespace, registry, tracer, sampler=None, total_us=None
 ) -> int:
-    """Write whichever of the shared output flags were given."""
+    """Write whichever of the ``--trace-out``, ``--chrome-trace`` and
+    ``--metrics-out`` flags were given."""
+    from repro.metrics.exporters import to_chrome_trace, to_json_doc
+
     status = 0
-    if getattr(args, "trace_out", None) and tracer is not None:
-        status = _write_trace(tracer, args.trace_out) or status
-    if getattr(args, "chrome_trace", None) and tracer is not None:
-        status = _write_chrome_trace(tracer, args.chrome_trace) or status
-    if getattr(args, "metrics_out", None) and registry is not None:
+    if args.trace_out and tracer is not None:
+        status = _write_output(
+            args.trace_out, tracer.to_json(), f"{len(tracer.roots)} trace(s)"
+        )
+    if args.chrome_trace and tracer is not None:
+        doc = to_chrome_trace(tracer)
         status = (
-            _write_metrics(
-                registry, args.metrics_out, sampler=sampler, total_us=total_us
+            _write_json(
+                args.chrome_trace,
+                doc,
+                f"chrome trace ({len(doc['traceEvents'])} events)",
             )
+            or status
+        )
+    if args.metrics_out and registry is not None:
+        doc = to_json_doc(registry, sampler=sampler, total_us=total_us)
+        count = sum(len(doc[k]) for k in ("counters", "gauges", "histograms"))
+        status = (
+            _write_json(args.metrics_out, doc, f"metrics ({count} instruments)")
             or status
         )
     return status
 
 
-def _observability_planes(
-    args: argparse.Namespace, causal: bool = False, slo_config=None
-) -> tuple:
-    """Fresh ``(causal tracer, SLO monitor, flight recorder)`` for one
-    run, each ``None`` unless asked for: ``causal`` and ``slo_config``
-    (a parsed ``--slo`` document) come from the command's own flags,
-    the flight recorder from ``--flight-out``."""
-    tracer = slo = flight = None
-    if causal:
-        from repro.metrics.causal import CausalTracer
+def _recorders(args: argparse.Namespace, causal) -> tuple:
+    """A fresh ``(causal tracer, flight recorder)`` pair for one run:
+    the tracer when ``causal`` is truthy, the recorder when
+    ``--flight-out`` is given, each ``None`` otherwise."""
+    from repro.metrics.causal import CausalTracer
+    from repro.metrics.flight import FlightRecorder
 
-        tracer = CausalTracer()
-    if slo_config is not None:
-        from repro.metrics.slo import SloMonitor
-
-        slo = SloMonitor.from_dict(slo_config)
-    if args.flight_out:
-        from repro.metrics.flight import FlightRecorder
-
-        flight = FlightRecorder()
-    return tracer, slo, flight
+    return (
+        CausalTracer() if causal else None,
+        FlightRecorder() if args.flight_out else None,
+    )
 
 
 def _durability_doc(args: argparse.Namespace) -> Optional[dict]:
@@ -279,9 +259,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         from repro.metrics.exporters import merge_shard_snapshots
 
         merged = merge_shard_snapshots(sink)
-        return _write_output(
+        return _write_json(
             args.metrics_out,
-            json.dumps(merged, indent=2, sort_keys=True),
+            merged,
             f"merged metrics from {merged['shards']} shard(s)",
         )
     if args.metrics_out:
@@ -302,26 +282,24 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.cluster import ClusterConfig, ClusterSimulator
-    from repro.fleet import (
-        CostModel,
-        StartKind,
-        generate_arrivals,
-        synthesize_fleet,
-    )
+    from repro.cluster import ClusterSimulator
+    from repro.fleet import CostModel, StartKind, generate_arrivals
     from repro.fleet.workload import US_PER_HOUR, US_PER_MINUTE
+    from repro.service import cluster_inputs
 
-    fleet = synthesize_fleet(
-        args.functions, seed=args.seed, profile_names=("json", "pyaes")
+    fleet, config = cluster_inputs(
+        {
+            "functions": args.functions,
+            "fleet_seed": args.seed,
+            "hosts": 1,
+            "placement": "round-robin",
+            "policy": args.policy,
+            "ttl_us": args.ttl_minutes * US_PER_MINUTE,
+            "memory_mb": args.memory_gb * 1024,
+        }
     )
     trace = generate_arrivals(fleet, args.hours * US_PER_HOUR, seed=args.seed)
-    policy = Policy(args.policy)
-    config = ClusterConfig(
-        num_hosts=1,
-        restore_policy=policy,
-        keep_alive_ttl_us=args.ttl_minutes * US_PER_MINUTE,
-        memory_budget_mb=args.memory_gb * 1024,
-    )
+    policy = config.restore_policy
     cost_model = CostModel()
     if args.jobs is not None:
         cost_model.precompute(
@@ -349,41 +327,85 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    from repro.cluster import ClusterConfig, ClusterSimulator
-    from repro.faults import DurabilityPolicy
-    from repro.fleet import StartKind, generate_arrivals, synthesize_fleet
-    from repro.fleet.workload import US_PER_HOUR, US_PER_MINUTE
-    from repro.metrics.tracing import Tracer
+def _cluster_spec(args: argparse.Namespace) -> dict:
+    """The service spec of the flags :func:`_add_cluster_args`
+    declares. ``--seed`` seeds the fleet; ``serve`` also makes it the
+    run seed and adds the arrival source."""
+    from repro.fleet.workload import US_PER_MINUTE
 
-    fleet = synthesize_fleet(
-        args.functions, seed=args.seed, profile_names=("json", "pyaes")
-    )
-    trace = generate_arrivals(fleet, args.hours * US_PER_HOUR, seed=args.seed)
-    doc = _durability_doc(args)
-    durability = DurabilityPolicy.from_dict(doc) if doc is not None else None
-    config = ClusterConfig(
-        num_hosts=args.hosts,
-        placement=args.placement,
-        restore_policy=Policy(args.policy),
-        keep_alive_ttl_us=args.ttl_minutes * US_PER_MINUTE,
-        memory_budget_mb=args.memory_gb * 1024,
-        snapshot_tier=args.tier,
-        max_concurrent_per_host=args.max_concurrent,
-        **({"durability": durability} if durability is not None else {}),
-    )
-    tracer = Tracer() if args.trace_out or args.chrome_trace else None
-    sampler_interval_us = (
-        args.sample_interval_ms * 1000.0
-        if args.sample_interval_ms is not None
-        else (100_000.0 if args.metrics_out else None)
-    )
+    return {
+        "functions": args.functions,
+        "fleet_seed": args.seed,
+        "hosts": args.hosts,
+        "placement": args.placement,
+        "policy": args.policy,
+        "tier": args.tier,
+        "ttl_us": args.ttl_minutes * US_PER_MINUTE,
+        "memory_mb": args.memory_gb * 1024,
+        "max_concurrent": args.max_concurrent,
+        "sampler_interval_us": (
+            args.sample_interval_ms * 1000.0
+            if args.sample_interval_ms is not None
+            else None
+        ),
+        "slo": json.loads(args.slo) if args.slo is not None else None,
+        # The raw dicts (not the monitor or the policy) go in the spec
+        # so the journal header stays JSON and replays rebuild them.
+        "durability": _durability_doc(args),
+    }
+
+
+def _write_serving_outputs(
+    args: argparse.Namespace, report, causal=None, slo_doc=None, flight=None
+) -> int:
+    """The ``--report-out``, ``--causal-trace``, SLO status and
+    ``--flight-out`` outputs of ``cluster`` and ``serve``."""
+    from repro.metrics.exporters import fleet_report_doc
+
+    status = 0
+    if args.report_out and report is not None:
+        status = _write_json(
+            args.report_out,
+            fleet_report_doc(report),
+            f"serving report ({report.count()} invocations)",
+        )
+    if args.causal_trace and causal is not None and not status:
+        status = _write_output(
+            args.causal_trace,
+            causal.to_json(),
+            f"causal trace ({len(causal.document()['invocations'])} "
+            "invocations)",
+        )
+    if status:
+        return status
+    if slo_doc is not None:
+        from repro.metrics.slo import render_slo_status
+
+        print(render_slo_status(slo_doc))
+    if flight is not None:
+        return _write_output(
+            args.flight_out,
+            flight.to_json(),
+            f"flight recorder ({len(flight.postmortems)} postmortem(s), "
+            f"{flight.dump_triggers} trigger(s))",
+        )
+    return 0
+
+
+def _cmd_cluster(args: argparse.Namespace) -> int:
+    from repro.fleet import StartKind, generate_arrivals
+    from repro.fleet.workload import US_PER_HOUR
+    from repro.metrics.tracing import Tracer
+    from repro.service import build_service, cluster_inputs
+
+    spec = _cluster_spec(args)
+    if args.sample_interval_ms is None and args.metrics_out:
+        spec["sampler_interval_us"] = 100_000.0
     sharded = args.shards > 0
-    causal, slo, flight = _observability_planes(
-        args,
-        causal=bool(args.causal_trace or (sharded and args.chrome_trace)),
-        slo_config=json.loads(args.slo) if args.slo is not None else None,
+    causal, flight = _recorders(
+        args, args.causal_trace or (sharded and args.chrome_trace)
     )
+    slo_doc = None
     if sharded:
         from repro.cluster import ShardedClusterSimulator
 
@@ -392,13 +414,16 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 "note: --trace-out/--sample-interval-ms are per-heap "
                 "instruments; ignored with --shards"
             )
-        tracer = None
-        if slo is not None or flight is not None:
+        if args.slo is not None or flight is not None:
             print(
                 "note: --slo/--flight-out ride the single-heap serving "
                 "plane; ignored with --shards"
             )
-            slo = flight = None
+            flight = None
+        fleet, config = cluster_inputs(spec)
+        trace = generate_arrivals(
+            fleet, args.hours * US_PER_HOUR, seed=args.seed
+        )
         simulator = ShardedClusterSimulator(
             fleet,
             config,
@@ -407,25 +432,17 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         )
         report = simulator.run(trace, causal=causal)
     else:
-        simulator = ClusterSimulator(fleet, config)
-        report = simulator.run(
-            trace,
-            tracer=tracer,
-            sampler_interval_us=sampler_interval_us,
-            causal=causal,
-            slo=slo,
-            flight=flight,
+        tracer = Tracer() if args.trace_out or args.chrome_trace else None
+        service = build_service(
+            spec, tracer=tracer, causal=causal, flight=flight
         )
-    if args.report_out:
-        from repro.metrics.exporters import fleet_report_doc
-
-        status = _write_output(
-            args.report_out,
-            json.dumps(fleet_report_doc(report), indent=2, sort_keys=True),
-            f"serving report ({report.count()} invocations)",
+        simulator = service.simulator
+        trace = generate_arrivals(
+            simulator.fleet, args.hours * US_PER_HOUR, seed=args.seed
         )
-        if status:
-            return status
+        report = service.run_batch(trace)
+        if service.slo is not None:
+            slo_doc, _ = service.slo_status()
     rows = [
         ["invocations", report.count()],
         ["prep (s)", report.prep_us / 1e6],
@@ -436,7 +453,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         ["cold %", report.fraction(StartKind.COLD) * 100],
         ["evictions", report.evictions],
     ]
-    if durability is not None:
+    if spec["durability"] is not None:
         summary = (
             simulator.durability.summary()
             if getattr(simulator, "durability", None) is not None
@@ -490,85 +507,57 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             title="Per-host breakdown",
         )
     )
-    if causal is not None and args.causal_trace:
-        status = _write_output(
-            args.causal_trace,
-            causal.to_json(),
-            f"causal trace ({len(causal.document()['invocations'])} "
-            "invocations)",
+    status = _write_serving_outputs(args, report, causal, slo_doc, flight)
+    if status:
+        return status
+    if not sharded:
+        return _emit_run_outputs(
+            args,
+            simulator.registry,
+            tracer,
+            sampler=simulator.sampler,
+            total_us=simulator.env.now,
         )
-        if status:
-            return status
-    if slo is not None:
-        from repro.metrics.slo import render_slo_status
+    if args.metrics_out:
+        status = _write_json(
+            args.metrics_out,
+            simulator.merged_metrics,
+            "merged shard telemetry",
+        )
+    if args.chrome_trace and not status:
+        from repro.metrics.exporters import causal_to_chrome_trace
 
-        # Observability time is serving-relative (t=0 at prep end).
-        now = simulator.env.now - simulator._obs_epoch_us
-        print(render_slo_status(slo.status(now)))
-    if flight is not None:
-        status = _write_output(
-            args.flight_out,
-            flight.to_json(),
-            f"flight recorder ({len(flight.postmortems)} postmortem(s), "
-            f"{flight.dump_triggers} trigger(s))",
+        status = _write_json(
+            args.chrome_trace,
+            causal_to_chrome_trace(causal.document()),
+            "Chrome trace (causal events)",
         )
-        if status:
-            return status
-    if sharded:
-        if args.metrics_out:
-            status = _write_output(
-                args.metrics_out,
-                json.dumps(
-                    simulator.merged_metrics, indent=2, sort_keys=True
-                ),
-                "merged shard telemetry",
-            )
-            if status:
-                return status
-        if args.chrome_trace:
-            from repro.metrics.exporters import causal_to_chrome_trace
-
-            status = _write_output(
-                args.chrome_trace,
-                json.dumps(
-                    causal_to_chrome_trace(causal.document()),
-                    indent=2,
-                    sort_keys=True,
-                ),
-                "Chrome trace (causal events)",
-            )
-            if status:
-                return status
-        print(
-            f"sharded: {simulator.shards} shard(s), "
-            f"{simulator.windows_run} window(s) of "
-            f"{simulator.window_us / 1000:g} ms"
-        )
-        return 0
-    return _emit_run_outputs(
-        args,
-        simulator.registry,
-        tracer,
-        sampler=simulator.sampler,
-        total_us=simulator.env.now,
+    if status:
+        return status
+    print(
+        f"sharded: {simulator.shards} shard(s), "
+        f"{simulator.windows_run} window(s) of "
+        f"{simulator.window_us / 1000:g} ms"
     )
+    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.fleet.workload import US_PER_MINUTE, JsonLinesArrivalSource
+    from repro.fleet.workload import JsonLinesArrivalSource
     from repro.service import (
-        CommandError,
-        DrainCommand,
         JournalWriter,
         ServiceError,
         StatusCommand,
         build_service,
-        parse_command,
         replay_journal,
     )
 
     if args.replay:
-        outcome = replay_journal(args.replay)
+        try:
+            outcome = replay_journal(args.replay)
+        except (ServiceError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         if outcome.ok:
             print(
                 f"replay OK: {outcome.entries} command(s), "
@@ -587,67 +576,73 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
         return 1
 
-    interactive = args.script is None
-    if args.arrivals == "-" and interactive:
+    if args.arrivals == "-" and args.script is None:
         print(
             "error: --arrivals - (stdin) requires --script "
             "(the REPL reads commands from stdin)",
             file=sys.stderr,
         )
         return 2
-    arrival_source = None
-    if args.arrivals == "poisson":
-        source_stanza = {"kind": "poisson", "seed": args.seed}
-    elif args.arrivals == "none":
-        source_stanza = {"kind": "none"}
-    elif args.arrivals == "-":
-        source_stanza = {"kind": "external"}
-        arrival_source = JsonLinesArrivalSource(sys.stdin)
-    else:
-        source_stanza = {"kind": "external"}
-        arrival_source = JsonLinesArrivalSource(
-            open(args.arrivals, "r", encoding="utf-8")
-        )
-    spec = {
-        "functions": args.functions,
-        "fleet_seed": args.seed,
-        "hosts": args.hosts,
-        "placement": args.placement,
-        "policy": args.policy,
-        "tier": args.tier,
-        "ttl_us": args.ttl_minutes * US_PER_MINUTE,
-        "memory_mb": args.memory_gb * 1024,
-        "max_concurrent": args.max_concurrent,
-        "seed": args.seed,
-        "sampler_interval_us": (
-            args.sample_interval_ms * 1000.0
-            if args.sample_interval_ms is not None
-            else None
-        ),
-        "source": source_stanza,
-        "slo": json.loads(args.slo) if args.slo is not None else None,
-        # The raw dicts (not the monitor or the policy) go in the spec
-        # so the journal header stays JSON and replays rebuild them.
-        "durability": _durability_doc(args),
-    }
-    causal, _, flight = _observability_planes(
-        args, causal=bool(args.causal_trace)
-    )
+    spec = _cluster_spec(args)
+    spec["seed"] = args.seed
+    causal, flight = _recorders(args, args.causal_trace)
     journal = JournalWriter(args.journal) if args.journal else None
-    service = build_service(
-        spec,
-        arrival_source=arrival_source,
-        journal=journal,
-        causal=causal,
-        flight=flight,
+    with contextlib.ExitStack() as stack:
+        arrival_source = None
+        if args.arrivals == "poisson":
+            spec["source"] = {"kind": "poisson", "seed": args.seed}
+        elif args.arrivals == "none":
+            spec["source"] = {"kind": "none"}
+        else:
+            spec["source"] = {"kind": "external"}
+            arrival_source = JsonLinesArrivalSource(
+                sys.stdin
+                if args.arrivals == "-"
+                else stack.enter_context(
+                    open(args.arrivals, "r", encoding="utf-8")
+                )
+            )
+        service = build_service(
+            spec,
+            arrival_source=arrival_source,
+            journal=journal,
+            causal=causal,
+            flight=flight,
+        )
+        status = _serve_session(service, args.script)
+    if journal is not None:
+        journal.close()
+    report = service.report
+    if report is not None:
+        print(
+            f"served {len(report.served)} invocation(s), "
+            f"mean latency {report.mean_latency_us() / 1000:.2f} ms, "
+            f"final state {json.dumps(service.execute(StatusCommand()), sort_keys=True, default=str)}"
+        )
+    slo_doc = service.slo_status()[0] if service.slo is not None else None
+    return (
+        _write_serving_outputs(args, report, causal, slo_doc, flight)
+        or status
     )
 
-    if interactive:
+
+def _serve_session(service, script: Optional[str]) -> int:
+    """Execute a script's commands, or the REPL's without one, then
+    drain unless a command already did. A bad script line stops the
+    session with status 2 and no drain; the REPL reports it and reads
+    on."""
+    from repro.service import (
+        CommandError,
+        DrainCommand,
+        ServiceError,
+        parse_command,
+    )
+
+    if script is None:
         lines = _repl_lines()
     else:
-        with open(args.script, "r", encoding="utf-8") as fh:
+        with open(script, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    status = 0
     for line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
@@ -657,70 +652,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             result = service.execute(command)
         except (CommandError, ServiceError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
-            if not interactive:
-                status = 2
-                break
+            if script is not None:
+                return 2
             continue
         print(json.dumps(result, sort_keys=True, default=str))
         if isinstance(command, DrainCommand):
             break
-    if status == 0 and service.report is None:
+    if service.report is None:
         # Stream ended without an explicit drain: serve out what is
         # pending so the run always produces a complete report.
         service.execute(DrainCommand())
-    if journal is not None:
-        journal.close()
-    if service.report is not None:
-        report = service.report
-        print(
-            f"served {len(report.served)} invocation(s), "
-            f"mean latency {report.mean_latency_us() / 1000:.2f} ms, "
-            f"final state {json.dumps(service.execute(StatusCommand()), sort_keys=True, default=str)}"
-        )
-        if args.report_out:
-            from repro.metrics.exporters import fleet_report_doc
-
-            written = _write_output(
-                args.report_out,
-                json.dumps(fleet_report_doc(report), indent=2, sort_keys=True),
-                f"serving report ({len(report.served)} invocations)",
-            )
-            if written:
-                return written
-    if causal is not None:
-        written = _write_output(
-            args.causal_trace,
-            causal.to_json(),
-            f"causal trace ({len(causal.document()['invocations'])} "
-            f"invocations)",
-        )
-        if written:
-            return written
-    if service.slo is not None:
-        from repro.metrics.slo import render_slo_status
-
-        doc, _ = service.slo_status()
-        print(render_slo_status(doc))
-    if flight is not None:
-        written = _write_output(
-            args.flight_out,
-            flight.to_json(),
-            f"flight recorder ({len(flight.postmortems)} postmortem(s), "
-            f"{flight.dump_triggers} trigger(s))",
-        )
-        if written:
-            return written
-    return status
+    return 0
 
 
 def _repl_lines():
     """Prompted line iterator for the interactive serve REPL."""
+    from repro.service.commands import command_help
+
     print(
-        "live cluster service — commands: advance MS | inject T:FN... | "
-        "add-host | drain-host H | undrain-host H | swap-placement P | "
-        "arm JSON | disarm | set-keepalive MS | snapshot-telemetry | "
-        "set-slo JSON | slo-status | scrub | durability-status | "
-        "status | drain (^D quits, draining first)",
+        "live cluster service — commands (^D quits, draining first):",
+        *("  " + line for line in command_help()),
+        sep="\n",
         file=sys.stderr,
     )
     while True:
@@ -733,6 +685,7 @@ def _repl_lines():
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults import DISABLED_RECOVERY
     from repro.faults.chaos import SCENARIO_NAMES, run_chaos
+    from repro.metrics.slo import SloMonitor
 
     names = (
         list(SCENARIO_NAMES) if args.scenario == "all" else [args.scenario]
@@ -748,7 +701,12 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     flight_docs = {}
     alerts_fired = 0
     for name in names:
-        _, slo, flight = _observability_planes(args, slo_config=slo_config)
+        slo = (
+            SloMonitor.from_dict(slo_config)
+            if slo_config is not None
+            else None
+        )
+        _, flight = _recorders(args, causal=False)
         report = run_chaos(
             name,
             num_hosts=args.hosts,
@@ -809,9 +767,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             else flight_docs
         )
         status = (
-            _write_output(
+            _write_json(
                 args.flight_out,
-                json.dumps(doc, indent=2, sort_keys=True),
+                doc,
                 f"flight recorder ({len(flight_docs)} drill(s))",
             )
             or status
@@ -823,9 +781,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             else [r.as_dict() for r in reports]
         )
         status = (
-            _write_output(
+            _write_json(
                 args.report_out,
-                json.dumps(doc, indent=2, sort_keys=True),
+                doc,
                 f"chaos report ({len(reports)} drill(s))",
             )
             or status
@@ -891,12 +849,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     invoke = sub.add_parser("invoke", help="invoke one function")
     _add_invocation_args(invoke, default_policy="all")
-    invoke.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="FILE",
-        help="write Zipkin-flavoured JSON spans of each invocation",
-    )
     _add_telemetry_outputs(invoke)
     invoke.set_defaults(handler=_cmd_invoke)
 
@@ -957,42 +909,8 @@ def build_parser() -> argparse.ArgumentParser:
         "cluster",
         help="contention-aware multi-host serving (page-level restores)",
     )
-    from repro.cluster.placement import PLACEMENT_NAMES
-    from repro.cluster.scheduler import SNAPSHOT_TIERS, TIER_LOCAL_NVME
-
-    cluster.add_argument("--functions", type=int, default=12)
+    _add_cluster_args(cluster, functions=12, hosts=4)
     cluster.add_argument("--hours", type=float, default=0.5)
-    cluster.add_argument("--hosts", type=int, default=4)
-    cluster.add_argument(
-        "--placement", default="least-loaded", choices=PLACEMENT_NAMES
-    )
-    cluster.add_argument(
-        "--tier", default=TIER_LOCAL_NVME, choices=SNAPSHOT_TIERS
-    )
-    cluster.add_argument("--ttl-minutes", type=float, default=15.0)
-    cluster.add_argument("--memory-gb", type=float, default=8.0)
-    cluster.add_argument(
-        "--max-concurrent",
-        type=int,
-        default=None,
-        metavar="N",
-        help="admission limit per host (default: unlimited)",
-    )
-    cluster.add_argument(
-        "--policy",
-        default=Policy.FAASNAP.value,
-        choices=[p.value for p in Policy],
-    )
-    cluster.add_argument("--seed", type=int, default=1)
-    cluster.add_argument(
-        "--durability",
-        default=None,
-        metavar="JSON",
-        help="enable the snapshot durability subsystem "
-        "(DurabilityPolicy JSON, e.g. '{\"enabled\": true, "
-        "\"replicas\": 2}'; '{}' enables verified restores with "
-        "the defaults)",
-    )
     cluster.add_argument(
         "--shards",
         type=int,
@@ -1009,51 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="MS",
         help="synchronization window for --shards (default: 250)",
     )
-    cluster.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="FILE",
-        help="write Zipkin-flavoured JSON spans (tagged per host)",
-    )
     _add_telemetry_outputs(cluster)
-    cluster.add_argument(
-        "--sample-interval-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="virtual-time gauge sampling cadence (default: 100 ms "
-        "when --metrics-out is given, otherwise off)",
-    )
-    cluster.add_argument(
-        "--report-out",
-        default=None,
-        metavar="FILE",
-        help="write every served invocation (with outcome and attempt "
-        "count) plus the availability summary as JSON",
-    )
-    cluster.add_argument(
-        "--causal-trace",
-        default=None,
-        metavar="FILE",
-        help="write the merged end-to-end causal trace (one event "
-        "story per invocation; byte-identical for any --shards count)",
-    )
-    cluster.add_argument(
-        "--slo",
-        default=None,
-        metavar="JSON",
-        help="attach an SLO monitor and print burn-rate status after "
-        "the run ('{}' for the default objectives/rules; single-heap "
-        "path only)",
-    )
-    cluster.add_argument(
-        "--flight-out",
-        default=None,
-        metavar="FILE",
-        help="arm the flight recorder and write its postmortem "
-        "document (ring-buffer dumps on failure/crash/burn alerts; "
-        "single-heap path only)",
-    )
     cluster.set_defaults(handler=_cmd_cluster)
 
     serve = sub.add_parser(
@@ -1061,29 +935,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="live service mode: drive the cluster with a journaled "
         "command stream (script file or interactive REPL)",
     )
-    serve.add_argument("--functions", type=int, default=8)
-    serve.add_argument("--hosts", type=int, default=2)
-    serve.add_argument(
-        "--placement", default="least-loaded", choices=PLACEMENT_NAMES
-    )
-    serve.add_argument(
-        "--tier", default=TIER_LOCAL_NVME, choices=SNAPSHOT_TIERS
-    )
-    serve.add_argument("--ttl-minutes", type=float, default=15.0)
-    serve.add_argument("--memory-gb", type=float, default=8.0)
-    serve.add_argument(
-        "--max-concurrent",
-        type=int,
-        default=None,
-        metavar="N",
-        help="admission limit per host (default: unlimited)",
-    )
-    serve.add_argument(
-        "--policy",
-        default=Policy.FAASNAP.value,
-        choices=[p.value for p in Policy],
-    )
-    serve.add_argument("--seed", type=int, default=1)
+    _add_cluster_args(serve, functions=8, hosts=2)
     serve.add_argument(
         "--arrivals",
         default="poisson",
@@ -1115,50 +967,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-execute a journal and verify every digest is "
         "bit-identical (exit non-zero on any mismatch); all other "
         "flags are ignored — the journal header pins the topology",
-    )
-    serve.add_argument(
-        "--sample-interval-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="virtual-time gauge sampling cadence (default: off)",
-    )
-    serve.add_argument(
-        "--report-out",
-        default=None,
-        metavar="FILE",
-        help="write the final serving report as JSON after drain",
-    )
-    serve.add_argument(
-        "--slo",
-        default=None,
-        metavar="JSON",
-        help="install an SLO monitor at build time ('{}' for the "
-        "defaults; recorded in the journal spec, so replays rebuild "
-        "it); inspect with the slo-status command",
-    )
-    serve.add_argument(
-        "--durability",
-        default=None,
-        metavar="JSON",
-        help="arm the snapshot durability plane ('{}' for verified "
-        "restores with the defaults; recorded in the journal spec, so "
-        "replays rebuild it); inspect with durability-status, sweep "
-        "with scrub",
-    )
-    serve.add_argument(
-        "--causal-trace",
-        default=None,
-        metavar="FILE",
-        help="record end-to-end causal traces and write the merged "
-        "document after the run",
-    )
-    serve.add_argument(
-        "--flight-out",
-        default=None,
-        metavar="FILE",
-        help="arm the flight recorder and write its postmortem "
-        "document after the run",
     )
     serve.set_defaults(handler=_cmd_serve)
 
@@ -1256,12 +1064,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="hot components shown in the report (default 12)",
     )
-    telemetry.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="FILE",
-        help="write Zipkin-flavoured JSON spans of each invocation",
-    )
     _add_telemetry_outputs(telemetry)
     telemetry.add_argument(
         "--prometheus-out",
@@ -1294,8 +1096,95 @@ def _add_invocation_args(
     parser.add_argument("--remote", action="store_true", help="EBS storage")
 
 
+def _add_cluster_args(
+    parser: argparse.ArgumentParser, functions: int, hosts: int
+) -> None:
+    """The topology and serving-plane flags ``cluster`` and ``serve``
+    share; :func:`_cluster_spec` turns them into a service spec."""
+    from repro.cluster.placement import PLACEMENT_NAMES
+    from repro.cluster.scheduler import SNAPSHOT_TIERS, TIER_LOCAL_NVME
+
+    parser.add_argument("--functions", type=int, default=functions)
+    parser.add_argument("--hosts", type=int, default=hosts)
+    parser.add_argument(
+        "--placement", default="least-loaded", choices=PLACEMENT_NAMES
+    )
+    parser.add_argument(
+        "--tier", default=TIER_LOCAL_NVME, choices=SNAPSHOT_TIERS
+    )
+    parser.add_argument("--ttl-minutes", type=float, default=15.0)
+    parser.add_argument("--memory-gb", type=float, default=8.0)
+    parser.add_argument(
+        "--max-concurrent",
+        type=int,
+        default=None,
+        metavar="N",
+        help="admission limit per host (default: unlimited)",
+    )
+    parser.add_argument(
+        "--policy",
+        default=Policy.FAASNAP.value,
+        choices=[p.value for p in Policy],
+    )
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument(
+        "--durability",
+        default=None,
+        metavar="JSON",
+        help="enable the snapshot durability plane (DurabilityPolicy "
+        "JSON, e.g. '{\"replicas\": 2}'; '{}' enables verified "
+        "restores with the defaults)",
+    )
+    parser.add_argument(
+        "--sample-interval-ms",
+        type=float,
+        default=None,
+        metavar="MS",
+        help="virtual-time gauge sampling cadence (default: off; "
+        "cluster --metrics-out samples every 100 ms)",
+    )
+    parser.add_argument(
+        "--report-out",
+        default=None,
+        metavar="FILE",
+        help="write every served invocation (with outcome and attempt "
+        "count) plus the availability summary as JSON",
+    )
+    parser.add_argument(
+        "--causal-trace",
+        default=None,
+        metavar="FILE",
+        help="write the merged end-to-end causal trace (one event "
+        "story per invocation; byte-identical for any --shards count)",
+    )
+    parser.add_argument(
+        "--slo",
+        default=None,
+        metavar="JSON",
+        help="attach an SLO monitor and print its burn-rate status "
+        "after the run ('{}' for the default objectives and rules; "
+        "single-heap path only)",
+    )
+    parser.add_argument(
+        "--flight-out",
+        default=None,
+        metavar="FILE",
+        help="arm the flight recorder and write its postmortem "
+        "document (ring-buffer dumps on failure, crash and burn "
+        "alerts; single-heap path only)",
+    )
+
+
 def _add_telemetry_outputs(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--metrics-out`` / ``--chrome-trace`` flags."""
+    """The shared ``--trace-out`` / ``--metrics-out`` /
+    ``--chrome-trace`` flags."""
+    parser.add_argument(
+        "--trace-out",
+        default=None,
+        metavar="FILE",
+        help="write Zipkin-flavoured JSON spans (one root per "
+        "invocation, tagged per host)",
+    )
     parser.add_argument(
         "--metrics-out",
         default=None,

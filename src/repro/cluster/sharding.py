@@ -98,7 +98,7 @@ import heapq
 import multiprocessing
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.placement import (
     CountingPlacement,
@@ -590,42 +590,22 @@ class _ShardHostSim(ClusterSimulator):
                 yield env.timeout(backoff)
 
 
-def _build_host_sims(
-    fleet, config: ClusterConfig, host_indices: Sequence[int]
-) -> List[_ShardHostSim]:
-    return [_ShardHostSim(fleet, config, i) for i in host_indices]
-
-
 def _shard_worker_main(conn, fleet, config, host_indices, armed, plan, causal):
-    """Worker process: owns one shard's host sims, executes router
-    commands from the pipe until told to stop. Module-level (and all
-    arguments picklable) so the ``spawn`` start method works too."""
+    """Worker process: serves one shard's host group through a
+    :class:`_SerialBackend`, executing the router's ``begin``,
+    ``window`` and ``finalize`` messages from the pipe until told to
+    stop. Module-level (and all arguments picklable) so the ``spawn``
+    start method works too."""
     try:
-        sims = _build_host_sims(fleet, config, host_indices)
+        backend = _SerialBackend(
+            fleet, config, armed, plan, causal, host_indices
+        )
         while True:
-            msg = conn.recv()
-            cmd = msg[0]
-            if cmd == "begin":
-                conn.send(
-                    {
-                        s.host_index: s.begin(plan, armed, causal)
-                        for s in sims
-                    }
-                )
-            elif cmd == "window":
-                _, until_us, updates, dispatches = msg
-                out = {}
-                for s in sims:
-                    s.apply_updates(updates.get(s.host_index, {}))
-                    for d in dispatches.get(s.host_index, ()):
-                        s.submit(d)
-                    out[s.host_index] = s.advance_window(until_us)
-                conn.send(out)
-            elif cmd == "finalize":
-                conn.send({s.host_index: s.finalize() for s in sims})
-            elif cmd == "stop":
+            cmd, *args = conn.recv()
+            if cmd == "stop":
                 conn.close()
                 return
+            conn.send(getattr(backend, cmd)(*args))
     except BaseException:
         try:
             conn.send({"__error__": traceback.format_exc()})
@@ -634,15 +614,18 @@ def _shard_worker_main(conn, fleet, config, host_indices, armed, plan, causal):
 
 
 class _SerialBackend:
-    """``shards=1``: the identical protocol, executed in-process.
-    Every host still has its own environment and digests — the router
-    cannot tell the backends apart, which is the determinism
-    argument in one sentence."""
+    """``shards=1``: the identical protocol, executed in-process over
+    every host (and, inside each ``shards>1`` worker, over that
+    shard's host group). Every host still has its own environment and
+    digests — the router cannot tell the backends apart, which is the
+    determinism argument in one sentence."""
 
-    def __init__(self, fleet, config, armed, plan, causal=False):
-        self._sims = _build_host_sims(
-            fleet, config, range(config.num_hosts)
-        )
+    def __init__(
+        self, fleet, config, armed, plan, causal=False, host_indices=None
+    ):
+        if host_indices is None:
+            host_indices = range(config.num_hosts)
+        self._sims = [_ShardHostSim(fleet, config, i) for i in host_indices]
         self._armed = armed
         self._plan = plan
         self._causal = causal

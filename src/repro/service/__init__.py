@@ -8,7 +8,12 @@ advanced simulation, consumes arrivals from a streaming
 :class:`~repro.fleet.workload.ArrivalSource` instead of an in-memory
 trace, and executes a typed command stream — advance virtual time,
 inject arrivals, grow/drain hosts, hot-swap placement, arm/disarm
-fault plans, retune keep-alive, snapshot telemetry deltas.
+fault plans, retune keep-alive, snapshot telemetry deltas; each
+command is declared once, in :data:`~repro.service.commands.COMMANDS`.
+:func:`~repro.service.core.build_service` builds a service from a
+spec dict, and :func:`~repro.service.core.cluster_inputs` turns the
+same spec into the fleet and ``ClusterConfig`` — ``repro cluster``,
+``repro serve`` and ``repro fleet`` all configure the cluster there.
 
 Every state-changing command is logged to a JSON-lines *journal*
 (:mod:`~repro.service.journal`) carrying a digest of simulation state
@@ -23,6 +28,7 @@ interactive REPL; see ``docs/service.md`` for the operator cookbook.
 """
 
 from repro.service.commands import (
+    COMMANDS,
     AddHostCommand,
     AdvanceCommand,
     ArmCommand,
@@ -31,7 +37,9 @@ from repro.service.commands import (
     DisarmCommand,
     DrainCommand,
     DrainHostCommand,
+    DurabilityStatusCommand,
     InjectCommand,
+    ScrubCommand,
     SetKeepaliveCommand,
     SetSloCommand,
     SloStatusCommand,
@@ -46,6 +54,7 @@ from repro.service.core import (
     ClusterService,
     ServiceError,
     build_service,
+    cluster_inputs,
     normalize_spec,
     replay_journal,
 )
@@ -57,6 +66,7 @@ from repro.service.journal import (
 )
 
 __all__ = [
+    "COMMANDS",
     "AddHostCommand",
     "AdvanceCommand",
     "ArmCommand",
@@ -66,10 +76,12 @@ __all__ = [
     "DisarmCommand",
     "DrainCommand",
     "DrainHostCommand",
+    "DurabilityStatusCommand",
     "InjectCommand",
     "JOURNAL_SCHEMA",
     "JournalError",
     "JournalWriter",
+    "ScrubCommand",
     "ServiceError",
     "SetKeepaliveCommand",
     "SetSloCommand",
@@ -79,6 +91,7 @@ __all__ = [
     "SwapPlacementCommand",
     "UndrainHostCommand",
     "build_service",
+    "cluster_inputs",
     "command_from_dict",
     "normalize_spec",
     "parse_command",

@@ -6,32 +6,24 @@ one-line text form (:func:`parse_command`) used by ``repro serve``
 scripts and the REPL. The two forms are interconvertible; the journal
 always stores the dict form.
 
-Text grammar (one command per line; blank lines and ``#`` comments
-are skipped by the CLI)::
-
-    advance MS                     # advance virtual time by MS milliseconds
-    inject T_US:FN [T_US:FN ...]   # enqueue arrivals at epoch-relative T_US
-    add-host                       # grow the cluster by one host
-    drain-host HOST                # take HOST out of rotation, evict idle VMs
-    undrain-host HOST              # return HOST to rotation
-    swap-placement NAME            # hot-swap the placement policy
-    arm JSON                       # arm a fault plan (FaultPlan.as_dict JSON)
-    disarm                         # cancel armed faults, heal degradations
-    set-keepalive MS               # retune the keep-alive TTL
-    snapshot-telemetry             # emit a telemetry delta, pin its digest
-    set-slo JSON                   # install SLO objectives + burn-rate rules
-    slo-status                     # evaluate the SLO monitor, pin its digest
-    scrub                          # force a full durability scrub pass now
-    durability-status              # replica/corruption state, pin its digest
-    status                         # read-only state probe (not journaled)
-    drain                          # stop intake, serve out, finish the run
+:data:`COMMANDS` declares every command once: its text syntax and
+help line, its argument's wire key, the coercer that validates that
+argument (run by the constructor, so every path into a command checks
+it the same way), the parser of its text form, and whether it is
+allowed after drain. The text grammar is one command per line; blank
+lines and ``#`` comments are skipped by the CLI, whose REPL prints
+:func:`command_help`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+
+from repro.faults.plan import FaultPlan
+from repro.metrics.slo import SloMonitor
 
 
 class CommandError(ValueError):
@@ -40,18 +32,28 @@ class CommandError(ValueError):
 
 @dataclass(frozen=True)
 class Command:
-    """Base class; subclasses set ``name`` and override ``args_dict``."""
+    """Base class; subclasses set ``name`` and are declared in
+    :data:`COMMANDS`."""
 
     name = "abstract"
 
-    def args_dict(self) -> Dict[str, Any]:
-        return {}
+    def __post_init__(self):
+        spec = COMMANDS[self.name]
+        if spec.key is None:
+            return
+        try:
+            value = spec.coerce(getattr(self, spec.key))
+        except CommandError as exc:
+            raise CommandError(
+                f"bad arguments for {self.name!r}: {exc}"
+            ) from None
+        object.__setattr__(self, spec.key, value)
 
     def to_dict(self) -> Dict[str, Any]:
+        spec = COMMANDS[self.name]
         doc: Dict[str, Any] = {"cmd": self.name}
-        args = self.args_dict()
-        if args:
-            doc["args"] = args
+        if spec.key is not None:
+            doc["args"] = {spec.key: spec.wire(getattr(self, spec.key))}
         return doc
 
 
@@ -62,13 +64,6 @@ class AdvanceCommand(Command):
 
     ms: float = 0.0
     name = "advance"
-
-    def __post_init__(self):
-        if self.ms < 0:
-            raise CommandError("advance duration must be >= 0")
-
-    def args_dict(self) -> Dict[str, Any]:
-        return {"ms": self.ms}
 
 
 @dataclass(frozen=True)
@@ -86,9 +81,6 @@ class InjectCommand(Command):
             arrivals=tuple((a.time_us, a.function) for a in arrivals)
         )
 
-    def args_dict(self) -> Dict[str, Any]:
-        return {"arrivals": [[t, fn] for t, fn in self.arrivals]}
-
 
 @dataclass(frozen=True)
 class AddHostCommand(Command):
@@ -100,26 +92,17 @@ class DrainHostCommand(Command):
     host: str = ""
     name = "drain-host"
 
-    def args_dict(self) -> Dict[str, Any]:
-        return {"host": self.host}
-
 
 @dataclass(frozen=True)
 class UndrainHostCommand(Command):
     host: str = ""
     name = "undrain-host"
 
-    def args_dict(self) -> Dict[str, Any]:
-        return {"host": self.host}
-
 
 @dataclass(frozen=True)
 class SwapPlacementCommand(Command):
     policy: str = ""
     name = "swap-placement"
-
-    def args_dict(self) -> Dict[str, Any]:
-        return {"policy": self.policy}
 
 
 @dataclass(frozen=True)
@@ -135,9 +118,6 @@ class ArmCommand(Command):
     # commands are values, never dict keys.
     __hash__ = None  # type: ignore[assignment]
 
-    def args_dict(self) -> Dict[str, Any]:
-        return {"plan": self.plan}
-
 
 @dataclass(frozen=True)
 class DisarmCommand(Command):
@@ -148,13 +128,6 @@ class DisarmCommand(Command):
 class SetKeepaliveCommand(Command):
     ttl_ms: float = 0.0
     name = "set-keepalive"
-
-    def __post_init__(self):
-        if self.ttl_ms < 0:
-            raise CommandError("keep-alive TTL must be >= 0")
-
-    def args_dict(self) -> Dict[str, Any]:
-        return {"ttl_ms": self.ttl_ms}
 
 
 @dataclass(frozen=True)
@@ -176,9 +149,6 @@ class SetSloCommand(Command):
     # ``config`` is a dict, so frozen-dataclass hashing is off the
     # table; commands are values, never dict keys.
     __hash__ = None  # type: ignore[assignment]
-
-    def args_dict(self) -> Dict[str, Any]:
-        return {"config": self.config}
 
 
 @dataclass(frozen=True)
@@ -218,125 +188,198 @@ class DrainCommand(Command):
     name = "drain"
 
 
-COMMAND_TYPES: Dict[str, Type[Command]] = {
-    cls.name: cls
-    for cls in (
-        AdvanceCommand,
-        InjectCommand,
-        AddHostCommand,
-        DrainHostCommand,
-        UndrainHostCommand,
-        SwapPlacementCommand,
-        ArmCommand,
-        DisarmCommand,
-        SetKeepaliveCommand,
-        SnapshotTelemetryCommand,
-        SetSloCommand,
-        SloStatusCommand,
-        ScrubCommand,
-        DurabilityStatusCommand,
-        StatusCommand,
-        DrainCommand,
+# -- argument coercers and text parsers --------------------------------
+
+
+def _finite(value) -> float:
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
+        raise CommandError(f"expected a finite number, got {value!r}")
+    return value
+
+
+def _duration(value) -> float:
+    if _finite(value) < 0:
+        raise CommandError(f"expected a duration >= 0, got {value!r}")
+    return value
+
+
+def _name(value) -> str:
+    if not isinstance(value, str) or not value:
+        raise CommandError(f"expected a non-empty name, got {value!r}")
+    return value
+
+
+def _arrivals(value) -> Tuple[Tuple[float, str], ...]:
+    if not isinstance(value, (list, tuple)):
+        raise CommandError(f"expected a list of arrivals, got {value!r}")
+    arrivals = []
+    for item in value:
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
+            raise CommandError(
+                f"an arrival is a [T_US, FN] pair, got {item!r}"
+            )
+        arrivals.append((_finite(item[0]), _name(item[1])))
+    return tuple(arrivals)
+
+
+def _document(loader: Callable[[Dict[str, Any]], Any]):
+    """Coercer of a JSON-object argument that ``loader`` must accept."""
+
+    def coerce(value) -> Dict[str, Any]:
+        if not isinstance(value, dict):
+            raise CommandError(f"expected a JSON object, got {value!r}")
+        try:
+            loader(value)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise CommandError(
+                f"rejected by {loader.__qualname__}: {exc!r}"
+            ) from None
+        return dict(value)
+
+    return coerce
+
+
+def _arrival_tokens(text: str) -> List[List[Any]]:
+    arrivals = []
+    for token in text.split():
+        time_text, sep, fn = token.partition(":")
+        if not sep or not fn:
+            raise CommandError(f"expected T_US:FN tokens, got {token!r}")
+        arrivals.append([float(time_text), fn])
+    if not arrivals:
+        raise CommandError("expected at least one T_US:FN token")
+    return arrivals
+
+
+@dataclass(frozen=True)
+class CommandSpec:
+    """One command's row in :data:`COMMANDS`. ``key`` is the wire key
+    of its one argument (also the dataclass field), ``coerce``
+    validates that argument and ``parse`` reads it from the text
+    form; ``wire`` writes it to the dict form. ``after_drain``
+    commands still run on a drained service; ``starts_run`` commands
+    finish the prep epoch before executing."""
+
+    cls: Type[Command]
+    syntax: str
+    help: str
+    key: Optional[str] = None
+    coerce: Callable[[Any], Any] = _name
+    parse: Callable[[str], Any] = str
+    wire: Callable[[Any], Any] = lambda value: value
+    after_drain: bool = False
+    starts_run: bool = True
+
+    @property
+    def name(self) -> str:
+        return self.cls.name
+
+    @property
+    def handler(self) -> str:
+        """The :class:`~repro.service.core.ClusterService` method that
+        executes the command."""
+        return "_on_" + self.name.replace("-", "_")
+
+
+COMMANDS: Dict[str, CommandSpec] = {
+    spec.name: spec
+    for spec in (
+        # class, syntax, help; then the argument's wire key, coercer
+        # and text parser
+        CommandSpec(AdvanceCommand, "advance MS",
+                    "advance virtual time by MS milliseconds",
+                    "ms", _duration, float),
+        CommandSpec(InjectCommand, "inject T_US:FN [T_US:FN ...]",
+                    "enqueue arrivals at epoch-relative T_US",
+                    "arrivals", _arrivals, _arrival_tokens,
+                    wire=lambda arrivals: [[t, fn] for t, fn in arrivals],
+                    starts_run=False),
+        CommandSpec(AddHostCommand, "add-host",
+                    "grow the cluster by one host"),
+        CommandSpec(DrainHostCommand, "drain-host HOST",
+                    "take HOST out of rotation, evict its idle VMs", "host"),
+        CommandSpec(UndrainHostCommand, "undrain-host HOST",
+                    "return HOST to rotation", "host"),
+        CommandSpec(SwapPlacementCommand, "swap-placement NAME",
+                    "hot-swap the placement policy", "policy"),
+        CommandSpec(ArmCommand, "arm JSON",
+                    "arm a fault plan (FaultPlan.as_dict JSON)",
+                    "plan", _document(FaultPlan.from_dict), json.loads),
+        CommandSpec(DisarmCommand, "disarm",
+                    "cancel armed faults, heal degradations"),
+        CommandSpec(SetKeepaliveCommand, "set-keepalive MS",
+                    "retune the keep-alive TTL", "ttl_ms", _duration, float),
+        CommandSpec(SnapshotTelemetryCommand, "snapshot-telemetry",
+                    "emit a telemetry delta, pin its digest",
+                    after_drain=True),
+        CommandSpec(SetSloCommand, "set-slo [JSON]",
+                    "install SLO objectives and burn-rate rules",
+                    "config", _document(SloMonitor.from_dict),
+                    lambda text: json.loads(text) if text else {}),
+        CommandSpec(SloStatusCommand, "slo-status",
+                    "evaluate the SLO monitor, pin its digest",
+                    after_drain=True),
+        CommandSpec(ScrubCommand, "scrub",
+                    "force a full durability scrub pass now"),
+        CommandSpec(DurabilityStatusCommand, "durability-status",
+                    "replica/corruption state, pin its digest",
+                    after_drain=True),
+        CommandSpec(StatusCommand, "status",
+                    "read-only state probe (not journaled)",
+                    after_drain=True, starts_run=False),
+        CommandSpec(DrainCommand, "drain",
+                    "stop intake, serve out, finish the run"),
     )
 }
 
 
+def command_help() -> List[str]:
+    """One aligned ``syntax  help`` line per command."""
+    width = max(len(spec.syntax) for spec in COMMANDS.values())
+    return [
+        f"{spec.syntax:<{width}}  {spec.help}" for spec in COMMANDS.values()
+    ]
+
+
+def _spec(name) -> CommandSpec:
+    spec = COMMANDS.get(name) if isinstance(name, str) else None
+    if spec is None:
+        raise CommandError(f"unknown command {name!r}")
+    return spec
+
+
 def command_from_dict(doc: Dict[str, Any]) -> Command:
     """Rebuild a command from its ``to_dict`` wire form."""
-    name = doc.get("cmd")
-    cls = COMMAND_TYPES.get(name)
-    if cls is None:
-        raise CommandError(f"unknown command {name!r}")
-    args = doc.get("args") or {}
-    try:
-        if cls is AdvanceCommand:
-            return AdvanceCommand(ms=float(args["ms"]))
-        if cls is InjectCommand:
-            return InjectCommand(
-                arrivals=tuple(
-                    (float(t), str(fn)) for t, fn in args.get("arrivals", [])
-                )
-            )
-        if cls is DrainHostCommand:
-            return DrainHostCommand(host=str(args["host"]))
-        if cls is UndrainHostCommand:
-            return UndrainHostCommand(host=str(args["host"]))
-        if cls is SwapPlacementCommand:
-            return SwapPlacementCommand(policy=str(args["policy"]))
-        if cls is ArmCommand:
-            return ArmCommand(plan=dict(args.get("plan") or {}))
-        if cls is SetKeepaliveCommand:
-            return SetKeepaliveCommand(ttl_ms=float(args["ttl_ms"]))
-        if cls is SetSloCommand:
-            return SetSloCommand(config=dict(args.get("config") or {}))
-    except KeyError as exc:
+    if not isinstance(doc, dict):
+        raise CommandError(f"a command is a JSON object, got {doc!r}")
+    spec = _spec(doc.get("cmd"))
+    args = doc.get("args", {})
+    expected = [spec.key] if spec.key is not None else []
+    if not isinstance(args, dict) or sorted(args) != expected:
         raise CommandError(
-            f"command {name!r} missing argument {exc.args[0]!r}"
-        ) from None
-    return cls()
+            f"command {spec.name!r} takes args {expected}, got {args!r}"
+        )
+    return spec.cls(**args)
 
 
 def parse_command(line: str) -> Command:
-    """Parse one text line into a command (grammar in the module
-    docstring)."""
-    line = line.strip()
-    if not line:
+    """Parse one text line into a command (grammar in
+    :data:`COMMANDS`)."""
+    head, _, rest = line.strip().partition(" ")
+    if not head:
         raise CommandError("empty command line")
-    head, _, rest = line.partition(" ")
+    spec = _spec(head)
     rest = rest.strip()
+    if spec.key is None:
+        if rest:
+            raise CommandError(f"{head!r} takes no argument, got {rest!r}")
+        return spec.cls()
     try:
-        if head == "advance":
-            return AdvanceCommand(ms=float(rest))
-        if head == "inject":
-            arrivals: List[Tuple[float, str]] = []
-            for token in rest.split():
-                time_text, sep, fn = token.partition(":")
-                if not sep or not fn:
-                    raise CommandError(
-                        f"inject wants T_US:FN tokens, got {token!r}"
-                    )
-                arrivals.append((float(time_text), fn))
-            if not arrivals:
-                raise CommandError("inject needs at least one T_US:FN token")
-            return InjectCommand(arrivals=tuple(arrivals))
-        if head == "add-host":
-            return AddHostCommand()
-        if head == "drain-host":
-            if not rest:
-                raise CommandError("drain-host needs a host id")
-            return DrainHostCommand(host=rest)
-        if head == "undrain-host":
-            if not rest:
-                raise CommandError("undrain-host needs a host id")
-            return UndrainHostCommand(host=rest)
-        if head == "swap-placement":
-            if not rest:
-                raise CommandError("swap-placement needs a policy name")
-            return SwapPlacementCommand(policy=rest)
-        if head == "arm":
-            if not rest:
-                raise CommandError("arm needs a FaultPlan JSON document")
-            return ArmCommand(plan=json.loads(rest))
-        if head == "disarm":
-            return DisarmCommand()
-        if head == "set-keepalive":
-            return SetKeepaliveCommand(ttl_ms=float(rest))
-        if head == "snapshot-telemetry":
-            return SnapshotTelemetryCommand()
-        if head == "set-slo":
-            return SetSloCommand(config=json.loads(rest) if rest else {})
-        if head == "slo-status":
-            return SloStatusCommand()
-        if head == "scrub":
-            return ScrubCommand()
-        if head == "durability-status":
-            return DurabilityStatusCommand()
-        if head == "status":
-            return StatusCommand()
-        if head == "drain":
-            return DrainCommand()
-    except CommandError:
-        raise
-    except (ValueError, json.JSONDecodeError) as exc:
+        value = spec.parse(rest)
+    except ValueError as exc:
         raise CommandError(f"bad arguments for {head!r}: {exc}") from None
-    raise CommandError(f"unknown command {head!r}")
+    return spec.cls(**{spec.key: value})

@@ -48,31 +48,27 @@ from repro.metrics.exporters import DeltaExporter, canonical_sha256
 from repro.metrics.slo import SloMonitor
 from repro.metrics.telemetry import Sampler
 from repro.service.commands import (
-    AddHostCommand,
+    COMMANDS,
     AdvanceCommand,
-    ArmCommand,
     Command,
-    DisarmCommand,
     DrainCommand,
-    DrainHostCommand,
-    DurabilityStatusCommand,
     InjectCommand,
-    ScrubCommand,
-    SetKeepaliveCommand,
-    SetSloCommand,
-    SloStatusCommand,
-    SnapshotTelemetryCommand,
     StatusCommand,
-    SwapPlacementCommand,
-    UndrainHostCommand,
     command_from_dict,
 )
 from repro.service.journal import (
+    DIGEST_COMPONENTS,
     JournalWriter,
     first_mismatch,
     read_journal,
 )
 from repro.sim import Event, Interrupt
+
+
+#: The SHA-256 digest components a status command's result carries.
+_DIGEST_EXTENSIONS = tuple(
+    key for key in DIGEST_COMPONENTS if key.endswith("_sha256")
+)
 
 
 class ServiceError(RuntimeError):
@@ -268,11 +264,7 @@ class ClusterService:
         probe: never journaled, never starts the run."""
         if isinstance(command, StatusCommand):
             return self.status()
-        result = self._apply(command, pulled=None)
-        digest = self.digest()
-        for key in ("telemetry_sha256", "slo_sha256", "durability_sha256"):
-            if key in result:
-                digest[key] = result[key]
+        result = self._apply(command)
         if self._journal is not None:
             self._entry_seq += 1
             entry: Dict[str, Any] = {
@@ -281,9 +273,8 @@ class ClusterService:
             }
             if "pulled" in result:
                 entry["pulled"] = result["pulled"]
-            entry["digest"] = digest
+            entry["digest"] = result["digest"]
             self._journal.append(entry)
-        result["digest"] = digest
         return result
 
     def execute_entry(self, entry: Dict[str, Any]) -> Dict[str, Any]:
@@ -292,112 +283,129 @@ class ClusterService:
         the result with the freshly computed digest — the caller
         compares it against ``entry["digest"]``."""
         command = command_from_dict(entry["cmd"])
-        pulled: Optional[List[Arrival]] = None
+        replay: Dict[str, Any] = {}
         if isinstance(command, AdvanceCommand):
-            pulled = [
+            replay["pulled"] = [
                 Arrival(time_us=float(t), function=str(fn))
                 for t, fn in entry.get("pulled", [])
             ]
-        result = self._apply(command, pulled=pulled)
+        return self._apply(command, **replay)
+
+    def _apply(self, command: Command, **replay) -> Dict[str, Any]:
+        """Run ``command``'s handler as :data:`COMMANDS` declares it,
+        and add the state digest (with any SHA-256 extension the
+        handler produced) to its result."""
+        spec = COMMANDS[command.name]
+        if self._finished and not spec.after_drain:
+            raise ServiceError(
+                f"service already drained; {command.name!r} rejected"
+            )
+        if spec.starts_run:
+            self._ensure_started()
+        result = getattr(self, spec.handler)(command, **replay)
         digest = self.digest()
-        for key in ("telemetry_sha256", "slo_sha256", "durability_sha256"):
+        for key in _DIGEST_EXTENSIONS:
             if key in result:
                 digest[key] = result[key]
         result["digest"] = digest
         return result
 
-    def _apply(
-        self, command: Command, pulled: Optional[List[Arrival]]
+    # -- command handlers (one per COMMANDS entry) -----------------------
+
+    def _on_inject(self, command: InjectCommand) -> Dict[str, Any]:
+        # Valid before start: batch mode pre-loads the heap so the pump
+        # never parks (exact legacy event schedule).
+        arrivals = [
+            Arrival(time_us=t, function=fn) for t, fn in command.arrivals
+        ]
+        self._push_arrivals(arrivals)
+        return {"injected": len(arrivals)}
+
+    def _on_advance(
+        self, command: AdvanceCommand, pulled: Optional[List[Arrival]] = None
     ) -> Dict[str, Any]:
-        if self._finished and not isinstance(
-            command,
-            (
-                StatusCommand,
-                SnapshotTelemetryCommand,
-                SloStatusCommand,
-                DurabilityStatusCommand,
-            ),
-        ):
-            raise ServiceError(
-                f"service already drained; {command.name!r} rejected"
-            )
+        horizon = self.env.now + command.ms * 1000.0
+        if pulled is None:
+            if self._source is not None:
+                pulled = self._source.take_until(
+                    horizon - (self._epoch_us or 0.0)
+                )
+            else:
+                pulled = []
+        if pulled:
+            self._push_arrivals(pulled)
+        events = self.env.advance_to(horizon)
+        return {
+            "advanced_to_us": self.env.now,
+            "events": events,
+            "pulled": [[a.time_us, a.function] for a in pulled],
+        }
+
+    def _on_add_host(self, command) -> Dict[str, Any]:
         sim = self.simulator
-        if isinstance(command, InjectCommand):
-            # Valid before start: batch mode pre-loads the heap so the
-            # pump never parks (exact legacy event schedule).
-            arrivals = [
-                Arrival(time_us=t, function=fn)
-                for t, fn in command.arrivals
-            ]
-            self._push_arrivals(arrivals)
-            return {"injected": len(arrivals)}
-        self._ensure_started()
-        if isinstance(command, AdvanceCommand):
-            horizon = self.env.now + command.ms * 1000.0
-            if pulled is None:
-                if self._source is not None:
-                    pulled = self._source.take_until(
-                        horizon - (self._epoch_us or 0.0)
-                    )
-                else:
-                    pulled = []
-            if pulled:
-                self._push_arrivals(pulled)
-            events = self.env.advance_to(horizon)
-            return {
-                "advanced_to_us": self.env.now,
-                "events": events,
-                "pulled": [[a.time_us, a.function] for a in pulled],
-            }
-        if isinstance(command, AddHostCommand):
-            hs = sim.add_host_live()
-            return {
-                "host": hs.host.host_id,
-                "drained": hs.drained,
-                "hosts": len(sim._hosts),
-            }
-        if isinstance(command, DrainHostCommand):
-            evicted = sim.drain_host_live(command.host)
-            return {"host": command.host, "evicted": evicted}
-        if isinstance(command, UndrainHostCommand):
-            sim.undrain_host_live(command.host)
-            return {"host": command.host}
-        if isinstance(command, SwapPlacementCommand):
-            sim.swap_placement(command.policy)
-            return {"placement": command.policy}
-        if isinstance(command, ArmCommand):
-            plan = FaultPlan.from_dict(command.plan)
-            sim.arm_fault_plan(plan)
-            return {"faults": len(plan)}
-        if isinstance(command, DisarmCommand):
-            sim.disarm_faults()
-            return {"disarmed": True}
-        if isinstance(command, SetKeepaliveCommand):
-            sim.set_keepalive(command.ttl_ms * 1000.0)
-            return {"keep_alive_ttl_us": sim.config.keep_alive_ttl_us}
-        if isinstance(command, SnapshotTelemetryCommand):
-            doc, sha = self.telemetry_delta()
-            return {"telemetry": doc, "telemetry_sha256": sha}
-        if isinstance(command, SetSloCommand):
-            monitor = SloMonitor.from_dict(command.config)
-            sim.set_slo_monitor(monitor)
-            self.slo = monitor
-            return {"slo": monitor.config_dict()}
-        if isinstance(command, SloStatusCommand):
-            doc, sha = self.slo_status()
-            return {"slo": doc, "slo_sha256": sha}
-        if isinstance(command, ScrubCommand):
-            return {"scrub": sim.run_scrub()}
-        if isinstance(command, DurabilityStatusCommand):
-            doc, sha = self.durability_status()
-            return {"durability": doc, "durability_sha256": sha}
-        if isinstance(command, DrainCommand):
-            report = self.drain()
-            return {
-                "served": len(report.served),
-                "mean_latency_us": report.mean_latency_us(),
-            }
-        raise ServiceError(f"unhandled command {command.name!r}")
+        hs = sim.add_host_live()
+        return {
+            "host": hs.host.host_id,
+            "drained": hs.drained,
+            "hosts": len(sim._hosts),
+        }
+
+    def _on_drain_host(self, command) -> Dict[str, Any]:
+        evicted = self.simulator.drain_host_live(command.host)
+        return {"host": command.host, "evicted": evicted}
+
+    def _on_undrain_host(self, command) -> Dict[str, Any]:
+        self.simulator.undrain_host_live(command.host)
+        return {"host": command.host}
+
+    def _on_swap_placement(self, command) -> Dict[str, Any]:
+        self.simulator.swap_placement(command.policy)
+        return {"placement": command.policy}
+
+    def _on_arm(self, command) -> Dict[str, Any]:
+        plan = FaultPlan.from_dict(command.plan)
+        self.simulator.arm_fault_plan(plan)
+        return {"faults": len(plan)}
+
+    def _on_disarm(self, command) -> Dict[str, Any]:
+        self.simulator.disarm_faults()
+        return {"disarmed": True}
+
+    def _on_set_keepalive(self, command) -> Dict[str, Any]:
+        sim = self.simulator
+        sim.set_keepalive(command.ttl_ms * 1000.0)
+        return {"keep_alive_ttl_us": sim.config.keep_alive_ttl_us}
+
+    def _on_snapshot_telemetry(self, command) -> Dict[str, Any]:
+        doc, sha = self.telemetry_delta()
+        return {"telemetry": doc, "telemetry_sha256": sha}
+
+    def _on_set_slo(self, command) -> Dict[str, Any]:
+        monitor = SloMonitor.from_dict(command.config)
+        self.simulator.set_slo_monitor(monitor)
+        self.slo = monitor
+        return {"slo": monitor.config_dict()}
+
+    def _on_slo_status(self, command) -> Dict[str, Any]:
+        doc, sha = self.slo_status()
+        return {"slo": doc, "slo_sha256": sha}
+
+    def _on_scrub(self, command) -> Dict[str, Any]:
+        return {"scrub": self.simulator.run_scrub()}
+
+    def _on_durability_status(self, command) -> Dict[str, Any]:
+        doc, sha = self.durability_status()
+        return {"durability": doc, "durability_sha256": sha}
+
+    def _on_status(self, command) -> Dict[str, Any]:
+        return self.status()
+
+    def _on_drain(self, command) -> Dict[str, Any]:
+        report = self.drain()
+        return {
+            "served": len(report.served),
+            "mean_latency_us": report.mean_latency_us(),
+        }
 
     # -- lifecycle -----------------------------------------------------
 
@@ -491,24 +499,11 @@ def normalize_spec(spec: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     return merged
 
 
-def build_service(
-    spec: Optional[Dict[str, Any]] = None,
-    *,
-    arrival_source: Optional[ArrivalSource] = None,
-    journal: Optional[JournalWriter] = None,
-    use_source: bool = True,
-    causal=None,
-    flight=None,
-) -> ClusterService:
-    """Build a :class:`ClusterService` from a spec dict (see
-    :func:`normalize_spec` for keys and defaults).
-
-    ``arrival_source`` overrides the spec's ``source`` stanza (the CLI
-    uses this for stdin/file streams, recorded in the spec as kind
-    ``external``). ``use_source=False`` builds the service with no
-    source regardless of spec — the replay path, which feeds recorded
-    pulls instead."""
-    from repro.cluster.scheduler import ClusterConfig, ClusterSimulator
+def cluster_inputs(spec: Optional[Dict[str, Any]] = None) -> tuple:
+    """The ``(fleet, ClusterConfig)`` a spec describes (see
+    :func:`normalize_spec` for keys and defaults): the one place the
+    CLI and the service turn topology knobs into a cluster config."""
+    from repro.cluster.scheduler import ClusterConfig
     from repro.core import Policy
     from repro.faults.durability import (
         DISABLED_DURABILITY,
@@ -536,6 +531,33 @@ def build_service(
             else DISABLED_DURABILITY
         ),
     )
+    return fleet, config
+
+
+def build_service(
+    spec: Optional[Dict[str, Any]] = None,
+    *,
+    arrival_source: Optional[ArrivalSource] = None,
+    journal: Optional[JournalWriter] = None,
+    use_source: bool = True,
+    tracer=None,
+    causal=None,
+    flight=None,
+) -> ClusterService:
+    """Build a :class:`ClusterService` from a spec dict (see
+    :func:`normalize_spec` for keys and defaults).
+
+    ``arrival_source`` overrides the spec's ``source`` stanza (the CLI
+    uses this for stdin/file streams, recorded in the spec as kind
+    ``external``). ``use_source=False`` builds the service with no
+    source regardless of spec — the replay path, which feeds recorded
+    pulls instead. ``tracer``, ``causal`` and ``flight`` are the
+    recorders :class:`ClusterService` takes; they observe the run and
+    are not part of the spec."""
+    from repro.cluster.scheduler import ClusterSimulator
+
+    spec = normalize_spec(spec)
+    fleet, config = cluster_inputs(spec)
     simulator = ClusterSimulator(fleet, config)
     source = arrival_source
     if source is None and use_source:
@@ -577,6 +599,7 @@ def build_service(
         sampler_interval_us=spec["sampler_interval_us"],
         fault_plan=fault_plan,
         journal=journal,
+        tracer=tracer,
         causal=causal,
         slo=slo,
         flight=flight,

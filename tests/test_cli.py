@@ -231,3 +231,105 @@ def test_cluster_report_out_writes_serving_report(tmp_path, capsys):
         entry["outcome"] == "ok" for entry in doc["invocations"]
     )
     assert set(doc["host_failures"]) == {"host0", "host1"}
+
+
+@pytest.mark.parametrize("durability", [None, "{}"])
+def test_cluster_report_matches_a_hand_built_simulator(
+    durability, tmp_path, capsys
+):
+    """``repro cluster`` builds its run from a service spec: the fleet
+    and the arrivals are seeded by ``--seed``, the run seed keeps the
+    ``ClusterConfig`` default of 0."""
+    import json
+
+    from repro.cluster import ClusterConfig, ClusterSimulator
+    from repro.core import Policy
+    from repro.faults import DurabilityPolicy
+    from repro.fleet import generate_arrivals, synthesize_fleet
+    from repro.fleet.workload import US_PER_HOUR, US_PER_MINUTE
+    from repro.metrics.exporters import fleet_report_doc
+
+    path = tmp_path / "report.json"
+    argv = ["cluster", "--functions", "2", "--hours", "0.25", "--hosts",
+            "2", "--seed", "3", "--report-out", str(path)]
+    if durability is not None:
+        argv += ["--durability", durability]
+    assert main(argv) == 0
+    capsys.readouterr()
+
+    fleet = synthesize_fleet(2, seed=3, profile_names=("json", "pyaes"))
+    trace = generate_arrivals(fleet, 0.25 * US_PER_HOUR, seed=3)
+    extra = {}
+    if durability is not None:
+        extra["durability"] = DurabilityPolicy.from_dict({"enabled": True})
+    config = ClusterConfig(
+        num_hosts=2,
+        placement="least-loaded",
+        restore_policy=Policy.FAASNAP,
+        keep_alive_ttl_us=15 * US_PER_MINUTE,
+        memory_budget_mb=8 * 1024,
+        snapshot_tier="local-nvme",
+        **extra,
+    )
+    report = ClusterSimulator(fleet, config).run(trace)
+    assert report.count() > 0
+    assert json.loads(path.read_text()) == json.loads(
+        json.dumps(fleet_report_doc(report))
+    )
+
+
+def _serve_script(tmp_path, text):
+    script = tmp_path / "session.cmds"
+    script.write_text(text)
+    return ["serve", "--functions", "2", "--hosts", "1", "--script",
+            str(script)]
+
+
+def test_serve_script_with_a_malformed_argument_exits_2(tmp_path, capsys):
+    argv = _serve_script(tmp_path, "advance 1000\narm 5\nadvance 1000\n")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: bad arguments for 'arm'" in err
+
+
+def test_serve_closes_its_arrivals_file(tmp_path, monkeypatch, capsys):
+    import builtins
+
+    arrivals = tmp_path / "arrivals.jsonl"
+    arrivals.write_text('{"time_us": 1000.0, "function": "fn0000"}\n')
+    opened = []
+    real_open = builtins.open
+
+    def tracking_open(file, *args, **kwargs):
+        handle = real_open(file, *args, **kwargs)
+        opened.append((str(file), handle))
+        return handle
+
+    monkeypatch.setattr(builtins, "open", tracking_open)
+    argv = _serve_script(tmp_path, "advance 60000\n")
+    assert main(argv + ["--arrivals", str(arrivals)]) == 0
+    assert "served 1 invocation(s)" in capsys.readouterr().out
+    handles = [h for name, h in opened if name == str(arrivals)]
+    assert len(handles) == 1 and handles[0].closed
+
+
+def test_every_command_is_in_the_repl_help_and_the_docs(monkeypatch, capsys):
+    import io
+    import re
+    from pathlib import Path
+
+    from repro.service import COMMANDS
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    assert main(["serve", "--functions", "2", "--hosts", "1",
+                 "--arrivals", "none"]) == 0
+    help_text = capsys.readouterr().err
+    doc = Path(__file__).resolve().parent.parent / "docs" / "service.md"
+    section = doc.read_text().split("## Commands", 1)[1].split("\n## ", 1)[0]
+    documented = set()
+    for row in section.splitlines():
+        if row.startswith("| `"):
+            documented.update(re.findall(r"`([a-z-]+)", row.split("|")[1]))
+    for name in COMMANDS:
+        assert re.search(rf"^\s+{name}(\s|$)", help_text, re.M), name
+        assert name in documented, name

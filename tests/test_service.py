@@ -22,6 +22,7 @@ from repro.fleet.workload import (
     TraceArrivalSource,
 )
 from repro.service import (
+    COMMANDS,
     AddHostCommand,
     AdvanceCommand,
     ArmCommand,
@@ -320,31 +321,93 @@ def test_late_injection_is_latency_not_admission_wait():
 # -- wire forms --------------------------------------------------------
 
 
+#: One text line per command in the table; a new command needs one.
+COMMAND_EXAMPLES = {
+    "advance": "advance 500",
+    "inject": "inject 1000:fn0001 2500.5:fn0002",
+    "add-host": "add-host",
+    "drain-host": "drain-host host3",
+    "undrain-host": "undrain-host host3",
+    "swap-placement": "swap-placement locality",
+    "arm": 'arm {"host_crashes": [{"host": "host0", "at_us": 9.0}]}',
+    "disarm": "disarm",
+    "set-keepalive": "set-keepalive 30000",
+    "snapshot-telemetry": "snapshot-telemetry",
+    "set-slo": 'set-slo {"rules": []}',
+    "slo-status": "slo-status",
+    "scrub": "scrub",
+    "durability-status": "durability-status",
+    "status": "status",
+    "drain": "drain",
+}
+
+
 def test_command_text_and_dict_round_trip():
-    lines = [
-        "advance 500",
-        "inject 1000:fn0001 2500.5:fn0002",
-        "add-host",
-        "drain-host host3",
-        "undrain-host host3",
-        "swap-placement locality",
-        'arm {"host_crashes": [{"host": "host0", "at_us": 9.0}]}',
-        "disarm",
-        "set-keepalive 30000",
-        "snapshot-telemetry",
-        "status",
-        "drain",
-    ]
-    for line in lines:
-        command = parse_command(line)
-        assert command_from_dict(command.to_dict()) == command
+    assert set(COMMAND_EXAMPLES) == set(COMMANDS)
+    for name, spec in COMMANDS.items():
+        command = parse_command(COMMAND_EXAMPLES[name])
+        assert command.name == name
+        wire = json.loads(json.dumps(command.to_dict()))
+        assert wire == command.to_dict()
+        assert command_from_dict(wire) == command
+        # Every table entry is dispatched to a service handler.
+        assert callable(getattr(ClusterService, spec.handler)), name
 
 
 def test_parse_command_rejects_garbage():
     for line in ["", "frobnicate", "advance", "inject", "inject nope",
-                 "arm not-json", "set-keepalive -5"]:
+                 "arm not-json", "set-keepalive -5", "arm 5", "arm [1,2]",
+                 "arm", 'arm {"host_crashes": [{"bogus": 1}]}',
+                 "set-slo []", "advance x", "advance nan", "advance inf",
+                 "inject 5", "inject 1:", "drain-host", "add-host now"]:
         with pytest.raises(CommandError):
             parse_command(line)
+
+
+def test_command_from_dict_rejects_garbage():
+    for doc in [
+        5,
+        {},
+        {"cmd": "frobnicate"},
+        {"cmd": "advance"},
+        {"cmd": "advance", "args": {"ms": "x"}},
+        {"cmd": "advance", "args": {"ms": -1}},
+        {"cmd": "advance", "args": [1]},
+        {"cmd": "advance", "args": {"ms": 1, "extra": 2}},
+        {"cmd": "inject", "args": {"arrivals": [[1.0]]}},
+        {"cmd": "inject", "args": {"arrivals": [[1.0, 7]]}},
+        {"cmd": "inject", "args": {"arrivals": 3}},
+        {"cmd": "arm", "args": {"plan": [1, 2]}},
+        {"cmd": "arm", "args": {"plan": 5}},
+        {"cmd": "set-slo", "args": {"config": {"bogus": 1}}},
+        {"cmd": "drain-host", "args": {"host": 3}},
+        {"cmd": "add-host", "args": {"host": "host0"}},
+    ]:
+        with pytest.raises(CommandError):
+            command_from_dict(doc)
+
+
+def test_constructors_validate_through_the_table():
+    with pytest.raises(CommandError):
+        AdvanceCommand(ms=-1.0)
+    with pytest.raises(CommandError):
+        ArmCommand(plan=[1, 2])
+    # A well-formed argument keeps its wire form: an int stays an int.
+    assert AdvanceCommand(ms=0).to_dict() == {
+        "cmd": "advance", "args": {"ms": 0}
+    }
+
+
+def test_replay_of_a_malformed_journal_is_an_error(tmp_path, capsys):
+    from repro.cli import main
+
+    path = tmp_path / "bad.journal"
+    journal = JournalWriter(str(path))
+    build_service({"functions": 2, "hosts": 1}, journal=journal)
+    journal.append({"seq": 1, "cmd": {"cmd": "advance", "args": {"ms": "x"}}})
+    journal.close()
+    assert main(["serve", "--replay", str(path)]) == 2
+    assert "error: bad arguments for 'advance'" in capsys.readouterr().err
 
 
 # -- journal replay ----------------------------------------------------
