@@ -1,33 +1,24 @@
 #!/usr/bin/env python3
-"""Performance regression harness and determinism matrix.
-
-Runs a fixed, deterministic workload — a slice of the paper's Figure 1
-and Figure 8 grids covering every restore policy and both the batching
-fast path and the event-driven machinery — and reports:
-
-* **events/sec** — heap events dispatched per wall-clock second, the
-  kernel's raw throughput;
-* **cells/sec** — measured invocations per wall-clock second, the
-  end-to-end number an experiment run feels;
-* **events** — total heap events dispatched, which is deterministic:
-  a change here means simulated behaviour changed, not just speed.
+"""Determinism harness and the repository's throughput gate.
 
 Usage:
 
-    python benchmarks/perf_harness.py              # full workload
-    python benchmarks/perf_harness.py --smoke      # CI perf gate
+    python benchmarks/perf_harness.py --smoke      # exact pins
     python benchmarks/perf_harness.py --parity     # determinism matrix
     python benchmarks/perf_harness.py --check      # --smoke + --parity
-    python benchmarks/perf_harness.py --smoke --update   # rebaseline
+    python benchmarks/perf_harness.py --smoke --update   # re-pin
+    python benchmarks/perf_harness.py --perfbench OUT...  # throughput gate
+    python benchmarks/perf_harness.py --perfbench OUT... --update
     python benchmarks/perf_harness.py --figures fig6 fig8   # time figures
 
-``--smoke`` compares events/sec and the 4-host cluster smoke's
-invocations/sec against the committed baseline (``BENCH_core.json``
-next to this file) and exits non-zero on a regression beyond
-``--threshold`` (default 30%, generous because CI runners vary). The
-event *count* and the cluster's invocation count and latency checksum
-are checked exactly. ``--update`` rewrites only the baseline sections
-the run measured.
+``--smoke`` runs a fixed, deterministic workload — a slice of the
+paper's Figure 1 and Figure 8 grids covering every restore policy and
+both the batching fast path and the event-driven machinery — and the
+4-host cluster smoke, and checks them exactly against the pins in
+``BENCH_core.json`` (next to this file): the dispatched heap-event
+count, and the cluster's invocation count and latency checksum. A
+change in either means simulated behaviour changed. It times nothing.
+``--update`` rewrites the pins.
 
 ``--parity`` runs :data:`PARITY_MATRIX`, the determinism contract as
 one table of rows; a failing row names the first digest component
@@ -35,12 +26,19 @@ that diverged, and ``--report-out`` writes every cell's digest. Under
 ``--check`` the plain cluster smoke runs once, as both the ``--smoke``
 measurement and the matrix's reference cell.
 
+``--perfbench`` is the throughput gate. Each OUT is the stdout of one
+``perfbench/run.py --trace 0`` run, whose host times are scaled to a
+reference CPU speed, so a slow box reads about what a fast one does.
+The gate fails when a run is not ``correct``, ran another seed than
+its baseline, has no baseline, or reads an end-to-end metric of the
+``perfbench`` section of ``BENCH_core.json`` worse than the baseline
+by more than that metric's ``bound`` in ``BENCHMARK.json``. With
+``--update`` it records, per workload, the median of the runs given.
+
 ``--figures`` regenerates whole experiments and reports wall-clock per
 experiment; with ``--update`` the timings are recorded in the
 baseline's ``experiments`` section as an informational perf
 trajectory (not gated — full figures are too slow for CI).
-``--sharded-scale`` gates the 64-host / 100k-invocation entry and
-``--hotpath`` the cold FAASNAP restore path; neither runs in CI.
 """
 
 from __future__ import annotations
@@ -50,12 +48,15 @@ import contextlib
 import functools
 import io
 import json
+import re
+import statistics
+import subprocess
 import sys
 import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -73,6 +74,7 @@ from repro.service.journal import (  # noqa: E402
 from repro.workloads.base import INPUT_A, InputSpec  # noqa: E402
 
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_core.json"
+BENCHMARK_PATH = REPO_ROOT / "BENCHMARK.json"
 
 #: (function, size ratio) cells; every MAIN policy runs on each.
 SMOKE_CELLS = [
@@ -82,19 +84,11 @@ SMOKE_CELLS = [
     ("chameleon", 2.0),
 ]
 
-FULL_CELLS = SMOKE_CELLS + [
-    ("pyaes", 1.0),
-    ("compression", 2.0),
-    ("matmul", 0.25),
-    ("pagerank", 4.0),
-]
-
 
 def run_workload(cells) -> dict:
-    """Run the workload on one fresh platform; return the metrics."""
+    """Run the workload on one fresh platform; return its counts."""
     functions = tuple(dict.fromkeys(name for name, _ in cells))
     platform, handles = fresh_platform(functions=functions)
-    started = time.perf_counter()
     measured = 0
     for name, ratio in cells:
         spec = InputSpec(content_id=9, size_ratio=ratio)
@@ -105,26 +99,15 @@ def run_workload(cells) -> dict:
             platform, handles[name], Policy.WARM, InputSpec(9, ratio), INPUT_A
         )
         measured += 1
-    elapsed = time.perf_counter() - started
-    events = platform.env.events_processed
-    return {
-        "events": events,
-        "cells": measured,
-        "wall_seconds": round(elapsed, 3),
-        "events_per_sec": round(events / elapsed, 1),
-        "cells_per_sec": round(measured / elapsed, 2),
-    }
+    return {"events": platform.env.events_processed, "cells": measured}
 
 
 #: The cluster entries, each one fleet trace served on page-level
-#: hosts. ``invocations`` and the latency checksum are deterministic
-#: (exact-gated); invocations/sec is the throughput. ``CLUSTER_SMOKE``
-#: is the 4-host single-heap smoke. ``SHARDED_SMOKE`` is CI-sized and
-#: runs at shards=1 and shards=2 in the parity matrix.
-#: ``SHARDED_SCALE`` is the 64-host / 100k-invocation target — far too
-#: slow for CI, gated behind ``--sharded-scale``. A sharded entry's
-#: latency checksum is shard-count-invariant by the determinism
-#: contract, so one baseline gates every shard count.
+#: hosts; ``invocations`` and the latency checksum are deterministic
+#: (exact-gated). ``CLUSTER_SMOKE`` is the 4-host single-heap smoke.
+#: ``SHARDED_SMOKE`` runs at shards=1 and shards=2 in the parity
+#: matrix; its latency checksum is shard-count-invariant by the
+#: determinism contract, so one pin gates both.
 CLUSTER_SMOKE = {
     "hosts": 4,
     "functions": 8,
@@ -143,21 +126,6 @@ SHARDED_SMOKE = {
     "hot_interarrival_us": 2_000_000.0,
     "cold_interarrival_us": 60_000_000.0,
 }
-
-SHARDED_SCALE = {
-    "hosts": 64,
-    "functions": 16,
-    "shards": 4,
-    "seed": 42,
-    "duration_us": 540_000_000.0,  # ~100k arrivals at this density
-    "hot_interarrival_us": 20_000.0,
-    "cold_interarrival_us": 1_000_000.0,
-}
-
-#: shards=4 must beat shards=1 by this factor — only meaningful (and
-#: only asserted) when the box actually has >= 4 cores to run the
-#: shard workers on.
-SHARDED_SPEEDUP_FLOOR = 3.0
 
 #: The components every cluster pin and feature row compares.
 CLUSTER_COMPONENTS = ("invocations", "latency_checksum_us")
@@ -229,7 +197,6 @@ def run_cluster_workload(
         causal = CausalTracer()
         slo = SloMonitor.default()
         flight = FlightRecorder()
-    started = time.perf_counter()
     report = ClusterSimulator(fleet, config).run(
         trace,
         sampler_interval_us=sampler_interval_us,
@@ -240,13 +207,7 @@ def run_cluster_workload(
         slo=slo,
         flight=flight,
     )
-    elapsed = time.perf_counter() - started
-    out = {
-        "hosts": CLUSTER_SMOKE["hosts"],
-        **_served(report),
-        "wall_seconds": round(elapsed, 3),
-        "invocations_per_sec": round(report.count() / elapsed, 2),
-    }
+    out = _served(report)
     if observability:
         out["causal_events"] = len(causal.all_events())
         out["slo_alerts"] = len(slo.alerts)
@@ -265,63 +226,14 @@ def run_sharded_cluster_workload(entry: dict, shards: int) -> tuple:
     from repro.cluster import ShardedClusterSimulator
 
     fleet, trace, config = _entry_inputs(entry)
-    started = time.perf_counter()
     simulator = ShardedClusterSimulator(fleet, config, shards=shards)
     report = simulator.run(trace)
-    elapsed = time.perf_counter() - started
     return {
         "hosts": entry["hosts"],
         "shards": simulator.shards,
         "windows": simulator.windows_run,
         **_served(report),
-        "wall_seconds": round(elapsed, 3),
-        "invocations_per_sec": round(report.count() / elapsed, 2),
     }, simulator.merged_metrics
-
-
-#: Restore-bookkeeping hot-path microbench (the ROADMAP's
-#: ~40 ms/invocation flag): one host, one FAASNAP function, page
-#: cache dropped before every invocation so each one pays the full
-#: page-level restore path — mapping-plan construction, loader
-#: chunking, pending-read tracking, fault-record absorption.
-HOTPATH_FUNCTION = "json"
-HOTPATH_INVOCATIONS = 30
-
-
-def run_hotpath_workload(invocations: int = HOTPATH_INVOCATIONS) -> dict:
-    """Measure the cold FAASNAP restore path in wall-clock ms/invocation."""
-    from repro.core.host import Host
-    from repro.sim import Environment
-    from repro.workloads import get_profile
-
-    env = Environment(seed=7)
-    host = Host(env)
-    profile = get_profile(HOTPATH_FUNCTION)
-    box = {}
-
-    def record():
-        box["artifacts"] = yield from host.record_process(
-            profile, INPUT_A, Policy.FAASNAP
-        )
-
-    env.run(until=env.process(record()))
-    artifacts = box["artifacts"]
-    test_input = InputSpec(content_id=3, size_ratio=1.0)
-    started = time.perf_counter()
-    for _ in range(invocations):
-        host.drop_function_caches(artifacts)
-        env.run(
-            until=env.process(
-                host.invocation(artifacts, test_input, Policy.FAASNAP)
-            )
-        )
-    elapsed = time.perf_counter() - started
-    return {
-        "function": HOTPATH_FUNCTION,
-        "policy": Policy.FAASNAP.value,
-        "invocations": invocations,
-        "ms_per_invocation": round(elapsed * 1000.0 / invocations, 2),
-    }
 
 
 def _pin_fails(what: str, pinned: dict, metrics: dict, components) -> bool:
@@ -336,63 +248,37 @@ def _pin_fails(what: str, pinned: dict, metrics: dict, components) -> bool:
     return mismatch is not None
 
 
-def _floor_fails(what: str, key: str, pinned, metrics, threshold) -> bool:
-    """Print a FAIL line when the throughput ``metrics[key]`` is more
-    than ``threshold`` below its committed baseline."""
-    measured, floor = metrics[key], pinned[key] * (1.0 - threshold)
-    if measured < floor:
-        print(
-            f"FAIL: {measured:.2f} {what} is below {floor:.2f} "
-            f"(baseline {pinned[key]:.2f} - {threshold:.0%})",
-            file=sys.stderr,
+def run_smoke(baseline: dict, update: bool) -> Tuple[int, dict]:
+    """Run the kernel and cluster smokes and check them against their
+    pins; with ``update``, pin them (and the sharded entry) in
+    ``baseline`` instead. Returns the status and the cluster smoke's
+    metrics."""
+    kernel = run_workload(SMOKE_CELLS)
+    for key, value in kernel.items():
+        print(f"{key:>16}: {value}")
+    cluster = run_cluster_workload()
+    for key, value in cluster.items():
+        print(f"{'cluster.' + key:>28}: {value}")
+    if update:
+        sharded, _ = run_sharded_cluster_workload(
+            SHARDED_SMOKE, shards=SHARDED_SMOKE["shards"]
         )
-    return measured < floor
-
-
-def check_sharded_scale(shards, threshold, baseline=None) -> tuple:
-    """The gated 64-host / 100k-invocation entry."""
-    import os
-
-    status = 0
-    metrics, _ = run_sharded_cluster_workload(SHARDED_SCALE, shards=shards)
-    for key, value in metrics.items():
-        print(f"{'sharded_scale.' + key:>30}: {value}")
-    scale_baseline = (baseline or {}).get("scale")
-    if scale_baseline is not None:
-        # The checksum is shard-count-invariant, so these gates hold
-        # for whatever --shards was requested.
-        failed = [
-            _pin_fails(
-                "sharded scale", scale_baseline, metrics, CLUSTER_COMPONENTS
-            ),
-            _floor_fails(
-                "sharded invocations/sec", "invocations_per_sec",
-                scale_baseline, metrics, threshold,
-            ),
-        ]
-        status = int(any(failed))
-    cores = os.cpu_count() or 1
-    if shards > 1 and cores >= shards:
-        single, _ = run_sharded_cluster_workload(SHARDED_SCALE, shards=1)
-        speedup = (
-            metrics["invocations_per_sec"]
-            / single["invocations_per_sec"]
-        )
-        print(f"{'sharded_scale.speedup':>30}: {speedup:.2f}x")
-        if speedup < SHARDED_SPEEDUP_FLOOR:
-            print(
-                f"FAIL: shards={shards} is only {speedup:.2f}x the "
-                f"single-shard run (floor {SHARDED_SPEEDUP_FLOOR}x)",
-                file=sys.stderr,
-            )
-            status = 1
-    elif shards > 1:
-        print(
-            f"note: {cores} core(s) < {shards} shards — skipping the "
-            f"{SHARDED_SPEEDUP_FLOOR}x speedup assertion (it measures "
-            "parallel hardware, which this box lacks)"
-        )
-    return status, metrics
+        baseline["smoke"] = kernel
+        baseline["cluster"] = {"hosts": CLUSTER_SMOKE["hosts"], **cluster}
+        baseline.setdefault("cluster_sharded", {})["smoke"] = sharded
+        return 0, cluster
+    failed = [
+        _pin_fails("kernel", baseline.get("smoke", {}), kernel, ("events",)),
+        _pin_fails(
+            "cluster", baseline.get("cluster", {}), cluster, CLUSTER_COMPONENTS
+        ),
+    ]
+    if any(failed):
+        return 1, cluster
+    print(f"OK: exact event count ({kernel['events']}), cluster invocations "
+          f"and checksum ({cluster['invocations']} / "
+          f"{cluster['latency_checksum_us']})")
+    return 0, cluster
 
 
 #: The parity matrix's two armed 4-host drills share one fleet (three
@@ -439,15 +325,6 @@ DRILLS = {
 }
 
 SERVICE_SCRIPT = REPO_ROOT / "examples" / "service-smoke.cmds"
-
-
-def _cluster_digest(metrics: dict) -> dict:
-    """A cluster smoke's metrics without the wall-clock figures."""
-    return {
-        key: value
-        for key, value in metrics.items()
-        if key not in ("hosts", "wall_seconds", "invocations_per_sec")
-    }
 
 
 def _sharded_cell(shards: int) -> dict:
@@ -609,13 +486,11 @@ def run_parity(baseline: dict, reference=None, report_out=None) -> int:
     cluster cell."""
     cells = {}
     if reference is not None:
-        cells[("cluster", "{}")] = _cluster_digest(reference)
+        cells[("cluster", "{}")] = reference
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         scenarios = {
-            "cluster": lambda **variant: _cluster_digest(
-                run_cluster_workload(**variant)
-            ),
+            "cluster": run_cluster_workload,
             "sharded": _sharded_cell,
             "drill": _drill_cell,
             "service": functools.partial(_service_cell, Path(tmp)),
@@ -693,200 +568,187 @@ def time_figures(names) -> dict:
 
     timings = {}
     for name in names:
-        module = ALL_EXPERIMENTS[name]
         started = time.perf_counter()
-        module.run()
+        ALL_EXPERIMENTS[name].run()
         timings[name] = round(time.perf_counter() - started, 2)
         print(f"{name:>16}: {timings[name]}s")
     return timings
 
 
+#: The end-to-end metrics ``--perfbench --update`` records, and so the
+#: ones the gate holds: the speed-scaled throughput. The simulated
+#: metrics need no bound, as a run pins its simulated counts exactly
+#: (a run off its pins is not ``correct``); one run's set-up time can
+#: spread wider than its bound, and peak RSS is left to the
+#: benchmark's own multi-run comparison.
+GATED_METRICS = ("inv_per_s",)
+
+
+def read_perfbench(text: str) -> dict:
+    """The workload, seed, ``correct`` flag and end-to-end metric values
+    of one ``perfbench/run.py`` stdout: its ``workload <name>: seed N``
+    line and its final JSON line."""
+    header = re.search(r"^workload (\S+): seed (-?\d+),", text, re.MULTILINE)
+    if header is None:
+        raise ValueError("no 'workload <name>: seed N' line")
+    result = json.loads(text.strip().splitlines()[-1])
+    return {
+        "workload": header[1],
+        "seed": int(header[2]),
+        "correct": result["correct"] is True,
+        "metrics": {
+            name: metric["value"] for name, metric in result["metrics"].items()
+        },
+    }
+
+
+def perfbench_gate(texts, section: dict, spec: dict) -> List[str]:
+    """Judge perfbench stdouts against the ``perfbench`` baseline
+    ``section``: one line per check, a failing one starting ``FAIL:``.
+    ``spec`` is ``BENCHMARK.json``, whose end-to-end entries give each
+    metric's direction and bound."""
+    bounds = {metric["name"]: metric for metric in spec["end_to_end"]}
+    lines = []
+    for text in texts:
+        try:
+            run = read_perfbench(text)
+        except (ValueError, KeyError, IndexError) as error:
+            lines.append(f"FAIL: not a perfbench/run.py stdout ({error!r})")
+            continue
+        name, base = run["workload"], section.get(run["workload"])
+        if base is None:
+            lines.append(f"FAIL: {name} has no perfbench baseline")
+            continue
+        if not run["correct"]:
+            lines.append(f"FAIL: {name} run is not correct")
+        if run["seed"] != base["seed"]:
+            lines.append(
+                f"FAIL: {name} ran seed {run['seed']}, its baseline "
+                f"seed {base['seed']}"
+            )
+        for metric, expected in base["metrics"].items():
+            # A metric the run does not report reads nan, which fails.
+            value = run["metrics"].get(metric, float("nan"))
+            # +1 where higher is better: the limit is a floor.
+            sign = 1.0 if bounds[metric]["better"] == "higher" else -1.0
+            bound = bounds[metric]["bound"]
+            limit = expected * (1.0 - sign * bound)
+            verdict = "ok" if sign * (value - limit) >= 0 else "FAIL"
+            lines.append(
+                f"{verdict}: {name} {metric} {value:.4g}, limit {limit:.4g} "
+                f"(baseline {expected:.4g}, bound {bound:.0%})"
+            )
+    return lines
+
+
+def check_perfbench(paths, baseline: dict) -> int:
+    """The throughput gate over the perfbench stdouts at ``paths``."""
+    lines = perfbench_gate(
+        [Path(path).read_text() for path in paths],
+        baseline.get("perfbench", {}),
+        json.loads(BENCHMARK_PATH.read_text()),
+    )
+    failed = [line for line in lines if line.startswith("FAIL")]
+    for line in lines:
+        print(line, file=sys.stderr if line in failed else sys.stdout)
+    print(f"PERFBENCH: {'FAIL' if failed else 'OK'} ({len(paths)} runs)")
+    return int(bool(failed))
+
+
+def record_perfbench(paths, baseline: dict) -> None:
+    """Record, per workload, the median of the runs at ``paths`` as its
+    ``perfbench`` baseline, with the checked-out commit the runs are
+    taken to be of. Other workloads' entries are kept."""
+    try:
+        commit = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            cwd=REPO_ROOT, capture_output=True, text=True,
+        ).stdout.strip()
+    except OSError:  # no git on this host
+        commit = ""
+    groups: Dict[str, List[dict]] = {}
+    for path in paths:
+        run = read_perfbench(Path(path).read_text())
+        groups.setdefault(run["workload"], []).append(run)
+    section = baseline.setdefault("perfbench", {})
+    for name, runs in sorted(groups.items()):
+        seeds = {run["seed"] for run in runs}
+        if not all(run["correct"] for run in runs) or len(seeds) != 1:
+            raise SystemExit(f"{name}: runs are not all correct at one seed")
+        section[name] = {
+            "commit": commit or None,
+            "seed": seeds.pop(),
+            "runs": len(runs),
+            "metrics": {
+                metric: round(
+                    statistics.median(run["metrics"][metric] for run in runs), 3
+                )
+                for metric in GATED_METRICS
+            },
+        }
+        print(f"{name}: {section[name]}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small fixed workload, gated against BENCH_core.json",
+        "--smoke", action="store_true",
+        help="fixed kernel and cluster smokes, checked against their pins",
     )
     parser.add_argument(
-        "--figures",
-        nargs="*",
-        metavar="ID",
-        help="also regenerate these experiments (default fig6 fig8) "
-        "and report wall-clock per experiment",
+        "--check", action="store_true", help="--smoke plus --parity"
     )
     parser.add_argument(
-        "--update",
-        action="store_true",
-        help="write the measured numbers to BENCH_core.json",
-    )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.30,
-        help="allowed events/sec regression fraction (default 0.30)",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="full regression gate: --smoke plus --parity",
-    )
-    parser.add_argument(
-        "--parity",
-        action="store_true",
+        "--parity", action="store_true",
         help="the determinism matrix: feature on/off, shards=1 vs 2 "
         "and journal replay must agree on every digest component",
     )
     parser.add_argument(
-        "--sharded-scale",
-        action="store_true",
-        help="the gated 64-host / 100k-invocation cluster_sharded "
-        "entry (slow; gated against BENCH_core.json)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=SHARDED_SCALE["shards"],
-        help="shard count for --sharded-scale (default "
-        f"{SHARDED_SCALE['shards']})",
-    )
-    parser.add_argument(
-        "--report-out",
-        metavar="PATH",
+        "--report-out", metavar="PATH",
         help="with --parity/--check: write every parity cell's digest "
         "here as JSON",
     )
     parser.add_argument(
-        "--hotpath",
-        action="store_true",
-        help="restore-bookkeeping hot-path microbench (cold FAASNAP "
-        "restores, ms/invocation); with --update records the number "
-        "in the cluster_hotpath baseline entry",
+        "--perfbench", nargs="+", metavar="OUT",
+        help="the throughput gate: judge these perfbench/run.py stdouts "
+        "against BENCH_core.json with the bounds of BENCHMARK.json",
+    )
+    parser.add_argument(
+        "--figures", nargs="*", metavar="ID",
+        help="regenerate these experiments (default fig6 fig8) and "
+        "report wall-clock per experiment",
+    )
+    parser.add_argument(
+        "--update", action="store_true",
+        help="record what the run measured in BENCH_core.json",
     )
     args = parser.parse_args()
 
     baseline = (
         json.loads(BASELINE_PATH.read_text()) if BASELINE_PATH.exists() else {}
     )
-
-    if args.hotpath:
-        metrics = run_hotpath_workload()
-        for key, value in metrics.items():
-            print(f"{'hotpath.' + key:>28}: {value}")
-        entry = baseline.get("cluster_hotpath")
-        if args.update:
-            # Keeps the entry's before_ms_per_invocation history.
-            baseline["cluster_hotpath"] = {**(entry or {}), **metrics}
-            BASELINE_PATH.write_text(json.dumps(baseline, indent=2) + "\n")
-            print(f"cluster_hotpath baseline written to {BASELINE_PATH}")
-            return 0
-        if entry is not None:
-            ceiling = entry["ms_per_invocation"] * (1.0 + args.threshold)
-            if metrics["ms_per_invocation"] > ceiling:
-                print(
-                    f"FAIL: {metrics['ms_per_invocation']:.2f} ms/invocation "
-                    f"is above {ceiling:.2f} (baseline "
-                    f"{entry['ms_per_invocation']:.2f} + "
-                    f"{args.threshold:.0%})",
-                    file=sys.stderr,
-                )
-                return 1
-            print(
-                f"OK: hot path at {metrics['ms_per_invocation']:.2f} "
-                f"ms/invocation (baseline "
-                f"{entry['ms_per_invocation']:.2f})"
-            )
-        return 0
-
     if args.parity:
         return run_parity(baseline, report_out=args.report_out)
-
-    if args.sharded_scale:
-        status, metrics = check_sharded_scale(
-            args.shards, args.threshold, baseline.get("cluster_sharded")
-        )
-        if args.update:
-            section = baseline.setdefault("cluster_sharded", {})
-            section["scale"] = {**metrics, "workload": SHARDED_SCALE}
-            section["speedup_floor"] = SHARDED_SPEEDUP_FLOOR
-            BASELINE_PATH.write_text(json.dumps(baseline, indent=2) + "\n")
-            print(f"cluster_sharded scale baseline written to {BASELINE_PATH}")
-            return 0
-        return status
-
-    if args.check:
-        args.smoke = True
-
-    cells = SMOKE_CELLS if args.smoke else FULL_CELLS
-    metrics = run_workload(cells)
-    for key, value in metrics.items():
-        print(f"{key:>16}: {value}")
-    cluster_metrics = run_cluster_workload()
-    for key, value in cluster_metrics.items():
-        print(f"{'cluster.' + key:>26}: {value}")
-
-    figure_timings = None
+    if args.perfbench and not args.update:
+        return check_perfbench(args.perfbench, baseline)
+    status, reference = 0, None
+    if args.perfbench:
+        record_perfbench(args.perfbench, baseline)
+    elif args.smoke or args.check:
+        status, reference = run_smoke(baseline, args.update)
+    elif args.figures is None:
+        parser.error("choose --smoke, --check, --parity, --perfbench or --figures")
     if args.figures is not None:
-        figure_timings = time_figures(args.figures or ["fig6", "fig8"])
-
+        baseline["experiments"] = {
+            "wall_seconds": time_figures(args.figures or ["fig6", "fig8"]),
+            "note": "informational trajectory, not CI-gated",
+        }
     if args.update:
-        # Rewrite only the sections this run measured; every other
-        # section (scale entry, hot path history) is kept as it is.
-        baseline["smoke"] = (
-            metrics if args.smoke else run_workload(SMOKE_CELLS)
-        )
-        baseline["cluster"] = cluster_metrics
-        if figure_timings is not None:
-            baseline["experiments"] = {
-                "wall_seconds": figure_timings,
-                "note": "informational trajectory, not CI-gated",
-            }
-        sharded_smoke, _ = run_sharded_cluster_workload(
-            SHARDED_SMOKE, shards=SHARDED_SMOKE["shards"]
-        )
-        baseline.setdefault("cluster_sharded", {})["smoke"] = sharded_smoke
         BASELINE_PATH.write_text(json.dumps(baseline, indent=2) + "\n")
         print(f"baseline written to {BASELINE_PATH}")
-        return 0
-
-    if not args.smoke:
-        return 0
-
-    if "smoke" not in baseline or "cluster" not in baseline:
-        print(
-            f"no smoke/cluster baseline in {BASELINE_PATH}; run with --update",
-            file=sys.stderr,
-        )
-        return 2
-    smoke_baseline, cluster_baseline = baseline["smoke"], baseline["cluster"]
-    failed = [
-        _pin_fails("kernel", smoke_baseline, metrics, ("events",)),
-        _floor_fails(
-            "events/sec", "events_per_sec", smoke_baseline, metrics,
-            args.threshold,
-        ),
-        _pin_fails(
-            "cluster", cluster_baseline, cluster_metrics, CLUSTER_COMPONENTS
-        ),
-        _floor_fails(
-            "cluster invocations/sec", "invocations_per_sec",
-            cluster_baseline, cluster_metrics, args.threshold,
-        ),
-    ]
-    status = int(any(failed))
-    if status == 0:
-        print(
-            f"OK: events/sec within {args.threshold:.0%} of baseline "
-            f"({metrics['events_per_sec']:.0f} vs "
-            f"{smoke_baseline['events_per_sec']:.0f}), event count exact; "
-            f"cluster {cluster_metrics['invocations_per_sec']:.2f} inv/sec "
-            f"({CLUSTER_SMOKE['hosts']} hosts), checksums exact"
-        )
-    if args.check:
+    elif args.check:
         status = (
-            run_parity(
-                baseline, reference=cluster_metrics, report_out=args.report_out
-            )
+            run_parity(baseline, reference=reference, report_out=args.report_out)
             or status
         )
     return status

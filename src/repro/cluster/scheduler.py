@@ -1073,10 +1073,7 @@ class ClusterSimulator:
             vm = hs.idle.pop_lru()
             if vm is None:
                 break
-            hs.memory_mb -= vm.memory_mb
-            hs.stats.evictions += 1
-            self._report.evictions += 1
-            self._ctr_evictions.value += 1
+            self._evict(hs, vm)
             evicted += 1
         self._emit(host_id, "ops.drain", evicted=evicted)
         return evicted
@@ -1091,22 +1088,23 @@ class ClusterSimulator:
             hs.error_times.clear()
         self._emit(host_id, "ops.undrain")
 
+    def _evict(self, hs: _HostState, vm: PooledVm) -> None:
+        """Account one keep-alive VM taken out of ``hs``'s pool."""
+        hs.memory_mb -= vm.memory_mb
+        hs.stats.evictions += 1
+        self._report.evictions += 1
+        self._ctr_evictions.value += 1
+
     def _evict_expired(self, hs: _HostState, now: float) -> None:
         for vm in hs.idle.pop_expired(now, self.config.keep_alive_ttl_us):
-            hs.memory_mb -= vm.memory_mb
-            hs.stats.evictions += 1
-            self._report.evictions += 1
-            self._ctr_evictions.value += 1
+            self._evict(hs, vm)
 
     def _evict_until_fits(self, hs: _HostState, extra_mb: float) -> None:
         while hs.memory_mb + extra_mb > self.config.memory_budget_mb:
             vm = hs.idle.pop_lru()
             if vm is None:
                 break
-            hs.memory_mb -= vm.memory_mb
-            hs.stats.evictions += 1
-            self._report.evictions += 1
-            self._ctr_evictions.value += 1
+            self._evict(hs, vm)
 
     def _artifacts_for(
         self, hs: _HostState, function: str, policy: Policy

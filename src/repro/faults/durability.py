@@ -492,16 +492,6 @@ class DurabilityManager:
 
     # -- reporting -----------------------------------------------------
 
-    def readable_functions(self, host_id: str) -> List[str]:
-        """Functions with at least one readable replica on
-        ``host_id`` (sharded workers export this so the router's
-        placement view is quarantine-aware)."""
-        return sorted(
-            key[1]
-            for key, rs in self._sets.items()
-            if key[0] == host_id and rs.readable
-        )
-
     def status(self) -> Dict[str, Any]:
         """Canonical point-in-time durability document (the
         ``durability-status`` service command)."""

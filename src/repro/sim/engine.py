@@ -405,7 +405,7 @@ class Environment:
         self.seed = seed
         self.rng = random.Random(f"env|{seed}")
         #: Events dispatched by :meth:`step` over the environment's
-        #: lifetime (the perf harness derives events/sec from this).
+        #: lifetime (the perf harness pins its smoke run's count).
         self.events_processed = 0
         #: Recycled Timeout objects (see :meth:`timeout`).
         self._timeout_pool: List[Timeout] = []
