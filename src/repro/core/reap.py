@@ -113,7 +113,9 @@ def make_reap_fault_handler(
             yield pending
             yield env.timeout(_CACHED_PREAD_US)
             return memory_file.page_value(page)
-        yield from readahead.fault_read(memory_file, cache, page)
+        handler.last_read = yield from readahead.fault_read(
+            memory_file, cache, page
+        )
         return memory_file.page_value(page)
 
     def fast(page: int, now: float):

@@ -453,9 +453,10 @@ class FaultHandler:
 
         registration = self.uffd.lookup(page) if self.uffd else None
         if registration is not None:
-            before_requests, before_bytes = self._device_counters()
+            handler = registration.handler
+            handler.last_read = (0, 0)
             content = yield from self.uffd.handle_fault(registration, page)
-            after_requests, after_bytes = self._device_counters()
+            requests, bytes_read = handler.last_read
             space.install_pte(page, content)
             space.ept.add(page)
             self._apply_write(page, write, value)
@@ -464,8 +465,8 @@ class FaultHandler:
                 page,
                 start,
                 self.env.now - start,
-                after_requests - before_requests,
-                after_bytes - before_bytes,
+                requests,
+                bytes_read,
             )
             self.stats.add(record)
             return record
@@ -508,17 +509,14 @@ class FaultHandler:
                 kind = FaultKind.MAJOR
                 requests = bytes_read = 0
             else:
-                device = file.device
-                before_requests = device.stats.requests
-                before_bytes = device.stats.bytes_read
                 yield self.env.timeout(self.params.major_fault_overhead_us)
-                yield from self.readahead.fault_read(file, self.cache, file_page)
+                requests, bytes_read = yield from self.readahead.fault_read(
+                    file, self.cache, file_page
+                )
                 # The vCPU blocked on the read; waking it costs extra
                 # (kvm_vcpu_block, Table 3).
                 yield self.env.timeout(self.params.vcpu_block_overhead_us)
                 kind = FaultKind.MAJOR
-                requests = device.stats.requests - before_requests
-                bytes_read = device.stats.bytes_read - before_bytes
 
         if write:
             # MAP_PRIVATE write fault: the private copy happens inside
@@ -739,9 +737,8 @@ class FaultHandler:
         requests = bytes_read = 0
         if read_plan is not None:
             commit_uncontended_read(self.cache, read_plan)
-            if self.io_device is read_plan.file.device:
-                requests = len(read_plan.reads)
-                bytes_read = read_plan.bytes_total
+            requests = len(read_plan.reads)
+            bytes_read = read_plan.bytes_total
         space = self.space
         space.install_pte(page, content)
         space.ept.add(page)

@@ -27,7 +27,7 @@ from typing import Any, Dict, Generator, List, Tuple
 from repro.host.page_cache import PageCache
 from repro.host.params import HostParams
 from repro.sim import Event
-from repro.storage.filestore import StoredFile
+from repro.storage.filestore import PAGE_SIZE, StoredFile
 
 #: Slack after the previous window's end still considered sequential.
 _SEQUENTIAL_SLACK_PAGES = 4
@@ -104,12 +104,14 @@ class ReadaheadPolicy:
 
     def fault_read(
         self, file: StoredFile, cache: PageCache, fault_page: int
-    ) -> Generator[Event, Any, int]:
+    ) -> Generator[Event, Any, Tuple[int, int]]:
         """Process helper: perform the readahead read for a fault.
 
         Marks the window pending, reads it from the device as one
         contiguous request (split only by sparse holes), inserts the
-        pages into the cache, and returns the number of pages read.
+        pages into the cache, and returns the read's own device
+        requests and bytes (other readers of the device are not
+        counted).
         """
         pages = self.window(file, cache, fault_page)
         # The window is contiguous and was trimmed at the first
@@ -124,4 +126,5 @@ class ReadaheadPolicy:
         # The window is contiguous: one range insertion instead of a
         # per-page loop (completes the pending reads identically).
         cache.insert_range(file.name, pages[0], len(pages))
-        return len(pages)
+        runs = list(file.data_runs(pages[0], len(pages)))
+        return len(runs), sum(n for _, n in runs) * PAGE_SIZE
