@@ -15,17 +15,23 @@ into a compact working-set file. On subsequent invocations it:
 Step 2 is the "long initial loading step that blocks the invocation"
 FaaSnap's concurrent paging removes (§4.2); step 3 is why REAP
 degrades when the input changes (§6.3).
+
+Step 3's handler is one function for both fault paths: asked at the
+instant its thread wakes, it prices a hole, a cached copy or an
+uncontended readahead read at once, and only when the page is already
+in flight or the device would queue the read does it answer with the
+leg that waits on the event heap.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator
+from typing import Any, Generator
 
 from repro.core.working_set import ReapWorkingSet
-from repro.host.fault import plan_uncontended_read
 from repro.host.page_cache import PageCache
 from repro.host.params import HostParams
 from repro.host.readahead import ReadaheadPolicy
+from repro.host.uffd import UffdHandler
 from repro.sim import Environment, Event
 from repro.storage.filestore import FileStore, StoredFile
 from repro.vm.snapshot import Snapshot
@@ -89,51 +95,41 @@ def make_reap_fault_handler(
     params: HostParams,
     cache: PageCache,
     snapshot: Snapshot,
-) -> Callable[[int], Generator[Event, Any, int]]:
+) -> UffdHandler:
     """User-space handler for faults outside the working set.
 
     preads the page from the original memory file: zeros for holes,
     a copy from the page cache when resident, otherwise a disk read
     that goes through the cache with readahead (matching the paper's
     observation that out-of-WS handling is 8-64 us when prefetched
-    and >128 us when not, §3.3).
+    and >128 us when not, §3.3). It answers at once (see
+    :data:`repro.host.uffd.UffdHandler`) unless the page is already
+    in flight or the device would queue the read: then its answer is
+    the leg that waits.
     """
     memory_file = snapshot.memory_file
+    name = memory_file.name
     readahead = ReadaheadPolicy(params)
 
-    def handler(page: int) -> Generator[Event, Any, int]:
-        if memory_file.is_hole(page):
-            yield env.timeout(_CACHED_PREAD_US)
-            return 0
-        if cache.contains(memory_file.name, page):
-            yield env.timeout(_CACHED_PREAD_US)
-            return memory_file.page_value(page)
-        pending = cache.pending_event(memory_file.name, page)
-        if pending is not None:
-            yield pending
-            yield env.timeout(_CACHED_PREAD_US)
-            return memory_file.page_value(page)
-        handler.last_read = yield from readahead.fault_read(
-            memory_file, cache, page
-        )
-        return memory_file.page_value(page)
+    def wait_for_read(page: int) -> Generator[Event, Any, tuple]:
+        yield cache.pending_event(name, page)
+        yield env.timeout(_CACHED_PREAD_US)
+        return memory_file.page_value(page), None
 
-    def fast(page: int, now: float):
-        # Synchronous twin of ``handler`` for the fault fast path
-        # (see repro.host.uffd.UffdFastHandler): prices the fault on
-        # the virtual clock ``now`` without mutating, deferring the
-        # read's side effects to the plan's commit. Bails to the
-        # event path only for waits on in-flight reads.
+    def queued_read(page: int) -> Generator[Event, Any, tuple]:
+        read = yield from readahead.fault_read(memory_file, cache, page)
+        return memory_file.page_value(page), read
+
+    def handler(page: int, now: float) -> Any:
         if memory_file.is_hole(page):
             return 0, now + _CACHED_PREAD_US, None
-        if cache.contains(memory_file.name, page):
+        if cache.contains(name, page):
             return memory_file.page_value(page), now + _CACHED_PREAD_US, None
-        if cache.has_pending(memory_file.name, page):
-            return None
-        plan = plan_uncontended_read(readahead, memory_file, cache, page, now)
-        if plan is None:
-            return None
-        return memory_file.page_value(page), plan.end, plan
+        if cache.has_pending(name, page):
+            return wait_for_read(page)
+        read = readahead.quote(memory_file, cache, page, now)
+        if read is None:
+            return queued_read(page)
+        return memory_file.page_value(page), read.end, read
 
-    handler.fast = fast
     return handler

@@ -473,7 +473,6 @@ def invocation_process(
             profile.total_pages,
             make_reap_fault_handler(env, config.host, cache, warm),
         )
-        vm.handler.io_device = warm.memory_file.device
         fetch_time_us = yield from reap_setup(
             env, config.host, vm, artifacts.reap_ws, artifacts.reap_ws_file, warm
         )

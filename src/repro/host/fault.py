@@ -1,7 +1,8 @@
 """The host page-fault handler.
 
-Every guest memory access funnels through :meth:`FaultHandler.access`.
-Guest memory is mapped at two levels, as on real KVM hosts:
+Every guest memory access funnels through one classifier,
+:meth:`FaultHandler.classify`. Guest memory is mapped at two levels,
+as on real KVM hosts:
 
 * the **host PTE** (``AddressSpace.pte``) — the VMM process's mapping
   of the page, installed by fault handling or by ``UFFDIO_COPY``;
@@ -27,19 +28,37 @@ MAJOR       File page not resident: blocks on disk I/O, with
             the fault waits on it instead of issuing a duplicate
             request — cheaper, and charged no block I/O of its own
             (§6.5).
-UFFD        Delegated to a userfaultfd handler (REAP).
+UFFD        Delegated to a userfaultfd handler (REAP): wake-up, the
+            handler's work, UFFDIO_COPY and the vCPU resume stall.
 COW         First write to a clean file-backed page: the private
             copy-on-write break (guest memory is MAP_PRIVATE).
 ==========  ========================================================
 
+Given a page, a write flag and an instant, the classifier either
+*resolves* the fault — its kind, the instants its cost legs end, the
+content to install and its own readahead read, priced on an idle
+device — or returns the one *leg that must block* on the event heap: a
+wait on another reader's in-flight read, a device read that would
+queue (busy or degraded device), or a userfaultfd handler that cannot
+answer at once. Two callers share it:
+
+* :meth:`FaultHandler.fast_access`, the batched path, classifies on
+  the vCPU's virtual clock and commits a resolution at once — when
+  its end falls before the observer horizon and, for a fault that
+  reads or delegates, before the next heap event, so no other process
+  could have seen the difference;
+* :meth:`FaultHandler.access`, the event path, classifies at
+  ``env.now``, sleeps to each leg's end and commits, or runs the
+  blocking leg first. It prices reads and handlers at the instant they
+  really start, as nothing stops other processes running meanwhile.
+
 Each handled fault appends one row to the VM's fault log
 (:class:`FaultStats`), a set of typed columns: kind code, page, start
-and duration, plus block requests and bytes read for the kinds that
-do I/O. The fast path appends to the columns without allocating an
-object per fault; :class:`FaultRecord` is the row view, built when
-someone reads the log. The paper's histograms (Fig. 2), fault counts
-and times (Fig. 9), and waiting-time breakdowns (Table 3) are
-computed from the log.
+and duration, plus the block requests and bytes of the fault's own
+reads for the kinds that do I/O. :class:`FaultRecord` is the row
+view, built when someone reads the log. The paper's histograms
+(Fig. 2), fault counts and times (Fig. 9), and waiting-time
+breakdowns (Table 3) are computed from the log.
 """
 
 from __future__ import annotations
@@ -55,11 +74,10 @@ from typing import Any, Generator, Iterator, List, Optional, Sequence, Tuple
 
 from repro.host.page_cache import PageCache
 from repro.host.params import HostParams
-from repro.host.readahead import ReadaheadPolicy
-from repro.host.uffd import UserfaultfdManager
+from repro.host.readahead import ReadaheadPolicy, WindowRead
+from repro.host.uffd import UffdRegistration, UserfaultfdManager
 from repro.host.vma import ANONYMOUS, AddressSpace, FileBacking, Vma
 from repro.sim import Environment, Event, SimulationError
-from repro.storage.filestore import PAGE_SIZE
 
 
 #: Sentinel returned by :meth:`FaultHandler.fast_access` when servicing
@@ -67,99 +85,16 @@ from repro.storage.filestore import PAGE_SIZE
 #: horizon (see :class:`repro.vm.vcpu.ObservationHorizon`).
 HORIZON_BLOCKED = object()
 
-
-class SyncReadPlan:
-    """A fault-time readahead read computed synchronously but not yet
-    applied: the window, the per-request timings, and the device
-    sequential-detector cursor as it would stand after the read. Split
-    from the commit so a caller can still bail (observer horizon,
-    pending heap event) without having mutated anything."""
-
-    __slots__ = (
-        "readahead",
-        "file",
-        "pages",
-        "window_size",
-        "reads",
-        "end",
-        "bytes_total",
-        "seq_cursor",
-    )
-
-    def __init__(self, readahead, file, pages, window_size, reads, end,
-                 bytes_total, seq_cursor):
-        self.readahead = readahead
-        self.file = file
-        self.pages = pages
-        self.window_size = window_size
-        self.reads = reads
-        self.end = end
-        self.bytes_total = bytes_total
-        self.seq_cursor = seq_cursor
-
-
-def plan_uncontended_read(
-    readahead: ReadaheadPolicy,
-    file,
-    cache: PageCache,
-    fault_page: int,
-    start: float,
-) -> Optional["SyncReadPlan"]:
-    """Plan a fault's readahead read for synchronous servicing.
-
-    Returns ``None`` when the device would queue the request (a slot or
-    the bandwidth channel is busy) — then the event-driven path must
-    run. Otherwise replicates, addition for addition, the float
-    arithmetic of :meth:`repro.storage.device.BlockDevice.read` for
-    each data run of the window, so committing the plan lands on a
-    bit-identical completion instant.
-    """
-    device = file.device
-    if not device.can_read_immediately():
-        return None
-    pages, window_size = readahead.plan(file, cache, fault_page)
-    spec = device.spec
-    seq_cursor = device._next_sequential_offset
-    end = start
-    reads = []
-    bytes_total = 0
-    for run_start, run_len in file.data_runs(pages[0], len(pages)):
-        offset = file.device_offset(run_start)
-        nbytes = run_len * PAGE_SIZE
-        sequential = offset == seq_cursor
-        seq_cursor = offset + nbytes
-        latency = (
-            spec.sequential_latency_us
-            if sequential
-            else spec.random_latency_us
-        )
-        latency = max(latency, spec.min_request_interval_us)
-        run_begin = end
-        end = end + latency
-        end = end + nbytes / spec.bandwidth_bytes_per_us
-        reads.append((nbytes, sequential, end - run_begin))
-        bytes_total += nbytes
-    return SyncReadPlan(
-        readahead, file, pages, window_size, reads, end, bytes_total, seq_cursor
-    )
-
-
-def commit_uncontended_read(cache: PageCache, plan: "SyncReadPlan") -> None:
-    """Apply a :class:`SyncReadPlan`: stream state, device statistics,
-    sequential-detector cursor, and cache residency — the same
-    mutations, in the same order, the event-driven read performs."""
-    file = plan.file
-    plan.readahead.commit(file.name, plan.pages[0], plan.pages, plan.window_size)
-    stats = file.device.stats
-    for nbytes, sequential, elapsed in plan.reads:
-        stats.requests += 1
-        if sequential:
-            stats.sequential_requests += 1
-        stats.bytes_read += nbytes
-        stats.per_request_sizes.append(nbytes)
-        stats.busy_time_us += elapsed
-    file.device._next_sequential_offset = plan.seq_cursor
-    cache.insert_range(file.name, plan.pages[0], len(plan.pages))
+#: A resolved fault: ``(kind code, split, end, content, read)``. ``end``
+#: is the instant the fault ends; ``split`` the instant its last cost
+#: leg starts when two legs remain (a store's MAP_PRIVATE copy, the
+#: userfaultfd resume stall), else ``None`` — the event path sleeps to
+#: each. ``content`` is the token to install (``None`` when the PTE
+#: already exists); ``read`` is the fault's own
+#: :class:`~repro.host.readahead.WindowRead`, or ``None``.
+Resolution = Tuple[
+    int, Optional[float], float, Optional[int], Optional[WindowRead]
+]
 
 
 class FaultKind(enum.Enum):
@@ -265,7 +200,7 @@ class FaultStats:
     __hash__ = None  # type: ignore[assignment]
 
     def add(self, record: FaultRecord) -> None:
-        """Append one record (the event path)."""
+        """Append one record."""
         code = KIND_CODE[record.kind]
         if code == NONE_CODE:
             raise ValueError("a NONE access is no fault and has no row")
@@ -389,15 +324,11 @@ class FaultHandler:
         self.label = label
         self.readahead = ReadaheadPolicy(params)
         self.stats = FaultStats()
-        #: Last VMA the fast path resolved, valid while the space's
+        #: Last VMA the classifier resolved, valid while the space's
         #: mapping ``version`` is unchanged — consecutive accesses
         #: overwhelmingly hit the same region.
         self._vma_cache: Optional[Vma] = None
         self._vma_version = -1
-        #: Device whose I/O counters are attributed to userfaultfd
-        #: faults (set when a uffd handler reads from disk on the
-        #: VM's behalf, e.g. REAP's out-of-working-set path).
-        self.io_device = None
 
     def _cost(self, base_us: float, page: int, salt: int) -> float:
         """Service cost with deterministic per-(page, kind) jitter.
@@ -413,192 +344,50 @@ class FaultHandler:
         factor = 1.0 + jitter * (2.0 * bucket / 1024.0 - 1.0)
         return base_us * factor
 
-    def access(
-        self, page: int, write: bool = False, value: Optional[int] = None
-    ) -> Generator[Event, Any, FaultRecord]:
-        """Process helper: one guest access to ``page``.
-
-        ``write=True`` with ``value`` models the guest storing new
-        content. Returns the :class:`FaultRecord` (kind ``NONE`` for a
-        faultless access). Usage::
-
-            record = yield from handler.access(page, write=True, value=v)
-        """
-        start = self.env.now
-        space = self.space
-
-        if page in space.ept or page in space.image:
-            if not (write and self._store_mapped(page, value)):
-                return FaultRecord(FaultKind.NONE, page, start, 0.0)
-            cow_us = self.params.anon_fault_us + self.params.cow_copy_us
-            if cow_us > 0:
-                yield self.env.timeout(cow_us)
-            record = FaultRecord(
-                FaultKind.COW, page, start, self.env.now - start
-            )
-            self.stats.add(record)
-            return record
-
-        if space.is_installed(page):
-            # Host PTE exists (UFFDIO_COPY or a previous mapping):
-            # only the KVM EPT fixup remains.
-            yield self.env.timeout(self._cost(self.params.present_fault_us, page, 1))
-            space.ept.add(page)
-            record = FaultRecord(
-                FaultKind.PRESENT, page, start, self.env.now - start
-            )
-            self._apply_write(page, write, value)
-            self.stats.add(record)
-            return record
-
-        registration = self.uffd.lookup(page) if self.uffd else None
-        if registration is not None:
-            handler = registration.handler
-            handler.last_read = (0, 0)
-            content = yield from self.uffd.handle_fault(registration, page)
-            requests, bytes_read = handler.last_read
-            space.install_pte(page, content)
-            space.ept.add(page)
-            self._apply_write(page, write, value)
-            record = FaultRecord(
-                FaultKind.UFFD,
-                page,
-                start,
-                self.env.now - start,
-                requests,
-                bytes_read,
-            )
-            self.stats.add(record)
-            return record
-
-        vma = space.resolve(page)
-        if vma is None:
-            raise SimulationError(
-                f"{self.label}: access to unmapped page {page} (SIGSEGV)"
-            )
-
-        if vma.backing is ANONYMOUS:
-            yield self.env.timeout(self._cost(self.params.anon_fault_us, page, 2))
-            space.install_pte(page, space.anon_contents.get(page, 0))
-            space.ept.add(page)
-            self._apply_write(page, write, value)
-            record = FaultRecord(FaultKind.ANON, page, start, self.env.now - start)
-            self.stats.add(record)
-            return record
-
-        assert isinstance(vma.backing, FileBacking)
-        file = vma.backing.file
-        file_page = vma.file_page(page)
-
-        if file.is_hole(file_page) or self.cache.contains(file.name, file_page):
-            # Resident page or sparse hole: minor fault, no I/O.
-            yield self.env.timeout(self._cost(self.params.minor_fault_us, page, 3))
-            kind = FaultKind.MINOR
-            requests = bytes_read = 0
-        else:
-            pending = self.cache.pending_event(file.name, file_page)
-            if pending is not None:
-                # Another thread is already reading this page: wait on
-                # its completion, then install — a major fault with no
-                # block I/O of its own.
-                yield pending
-                yield self.env.timeout(
-                    self.params.minor_fault_us
-                    + self.params.vcpu_block_overhead_us
-                )
-                kind = FaultKind.MAJOR
-                requests = bytes_read = 0
-            else:
-                yield self.env.timeout(self.params.major_fault_overhead_us)
-                requests, bytes_read = yield from self.readahead.fault_read(
-                    file, self.cache, file_page
-                )
-                # The vCPU blocked on the read; waking it costs extra
-                # (kvm_vcpu_block, Table 3).
-                yield self.env.timeout(self.params.vcpu_block_overhead_us)
-                kind = FaultKind.MAJOR
-
-        if write:
-            # MAP_PRIVATE write fault: the private copy happens inside
-            # the same fault.
-            yield self.env.timeout(self.params.cow_copy_us)
-        space.install_pte(page, file.page_value(file_page))
-        space.ept.add(page)
-        self._apply_write(page, write, value)
-        record = FaultRecord(
-            kind, page, start, self.env.now - start, requests, bytes_read
-        )
-        self.stats.add(record)
-        return record
-
-    def fast_access(
-        self,
-        page: int,
-        write: bool,
-        value: Optional[int],
-        vnow: float,
-        horizon: float = float("inf"),
+    def classify(
+        self, page: int, write: bool, now: float, eager: bool = True
     ) -> Any:
-        """Service one access synchronously if it cannot block.
+        """Classify a fault on ``page``, which is mapped neither in EPT
+        nor in the image, starting at instant ``now``.
 
-        This is the batching fast path (the paper's §3 observation
-        that anonymous ≈2.5 µs, minor ≈3.7 µs and EPT-fixup faults
-        have deterministic service times makes aggregation exact):
-        accesses whose outcome and cost depend only on state this VM
-        itself mutates — installed-PTE fixups, anonymous zero-fills,
-        sparse-file holes, and page-cache minor faults on an unbounded
-        cache — are handled without touching the event heap. ``vnow``
-        is the caller's virtual clock. ``page`` must not be mapped in
-        EPT or the image: the caller handles mapped pages itself (a
-        read is no fault; a store goes through :meth:`mapped_write`).
-        A serviced access appends its fault to the log as a row,
-        allocating no :class:`FaultRecord`, and returns its end instant,
-        computed with exactly the float arithmetic the per-event path
-        would have produced, so a later :meth:`Environment.wake_at`
-        flush lands the real clock on a bit-identical instant.
+        Returns a :data:`Resolution`, or the leg that must block: a
+        generator that yields simulation events and returns the
+        :data:`Resolution` of what remains. It changes no simulated
+        state, except that a capacity-bounded cache's residency probe
+        touches its LRU (as the kernel's does).
 
-        Major faults are also serviced synchronously when the device
-        is idle and no other simulation event fires before the fault
-        would complete (checked against the event heap), which covers
-        the common cold-start stream of one uncontended readahead
-        window per fault.
-
-        Returns ``None`` when the access must take the event-driven
-        slow path: userfaultfd-delegated pages, waits on in-flight
-        reads, contended major faults, and faults against a
-        capacity-bounded cache (whose LRU/eviction behaviour is
-        order-sensitive).
-
-        ``horizon`` is the next instant a concurrent observer reads
-        the installed-PTE count (the mincore recorder's RSS poll).
-        Returns :data:`HORIZON_BLOCKED` instead of installing when the
-        per-event completion instant would land at or past it — the
-        caller must flush and retry, so the observer never sees an
-        install earlier than the per-event path would have made it.
+        ``eager`` callers (the batched path) commit a resolution at
+        once, on the premise that nothing else runs until the fault
+        ends: a read or a userfaultfd handler is priced at ``now``, and
+        where a leg would block — or a bounded cache's LRU order would
+        depend on when the access happens — the answer is ``None``, the
+        event path's job. Without ``eager`` (the event path) reads and
+        handlers are decided at the instant they start, so their legs
+        are returned.
         """
         space = self.space
         params = self.params
-
         if page in space.pte:
-            end = vnow + self._cost(params.present_fault_us, page, 1)
-            if end >= horizon:
-                return HORIZON_BLOCKED
-            space.ept.add(page)
-            if write:
-                space.write_anon(page, self._required_value(value))
-            self.stats.log(PRESENT_CODE, page, vnow, end - vnow)
-            return end
+            # Host PTE exists (UFFDIO_COPY or a previous mapping):
+            # only the KVM EPT fixup remains.
+            end = now + self._cost(params.present_fault_us, page, 1)
+            return PRESENT_CODE, None, end, None, None
 
-        if self.uffd is not None:
-            registration = self.uffd.lookup(page)
+        uffd = self.uffd
+        if uffd is not None:
+            registration = uffd.lookup(page)
             if registration is not None:
-                return self._fast_uffd(
-                    registration, page, write, value, vnow, horizon
-                )
+                wake = now + params.uffd_wakeup_us
+                if not eager:
+                    return self._uffd_leg(registration, page, wake)
+                if self.cache.capacity_pages is not None:
+                    return None
+                outcome = registration.handler(page, wake)
+                if type(outcome) is not tuple:
+                    return None
+                content, done, read = outcome
+                return self._handler_done(done, content, read)
 
-        # One-entry VMA cache: consecutive accesses overwhelmingly hit
-        # the same region, making the bisect in resolve() the
-        # exception rather than the rule.
         vma = self._vma_cache
         if (
             vma is None
@@ -614,139 +403,230 @@ class FaultHandler:
             self._vma_version = space.version
 
         if vma.backing is ANONYMOUS:
-            end = vnow + self._cost(params.anon_fault_us, page, 2)
-            if end >= horizon:
-                return HORIZON_BLOCKED
-            space.pte[page] = space.anon_contents.get(page, 0)
-            space.ept.add(page)
-            if write:
-                space.write_anon(page, self._required_value(value))
-            self.stats.log(ANON_CODE, page, vnow, end - vnow)
-            return end
+            end = now + self._cost(params.anon_fault_us, page, 2)
+            return ANON_CODE, None, end, space.anon_contents.get(page, 0), None
 
         backing = vma.backing
         file = backing.file
+        name = file.name
         file_page = backing.file_start_page + (page - vma.start)
-
         # Inlined StoredFile.is_hole / page_value and the unbounded
         # page-cache residency probe: this branch runs once per minor
-        # fault and the attribute/range-check overhead of the general
-        # accessors is measurable at that rate.
+        # fault and the general accessors' overhead is measurable at
+        # that rate.
         content = file.pages.get(file_page, 0)
         cache = self.cache
-        if cache.capacity_pages is None:
-            runs = cache._runs.get(file.name)
-            if runs is not None:
+        if file.sparse and content == 0:
+            resident = True
+        elif cache.capacity_pages is None:
+            runs = cache._runs.get(name)
+            if runs is None:
+                resident = False
+            else:
                 index = bisect_right(runs.starts, file_page) - 1
                 resident = index >= 0 and file_page < runs.ends[index]
-            else:
-                resident = False
+        elif eager:
+            return None
         else:
-            resident = False
-        if (file.sparse and content == 0) or resident:
-            end = vnow + self._cost(params.minor_fault_us, page, 3)
+            resident = cache.contains(name, file_page)
+        if resident:
+            # Resident page or sparse hole: minor fault, no I/O.
+            end = now + self._cost(params.minor_fault_us, page, 3)
             if write:
-                end = end + params.cow_copy_us
-            if end >= horizon:
-                return HORIZON_BLOCKED
-            space.pte[page] = content
-            space.ept.add(page)
-            if write:
-                space.write_anon(page, self._required_value(value))
-            self.stats.log(MINOR_CODE, page, vnow, end - vnow)
-            return end
+                return MINOR_CODE, end, end + params.cow_copy_us, content, None
+            return MINOR_CODE, None, end, content, None
 
-        # MAJOR fault. Its service time is computable synchronously
-        # when (a) the device would grant a queue slot and the
-        # bandwidth channel immediately, and (b) no event anywhere in
-        # the simulation fires at or before the fault's completion —
-        # then no other process can contend for the device, mutate the
-        # page cache, or observe the eagerly-applied state any earlier
-        # than the per-event path would have produced it.
-        if self.cache.capacity_pages is not None:
+        if cache.has_pending(name, file_page):
+            if eager:
+                return None
+            return self._wait_leg(name, file_page, content, write)
+        start = now + params.major_fault_overhead_us
+        if not eager:
+            return self._read_leg(file, file_page, content, write, start)
+        read = self.readahead.quote(file, cache, file_page, start)
+        if read is None:
             return None
-        if self.cache.has_pending(file.name, file_page):
-            # Wait on the in-flight read: inherently event-driven.
-            return None
-        plan = plan_uncontended_read(
-            self.readahead,
-            file,
-            self.cache,
-            file_page,
-            vnow + params.major_fault_overhead_us,
-        )
-        if plan is None:
-            return None
-        end = plan.end + params.vcpu_block_overhead_us
+        return self._read_done(read.end, write, content, read)
+
+    def _read_done(
+        self, done: float, write: bool, content: int, read: Optional[WindowRead]
+    ) -> Resolution:
+        """A MAJOR fault whose own read completed at ``done``: the vCPU
+        blocked on it, and waking it costs extra (kvm_vcpu_block,
+        Table 3); a store adds the MAP_PRIVATE copy, made inside the
+        same fault."""
+        end = done + self.params.vcpu_block_overhead_us
         if write:
-            end = end + params.cow_copy_us
-        if end >= horizon or self.env.peek() <= end:
-            # Something else runs before this fault would finish (or
-            # the observer would see it): flush and retry, or fall to
-            # the slow path.
-            return HORIZON_BLOCKED
-        commit_uncontended_read(self.cache, plan)
-        space.install_pte(page, file.page_value(file_page))
-        space.ept.add(page)
-        self._apply_write(page, write, value)
-        self.stats.log_io(
-            MAJOR_CODE,
-            page,
-            vnow,
-            end - vnow,
-            len(plan.reads),
-            plan.bytes_total,
-        )
-        return end
+            return MAJOR_CODE, end, end + self.params.cow_copy_us, content, read
+        return MAJOR_CODE, None, end, content, read
 
-    def _fast_uffd(
+    def _handler_done(
+        self, done: float, content: int, read: Optional[WindowRead]
+    ) -> Resolution:
+        """A UFFD fault whose handler finished at ``done``: the
+        UFFDIO_COPY install, then the vCPU resume stall — the round
+        trip context-switches twice and KVM then waits for the guest
+        CPU to be runnable (paper §3.3, §6.4)."""
+        params = self.params
+        copied = done + params.uffd_copy_us
+        end = copied + (params.uffd_resume_stall_us + params.vcpu_block_overhead_us)
+        return UFFD_CODE, copied, end, content, read
+
+    def _wait_leg(
+        self, name: str, file_page: int, content: int, write: bool
+    ) -> Generator[Event, Any, Resolution]:
+        """Another thread is already reading the page: wait on its
+        completion, then install — a major fault with no block I/O of
+        its own."""
+        yield self.cache.pending_event(name, file_page)
+        params = self.params
+        end = self.env.now + (
+            params.minor_fault_us + params.vcpu_block_overhead_us
+        )
+        if write:
+            return MAJOR_CODE, end, end + params.cow_copy_us, content, None
+        return MAJOR_CODE, None, end, content, None
+
+    def _read_leg(
+        self, file, file_page: int, content: int, write: bool, start: float
+    ) -> Generator[Event, Any, Resolution]:
+        """The fault's own readahead read, on the event heap."""
+        yield self.env.wake_at(start)
+        read = yield from self.readahead.fault_read(file, self.cache, file_page)
+        return self._read_done(self.env.now, write, content, read)
+
+    def _uffd_leg(
+        self, registration: UffdRegistration, page: int, wake: float
+    ) -> Generator[Event, Any, Resolution]:
+        """Delegate the fault: wake the handler thread, then run the
+        handler at that instant — sleeping to its answer, issuing its
+        read on the event heap, or running its own blocking leg."""
+        env = self.env
+        yield env.wake_at(wake)
+        outcome = registration.handler(page, env.now)
+        if type(outcome) is tuple:
+            content, done, read = outcome
+            if read is None:
+                yield env.wake_at(done)
+            else:
+                read = yield from read.readahead.fault_read(
+                    read.file, self.cache, read.pages[0]
+                )
+        else:
+            content, read = yield from outcome
+        return self._handler_done(env.now, content, read)
+
+    def access(
+        self, page: int, write: bool = False, value: Optional[int] = None
+    ) -> Generator[Event, Any, FaultRecord]:
+        """Process helper: one guest access to ``page``, on the event
+        heap.
+
+        ``write=True`` with ``value`` models the guest storing new
+        content. Returns the :class:`FaultRecord` (kind ``NONE`` for a
+        faultless access). Usage::
+
+            record = yield from handler.access(page, write=True, value=v)
+        """
+        env = self.env
+        start = env.now
+        space = self.space
+        if page in space.ept or page in space.image:
+            end = self.mapped_write(page, value, start) if write else None
+            if end is None:
+                return FaultRecord(FaultKind.NONE, page, start, 0.0)
+            if end != start:
+                yield env.wake_at(end)
+            return FaultRecord(FaultKind.COW, page, start, end - start)
+
+        outcome = self.classify(page, write, start, eager=False)
+        if type(outcome) is not tuple:
+            outcome = yield from outcome
+        code, split, end, content, read = outcome
+        if split is not None:
+            yield env.wake_at(split)
+        yield env.wake_at(end)
+        io = self._commit(code, page, write, value, content, read, start, env.now)
+        return FaultRecord(KINDS[code], page, start, env.now - start, *io)
+
+    def fast_access(
         self,
-        registration,
         page: int,
         write: bool,
         value: Optional[int],
         vnow: float,
-        horizon: float,
+        horizon: float = float("inf"),
     ) -> Any:
-        """Synchronous twin of the userfaultfd delegation protocol.
+        """Service one access synchronously if it cannot block.
 
-        The wake-up, UFFDIO_COPY and resume-stall legs are fixed
-        costs; the handler's own work is delegated to the
-        registration's ``fast_handler`` (when it provides one), which
-        prices the fault on a virtual clock without mutating anything.
-        The same strict heap/horizon gate as the major-fault fast path
-        then guarantees no other process could have interleaved, so
-        committing eagerly is indistinguishable from the event path.
+        This is the batching fast path (the paper's §3 observation
+        that anonymous ≈2.5 µs, minor ≈3.7 µs and EPT-fixup faults
+        have deterministic service times makes aggregation exact).
+        ``vnow`` is the caller's virtual clock. ``page`` must not be
+        mapped in EPT or the image: the caller handles mapped pages
+        itself (a read is no fault; a store goes through
+        :meth:`mapped_write`). A resolved access is committed and
+        logged at once and its end instant returned — the instant the
+        event path would reach, so a later
+        :meth:`Environment.wake_at` flush lands the real clock on it.
+
+        A fault that reads or delegates (MAJOR, UFFD) touches state
+        other processes share, so it commits only when no other
+        simulation event fires before it would complete (checked
+        against the event heap) — which covers the common cold-start
+        stream of one uncontended readahead window per fault.
+
+        Returns ``None`` when the access must take the event-driven
+        path: a leg that blocks, or a file-page or userfaultfd fault
+        against a capacity-bounded cache (whose LRU order depends on
+        when each access happens).
+
+        ``horizon`` is the next instant a concurrent observer reads
+        the installed-PTE count (the mincore recorder's RSS poll).
+        Returns :data:`HORIZON_BLOCKED` instead of committing when the
+        completion instant would land at or past it, or when a heap
+        event would fire first — the caller must flush and retry, so
+        no observer sees an install earlier than the event path would
+        have made it.
         """
-        fast_handler = registration.fast_handler
-        if fast_handler is None:
-            return None
-        params = self.params
-        t = vnow + params.uffd_wakeup_us
-        outcome = fast_handler(page, t)
+        outcome = self.classify(page, write, vnow)
         if outcome is None:
             return None
-        content, t, read_plan = outcome
-        t = t + params.uffd_copy_us
-        end = t + (
-            params.uffd_resume_stall_us + params.vcpu_block_overhead_us
-        )
-        if end >= horizon or self.env.peek() <= end:
+        code, _, end, content, read = outcome
+        if end >= horizon or (code in IO_CODES and self.env.peek() <= end):
             return HORIZON_BLOCKED
-        self.uffd.delegated_faults += 1
-        requests = bytes_read = 0
-        if read_plan is not None:
-            commit_uncontended_read(self.cache, read_plan)
-            requests = len(read_plan.reads)
-            bytes_read = read_plan.bytes_total
-        space = self.space
-        space.install_pte(page, content)
-        space.ept.add(page)
-        self._apply_write(page, write, value)
-        self.stats.log_io(
-            UFFD_CODE, page, vnow, end - vnow, requests, bytes_read
-        )
+        if read is not None:
+            read.commit(self.cache)
+        self._commit(code, page, write, value, content, read, vnow, end)
         return end
+
+    def _commit(
+        self,
+        code: int,
+        page: int,
+        write: bool,
+        value: Optional[int],
+        content: Optional[int],
+        read: Optional[WindowRead],
+        start: float,
+        end: float,
+    ) -> Tuple[int, int]:
+        """Install the page, apply the store and log the fault; returns
+        the fault's own block requests and bytes."""
+        space = self.space
+        if content is not None:
+            space.pte[page] = content
+        space.ept.add(page)
+        if write:
+            space.write_anon(page, self._required_value(value))
+        if code not in IO_CODES:
+            self.stats.log(code, page, start, end - start)
+            return 0, 0
+        if code == UFFD_CODE:
+            self.uffd.delegated_faults += 1
+        io = (0, 0) if read is None else (read.requests, read.nbytes)
+        self.stats.log_io(code, page, start, end - start, *io)
+        return io
 
     def mapped_write(
         self, page: int, value: Optional[int], vnow: float
@@ -773,15 +653,6 @@ class FaultHandler:
             cow = vma is not None and isinstance(vma.backing, FileBacking)
         space.write_anon(page, self._required_value(value))
         return cow
-
-    def _device_counters(self):
-        if self.io_device is None:
-            return (0, 0)
-        return (self.io_device.stats.requests, self.io_device.stats.bytes_read)
-
-    def _apply_write(self, page: int, write: bool, value: Optional[int]) -> None:
-        if write:
-            self.space.write_anon(page, self._required_value(value))
 
     @staticmethod
     def _required_value(value: Optional[int]) -> int:

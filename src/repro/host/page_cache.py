@@ -62,6 +62,14 @@ class _IntervalRuns:
         index = bisect_right(self.starts, page) - 1
         return index >= 0 and page < self.ends[index]
 
+    def first_at_or_after(self, page: int) -> Optional[int]:
+        """The lowest covered page at or after ``page``, or None."""
+        index = bisect_right(self.starts, page) - 1
+        if index >= 0 and page < self.ends[index]:
+            return page
+        index += 1
+        return self.starts[index] if index < len(self.starts) else None
+
     def gaps_in(self, start: int, end: int) -> List[Tuple[int, int]]:
         """Sub-ranges of ``[start, end)`` *not* covered by any run, in
         ascending order. The complement of residency — what a loader

@@ -18,15 +18,25 @@ Linux's behaviour of not re-reading cached ranges. Sequentiality is
 tracked per file: a fault landing at or just past the previous
 window's end doubles the next window (up to ``readahead_max_pages``);
 anything else resets it to the base size.
+
+A window's read runs one of two ways. :meth:`ReadaheadPolicy.fault_read`
+issues it on the event heap. :meth:`ReadaheadPolicy.quote` prices it
+ahead, mutating nothing, when the device is idle and healthy — with
+the device's own per-request arithmetic, so the quote lands on the
+instant the event-driven read would reach — and
+:meth:`WindowRead.commit` applies it once the caller knows nothing
+else ran meanwhile.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Tuple
+from operator import itemgetter
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.host.page_cache import PageCache
 from repro.host.params import HostParams
 from repro.sim import Event
+from repro.storage.device import ReadQuote
 from repro.storage.filestore import PAGE_SIZE, StoredFile
 
 #: Slack after the previous window's end still considered sequential.
@@ -34,7 +44,8 @@ _SEQUENTIAL_SLACK_PAGES = 4
 
 
 class ReadaheadPolicy:
-    """Computes and executes readahead windows for major faults."""
+    """Computes, prices and executes readahead windows for major
+    faults."""
 
     def __init__(self, params: HostParams):
         self.params = params
@@ -73,10 +84,14 @@ class ReadaheadPolicy:
         pending = cache._pending
         if cache.capacity_pages is None:
             runs = cache._runs.get(name)
+            if runs is not None:
+                resident = runs.first_at_or_after(fault_page + 1)
+                if resident is not None and resident < limit:
+                    limit = resident
+            if not pending:
+                return list(range(fault_page, limit)), size
             for page in range(fault_page + 1, limit):
-                if (runs is not None and runs.contains(page)) or (
-                    (name, page) in pending
-                ):
+                if (name, page) in pending:
                     break
                 pages.append(page)
         else:
@@ -102,18 +117,34 @@ class ReadaheadPolicy:
         self.commit(file.name, fault_page, pages, size)
         return pages
 
+    def quote(
+        self, file: StoredFile, cache: PageCache, fault_page: int, start: float
+    ) -> Optional["WindowRead"]:
+        """Price the read for a fault on ``fault_page`` issued at
+        ``start``, mutating nothing, or ``None`` when the device would
+        queue it (or is degraded): then only :meth:`fault_read` can
+        tell when it completes."""
+        if not file.device.can_read_immediately():
+            return None
+        pages, size = self.plan(file, cache, fault_page)
+        extents = _extents(file, pages)
+        return WindowRead(
+            self, file, pages, size, extents, file.device.quote(extents, start)
+        )
+
     def fault_read(
         self, file: StoredFile, cache: PageCache, fault_page: int
-    ) -> Generator[Event, Any, Tuple[int, int]]:
+    ) -> Generator[Event, Any, "WindowRead"]:
         """Process helper: perform the readahead read for a fault.
 
         Marks the window pending, reads it from the device as one
         contiguous request (split only by sparse holes), inserts the
-        pages into the cache, and returns the read's own device
-        requests and bytes (other readers of the device are not
+        pages into the cache, and returns the read (whose requests and
+        bytes are the fault's own: other readers of the device are not
         counted).
         """
-        pages = self.window(file, cache, fault_page)
+        pages, size = self.plan(file, cache, fault_page)
+        self.commit(file.name, fault_page, pages, size)
         # The window is contiguous and was trimmed at the first
         # resident/in-flight page, so one placeholder range announces
         # it without allocating per-page events.
@@ -126,5 +157,52 @@ class ReadaheadPolicy:
         # The window is contiguous: one range insertion instead of a
         # per-page loop (completes the pending reads identically).
         cache.insert_range(file.name, pages[0], len(pages))
-        runs = list(file.data_runs(pages[0], len(pages)))
-        return len(runs), sum(n for _, n in runs) * PAGE_SIZE
+        return WindowRead(self, file, pages, size, _extents(file, pages))
+
+
+def _extents(file: StoredFile, pages: List[int]) -> List[Tuple[int, int]]:
+    """Device ``(offset, nbytes)`` of each request reading the
+    contiguous window ``pages`` (sparse holes split it and cost no
+    I/O)."""
+    return [
+        (file.device_offset(start), npages * PAGE_SIZE)
+        for start, npages in file.data_runs(pages[0], len(pages))
+    ]
+
+
+class WindowRead:
+    """One fault's readahead read: the window, its device requests and
+    bytes, and — when :meth:`ReadaheadPolicy.quote` priced it ahead —
+    the device quote, applied by :meth:`commit`."""
+
+    __slots__ = (
+        "readahead", "file", "pages", "size", "requests", "nbytes", "quote", "end"
+    )
+
+    def __init__(
+        self,
+        readahead: ReadaheadPolicy,
+        file: StoredFile,
+        pages: List[int],
+        size: int,
+        extents: List[Tuple[int, int]],
+        quote: Optional[ReadQuote] = None,
+    ):
+        self.readahead = readahead
+        self.file = file
+        self.pages = pages
+        self.size = size
+        self.requests = len(extents)
+        self.nbytes = sum(map(itemgetter(1), extents))
+        self.quote = quote
+        #: The instant the quoted read completes.
+        self.end = None if quote is None else quote[0]
+
+    def commit(self, cache: PageCache) -> None:
+        """Apply the quoted read, in the order :meth:`fault_read`
+        would: stream state, device statistics and cursor, then cache
+        residency."""
+        pages = self.pages
+        self.readahead.commit(self.file.name, pages[0], pages, self.size)
+        self.file.device.settle(self.quote)
+        cache.insert_range(self.file.name, pages[0], len(pages))

@@ -10,29 +10,28 @@ waiting for the guest CPU to become runnable again (§6.4's
 ``kvm_vcpu_block`` time) — which is exactly why REAP underperforms
 when many faults fall outside its working set.
 
-The handler here is a caller-provided *generator function* so REAP's
-logic lives in :mod:`repro.core.reap`, not in the substrate.
+The kernel's legs (wake-up, copy, resume stall) are priced by the
+fault classifier (:meth:`repro.host.fault.FaultHandler.classify`);
+the handler's own work is a caller-provided function, so REAP's logic
+lives in :mod:`repro.core.reap`, not in the substrate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.host.params import HostParams
-from repro.sim import Environment, Event, SimulationError
+from repro.sim import Environment, SimulationError
 
-#: A handler receives the faulting page and yields simulation events
-#: while producing it; it returns the content token to install.
-UffdHandler = Callable[[int], Generator[Event, Any, int]]
-
-#: Optional synchronous twin of a handler, for the fault fast path: it
-#: receives ``(page, now)`` and either returns ``(content, end_time,
-#: read_plan_or_None)`` priced on the virtual clock *without mutating
-#: any state*, or ``None`` when the fault can block (e.g. on an
-#: in-flight read) and must take the event-driven handler. Providers
-#: attach it as a ``fast`` attribute on the handler callable.
-UffdFastHandler = Callable[[int, float], Optional[tuple]]
+#: A handler receives the faulting page and the instant its thread
+#: wakes. Changing no simulated state, it answers either
+#: ``(content, end, read)`` — the token to install, the instant its
+#: work ends and the readahead read it issues
+#: (:class:`~repro.host.readahead.WindowRead`, priced on an idle
+#: device, or ``None``) — or, when its work must block, a generator
+#: that yields simulation events and returns ``(content, read)``.
+UffdHandler = Callable[[int, float], Any]
 
 
 @dataclass
@@ -42,8 +41,6 @@ class UffdRegistration:
     start: int
     npages: int
     handler: UffdHandler
-    #: Non-blocking twin used by the batching fast path, if any.
-    fast_handler: Optional[UffdFastHandler] = None
 
     @property
     def end(self) -> int:
@@ -72,9 +69,7 @@ class UserfaultfdManager:
         for existing in self._registrations:
             if start < existing.end and existing.start < start + npages:
                 raise SimulationError("overlapping uffd registrations")
-        registration = UffdRegistration(
-            start, npages, handler, getattr(handler, "fast", None)
-        )
+        registration = UffdRegistration(start, npages, handler)
         self._registrations.append(registration)
         return registration
 
@@ -87,24 +82,3 @@ class UserfaultfdManager:
             if registration.covers(page):
                 return registration
         return None
-
-    def handle_fault(
-        self, registration: UffdRegistration, page: int
-    ) -> Generator[Event, Any, int]:
-        """Process helper: run the full user-level fault protocol.
-
-        Returns the installed content token. Timing: handler wake-up,
-        the handler's own work (which may include disk reads), the
-        UFFDIO_COPY install, and the vCPU resume stall.
-        """
-        self.delegated_faults += 1
-        yield self.env.timeout(self.params.uffd_wakeup_us)
-        value = yield from registration.handler(page)
-        yield self.env.timeout(self.params.uffd_copy_us)
-        # The parked vCPU cannot resume instantly: the userfaultfd
-        # round trip context-switches twice and KVM then waits for the
-        # guest CPU to be runnable (paper §3.3, §6.4).
-        yield self.env.timeout(
-            self.params.uffd_resume_stall_us + self.params.vcpu_block_overhead_us
-        )
-        return value

@@ -21,10 +21,15 @@ loader reads) emerges from the slot/channel resources.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, List, Optional
+from typing import Any, Generator, List, Optional, Sequence, Tuple
 
 from repro.sim import Environment, Event, Resource, SimulationError
 from repro.storage.errors import DeviceError
+
+#: A priced run of reads (:meth:`BlockDevice.quote`): the instant the
+#: last one completes, ``(nbytes, sequential, elapsed)`` per read, and
+#: the sequential-detector cursor they leave behind.
+ReadQuote = Tuple[float, List[Tuple[int, bool, float]], Optional[int]]
 
 
 @dataclass(frozen=True)
@@ -224,26 +229,10 @@ class BlockDevice:
             # readahead detector.
             sequential = offset == self._next_sequential_offset
             self._next_sequential_offset = offset + nbytes
-
-            latency = (
-                self.spec.sequential_latency_us
-                if sequential
-                else self.spec.random_latency_us
-            )
             degradation = self.degradation
-            if degradation is None:
-                latency = max(latency, self.spec.min_request_interval_us)
-                bandwidth = self.spec.bandwidth_bytes_per_us
-            else:
-                latency = max(
-                    latency * degradation.latency_factor,
-                    self.spec.min_request_interval_us
-                    / degradation.iops_factor,
-                )
-                bandwidth = (
-                    self.spec.bandwidth_bytes_per_us
-                    * degradation.bandwidth_factor
-                )
+            latency, transfer = self._service_times(
+                sequential, nbytes, degradation
+            )
             yield self.env.timeout(latency)
 
             if (
@@ -259,37 +248,90 @@ class BlockDevice:
             channel = self._channel.request()
             try:
                 yield channel
-                transfer = nbytes / bandwidth
                 yield self.env.timeout(transfer)
             finally:
                 self._channel.release(channel)
-
-            self.stats.requests += 1
-            if sequential:
-                self.stats.sequential_requests += 1
-            self.stats.bytes_read += nbytes
-            self.stats.per_request_sizes.append(nbytes)
         finally:
             self._slots.release(slot)
 
         elapsed = self.env.now - start
-        self.stats.busy_time_us += elapsed
+        self._account(nbytes, sequential, elapsed)
         return elapsed
+
+    def _service_times(
+        self, sequential: bool, nbytes: int, degradation: Optional[Degradation]
+    ) -> Tuple[float, float]:
+        """Access latency and transfer time of one request issued
+        under ``degradation`` (``None``: the healthy device)."""
+        spec = self.spec
+        latency = (
+            spec.sequential_latency_us
+            if sequential
+            else spec.random_latency_us
+        )
+        if degradation is None:
+            return (
+                max(latency, spec.min_request_interval_us),
+                nbytes / spec.bandwidth_bytes_per_us,
+            )
+        return (
+            max(
+                latency * degradation.latency_factor,
+                spec.min_request_interval_us / degradation.iops_factor,
+            ),
+            nbytes / (spec.bandwidth_bytes_per_us * degradation.bandwidth_factor),
+        )
+
+    def _account(self, nbytes: int, sequential: bool, elapsed: float) -> None:
+        """Count one completed request."""
+        stats = self.stats
+        stats.requests += 1
+        if sequential:
+            stats.sequential_requests += 1
+        stats.bytes_read += nbytes
+        stats.per_request_sizes.append(nbytes)
+        stats.busy_time_us += elapsed
 
     def can_read_immediately(self) -> bool:
         """True when a read issued right now would acquire a queue
-        slot and the bandwidth channel without waiting. The fault
-        fast path uses this (together with an event-heap check) to
-        decide whether a read's service time is computable
-        synchronously. A degraded device always says no: the batching
-        fast path replicates the *healthy* read arithmetic, so fault
-        windows must take the event path (which is where degradation
-        factors and error injection live)."""
+        slot and the bandwidth channel without waiting, on a healthy
+        device: then :meth:`quote` prices it exactly. A degraded
+        device always says no, so fault windows run :meth:`read`,
+        which applies degradation factors and error injection."""
         return (
             self.degradation is None
             and self._slots.in_use < self._slots.capacity
             and self._channel.in_use == 0
         )
+
+    def quote(
+        self, extents: Sequence[Tuple[int, int]], start: float
+    ) -> ReadQuote:
+        """Price ``(offset, nbytes)`` reads issued back to back from
+        ``start`` on a device that :meth:`can_read_immediately`, with
+        nothing else reading meanwhile. Mutates nothing: the quote
+        lands, float for float, on the instant :meth:`read` would
+        reach, and :meth:`settle` then applies the reads' effects."""
+        cursor = self._next_sequential_offset
+        end = start
+        reads = []
+        for offset, nbytes in extents:
+            sequential = offset == cursor
+            cursor = offset + nbytes
+            latency, transfer = self._service_times(sequential, nbytes, None)
+            begin = end
+            end = end + latency
+            end = end + transfer
+            reads.append((nbytes, sequential, end - begin))
+        return end, reads, cursor
+
+    def settle(self, quote: ReadQuote) -> None:
+        """Apply a :meth:`quote`: the statistics and the
+        sequential-detector cursor its reads leave behind."""
+        _, reads, cursor = quote
+        for nbytes, sequential, elapsed in reads:
+            self._account(nbytes, sequential, elapsed)
+        self._next_sequential_offset = cursor
 
     def push_degradation(self, degradation: Degradation) -> None:
         """Apply a degradation window (fault injector entry point)."""
@@ -329,13 +371,8 @@ class BlockDevice:
     def estimate_read_time(self, nbytes: int, sequential: bool = False) -> float:
         """Uncontended service-time estimate (used for sanity checks
         and tests; the simulation itself never uses this shortcut)."""
-        latency = (
-            self.spec.sequential_latency_us
-            if sequential
-            else self.spec.random_latency_us
-        )
-        latency = max(latency, self.spec.min_request_interval_us)
-        return latency + nbytes / self.spec.bandwidth_bytes_per_us
+        latency, transfer = self._service_times(sequential, nbytes, None)
+        return latency + transfer
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<BlockDevice {self.spec.name}>"

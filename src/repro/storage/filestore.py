@@ -154,7 +154,8 @@ class StoredFile:
                 f"read past EOF of {self.name}: page {page_index}+{npages} "
                 f"> {self.num_pages}"
             )
-        values = [self.page_value(page_index + i) for i in range(npages)]
+        pages = self.pages
+        values = [pages.get(i, 0) for i in range(page_index, page_index + npages)]
         for run_start, run_len in self.data_runs(page_index, npages):
             yield from self.device.read(
                 self.base_offset + run_start * PAGE_SIZE, run_len * PAGE_SIZE
@@ -169,9 +170,10 @@ class StoredFile:
         if not self.sparse:
             yield (page_index, npages)
             return
+        pages = self.pages
         run_start: Optional[int] = None
         for i in range(page_index, page_index + npages):
-            if self.page_value(i) != 0:
+            if pages.get(i, 0) != 0:
                 if run_start is None:
                     run_start = i
             elif run_start is not None:

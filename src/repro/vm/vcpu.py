@@ -121,30 +121,20 @@ class VCpuResult:
         return self._logged.count(1)
 
 
-def _note(
-    record: FaultRecord, logged: bytearray, none_starts: List[float]
-) -> None:
-    """Account one event-path access for :class:`VCpuResult`: the
-    handler logged it unless it was no fault."""
-    if record.kind is FaultKind.NONE:
-        logged.append(0)
-        none_starts.append(record.start_us)
-    else:
-        logged.append(1)
-
-
 class VCpu:
     """Executes guest access traces against a host fault handler.
 
     With ``batch_faults`` (the default) runs of accesses that cannot
-    block — EPT hits, anonymous and present faults, minor faults on an
-    unbounded page cache — are serviced synchronously on a virtual
+    block — EPT hits, and every fault the handler's classifier resolves
+    without a blocking leg — are serviced synchronously on a virtual
     clock and the whole run sleeps once via
-    :meth:`~repro.sim.Environment.wake_at`, instead of dispatching one
-    heap event per page. Service costs are deterministic (paper §3),
-    so every fault-log row and the final clock are bit-identical to the
-    per-event path; only major faults, in-flight-read waits and
-    userfaultfd delegations drop back to the event-driven slow path.
+    :meth:`~repro.sim.Environment.wake_at`, instead of dispatching
+    heap events per page. Both paths price faults with the one
+    classifier, so every fault-log row and the final clock are
+    bit-identical to the per-event path; only waits on in-flight
+    reads, contended device reads and blocking userfaultfd handlers
+    drop back to the event path. Without ``batch_faults`` every access
+    takes the event path: the reference the batched path is held to.
     """
 
     def __init__(
@@ -163,32 +153,6 @@ class VCpu:
         #: real clock the fast path may install PTEs.
         self.observer_horizon: Optional[ObservationHorizon] = None
 
-    def run_trace(
-        self, trace: List[GuestAccess], tail_think_us: float = 0.0
-    ) -> Generator[Event, Any, VCpuResult]:
-        """Process helper: execute ``trace`` then ``tail_think_us`` of
-        final compute (e.g. serialising the response)."""
-        if self.batch_faults:
-            return (yield from self._run_trace_batched(trace, tail_think_us))
-        started = self.env.now
-        log = self.handler.stats
-        first_row = len(log)
-        logged = bytearray()
-        none_starts: List[float] = []
-        for access in trace:
-            if access.think_us > 0:
-                yield from self._compute(access.think_us)
-            record = yield from self.handler.access(
-                access.page, write=access.write, value=access.value
-            )
-            _note(record, logged, none_starts)
-        if tail_think_us > 0:
-            yield from self._compute(tail_think_us)
-        self._count_paths(len(logged), slow=len(logged))
-        return VCpuResult(
-            started, self.env.now, trace, log, first_row, logged, none_starts
-        )
-
     def _count_paths(self, total: int, slow: int) -> None:
         """Attribute this run's accesses to the fast vs event path in
         the host's telemetry bundle (one batched update at trace end;
@@ -204,15 +168,16 @@ class VCpu:
         if slow:
             telemetry.profiler.add("vcpu.event_path", 0.0, slow)
 
-    def _run_trace_batched(
+    def run_trace(
         self, trace: List[GuestAccess], tail_think_us: float = 0.0
     ) -> Generator[Event, Any, VCpuResult]:
-        """Batched twin of :meth:`run_trace`.
+        """Process helper: execute ``trace`` then ``tail_think_us`` of
+        final compute (e.g. serialising the response).
 
         ``vnow`` is the vCPU's virtual clock: it runs ahead of
         ``env.now`` while accesses are serviced synchronously, and a
         single ``wake_at(vnow)`` flush realises the accumulated time
-        whenever the trace hits a slow-path access (or ends). Think
+        whenever the trace hits an event-path access (or ends). Think
         time folds into the batch when no host CPU slot is modelled;
         with a CPU resource it must contend, so it flushes first.
         """
@@ -230,14 +195,15 @@ class VCpu:
         mapped_write = handler.mapped_write
         mark = logged.append
         none_start = none_starts.append
-        no_cpu = self.cpu is None
+        batch = self.batch_faults
+        fold_think = batch and self.cpu is None
         slow = 0
         # Mutated only in place, so the binding outlives any yield. (The
         # image is read through the space: a remap replaces it.)
         ept = space.ept
         for access in trace:
             if access.think_us > 0:
-                if no_cpu:
+                if fold_think:
                     vnow += access.think_us
                 else:
                     if vnow > env.now:
@@ -245,33 +211,36 @@ class VCpu:
                     yield from self._compute(access.think_us)
                     vnow = env.now
             page = access.page
-            if page in ept or page in space.image:
-                # A mapped page: a read is no fault and no cost; a store
-                # faults only to break copy-on-write.
-                if access.write:
-                    end = mapped_write(page, access.value, vnow)
-                    if end is not None:
-                        vnow = end
-                        mark(1)
-                        continue
-                mark(0)
-                none_start(vnow)
-                continue
-            while True:
-                end = fast_access(
-                    page,
-                    access.write,
-                    access.value,
-                    vnow,
-                    horizon.next_at if horizon is not None else INFINITY,
-                )
-                if end is HORIZON_BLOCKED and vnow > env.now:
-                    # An eager install would land at or past the next
-                    # observer read. Flush so the observer catches up
-                    # (moving its horizon forward), then retry.
-                    yield env.wake_at(vnow)
+            end = None
+            if batch:
+                if page in ept or page in space.image:
+                    # A mapped page: a read is no fault and no cost; a
+                    # store faults only to break copy-on-write.
+                    if access.write:
+                        end = mapped_write(page, access.value, vnow)
+                        if end is not None:
+                            vnow = end
+                            mark(1)
+                            continue
+                    mark(0)
+                    none_start(vnow)
                     continue
-                break
+                while True:
+                    end = fast_access(
+                        page,
+                        access.write,
+                        access.value,
+                        vnow,
+                        horizon.next_at if horizon is not None else INFINITY,
+                    )
+                    if end is HORIZON_BLOCKED and vnow > env.now:
+                        # An eager install would land at or past the
+                        # next observer read. Flush so the observer
+                        # catches up (moving its horizon forward), then
+                        # retry.
+                        yield env.wake_at(vnow)
+                        continue
+                    break
             if end is None or end is HORIZON_BLOCKED:
                 if vnow > env.now:
                     yield env.wake_at(vnow)
@@ -280,13 +249,17 @@ class VCpu:
                 )
                 vnow = env.now
                 slow += 1
-                _note(record, logged, none_starts)
+                if record.kind is FaultKind.NONE:
+                    mark(0)
+                    none_start(record.start_us)
+                else:
+                    mark(1)
             else:
                 # fast_access logged the fault.
                 vnow = end
                 mark(1)
         if tail_think_us > 0:
-            if self.cpu is None:
+            if fold_think:
                 vnow += tail_think_us
             else:
                 if vnow > env.now:

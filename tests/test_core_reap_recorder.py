@@ -68,24 +68,41 @@ def test_reap_handler_serves_hole_cached_and_disk():
     rig = Rig()
     snapshot = create_snapshot(rig.store, "fn", 256, {10: 100, 20: 200})
     handler = make_reap_fault_handler(rig.env, HOST, rig.cache, snapshot)
+    name = snapshot.memory_file.name
 
-    def scenario():
-        value_hole = yield from handler(5)
-        t_hole = rig.env.now
-        rig.cache.insert(snapshot.memory_file.name, 10)
-        value_cached = yield from handler(10)
-        t_cached = rig.env.now - t_hole
-        value_disk = yield from handler(20)
-        t_disk = rig.env.now - t_hole - t_cached
-        return value_hole, value_cached, value_disk, t_cached, t_disk
-
-    hole, cached, disk, t_cached, t_disk = rig.run(scenario())
-    assert hole == 0
-    assert cached == 100
-    assert disk == 200
+    hole, _, hole_read = handler(5, 0.0)
+    rig.cache.insert(name, 10)
+    cached, t_cached, cached_read = handler(10, 0.0)
+    disk, t_disk, disk_read = handler(20, 0.0)
+    assert (hole, cached, disk) == (0, 100, 200)
+    assert hole_read is None and cached_read is None
     assert t_disk > t_cached  # disk path pays the device read
     # Handler reads go through the page cache with readahead.
-    assert rig.cache.peek(snapshot.memory_file.name, 20)
+    assert not rig.cache.peek(name, 20)
+    disk_read.commit(rig.cache)
+    assert rig.cache.peek(name, 20)
+
+
+def test_reap_handler_queues_behind_a_busy_device():
+    rig = Rig()
+    snapshot = create_snapshot(rig.store, "fn", 256, {10: 100, 20: 200})
+    handler = make_reap_fault_handler(rig.env, HOST, rig.cache, snapshot)
+    name = snapshot.memory_file.name
+    other = rig.store.create("other", 64, pages={i: 1 for i in range(64)})
+
+    def scenario():
+        rig.env.process(other.read(0, 64))
+        # Past the other read's seek: it holds the bandwidth channel.
+        yield rig.env.timeout(150)
+        leg = handler(20, rig.env.now)
+        assert not isinstance(leg, tuple)  # the read would queue
+        value, read = yield from leg
+        return value, read
+
+    value, read = rig.run(scenario())
+    assert value == 200
+    assert read.requests == 1
+    assert rig.cache.peek(name, 20)
 
 
 def test_mincore_recorder_groups_by_scan_order():

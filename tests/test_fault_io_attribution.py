@@ -26,6 +26,8 @@ NUM_PAGES = 256
 #: Pages the second reader streams: large enough that its request
 #: completes while the fault's read still waits for the channel.
 OTHER_PAGES = 64
+#: One readahead window: the fault's own read.
+OWN_WINDOW_BYTES = PARAMS.readahead_pages * PAGE_SIZE
 
 
 def _rig():
@@ -61,10 +63,6 @@ def _run(env, vcpu_or_handler, other, page, batch):
     return records
 
 
-def _own_window_bytes():
-    return PARAMS.readahead_pages * PAGE_SIZE
-
-
 def test_contended_major_fault_counts_only_its_own_read():
     for batch in (False, True):
         env, device, store, cache, other = _rig()
@@ -80,12 +78,12 @@ def test_contended_major_fault_counts_only_its_own_read():
         # The second reader's request completed during the fault...
         assert device.stats.requests == 2
         assert device.stats.bytes_read == (
-            OTHER_PAGES * PAGE_SIZE + _own_window_bytes()
+            OTHER_PAGES * PAGE_SIZE + OWN_WINDOW_BYTES
         )
         # ...but the row carries only the fault's own window read.
         assert record.block_requests == 1
-        assert record.bytes_read == _own_window_bytes()
-        assert handler.stats.total_bytes_read() == _own_window_bytes()
+        assert record.bytes_read == OWN_WINDOW_BYTES
+        assert handler.stats.total_bytes_read() == OWN_WINDOW_BYTES
 
 
 def test_reap_out_of_working_set_fault_counts_only_its_own_read():
@@ -110,5 +108,5 @@ def test_reap_out_of_working_set_fault_counts_only_its_own_read():
         # The handler's pread pulled one readahead window through the
         # page cache; the concurrent stream is not the fault's I/O.
         assert record.block_requests == 1
-        assert record.bytes_read == _own_window_bytes()
+        assert record.bytes_read == OWN_WINDOW_BYTES
         assert space.pte[10] == snapshot.page_value(10)

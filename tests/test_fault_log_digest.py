@@ -5,8 +5,9 @@ path, but both paths price faults with one classifier, so a change to
 that classifier moves them together. This test pins the golden grid's
 ``canonical()`` rows (every result scalar and every fault record of
 json under the four main policies and WARM, at input ratios 1.0 and
-4.0) to a sha256 digest recorded on the two-path fault handler with
-per-fault I/O attribution, before the classifier merge.
+4.0) to a sha256 digest recorded when the event path and the batched
+path still priced faults with separate code, so it does not depend on
+the classifier it checks.
 """
 
 import dataclasses

@@ -195,10 +195,9 @@ def test_uffd_delegation():
     rig.space.mmap_anonymous(0, 256)
     handled = []
 
-    def handler(page):
+    def handler(page, now):
         handled.append(page)
-        yield rig.env.timeout(10)
-        return 1000 + page
+        return 1000 + page, now + 10, None
 
     rig.uffd.register(0, 128, handler)
     (record,) = rig.run_accesses([(50, False, None)])
@@ -216,13 +215,40 @@ def test_uffd_delegation():
     assert rig.uffd.delegated_faults == 1
 
 
+def test_uffd_handler_may_answer_with_a_blocking_leg():
+    rig = Rig(uffd=True)
+    rig.space.mmap_anonymous(0, 256)
+
+    def handler(page, now):
+        def leg():
+            yield rig.env.timeout(10)
+            return 1000 + page, None
+
+        return leg()
+
+    rig.uffd.register(0, 128, handler)
+    (record,) = rig.run_accesses([(50, True, 7)])
+    assert record.kind is FaultKind.UFFD
+    assert record.block_requests == 0
+    # The guest's store lands on top of the handler's copy.
+    assert rig.space.pte[50] == 7
+    expected = (
+        PARAMS.uffd_wakeup_us
+        + 10
+        + PARAMS.uffd_copy_us
+        + PARAMS.uffd_resume_stall_us
+        + PARAMS.vcpu_block_overhead_us
+    )
+    assert record.duration_us == pytest.approx(expected)
+    assert rig.uffd.delegated_faults == 1
+
+
 def test_uffd_outside_registration_falls_through():
     rig = Rig(uffd=True)
     rig.space.mmap_anonymous(0, 256)
 
-    def handler(page):
-        yield rig.env.timeout(1)
-        return 0
+    def handler(page, now):
+        return 0, now + 1, None
 
     rig.uffd.register(0, 10, handler)
     (record,) = rig.run_accesses([(100, False, None)])
@@ -232,9 +258,8 @@ def test_uffd_outside_registration_falls_through():
 def test_uffd_overlapping_registration_rejected():
     rig = Rig(uffd=True)
 
-    def handler(page):
-        yield rig.env.timeout(1)
-        return 0
+    def handler(page, now):
+        return 0, now + 1, None
 
     rig.uffd.register(0, 10, handler)
     with pytest.raises(SimulationError):
@@ -307,3 +332,44 @@ def test_readahead_window_includes_faulting_page_even_if_pending():
     rig.cache.begin_pending("mem", 1)
     policy = ReadaheadPolicy(params)
     assert policy.window(f, rig.cache, 0) == [0]
+
+
+def test_minor_fault_on_a_bounded_cache_refreshes_lru_recency():
+    rig = Rig()
+    rig.cache = rig.handler.cache = PageCache(rig.env, capacity_pages=2)
+    f = rig.store.create("mem", 256, pages={i: i + 1 for i in range(256)})
+    rig.space.mmap_file(0, 256, f, 0)
+    rig.cache.insert("mem", 0)
+    rig.cache.insert("mem", 1)
+    (record,) = rig.run_accesses([(0, False, None)])
+    assert record.kind is FaultKind.MINOR
+    # The fault touched page 0, so the next insertion evicts page 1.
+    rig.cache.insert("mem", 2)
+    assert rig.cache.peek("mem", 0)
+    assert not rig.cache.peek("mem", 1)
+
+
+def test_batched_vcpu_hands_bounded_cache_faults_to_the_event_path():
+    from repro.vm.vcpu import GuestAccess, VCpu
+
+    results = []
+    params = HostParams(readahead_pages=2, readahead_max_pages=2)
+    for batch in (False, True):
+        rig = Rig(params=params)
+        rig.cache = rig.handler.cache = PageCache(rig.env, capacity_pages=4)
+        f = rig.store.create("mem", 64, pages={i: i + 1 for i in range(64)})
+        rig.space.mmap_file(0, 64, f, 0)
+        trace = [GuestAccess(page, think_us=3.0) for page in (0, 1, 9, 0, 30, 2)]
+        vcpu = VCpu(rig.env, rig.handler, batch_faults=batch)
+        process = rig.env.process(vcpu.run_trace(trace))
+        result = rig.env.run(until=process)
+        results.append(
+            (
+                [(r.kind, r.start_us, r.duration_us) for r in result.records],
+                sorted(rig.cache.resident_set()),
+                rig.env.now,
+            )
+        )
+    assert results[0] == results[1]
+    kinds = [kind for kind, _, _ in results[0][0]]
+    assert FaultKind.MINOR in kinds and FaultKind.MAJOR in kinds
