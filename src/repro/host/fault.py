@@ -42,11 +42,14 @@ wait on another reader's in-flight read, a device read that would
 queue (busy or degraded device), or a userfaultfd handler that cannot
 answer at once. Two callers share it:
 
-* :meth:`FaultHandler.fast_access`, the batched path, classifies on
-  the vCPU's virtual clock and commits a resolution at once — when
-  its end falls before the observer horizon and, for a fault that
-  reads or delegates, before the next heap event, so no other process
-  could have seen the difference;
+* :meth:`FaultHandler.fast_access`, the batched path, is a run loop
+  over a stretch of the vCPU's trace: on the vCPU's virtual clock it
+  folds think time, answers mapped-page accesses inline, classifies
+  each fault and commits a resolution at once, inline — when its end
+  falls before the observer horizon and, for a fault that reads or
+  delegates, before the next heap event, so no other process could
+  have seen the difference. It stops at the first access that cannot
+  be served so and says why;
 * :meth:`FaultHandler.access`, the event path, classifies at
   ``env.now``, sleeps to each leg's end and commits, or runs the
   blocking leg first. It prices reads and handlers at the instant they
@@ -56,7 +59,9 @@ Each handled fault appends one row to the VM's fault log
 (:class:`FaultStats`), a set of typed columns: kind code, page, start
 and duration, plus the block requests and bytes of the fault's own
 reads for the kinds that do I/O. :class:`FaultRecord` is the row
-view, built when someone reads the log. The paper's histograms
+view, built when someone reads the log. The fixed costs (EPT fixup,
+anonymous, minor) come from per-kind tables indexed by a page-hash
+jitter bucket, built once per handler. The paper's histograms
 (Fig. 2), fault counts and times (Fig. 9), and waiting-time
 breakdowns (Table 3) are computed from the log.
 """
@@ -80,9 +85,10 @@ from repro.host.vma import ANONYMOUS, AddressSpace, FileBacking, Vma
 from repro.sim import Environment, Event, SimulationError
 
 
-#: Sentinel returned by :meth:`FaultHandler.fast_access` when servicing
-#: the access eagerly would install a PTE at or past the observer
-#: horizon (see :class:`repro.vm.vcpu.ObservationHorizon`).
+#: Why :meth:`FaultHandler.fast_access` stopped a run when servicing
+#: the next access eagerly would install a PTE at or past the observer
+#: horizon (see :class:`repro.vm.vcpu.ObservationHorizon`), or before
+#: the next heap event.
 HORIZON_BLOCKED = object()
 
 #: A resolved fault: ``(kind code, split, end, content, read)``. ``end``
@@ -154,6 +160,17 @@ _KIND_MASKS = tuple(
     for code in range(len(KINDS))
 )
 _IO_MASK = bytes(1 if b in IO_CODES else 0 for b in range(256))
+#: Jitter buckets of a fault kind's service cost, and each kind's salt
+#: in the page hash that picks one (:func:`_bucket`).
+_BUCKETS = 1024
+_PRESENT_SALT = 1
+_ANON_SALT = 2
+_MINOR_SALT = 3
+
+
+def _bucket(page: int, salt: int) -> int:
+    """The jitter bucket of a fault of kind ``salt`` on ``page``."""
+    return ((page * 2_654_435_761 + salt * 40_503) >> 7) % _BUCKETS
 
 
 class FaultStats:
@@ -329,20 +346,29 @@ class FaultHandler:
         #: overwhelmingly hit the same region.
         self._vma_cache: Optional[Vma] = None
         self._vma_version = -1
+        #: Per-kind service costs, indexed by jitter bucket. Without
+        #: jitter every bucket holds the base cost, and the classifier
+        #: reads bucket 0 without hashing the page.
+        self._jitter = params.fault_jitter_fraction > 0
+        self._present_costs = self._cost_table(params.present_fault_us)
+        self._anon_costs = self._cost_table(params.anon_fault_us)
+        self._minor_costs = self._cost_table(params.minor_fault_us)
 
-    def _cost(self, base_us: float, page: int, salt: int) -> float:
-        """Service cost with deterministic per-(page, kind) jitter.
+    def _cost_table(self, base_us: float) -> List[float]:
+        """Service costs of one fault kind, one per jitter bucket.
 
         Real fault costs vary with cache and TLB state; scaling by a
-        hash of the page keeps runs reproducible while spreading the
-        handling-time distribution (Figure 2) realistically.
+        hash of the page (:func:`_bucket`) keeps runs reproducible
+        while spreading the handling-time distribution (Figure 2)
+        realistically.
         """
         jitter = self.params.fault_jitter_fraction
         if jitter <= 0:
-            return base_us
-        bucket = ((page * 2_654_435_761 + salt * 40_503) >> 7) % 1024
-        factor = 1.0 + jitter * (2.0 * bucket / 1024.0 - 1.0)
-        return base_us * factor
+            return [base_us] * _BUCKETS
+        return [
+            base_us * (1.0 + jitter * (2.0 * bucket / 1024.0 - 1.0))
+            for bucket in range(_BUCKETS)
+        ]
 
     def classify(
         self, page: int, write: bool, now: float, eager: bool = True
@@ -370,7 +396,8 @@ class FaultHandler:
         if page in space.pte:
             # Host PTE exists (UFFDIO_COPY or a previous mapping):
             # only the KVM EPT fixup remains.
-            end = now + self._cost(params.present_fault_us, page, 1)
+            bucket = _bucket(page, _PRESENT_SALT) if self._jitter else 0
+            end = now + self._present_costs[bucket]
             return PRESENT_CODE, None, end, None, None
 
         uffd = self.uffd
@@ -403,7 +430,8 @@ class FaultHandler:
             self._vma_version = space.version
 
         if vma.backing is ANONYMOUS:
-            end = now + self._cost(params.anon_fault_us, page, 2)
+            bucket = _bucket(page, _ANON_SALT) if self._jitter else 0
+            end = now + self._anon_costs[bucket]
             return ANON_CODE, None, end, space.anon_contents.get(page, 0), None
 
         backing = vma.backing
@@ -431,7 +459,8 @@ class FaultHandler:
             resident = cache.contains(name, file_page)
         if resident:
             # Resident page or sparse hole: minor fault, no I/O.
-            end = now + self._cost(params.minor_fault_us, page, 3)
+            bucket = _bucket(page, _MINOR_SALT) if self._jitter else 0
+            end = now + self._minor_costs[bucket]
             if write:
                 return MINOR_CODE, end, end + params.cow_copy_us, content, None
             return MINOR_CODE, None, end, content, None
@@ -510,7 +539,7 @@ class FaultHandler:
                 yield env.wake_at(done)
             else:
                 read = yield from read.readahead.fault_read(
-                    read.file, self.cache, read.pages[0]
+                    read.file, self.cache, read.start
                 )
         else:
             content, read = yield from outcome
@@ -551,24 +580,32 @@ class FaultHandler:
 
     def fast_access(
         self,
-        page: int,
-        write: bool,
-        value: Optional[int],
+        trace: Sequence[Any],
+        index: int,
+        stop: int,
         vnow: float,
-        horizon: float = float("inf"),
-    ) -> Any:
-        """Service one access synchronously if it cannot block.
+        horizon: float,
+        logged: bytearray,
+        none_starts: List[float],
+    ) -> Tuple[int, float, Any]:
+        """Serve a run of guest accesses synchronously, as long as none
+        can block.
 
         This is the batching fast path (the paper's §3 observation
         that anonymous ≈2.5 µs, minor ≈3.7 µs and EPT-fixup faults
         have deterministic service times makes aggregation exact).
-        ``vnow`` is the caller's virtual clock. ``page`` must not be
-        mapped in EPT or the image: the caller handles mapped pages
-        itself (a read is no fault; a store goes through
-        :meth:`mapped_write`). A resolved access is committed and
-        logged at once and its end instant returned — the instant the
-        event path would reach, so a later
-        :meth:`Environment.wake_at` flush lands the real clock on it.
+        ``trace`` holds :class:`~repro.vm.vcpu.GuestAccess` items; the
+        run serves ``trace[index:stop]`` on the caller's virtual clock
+        ``vnow``, which already includes the think time of
+        ``trace[index]``; the think time of each later access is folded
+        in before it is served. A read of a page mapped in EPT or the
+        image is no fault (its start instant goes to ``none_starts``);
+        a store to one goes through :meth:`mapped_write`. Any other
+        access is classified, and a resolved fault committed and logged
+        at once: its end instant is the one the event path would
+        reach, so a later :meth:`Environment.wake_at` flush lands the
+        real clock on it. ``logged`` gets one byte per served access, 1
+        when it logged a row.
 
         A fault that reads or delegates (MAJOR, UFFD) touches state
         other processes share, so it commits only when no other
@@ -576,29 +613,88 @@ class FaultHandler:
         against the event heap) — which covers the common cold-start
         stream of one uncontended readahead window per fault.
 
-        Returns ``None`` when the access must take the event-driven
-        path: a leg that blocks, or a file-page or userfaultfd fault
-        against a capacity-bounded cache (whose LRU order depends on
-        when each access happens).
-
         ``horizon`` is the next instant a concurrent observer reads
-        the installed-PTE count (the mincore recorder's RSS poll).
-        Returns :data:`HORIZON_BLOCKED` instead of committing when the
-        completion instant would land at or past it, or when a heap
-        event would fire first — the caller must flush and retry, so
-        no observer sees an install earlier than the event path would
+        the installed-PTE count (the mincore recorder's RSS poll); no
+        fault whose completion would land at or past it commits, so no
+        observer sees an install earlier than the event path would
         have made it.
+
+        Returns ``(index, vnow, why)``: ``index == stop`` when the whole
+        run was served. Otherwise ``trace[index]`` was not served (its
+        think time is in ``vnow``) and ``why`` says what it needs:
+        ``None`` for the event path — a leg that blocks, or a
+        file-page or userfaultfd fault against a capacity-bounded
+        cache, whose LRU order depends on when each access happens —
+        or :data:`HORIZON_BLOCKED`, for the caller to flush and retry.
         """
-        outcome = self.classify(page, write, vnow)
-        if outcome is None:
-            return None
-        code, _, end, content, read = outcome
-        if end >= horizon or (code in IO_CODES and self.env.peek() <= end):
-            return HORIZON_BLOCKED
-        if read is not None:
-            read.commit(self.cache)
-        self._commit(code, page, write, value, content, read, vnow, end)
-        return end
+        space = self.space
+        ept = space.ept
+        image = space.image
+        pte = space.pte
+        write_anon = space.write_anon
+        classify = self.classify
+        mapped_write = self.mapped_write
+        peek = self.env.peek
+        cache = self.cache
+        stats = self.stats
+        log_kind = stats.kinds.append
+        log_page = stats.pages.append
+        log_start = stats.start_us.append
+        log_duration = stats.duration_us.append
+        mark = logged.append
+        none_start = none_starts.append
+        access = trace[index]
+        while True:
+            page = access.page
+            write = access.write
+            if page in ept or page in image:
+                # A mapped page: a read is no fault and no cost; a
+                # store faults only to break copy-on-write.
+                end = mapped_write(page, access.value, vnow) if write else None
+                if end is None:
+                    mark(0)
+                    none_start(vnow)
+                else:
+                    vnow = end
+                    mark(1)
+            else:
+                outcome = classify(page, write, vnow)
+                if outcome is None:
+                    return index, vnow, None
+                code, _, end, content, read = outcome
+                io = code in IO_CODES
+                if end >= horizon or (io and peek() <= end):
+                    return index, vnow, HORIZON_BLOCKED
+                # The commit, inlined: the event path's twin is _commit.
+                if read is not None:
+                    read.commit(cache)
+                if content is not None:
+                    pte[page] = content
+                ept.add(page)
+                if write:
+                    write_anon(page, self._required_value(access.value))
+                log_kind(code)
+                log_page(page)
+                log_start(vnow)
+                log_duration(end - vnow)
+                if io:
+                    if code == UFFD_CODE:
+                        self.uffd.delegated_faults += 1
+                    if read is None:
+                        stats.io_requests.append(0)
+                        stats.io_bytes.append(0)
+                    else:
+                        stats.io_requests.append(read.requests)
+                        stats.io_bytes.append(read.nbytes)
+                vnow = end
+                mark(1)
+            index += 1
+            if index == stop:
+                return index, vnow, None
+            access = trace[index]
+            think = access.think_us
+            if think > 0:
+                vnow += think
 
     def _commit(
         self,

@@ -19,7 +19,10 @@ tracked per file: a fault landing at or just past the previous
 window's end doubles the next window (up to ``readahead_max_pages``);
 anything else resets it to the base size.
 
-A window's read runs one of two ways. :meth:`ReadaheadPolicy.fault_read`
+A window is a page range, ``[fault_page, end)`` plus the window size
+it was cut from (:meth:`ReadaheadPolicy.span`); its pages are never
+listed on the fault path. A dense file reads it as one device request.
+The read runs one of two ways. :meth:`ReadaheadPolicy.fault_read`
 issues it on the event heap. :meth:`ReadaheadPolicy.quote` prices it
 ahead, mutating nothing, when the device is idle and healthy — with
 the device's own per-request arithmetic, so the quote lands on the
@@ -68,18 +71,18 @@ class ReadaheadPolicy:
                 return min(window_size * 2, self.params.readahead_max_pages)
         return base
 
-    def plan(
+    def span(
         self, file: StoredFile, cache: PageCache, fault_page: int
-    ) -> Tuple[List[int], int]:
+    ) -> Tuple[int, int]:
         """Compute the window for a fault on ``fault_page`` without
         committing the per-file stream state: the faulting page plus
         forward neighbours, stopping at the file end, the window
         limit, or the first resident/in-flight page. Returns
-        ``(pages, window_size)``; pass both to :meth:`commit` once the
-        read is actually issued."""
+        ``(end, window_size)``: the window is ``[fault_page, end)``.
+        Pass both to :meth:`commit` once the read is actually
+        issued."""
         name = file.name
         size = self.next_window_size(name, fault_page)
-        pages: List[int] = [fault_page]
         limit = min(file.num_pages, fault_page + size)
         pending = cache._pending
         if cache.capacity_pages is None:
@@ -88,34 +91,30 @@ class ReadaheadPolicy:
                 resident = runs.first_at_or_after(fault_page + 1)
                 if resident is not None and resident < limit:
                     limit = resident
-            if not pending:
-                return list(range(fault_page, limit)), size
-            for page in range(fault_page + 1, limit):
-                if (name, page) in pending:
-                    break
-                pages.append(page)
-        else:
-            present = cache._present
-            for page in range(fault_page + 1, limit):
-                if (name, page) in present or (name, page) in pending:
-                    break
-                pages.append(page)
-        return pages, size
+            if pending:
+                for page in range(fault_page + 1, limit):
+                    if (name, page) in pending:
+                        return page, size
+            return limit, size
+        present = cache._present
+        for page in range(fault_page + 1, limit):
+            if (name, page) in present or (name, page) in pending:
+                return page, size
+        return limit, size
 
-    def commit(
-        self, file_name: str, fault_page: int, pages: List[int], size: int
-    ) -> None:
-        """Record the issued window in the sequential-stream state."""
-        self._streams[file_name] = (fault_page + len(pages), size)
+    def commit(self, file_name: str, end: int, size: int) -> None:
+        """Record the issued window, ending at ``end``, in the
+        sequential-stream state."""
+        self._streams[file_name] = (end, size)
 
     def window(
         self, file: StoredFile, cache: PageCache, fault_page: int
     ) -> List[int]:
-        """File pages to read for a fault on ``fault_page`` (plans and
-        commits in one step — the event-driven path)."""
-        pages, size = self.plan(file, cache, fault_page)
-        self.commit(file.name, fault_page, pages, size)
-        return pages
+        """File pages to read for a fault on ``fault_page``, listed
+        (spans and commits in one step)."""
+        end, size = self.span(file, cache, fault_page)
+        self.commit(file.name, end, size)
+        return list(range(fault_page, end))
 
     def quote(
         self, file: StoredFile, cache: PageCache, fault_page: int, start: float
@@ -124,12 +123,15 @@ class ReadaheadPolicy:
         ``start``, mutating nothing, or ``None`` when the device would
         queue it (or is degraded): then only :meth:`fault_read` can
         tell when it completes."""
-        if not file.device.can_read_immediately():
+        device = file.device
+        if not device.can_read_immediately():
             return None
-        pages, size = self.plan(file, cache, fault_page)
-        extents = _extents(file, pages)
+        end, size = self.span(file, cache, fault_page)
+        npages = end - fault_page
+        extents = _extents(file, fault_page, npages)
         return WindowRead(
-            self, file, pages, size, extents, file.device.quote(extents, start)
+            self, file, fault_page, npages, size, extents,
+            device.quote(extents, start),
         )
 
     def fault_read(
@@ -143,54 +145,74 @@ class ReadaheadPolicy:
         bytes are the fault's own: other readers of the device are not
         counted).
         """
-        pages, size = self.plan(file, cache, fault_page)
-        self.commit(file.name, fault_page, pages, size)
+        name = file.name
+        end, size = self.span(file, cache, fault_page)
+        self.commit(name, end, size)
+        npages = end - fault_page
         # The window is contiguous and was trimmed at the first
         # resident/in-flight page, so one placeholder range announces
         # it without allocating per-page events.
-        cache.note_pending_range(file.name, pages[0], len(pages))
+        cache.note_pending_range(name, fault_page, npages)
         try:
-            yield from file.read(pages[0], len(pages))
+            yield from file.read(fault_page, npages)
         except BaseException:
-            cache.abandon_pending_range(file.name, pages[0], len(pages))
+            cache.abandon_pending_range(name, fault_page, npages)
             raise
         # The window is contiguous: one range insertion instead of a
         # per-page loop (completes the pending reads identically).
-        cache.insert_range(file.name, pages[0], len(pages))
-        return WindowRead(self, file, pages, size, _extents(file, pages))
+        cache.insert_range(name, fault_page, npages)
+        return WindowRead(
+            self, file, fault_page, npages, size,
+            _extents(file, fault_page, npages),
+        )
 
 
-def _extents(file: StoredFile, pages: List[int]) -> List[Tuple[int, int]]:
+def _extents(
+    file: StoredFile, start: int, npages: int
+) -> List[Tuple[int, int]]:
     """Device ``(offset, nbytes)`` of each request reading the
-    contiguous window ``pages`` (sparse holes split it and cost no
-    I/O)."""
+    contiguous window of ``npages`` pages from ``start``: one for a
+    dense file; sparse holes split it and cost no I/O."""
+    if not file.sparse:
+        return [(file.base_offset + start * PAGE_SIZE, npages * PAGE_SIZE)]
     return [
-        (file.device_offset(start), npages * PAGE_SIZE)
-        for start, npages in file.data_runs(pages[0], len(pages))
+        (file.device_offset(run), length * PAGE_SIZE)
+        for run, length in file.data_runs(start, npages)
     ]
 
 
 class WindowRead:
-    """One fault's readahead read: the window, its device requests and
-    bytes, and — when :meth:`ReadaheadPolicy.quote` priced it ahead —
-    the device quote, applied by :meth:`commit`."""
+    """One fault's readahead read: the window ``[start, start +
+    npages)``, its device requests and bytes, and — when
+    :meth:`ReadaheadPolicy.quote` priced it ahead — the device quote,
+    applied by :meth:`commit`."""
 
     __slots__ = (
-        "readahead", "file", "pages", "size", "requests", "nbytes", "quote", "end"
+        "readahead",
+        "file",
+        "start",
+        "npages",
+        "size",
+        "requests",
+        "nbytes",
+        "quote",
+        "end",
     )
 
     def __init__(
         self,
         readahead: ReadaheadPolicy,
         file: StoredFile,
-        pages: List[int],
+        start: int,
+        npages: int,
         size: int,
         extents: List[Tuple[int, int]],
         quote: Optional[ReadQuote] = None,
     ):
         self.readahead = readahead
         self.file = file
-        self.pages = pages
+        self.start = start
+        self.npages = npages
         self.size = size
         self.requests = len(extents)
         self.nbytes = sum(map(itemgetter(1), extents))
@@ -202,7 +224,9 @@ class WindowRead:
         """Apply the quoted read, in the order :meth:`fault_read`
         would: stream state, device statistics and cursor, then cache
         residency."""
-        pages = self.pages
-        self.readahead.commit(self.file.name, pages[0], pages, self.size)
+        name = self.file.name
+        start = self.start
+        npages = self.npages
+        self.readahead.commit(name, start + npages, self.size)
         self.file.device.settle(self.quote)
-        cache.insert_range(self.file.name, pages[0], len(pages))
+        cache.insert_range(name, start, npages)

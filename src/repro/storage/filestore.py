@@ -139,9 +139,10 @@ class StoredFile:
 
     def read(
         self, page_index: int, npages: int = 1
-    ) -> Generator[Event, Any, List[int]]:
+    ) -> Generator[Event, Any, None]:
         """Process helper: read ``npages`` pages starting at
-        ``page_index`` from the device and return their contents.
+        ``page_index`` from the device (their contents are
+        :meth:`page_value`).
 
         Hole pages of sparse files are synthesised without I/O; runs
         of data pages are issued as single contiguous device reads.
@@ -154,13 +155,10 @@ class StoredFile:
                 f"read past EOF of {self.name}: page {page_index}+{npages} "
                 f"> {self.num_pages}"
             )
-        pages = self.pages
-        values = [pages.get(i, 0) for i in range(page_index, page_index + npages)]
         for run_start, run_len in self.data_runs(page_index, npages):
             yield from self.device.read(
                 self.base_offset + run_start * PAGE_SIZE, run_len * PAGE_SIZE
             )
-        return values
 
     def data_runs(
         self, page_index: int, npages: int

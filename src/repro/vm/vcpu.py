@@ -6,6 +6,10 @@ touches* plus the compute time between them — repeated accesses to an
 already-mapped page cost nothing at the host, so folding them into
 think time loses no fidelity while keeping the simulation fast.
 
+The vCPU serves a trace as runs: the fault handler's run loop serves
+accesses until one needs the event heap, the vCPU serves that one
+access on the heap, and the next run starts after it.
+
 When a host CPU :class:`~repro.sim.Resource` is supplied, think time
 runs while holding a CPU slot; fault waits release it. With more
 runnable vCPUs than slots, invocations slow down and their variance
@@ -126,9 +130,10 @@ class VCpu:
 
     With ``batch_faults`` (the default) runs of accesses that cannot
     block — EPT hits, and every fault the handler's classifier resolves
-    without a blocking leg — are serviced synchronously on a virtual
-    clock and the whole run sleeps once via
-    :meth:`~repro.sim.Environment.wake_at`, instead of dispatching
+    without a blocking leg — are handed to the handler's run loop
+    (:meth:`~repro.host.fault.FaultHandler.fast_access`), serviced
+    synchronously on a virtual clock, and the whole run sleeps once
+    via :meth:`~repro.sim.Environment.wake_at`, instead of dispatching
     heap events per page. Both paths price faults with the one
     classifier, so every fault-log row and the final clock are
     bit-identical to the per-event path; only waits on in-flight
@@ -175,15 +180,18 @@ class VCpu:
         final compute (e.g. serialising the response).
 
         ``vnow`` is the vCPU's virtual clock: it runs ahead of
-        ``env.now`` while accesses are serviced synchronously, and a
-        single ``wake_at(vnow)`` flush realises the accumulated time
-        whenever the trace hits an event-path access (or ends). Think
-        time folds into the batch when no host CPU slot is modelled;
-        with a CPU resource it must contend, so it flushes first.
+        ``env.now`` while the handler's run loop
+        (:meth:`~repro.host.fault.FaultHandler.fast_access`) serves
+        accesses synchronously, and a single ``wake_at(vnow)`` flush
+        realises the accumulated time whenever the trace hits an
+        event-path access (or ends). So the trace runs as: a run, at
+        most one event-path access, a run again. Think time folds into
+        the run when no host CPU slot is modelled; with a CPU resource
+        it must contend, so it flushes first and each run is one
+        access.
         """
         env = self.env
         handler = self.handler
-        space = handler.space
         log = handler.stats
         started = env.now
         first_row = len(log)
@@ -192,16 +200,13 @@ class VCpu:
         vnow = started
         horizon = self.observer_horizon
         fast_access = handler.fast_access
-        mapped_write = handler.mapped_write
-        mark = logged.append
-        none_start = none_starts.append
         batch = self.batch_faults
         fold_think = batch and self.cpu is None
         slow = 0
-        # Mutated only in place, so the binding outlives any yield. (The
-        # image is read through the space: a remap replaces it.)
-        ept = space.ept
-        for access in trace:
+        index = 0
+        count = len(trace)
+        while index < count:
+            access = trace[index]
             if access.think_us > 0:
                 if fold_think:
                     vnow += access.think_us
@@ -210,30 +215,19 @@ class VCpu:
                         yield env.wake_at(vnow)
                     yield from self._compute(access.think_us)
                     vnow = env.now
-            page = access.page
-            end = None
             if batch:
-                if page in ept or page in space.image:
-                    # A mapped page: a read is no fault and no cost; a
-                    # store faults only to break copy-on-write.
-                    if access.write:
-                        end = mapped_write(page, access.value, vnow)
-                        if end is not None:
-                            vnow = end
-                            mark(1)
-                            continue
-                    mark(0)
-                    none_start(vnow)
-                    continue
+                stop = count if fold_think else index + 1
                 while True:
-                    end = fast_access(
-                        page,
-                        access.write,
-                        access.value,
+                    index, vnow, why = fast_access(
+                        trace,
+                        index,
+                        stop,
                         vnow,
                         horizon.next_at if horizon is not None else INFINITY,
+                        logged,
+                        none_starts,
                     )
-                    if end is HORIZON_BLOCKED and vnow > env.now:
+                    if why is HORIZON_BLOCKED and vnow > env.now:
                         # An eager install would land at or past the
                         # next observer read. Flush so the observer
                         # catches up (moving its horizon forward), then
@@ -241,23 +235,23 @@ class VCpu:
                         yield env.wake_at(vnow)
                         continue
                     break
-            if end is None or end is HORIZON_BLOCKED:
-                if vnow > env.now:
-                    yield env.wake_at(vnow)
-                record = yield from handler.access(
-                    page, write=access.write, value=access.value
-                )
-                vnow = env.now
-                slow += 1
-                if record.kind is FaultKind.NONE:
-                    mark(0)
-                    none_start(record.start_us)
-                else:
-                    mark(1)
+                if index == stop:
+                    continue
+                access = trace[index]
+            # The event path, with this access's think time in ``vnow``.
+            if vnow > env.now:
+                yield env.wake_at(vnow)
+            record = yield from handler.access(
+                access.page, write=access.write, value=access.value
+            )
+            vnow = env.now
+            slow += 1
+            if record.kind is FaultKind.NONE:
+                logged.append(0)
+                none_starts.append(record.start_us)
             else:
-                # fast_access logged the fault.
-                vnow = end
-                mark(1)
+                logged.append(1)
+            index += 1
         if tail_think_us > 0:
             if fold_think:
                 vnow += tail_think_us

@@ -9,6 +9,15 @@ touches, repeats and think time through both paths and compares
 everything. Each path's fault log is also absorbed into a fresh
 telemetry bundle, and the column fold must equal a reference fold
 over the log's records, one record at a time.
+
+Each test also draws the settings that end a batched run of accesses
+early: a host CPU slot (every run is one access, as think time must
+contend), fault-cost jitter (the per-kind cost tables), a
+capacity-bounded page cache (the classifier hands file-page and
+userfaultfd faults to the event path mid-run) and a concurrent poller
+that reads the installed-PTE count behind an observation horizon (a
+run stops at the horizon, flushes and resumes). The poller's readings
+must agree too.
 """
 
 from hypothesis import given, settings
@@ -26,12 +35,10 @@ from repro.host.fault import (
 from repro.host.uffd import UserfaultfdManager
 from repro.host.vma import AddressSpace
 from repro.metrics.telemetry import HostTelemetry, MetricsRegistry
-from repro.sim import Environment
+from repro.sim import Environment, Resource
 from repro.storage import BlockDevice, DeviceSpec, FileStore
 from repro.vm import create_snapshot
-from repro.vm.vcpu import GuestAccess, VCpu
-
-HOST = HostParams()
+from repro.vm.vcpu import GuestAccess, ObservationHorizon, VCpu
 
 #: File-backed pages [0, FILE_PAGES) then anonymous pages up to TOTAL.
 FILE_PAGES = 48
@@ -44,31 +51,60 @@ def _device(env):
     )
 
 
-def _build_file_backed(file_pages, sparse):
+def _build_file_backed(file_pages, sparse, host, capacity):
     env = Environment()
     store = FileStore(env, _device(env))
-    cache = PageCache(env)
+    cache = PageCache(env, capacity_pages=capacity)
     file = store.create("mem", FILE_PAGES, pages=file_pages, sparse=sparse)
     space = AddressSpace(TOTAL_PAGES)
     space.mmap_file(0, FILE_PAGES, file, 0)
     space.mmap_anonymous(FILE_PAGES, TOTAL_PAGES - FILE_PAGES)
-    handler = FaultHandler(env, HOST, cache, space)
+    handler = FaultHandler(env, host, cache, space)
     return env, handler, file.device
 
 
-def _build_uffd(file_pages):
+def _build_uffd(file_pages, host, capacity):
     env = Environment()
     store = FileStore(env, _device(env))
-    cache = PageCache(env)
+    cache = PageCache(env, capacity_pages=capacity)
     snapshot = create_snapshot(store, "fn", FILE_PAGES, file_pages)
     space = AddressSpace(TOTAL_PAGES)
-    uffd = UserfaultfdManager(env, HOST)
+    uffd = UserfaultfdManager(env, host)
     uffd.register(
-        0, FILE_PAGES, make_reap_fault_handler(env, HOST, cache, snapshot)
+        0, FILE_PAGES, make_reap_fault_handler(env, host, cache, snapshot)
     )
-    handler = FaultHandler(env, HOST, cache, space, uffd=uffd)
+    handler = FaultHandler(env, host, cache, space, uffd=uffd)
     handler.io_device = snapshot.memory_file.device
     return env, handler, snapshot.memory_file.device
+
+
+def _run(env, handler, trace, batch, boundaries):
+    """Run ``trace`` on one vCPU under the drawn run ``boundaries``;
+    returns the result and the poller's readings."""
+    cpu, _, _, poll_us = boundaries
+    vcpu = VCpu(
+        env,
+        handler,
+        cpu=Resource(env, capacity=1) if cpu else None,
+        batch_faults=batch,
+    )
+    readings = []
+    if poll_us is not None:
+        horizon = ObservationHorizon(env.now + poll_us)
+        vcpu.observer_horizon = horizon
+        space = handler.space
+
+        def poller():
+            while True:
+                yield env.timeout(poll_us)
+                readings.append((env.now, len(space.pte), len(space.ept)))
+                horizon.next_at = env.now + poll_us
+
+        env.process(poller())
+    result = env.run(
+        until=env.process(vcpu.run_trace(trace, tail_think_us=1.0))
+    )
+    return result, readings
 
 
 def _rows(records):
@@ -188,37 +224,46 @@ file_contents = st.dictionaries(
     st.integers(0, FILE_PAGES - 1), st.integers(1, 9), max_size=FILE_PAGES
 )
 
+#: ``(host CPU slot, fault_jitter_fraction, page-cache capacity, poll
+#: interval)``: each ends batched runs in its own way.
+run_boundaries = st.tuples(
+    st.booleans(),
+    st.sampled_from([0.0, 0.3]),
+    st.sampled_from([None, None, 6, 20]),
+    st.sampled_from([None, None, 2.0, 9.0, 150.0]),
+)
+
 
 @settings(max_examples=60, deadline=None)
-@given(file_contents, st.booleans(), accesses)
-def test_batched_trace_matches_event_path(file_pages, sparse, raw):
+@given(file_contents, st.booleans(), accesses, run_boundaries)
+def test_batched_trace_matches_event_path(file_pages, sparse, raw, boundaries):
     trace = _trace(raw, TOTAL_PAGES)
+    _, jitter, capacity, _ = boundaries
+    host = HostParams(fault_jitter_fraction=jitter)
     seen = []
     for batch in (False, True):
-        env, handler, device = _build_file_backed(file_pages, sparse)
-        vcpu = VCpu(env, handler, batch_faults=batch)
-        result = env.run(
-            until=env.process(vcpu.run_trace(trace, tail_think_us=1.0))
+        env, handler, device = _build_file_backed(
+            file_pages, sparse, host, capacity
         )
-        seen.append(_observe(env, handler, device, result))
+        result, readings = _run(env, handler, trace, batch, boundaries)
+        seen.append((_observe(env, handler, device, result), readings))
     assert seen[0] == seen[1]
 
 
 @settings(max_examples=40, deadline=None)
-@given(file_contents, accesses)
-def test_batched_uffd_faults_match_event_path(file_pages, raw):
+@given(file_contents, accesses, run_boundaries)
+def test_batched_uffd_faults_match_event_path(file_pages, raw, boundaries):
     # Every page is userfaultfd-registered (REAP's out-of-working-set
     # situation), exercising the synchronous delegation twin.
     trace = _trace(raw, FILE_PAGES)
+    _, jitter, capacity, _ = boundaries
+    host = HostParams(fault_jitter_fraction=jitter)
     seen = []
     delegated = []
     for batch in (False, True):
-        env, handler, device = _build_uffd(file_pages)
-        vcpu = VCpu(env, handler, batch_faults=batch)
-        result = env.run(
-            until=env.process(vcpu.run_trace(trace, tail_think_us=1.0))
-        )
-        seen.append(_observe(env, handler, device, result))
+        env, handler, device = _build_uffd(file_pages, host, capacity)
+        result, readings = _run(env, handler, trace, batch, boundaries)
+        seen.append((_observe(env, handler, device, result), readings))
         delegated.append(handler.uffd.delegated_faults)
     assert seen[0] == seen[1]
     assert delegated[0] == delegated[1]
