@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Generator, Optional, Sequence, Tuple
 
 from repro.core.policies import Policy
 from repro.core.restore import (
@@ -266,9 +266,6 @@ class Host:
         self.device.reset_readahead()
         if self.local_device is not None:
             self.local_device.reset_readahead()
-
-    def function_file_names(self, artifacts: RecordArtifacts) -> List[str]:
-        return artifact_file_names(artifacts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Host {self.host_id} on {self.device.spec.name}>"

@@ -49,20 +49,24 @@ def mincore_recorder(
 
     Cost model: each RSS poll charges the procfs read; each mincore
     scan charges the full present-bit scan of the mapping (base +
-    per-page), even though the simulation diffs incrementally via the
-    page cache's insertion log.
+    per-page), even though the simulation diffs incrementally: it
+    reads the page cache's watch on ``memory_file_name`` (joining the
+    one the caller opened before the VM ran, else opening it), whose
+    log holds every page inserted since the watch opened. Closing the
+    watch is the caller's job.
 
     ``horizon`` lets the recorded VM's vCPU batch its fault fast path
     without ever being observed mid-batch: before each sleep this
     process publishes the instant of its *next* read of shared state
-    (the RSS count, the cache's insertion log), and the batching vCPU
-    flushes rather than install a page at or past that instant.
+    (the RSS count, the watch log), and the batching vCPU flushes
+    rather than install a page at or past that instant.
     """
 
     def publish(next_read_at: float) -> None:
         if horizon is not None:
             horizon.next_at = next_read_at
 
+    log = cache.watch(memory_file_name)
     batches: List[List[int]] = []
     cursor = 0
     seen: set = set()
@@ -76,10 +80,9 @@ def mincore_recorder(
         )
         publish(env.now + scan_cost)
         yield env.timeout(scan_cost)
-        log = cache.insertion_log(memory_file_name)
         fresh: List[int] = []
         for page in log[cursor:]:
-            if page not in seen and cache.peek(memory_file_name, page):
+            if page not in seen and cache.contains(memory_file_name, page):
                 seen.add(page)
                 fresh.append(page)
         cursor = len(log)

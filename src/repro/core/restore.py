@@ -246,57 +246,70 @@ def run_record_phase(
         profile.total_pages,
         clean_snapshot_contents(profile),
     )
-    vm = MicroVM(
-        env,
-        config.host,
-        config.vmm,
-        cache,
-        profile.total_pages,
-        label=f"{tag}.record",
-        batch_faults=config.batch_faults,
-    )
-    yield from vm.restore(clean, full_file_plan(clean))
-
-    trace = generate_trace(profile, record_input)
-    accesses = list(trace.accesses)
     if sanitize:
-        accesses.extend(
-            GuestAccess(page=page, write=True, value=0, think_us=_SANITIZE_WRITE_US)
-            for page in trace.freed_pages
+        # The recorder's mincore scans read this watch: it logs every
+        # page inserted into the fresh memory file until the record
+        # invocation ends.
+        cache.watch(clean.memory_file.name)
+    try:
+        vm = MicroVM(
+            env,
+            config.host,
+            config.vmm,
+            cache,
+            profile.total_pages,
+            label=f"{tag}.record",
+            batch_faults=config.batch_faults,
         )
+        yield from vm.restore(clean, full_file_plan(clean))
 
-    done = env.event()
-    recorder_proc = None
-    if sanitize:
-        # The recorder reads shared state (RSS, the cache log) at
-        # known instants; publishing them through the horizon lets the
-        # vCPU batch its fault fast path without ever being observed
-        # mid-batch. Pre-seed the first poll instant — the vCPU runs
-        # synchronously before the recorder's init event dispatches.
-        horizon = ObservationHorizon(env.now + config.host.procfs_poll_us)
-        vm.vcpu.observer_horizon = horizon
-        recorder_proc = env.process(
-            mincore_recorder(
-                env,
-                config.host,
-                cache,
-                vm.procfs,
-                clean.memory_file.name,
-                profile.total_pages,
-                done,
-                group_pages=config.group_pages,
-                poll_interval_us=config.record_poll_interval_us,
-                horizon=horizon,
-            ),
-            name=f"{tag}.recorder",
+        trace = generate_trace(profile, record_input)
+        accesses = list(trace.accesses)
+        if sanitize:
+            accesses.extend(
+                GuestAccess(
+                    page=page, write=True, value=0, think_us=_SANITIZE_WRITE_US
+                )
+                for page in trace.freed_pages
+            )
+
+        done = env.event()
+        recorder_proc = None
+        if sanitize:
+            # The recorder reads shared state (RSS, the watch log) at
+            # known instants; publishing them through the horizon lets
+            # the vCPU batch its fault fast path without ever being
+            # observed mid-batch. Pre-seed the first poll instant — the
+            # vCPU runs synchronously before the recorder's init event
+            # dispatches.
+            horizon = ObservationHorizon(env.now + config.host.procfs_poll_us)
+            vm.vcpu.observer_horizon = horizon
+            recorder_proc = env.process(
+                mincore_recorder(
+                    env,
+                    config.host,
+                    cache,
+                    vm.procfs,
+                    clean.memory_file.name,
+                    profile.total_pages,
+                    done,
+                    group_pages=config.group_pages,
+                    poll_interval_us=config.record_poll_interval_us,
+                    horizon=horizon,
+                ),
+                name=f"{tag}.recorder",
+            )
+
+        yield from vm.vcpu.run_trace(
+            accesses, tail_think_us=trace.tail_think_us
         )
+        done.succeed()
 
-    yield from vm.vcpu.run_trace(accesses, tail_think_us=trace.tail_think_us)
-    done.succeed()
-
-    ws_groups: Optional[WorkingSetGroups] = None
-    if recorder_proc is not None:
-        ws_groups = yield recorder_proc
+        ws_groups: Optional[WorkingSetGroups] = None
+        if recorder_proc is not None:
+            ws_groups = yield recorder_proc
+    finally:
+        cache.unwatch(clean.memory_file.name)
 
     contents = capture_memory_contents(vm.space, base=clean)
     for page in wipe_pages:

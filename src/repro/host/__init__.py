@@ -7,7 +7,8 @@ detail the paper measures:
   *pending* (in-flight) reads so that a guest fault on a page the
   FaaSnap loader is currently fetching waits for that read instead of
   issuing a duplicate disk request (paper §6.5: "less harmful" major
-  faults).
+  faults), and the insertion watch FaaSnap's host page recording
+  scans (paper §4.4).
 * :mod:`~repro.host.readahead` — on-demand fault readahead that pulls
   a window of neighbouring file pages into the cache (paper §4.4:
   readahead "predicts" future accesses).
@@ -16,8 +17,6 @@ detail the paper measures:
 * :mod:`~repro.host.fault` — the page-fault handler with the paper's
   measured cost classes: anonymous ≈2.5 us, page-cache minor ≈3.7 us,
   major = a blocking disk read (paper §3.3, Figure 2).
-* :mod:`~repro.host.mincore` — present-page scanning used by FaaSnap's
-  host page recording (paper §4.4).
 * :mod:`~repro.host.uffd` — userfaultfd delegation with user-level
   wake-up and context-switch overheads (REAP's mechanism, §2.5).
 * :mod:`~repro.host.procfs` — RSS polling used by the recorder (§5).
@@ -30,7 +29,6 @@ from repro.host.fault import (
     FaultRecord,
     FaultStats,
 )
-from repro.host.mincore import mincore_file, mincore_new_pages
 from repro.host.page_cache import PageCache
 from repro.host.params import HostParams
 from repro.host.procfs import Procfs
@@ -55,6 +53,4 @@ __all__ = [
     "UffdRegistration",
     "UserfaultfdManager",
     "Vma",
-    "mincore_file",
-    "mincore_new_pages",
 ]

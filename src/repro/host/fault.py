@@ -379,15 +379,13 @@ class FaultHandler:
         Returns a :data:`Resolution`, or the leg that must block: a
         generator that yields simulation events and returns the
         :data:`Resolution` of what remains. It changes no simulated
-        state, except that a capacity-bounded cache's residency probe
-        touches its LRU (as the kernel's does).
+        state.
 
         ``eager`` callers (the batched path) commit a resolution at
         once, on the premise that nothing else runs until the fault
         ends: a read or a userfaultfd handler is priced at ``now``, and
-        where a leg would block — or a bounded cache's LRU order would
-        depend on when the access happens — the answer is ``None``, the
-        event path's job. Without ``eager`` (the event path) reads and
+        where a leg would block the answer is ``None``, the event
+        path's job. Without ``eager`` (the event path) reads and
         handlers are decided at the instant they start, so their legs
         are returned.
         """
@@ -407,8 +405,6 @@ class FaultHandler:
                 wake = now + params.uffd_wakeup_us
                 if not eager:
                     return self._uffd_leg(registration, page, wake)
-                if self.cache.capacity_pages is not None:
-                    return None
                 outcome = registration.handler(page, wake)
                 if type(outcome) is not tuple:
                     return None
@@ -438,25 +434,20 @@ class FaultHandler:
         file = backing.file
         name = file.name
         file_page = backing.file_start_page + (page - vma.start)
-        # Inlined StoredFile.is_hole / page_value and the unbounded
-        # page-cache residency probe: this branch runs once per minor
-        # fault and the general accessors' overhead is measurable at
-        # that rate.
+        # Inlined StoredFile.is_hole / page_value and the page-cache
+        # residency probe: this branch runs once per minor fault and
+        # the general accessors' overhead is measurable at that rate.
         content = file.pages.get(file_page, 0)
         cache = self.cache
         if file.sparse and content == 0:
             resident = True
-        elif cache.capacity_pages is None:
+        else:
             runs = cache._runs.get(name)
             if runs is None:
                 resident = False
             else:
                 index = bisect_right(runs.starts, file_page) - 1
                 resident = index >= 0 and file_page < runs.ends[index]
-        elif eager:
-            return None
-        else:
-            resident = cache.contains(name, file_page)
         if resident:
             # Resident page or sparse hole: minor fault, no I/O.
             bucket = _bucket(page, _MINOR_SALT) if self._jitter else 0
@@ -622,10 +613,8 @@ class FaultHandler:
         Returns ``(index, vnow, why)``: ``index == stop`` when the whole
         run was served. Otherwise ``trace[index]`` was not served (its
         think time is in ``vnow``) and ``why`` says what it needs:
-        ``None`` for the event path — a leg that blocks, or a
-        file-page or userfaultfd fault against a capacity-bounded
-        cache, whose LRU order depends on when each access happens —
-        or :data:`HORIZON_BLOCKED`, for the caller to flush and retry.
+        ``None`` for the event path (a leg that blocks) or
+        :data:`HORIZON_BLOCKED`, for the caller to flush and retry.
         """
         space = self.space
         ept = space.ept

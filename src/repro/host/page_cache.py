@@ -13,27 +13,25 @@ simulation:
   concurrent-paging major faults are cheaper than Firecracker's
   (§6.5).
 
-An optional capacity bound evicts in LRU order; the paper's host has
-192 GB of memory so the experiments never evict, but the policy is
-implemented and tested for completeness.
+The cache never evicts on its own: the paper's host has 192 GB of
+memory and drops caches between runs (§6.1), which
+:meth:`PageCache.drop_file` and :meth:`PageCache.drop_all` model.
+Residency is stored per file as sorted runs of half-open intervals.
+Snapshot working sets are large and mostly contiguous — loaders,
+readahead windows and sequential scans insert neighbouring pages — so
+a megabyte of residency collapses to a handful of ``[start, end)``
+boundary pairs instead of hundreds of thousands of set entries, and
+:meth:`PageCache.insert_range` merges a whole window in one splice.
 
-Residency is stored one of two ways, chosen at construction:
-
-* **Unbounded** (``capacity_pages=None``, the experiments' setting):
-  per-file sorted runs of half-open intervals. Snapshot working sets
-  are large and mostly contiguous — loaders, readahead windows and
-  sequential scans insert neighbouring pages — so a megabyte of
-  residency collapses to a handful of ``[start, end)`` boundary pairs
-  instead of hundreds of thousands of set entries, and
-  :meth:`insert_range` merges a whole window in one splice.
-* **Bounded**: the classic ``OrderedDict`` LRU, unchanged, since
-  eviction needs per-page recency.
+A file can be *watched* (:meth:`PageCache.watch`): while the watch is
+open, every page newly inserted into the file is logged in insertion
+order. FaaSnap's host page recording (§4.4) reads that log; nothing
+else is logged.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.sim import Environment, Event, SimulationError
@@ -97,8 +95,7 @@ class _IntervalRuns:
 
         Returns the sub-ranges that were newly inserted, in ascending
         order — exactly the pages a per-page loop would have inserted,
-        so callers can maintain insertion logs and counters
-        identically.
+        so callers can maintain watch logs and counters identically.
         """
         starts, ends = self.starts, self.ends
         # Fast path: at or past the tail run — the common shape for
@@ -147,33 +144,19 @@ class _IntervalRuns:
 
 
 class PageCache:
-    """Host page cache with pending-read tracking and optional LRU."""
+    """Host page cache with pending-read tracking."""
 
-    def __init__(
-        self,
-        env: Environment,
-        capacity_pages: Optional[int] = None,
-        metrics_root: Optional[str] = None,
-    ):
-        if capacity_pages is not None and capacity_pages < 1:
-            raise SimulationError("page cache capacity must be >= 1 or None")
+    def __init__(self, env: Environment, metrics_root: Optional[str] = None):
         self.env = env
-        self.capacity_pages = capacity_pages
-        #: Bounded mode storage (LRU); unused when unbounded.
-        self._present: "OrderedDict[PageKey, None]" = OrderedDict()
-        #: Unbounded mode storage: file name -> interval runs.
+        #: Residency: file name -> interval runs.
         self._runs: Dict[str, _IntervalRuns] = {}
         #: In-flight reads: value is an :class:`Event` once somebody
         #: waits, else :data:`_PENDING_PLACEHOLDER`.
         self._pending: Dict[PageKey, object] = {}
         self.insertions = 0
-        self.evictions = 0
-        #: Append-only per-file log of page insertions, in insertion
-        #: order. Lets the mincore-based recorder diff "new since last
-        #: scan" in O(new) instead of rescanning the whole mapping;
-        #: the recorder still charges the full mincore scan *cost* on
-        #: the simulated clock.
-        self._insertion_log: Dict[str, List[int]] = {}
+        #: Open watches: file name -> pages newly inserted since the
+        #: watch opened, in insertion order (see :meth:`watch`).
+        self.watches: Dict[str, List[int]] = {}
         # The cache is the one per-host object every invocation's
         # fault handler reaches (``handler.cache``), so it hosts the
         # per-host instrument bundle that invocation teardown absorbs
@@ -195,55 +178,25 @@ class PageCache:
             registry.pull_counter(
                 f"{root}.page_cache.insertions", lambda: self.insertions
             )
-            registry.pull_counter(
-                f"{root}.page_cache.evictions", lambda: self.evictions
-            )
             from repro.metrics.telemetry import HostTelemetry
 
             self.telemetry = HostTelemetry(registry, root)
 
-    @property
-    def _unbounded(self) -> bool:
-        return self.capacity_pages is None
-
     def __len__(self) -> int:
-        if self._unbounded:
-            return sum(runs.count for runs in self._runs.values())
-        return len(self._present)
+        return sum(runs.count for runs in self._runs.values())
 
     def contains(self, file_name: str, page_index: int) -> bool:
-        """True if the page is resident (touches LRU recency)."""
-        if self._unbounded:
-            runs = self._runs.get(file_name)
-            return runs is not None and runs.contains(page_index)
-        key = (file_name, page_index)
-        if key in self._present:
-            self._present.move_to_end(key)
-            return True
-        return False
-
-    def peek(self, file_name: str, page_index: int) -> bool:
-        """Residency check without touching LRU recency (mincore)."""
-        if self._unbounded:
-            runs = self._runs.get(file_name)
-            return runs is not None and runs.contains(page_index)
-        return (file_name, page_index) in self._present
+        """True if the page is resident."""
+        runs = self._runs.get(file_name)
+        return runs is not None and runs.contains(page_index)
 
     def insert(self, file_name: str, page_index: int) -> None:
         """Mark a page resident; completes any pending read on it."""
         self.insert_range(file_name, page_index, 1)
 
     def insert_range(self, file_name: str, start_page: int, npages: int) -> None:
-        """Mark ``npages`` consecutive pages resident."""
-        if self._unbounded:
-            self._insert_range_runs(file_name, start_page, npages)
-            return
-        for i in range(start_page, start_page + npages):
-            self._insert_lru(file_name, i)
-
-    def _insert_range_runs(
-        self, file_name: str, start_page: int, npages: int
-    ) -> None:
+        """Mark ``npages`` consecutive pages resident; completes any
+        pending read on them."""
         end_page = start_page + npages
         # Complete pending reads in the range regardless of residency,
         # in ascending page order (succeed() order feeds the event
@@ -277,32 +230,22 @@ class PageCache:
         if runs is None:
             runs = self._runs[file_name] = _IntervalRuns()
         fresh = runs.add_range(start_page, end_page)
-        if not fresh:
-            return
-        log = self._insertion_log.setdefault(file_name, [])
+        log = self.watches.get(file_name)
         for gap_start, gap_end in fresh:
             self.insertions += gap_end - gap_start
-            log.extend(range(gap_start, gap_end))
+            if log is not None:
+                log.extend(range(gap_start, gap_end))
 
-    def _insert_lru(self, file_name: str, page_index: int) -> None:
-        key = (file_name, page_index)
-        pending = self._pending.pop(key, None)
-        if (
-            pending is not None
-            and pending is not _PENDING_PLACEHOLDER
-            and not pending.triggered
-        ):
-            pending.succeed()
-        if key in self._present:
-            self._present.move_to_end(key)
-            return
-        self._present[key] = None
-        self.insertions += 1
-        self._insertion_log.setdefault(file_name, []).append(page_index)
-        if self.capacity_pages is not None:
-            while len(self._present) > self.capacity_pages:
-                self._present.popitem(last=False)
-                self.evictions += 1
+    def watch(self, file_name: str) -> List[int]:
+        """Open a watch on ``file_name`` (or join the open one) and
+        return its log: every page newly inserted into the file from
+        now on, in insertion order (a page dropped and inserted again
+        repeats). The log grows until :meth:`unwatch`."""
+        return self.watches.setdefault(file_name, [])
+
+    def unwatch(self, file_name: str) -> None:
+        """Close the watch on ``file_name``, if one is open."""
+        self.watches.pop(file_name, None)
 
     def begin_pending(self, file_name: str, page_index: int) -> Event:
         """Announce an in-flight read for the page.
@@ -312,7 +255,7 @@ class PageCache:
         existing event.
         """
         key = (file_name, page_index)
-        if self.peek(file_name, page_index):
+        if self.contains(file_name, page_index):
             raise SimulationError(f"begin_pending on resident page {key}")
         existing = self._pending.get(key)
         if existing is not None and existing is not _PENDING_PLACEHOLDER:
@@ -398,28 +341,14 @@ class PageCache:
         """Ascending sub-ranges of ``[start_page, start_page+npages)``
         that are neither resident nor pending — exactly the pages a
         loader chunk still has to read. One interval computation
-        replaces the per-page ``peek`` + ``pending_event`` probe loop
-        on the restore hot path."""
+        replaces the per-page residency and pending probe loop on the
+        restore hot path."""
         end_page = start_page + npages
-        if self._unbounded:
-            runs = self._runs.get(file_name)
-            if runs is None:
-                gaps = [(start_page, end_page)]
-            else:
-                gaps = runs.gaps_in(start_page, end_page)
+        runs = self._runs.get(file_name)
+        if runs is None:
+            gaps = [(start_page, end_page)]
         else:
-            present = self._present
-            gaps = []
-            run_start: Optional[int] = None
-            for page in range(start_page, end_page):
-                if (file_name, page) in present:
-                    if run_start is not None:
-                        gaps.append((run_start, page))
-                        run_start = None
-                elif run_start is None:
-                    run_start = page
-            if run_start is not None:
-                gaps.append((run_start, end_page))
+            gaps = runs.gaps_in(start_page, end_page)
         pending = self._pending
         if not pending or not gaps:
             return gaps
@@ -441,52 +370,31 @@ class PageCache:
         """Evict every resident page of ``file_name`` (drop_caches for
         one file, as the paper does between test runs, §6.1).
         Pending reads are unaffected."""
-        if self._unbounded:
-            runs = self._runs.pop(file_name, None)
-            return runs.count if runs is not None else 0
-        victims = [key for key in self._present if key[0] == file_name]
-        for key in victims:
-            del self._present[key]
-        return len(victims)
+        runs = self._runs.pop(file_name, None)
+        return runs.count if runs is not None else 0
 
     def drop_all(self) -> int:
         """Evict everything (echo 3 > /proc/sys/vm/drop_caches)."""
-        if self._unbounded:
-            count = sum(runs.count for runs in self._runs.values())
-            self._runs.clear()
-            return count
-        count = len(self._present)
-        self._present.clear()
+        count = len(self)
+        self._runs.clear()
         return count
 
     def pages_for_file(self, file_name: str) -> List[int]:
         """Sorted resident page indices of ``file_name``."""
-        if self._unbounded:
-            runs = self._runs.get(file_name)
-            return runs.pages() if runs is not None else []
-        return sorted(p for f, p in self._present if f == file_name)
+        runs = self._runs.get(file_name)
+        return runs.pages() if runs is not None else []
 
     def count_for_file(self, file_name: str) -> int:
-        if self._unbounded:
-            runs = self._runs.get(file_name)
-            return runs.count if runs is not None else 0
-        return sum(1 for f, _ in self._present if f == file_name)
+        runs = self._runs.get(file_name)
+        return runs.count if runs is not None else 0
 
     def resident_set(self) -> Set[PageKey]:
         """Snapshot of all resident pages (for assertions)."""
-        if self._unbounded:
-            return {
-                (name, page)
-                for name, runs in self._runs.items()
-                for page in runs.pages()
-            }
-        return set(self._present)
-
-    def insertion_log(self, file_name: str) -> List[int]:
-        """Every page of ``file_name`` ever inserted, in insertion
-        order (may repeat after drops). Consumers should slice by
-        their own cursor."""
-        return self._insertion_log.get(file_name, [])
+        return {
+            (name, page)
+            for name, runs in self._runs.items()
+            for page in runs.pages()
+        }
 
     def warm_file(self, file_name: str, pages: Iterable[int]) -> None:
         """Instantly mark pages resident without I/O — used only to

@@ -84,22 +84,16 @@ class ReadaheadPolicy:
         name = file.name
         size = self.next_window_size(name, fault_page)
         limit = min(file.num_pages, fault_page + size)
+        runs = cache._runs.get(name)
+        if runs is not None:
+            resident = runs.first_at_or_after(fault_page + 1)
+            if resident is not None and resident < limit:
+                limit = resident
         pending = cache._pending
-        if cache.capacity_pages is None:
-            runs = cache._runs.get(name)
-            if runs is not None:
-                resident = runs.first_at_or_after(fault_page + 1)
-                if resident is not None and resident < limit:
-                    limit = resident
-            if pending:
-                for page in range(fault_page + 1, limit):
-                    if (name, page) in pending:
-                        return page, size
-            return limit, size
-        present = cache._present
-        for page in range(fault_page + 1, limit):
-            if (name, page) in present or (name, page) in pending:
-                return page, size
+        if pending:
+            for page in range(fault_page + 1, limit):
+                if (name, page) in pending:
+                    return page, size
         return limit, size
 
     def commit(self, file_name: str, end: int, size: int) -> None:

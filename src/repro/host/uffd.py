@@ -73,9 +73,6 @@ class UserfaultfdManager:
         self._registrations.append(registration)
         return registration
 
-    def unregister(self, registration: UffdRegistration) -> None:
-        self._registrations.remove(registration)
-
     def lookup(self, page: int) -> Optional[UffdRegistration]:
         """The registration covering ``page``, if any."""
         for registration in self._registrations:

@@ -70,6 +70,16 @@ def test_invoke_returns_result(platform, fn, policy):
     assert result.total_us >= result.invoke_us
 
 
+def test_page_cache_keeps_no_insertion_record_after_serving(platform, fn):
+    # Host page recording reads an insertion log only while its record
+    # phase watches the memory file; serving leaves no log behind.
+    result = platform.invoke(fn, INPUT_B, Policy.FAASNAP)
+    cache = platform.host.cache
+    assert result.fetch_bytes > 0
+    assert cache.insertions > 0
+    assert cache.watches == {}
+
+
 @pytest.mark.parametrize("policy", MAIN_POLICIES)
 def test_result_fault_view_matches_records_and_pickles(platform, fn, policy):
     """The result's fault accessors read the columnar log; each must

@@ -78,9 +78,9 @@ def test_reap_handler_serves_hole_cached_and_disk():
     assert hole_read is None and cached_read is None
     assert t_disk > t_cached  # disk path pays the device read
     # Handler reads go through the page cache with readahead.
-    assert not rig.cache.peek(name, 20)
+    assert not rig.cache.contains(name, 20)
     disk_read.commit(rig.cache)
-    assert rig.cache.peek(name, 20)
+    assert rig.cache.contains(name, 20)
 
 
 def test_reap_handler_queues_behind_a_busy_device():
@@ -102,7 +102,7 @@ def test_reap_handler_queues_behind_a_busy_device():
     value, read = rig.run(scenario())
     assert value == 200
     assert read.requests == 1
-    assert rig.cache.peek(name, 20)
+    assert rig.cache.contains(name, 20)
 
 
 def test_mincore_recorder_groups_by_scan_order():

@@ -95,9 +95,9 @@ def test_major_fault_reads_from_disk_with_readahead():
     assert record.bytes_read == PARAMS.readahead_pages * PAGE_SIZE
     assert record.duration_us > PARAMS.minor_fault_us
     # Readahead cached the neighbours.
-    assert rig.cache.peek("mem", 10)
-    assert rig.cache.peek("mem", 10 + PARAMS.readahead_pages - 1)
-    assert not rig.cache.peek("mem", 10 + PARAMS.readahead_pages)
+    assert rig.cache.contains("mem", 10)
+    assert rig.cache.contains("mem", 10 + PARAMS.readahead_pages - 1)
+    assert not rig.cache.contains("mem", 10 + PARAMS.readahead_pages)
 
 
 def test_access_after_readahead_is_minor():
@@ -334,42 +334,42 @@ def test_readahead_window_includes_faulting_page_even_if_pending():
     assert policy.window(f, rig.cache, 0) == [0]
 
 
-def test_minor_fault_on_a_bounded_cache_refreshes_lru_recency():
-    rig = Rig()
-    rig.cache = rig.handler.cache = PageCache(rig.env, capacity_pages=2)
-    f = rig.store.create("mem", 256, pages={i: i + 1 for i in range(256)})
-    rig.space.mmap_file(0, 256, f, 0)
-    rig.cache.insert("mem", 0)
-    rig.cache.insert("mem", 1)
-    (record,) = rig.run_accesses([(0, False, None)])
-    assert record.kind is FaultKind.MINOR
-    # The fault touched page 0, so the next insertion evicts page 1.
-    rig.cache.insert("mem", 2)
-    assert rig.cache.peek("mem", 0)
-    assert not rig.cache.peek("mem", 1)
-
-
-def test_batched_vcpu_hands_bounded_cache_faults_to_the_event_path():
+def test_batched_vcpu_hands_contended_faults_to_the_event_path():
+    # A loader reads pages 8-15, then 50-57, of the same memory file
+    # while the guest faults: the fault on page 9 waits on the
+    # loader's first read, and the read of the fault on page 0 would
+    # end after the loader's second completes. Both need the event
+    # path; the batched vCPU must reach the same timeline.
+    from repro.core.loader import LoaderStats, ordered_pages_loader
     from repro.vm.vcpu import GuestAccess, VCpu
 
     results = []
     params = HostParams(readahead_pages=2, readahead_max_pages=2)
     for batch in (False, True):
         rig = Rig(params=params)
-        rig.cache = rig.handler.cache = PageCache(rig.env, capacity_pages=4)
         f = rig.store.create("mem", 64, pages={i: i + 1 for i in range(64)})
         rig.space.mmap_file(0, 64, f, 0)
-        trace = [GuestAccess(page, think_us=3.0) for page in (0, 1, 9, 0, 30, 2)]
+        trace = [GuestAccess(page, think_us=3.0) for page in (9, 0, 1, 30, 2)]
+        loaded = [*range(8, 16), *range(50, 58)]
+        rig.env.process(
+            ordered_pages_loader(rig.env, rig.cache, f, loaded, LoaderStats())
+        )
         vcpu = VCpu(rig.env, rig.handler, batch_faults=batch)
         process = rig.env.process(vcpu.run_trace(trace))
         result = rig.env.run(until=process)
         results.append(
             (
-                [(r.kind, r.start_us, r.duration_us) for r in result.records],
+                [
+                    (r.kind, r.start_us, r.duration_us, r.block_requests)
+                    for r in result.records
+                ],
                 sorted(rig.cache.resident_set()),
                 rig.env.now,
             )
         )
     assert results[0] == results[1]
-    kinds = [kind for kind, _, _ in results[0][0]]
-    assert FaultKind.MINOR in kinds and FaultKind.MAJOR in kinds
+    rows = results[0][0]
+    kinds = [kind for kind, _, _, _ in rows]
+    assert FaultKind.MINOR in kinds
+    # The wait on the loader's read is a MAJOR fault without I/O.
+    assert (FaultKind.MAJOR, 0) in [(kind, io) for kind, _, _, io in rows]

@@ -1,9 +1,9 @@
-"""Unit tests for mincore and procfs helpers."""
+"""Unit tests for the recorder's mincore scans and procfs polling."""
 
 import pytest
 
+from repro.core.recorder import mincore_recorder
 from repro.host import AddressSpace, HostParams, PageCache, Procfs
-from repro.host.mincore import mincore_file, mincore_new_pages
 from repro.sim import Environment
 
 
@@ -14,52 +14,77 @@ def run(env, gen):
     return env.run(until=env.process(gen))
 
 
+def _record(env, cache, num_pages, done, **kwargs):
+    """Run the recorder over ``mem`` until ``done``; its procfs polls
+    an address space of ``num_pages`` with no PTEs."""
+    procfs = Procfs(env, PARAMS, AddressSpace(num_pages))
+    return run(
+        env,
+        mincore_recorder(
+            env, PARAMS, cache, procfs, "mem", num_pages, done, **kwargs
+        ),
+    )
+
+
 def test_mincore_reports_present_pages():
     env = Environment()
     cache = PageCache(env)
+    cache.watch("mem")
     cache.insert("mem", 1)
     cache.insert("mem", 3)
     cache.insert("other", 2)
+    done = env.event()
+    done.succeed()
 
-    vector = run(env, mincore_file(env, PARAMS, cache, "mem", 5))
-    assert vector == [False, True, False, True, False]
+    ws = _record(env, cache, 5, done)
+    assert ws.pages == [1, 3]
 
 
 def test_mincore_charges_scan_cost():
+    # With ``done`` already fired the recorder makes only its final
+    # sweep: one scan of the whole mapping, base + per-page.
     env = Environment()
     cache = PageCache(env)
-    run(env, mincore_file(env, PARAMS, cache, "mem", 1000))
+    done = env.event()
+    done.succeed()
+    _record(env, cache, 1000, done)
     expected = PARAMS.mincore_base_us + 1000 * PARAMS.mincore_per_page_us
     assert env.now == pytest.approx(expected)
 
 
-def test_mincore_does_not_perturb_lru():
-    env = Environment()
-    cache = PageCache(env, capacity_pages=2)
-    cache.insert("mem", 0)
-    cache.insert("mem", 1)
-    run(env, mincore_file(env, PARAMS, cache, "mem", 2))
-    cache.insert("mem", 2)  # must evict page 0, oldest by insertion
-    assert not cache.peek("mem", 0)
-
-
 def test_mincore_new_pages_incremental():
+    # Each scan reports only the pages inserted since the previous one:
+    # two scans, two groups, and a page dropped and re-inserted is not
+    # reported again.
     env = Environment()
     cache = PageCache(env)
-    seen = set()
+    space = AddressSpace(10)
+    procfs = Procfs(env, PARAMS, space)
+    cache.watch("mem")
+    done = env.event()
 
-    cache.insert("mem", 0)
-    cache.insert("mem", 5)
-    first = run(env, mincore_new_pages(env, PARAMS, cache, "mem", 10, seen))
-    assert first == [0, 5]
+    def guest():
+        for page in (0, 5):
+            cache.insert("mem", page)
+            space.install_pte(page, 1)
+        yield env.timeout(500)
+        cache.drop_file("mem")
+        for page in (3, 0):
+            cache.insert("mem", page)
+        yield env.timeout(500)
+        done.succeed()
 
-    cache.insert("mem", 3)
-    second = run(env, mincore_new_pages(env, PARAMS, cache, "mem", 10, seen))
-    assert second == [3]
-
-    third = run(env, mincore_new_pages(env, PARAMS, cache, "mem", 10, seen))
-    assert third == []
-    assert seen == {0, 3, 5}
+    recorder = env.process(
+        mincore_recorder(
+            env, PARAMS, cache, procfs, "mem", 10, done,
+            group_pages=2, poll_interval_us=100,
+        )
+    )
+    env.process(guest())
+    ws = env.run(until=recorder)
+    assert ws.pages_of_group(1) == [0, 5]
+    assert ws.pages_of_group(2) == [3]
+    assert cache.watches["mem"] == [0, 5, 3, 0]
 
 
 def test_procfs_rss():

@@ -14,7 +14,6 @@ def cache():
 def test_empty_cache(cache):
     assert len(cache) == 0
     assert not cache.contains("f", 0)
-    assert not cache.peek("f", 0)
 
 
 def test_insert_and_contains(cache):
@@ -53,34 +52,6 @@ def test_drop_all(cache):
     assert len(cache) == 0
 
 
-def test_lru_eviction():
-    cache = PageCache(Environment(), capacity_pages=3)
-    for page in range(3):
-        cache.insert("f", page)
-    cache.contains("f", 0)  # touch page 0: now most recent
-    cache.insert("f", 3)  # evicts page 1 (least recent)
-    assert cache.peek("f", 0)
-    assert not cache.peek("f", 1)
-    assert cache.peek("f", 2)
-    assert cache.peek("f", 3)
-    assert cache.evictions == 1
-
-
-def test_peek_does_not_touch_lru():
-    cache = PageCache(Environment(), capacity_pages=2)
-    cache.insert("f", 0)
-    cache.insert("f", 1)
-    cache.peek("f", 0)  # must NOT refresh page 0
-    cache.insert("f", 2)  # evicts page 0
-    assert not cache.peek("f", 0)
-    assert cache.peek("f", 1)
-
-
-def test_capacity_validation():
-    with pytest.raises(SimulationError):
-        PageCache(Environment(), capacity_pages=0)
-
-
 def test_pending_read_lifecycle():
     env = Environment()
     cache = PageCache(env)
@@ -90,7 +61,7 @@ def test_pending_read_lifecycle():
     cache.insert("f", 5)
     assert event.triggered
     assert cache.pending_event("f", 5) is None
-    assert cache.peek("f", 5)
+    assert cache.contains("f", 5)
 
 
 def test_begin_pending_twice_returns_same_event():
@@ -112,7 +83,7 @@ def test_abandon_pending_fires_event_without_inserting():
     event = cache.begin_pending("f", 7)
     cache.abandon_pending("f", 7)
     assert event.triggered
-    assert not cache.peek("f", 7)
+    assert not cache.contains("f", 7)
     assert cache.pending_event("f", 7) is None
 
 
@@ -156,4 +127,4 @@ def test_drop_file_leaves_pending_untouched():
     event = cache.begin_pending("f", 1)
     cache.drop_file("f")
     assert cache.pending_event("f", 1) is event
-    assert not cache.peek("f", 0)
+    assert not cache.contains("f", 0)

@@ -82,7 +82,7 @@ def test_fault_read_failure_abandons_pending(rig):
     # No pending markers leak: a later fault can retry.
     for page in range(8):
         assert cache.pending_event("mem", page) is None
-        assert not cache.peek("mem", page)
+        assert not cache.contains("mem", page)
 
 
 def test_device_queue_wait_accumulates():

@@ -12,17 +12,19 @@ over the log's records, one record at a time.
 
 Each test also draws the settings that end a batched run of accesses
 early: a host CPU slot (every run is one access, as think time must
-contend), fault-cost jitter (the per-kind cost tables), a
-capacity-bounded page cache (the classifier hands file-page and
-userfaultfd faults to the event path mid-run) and a concurrent poller
-that reads the installed-PTE count behind an observation horizon (a
-run stops at the horizon, flushes and resumes). The poller's readings
-must agree too.
+contend), fault-cost jitter (the per-kind cost tables), a concurrent
+reader of the same memory file (a FaaSnap loader: a fault on a page it
+has in flight waits on its read, and a fault read that would overlap
+one of its reads goes to the event path mid-run) and a concurrent
+poller that reads the installed-PTE count behind an observation
+horizon (a run stops at the horizon, flushes and resumes). The
+poller's readings and the reader's accounting must agree too.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.loader import LoaderStats, ordered_pages_loader
 from repro.core.reap import make_reap_fault_handler
 from repro.host import HostParams, PageCache
 from repro.host.fault import (
@@ -51,22 +53,22 @@ def _device(env):
     )
 
 
-def _build_file_backed(file_pages, sparse, host, capacity):
+def _build_file_backed(file_pages, sparse, host):
     env = Environment()
     store = FileStore(env, _device(env))
-    cache = PageCache(env, capacity_pages=capacity)
+    cache = PageCache(env)
     file = store.create("mem", FILE_PAGES, pages=file_pages, sparse=sparse)
     space = AddressSpace(TOTAL_PAGES)
     space.mmap_file(0, FILE_PAGES, file, 0)
     space.mmap_anonymous(FILE_PAGES, TOTAL_PAGES - FILE_PAGES)
     handler = FaultHandler(env, host, cache, space)
-    return env, handler, file.device
+    return env, handler, file
 
 
-def _build_uffd(file_pages, host, capacity):
+def _build_uffd(file_pages, host):
     env = Environment()
     store = FileStore(env, _device(env))
-    cache = PageCache(env, capacity_pages=capacity)
+    cache = PageCache(env)
     snapshot = create_snapshot(store, "fn", FILE_PAGES, file_pages)
     space = AddressSpace(TOTAL_PAGES)
     uffd = UserfaultfdManager(env, host)
@@ -74,14 +76,14 @@ def _build_uffd(file_pages, host, capacity):
         0, FILE_PAGES, make_reap_fault_handler(env, host, cache, snapshot)
     )
     handler = FaultHandler(env, host, cache, space, uffd=uffd)
-    handler.io_device = snapshot.memory_file.device
-    return env, handler, snapshot.memory_file.device
+    return env, handler, snapshot.memory_file
 
 
-def _run(env, handler, trace, batch, boundaries):
+def _run(env, handler, file, trace, batch, boundaries):
     """Run ``trace`` on one vCPU under the drawn run ``boundaries``;
-    returns the result and the poller's readings."""
-    cpu, _, _, poll_us = boundaries
+    returns the result and what the poller and the second reader of
+    ``file`` saw."""
+    cpu, _, reader, poll_us = boundaries
     vcpu = VCpu(
         env,
         handler,
@@ -89,6 +91,19 @@ def _run(env, handler, trace, batch, boundaries):
         batch_faults=batch,
     )
     readings = []
+    if reader is not None:
+        delay_us, pages = reader
+        stats = LoaderStats()
+        readings.append(stats)
+
+        def second_reader():
+            if delay_us:
+                yield env.timeout(delay_us)
+            yield from ordered_pages_loader(
+                env, handler.cache, file, pages, stats, chunk_pages=16
+            )
+
+        env.process(second_reader())
     if poll_us is not None:
         horizon = ObservationHorizon(env.now + poll_us)
         vcpu.observer_horizon = horizon
@@ -224,46 +239,76 @@ file_contents = st.dictionaries(
     st.integers(0, FILE_PAGES - 1), st.integers(1, 9), max_size=FILE_PAGES
 )
 
-#: ``(host CPU slot, fault_jitter_fraction, page-cache capacity, poll
+#: A second reader of the memory file: ``(start delay, file pages)``,
+#: a contiguous range it reads in 16-page chunks, or none. Without a
+#: delay it announces its first read before the vCPU starts.
+second_readers = st.one_of(
+    st.none(),
+    st.tuples(
+        st.sampled_from([0.0, 4.0, 60.0]),
+        st.integers(0, FILE_PAGES - 1).flatmap(
+            lambda first: st.integers(first + 1, FILE_PAGES).map(
+                lambda end: list(range(first, end))
+            )
+        ),
+    ),
+)
+
+#: Dense file contents for the pinned examples: every page is read
+#: from the device.
+DENSE = {page: page % 9 + 1 for page in range(FILE_PAGES)}
+
+#: ``(host CPU slot, fault_jitter_fraction, second reader, poll
 #: interval)``: each ends batched runs in its own way.
 run_boundaries = st.tuples(
     st.booleans(),
     st.sampled_from([0.0, 0.3]),
-    st.sampled_from([None, None, 6, 20]),
+    second_readers,
     st.sampled_from([None, None, 2.0, 9.0, 150.0]),
 )
 
 
 @settings(max_examples=60, deadline=None)
 @given(file_contents, st.booleans(), accesses, run_boundaries)
+# Pinned: a whole-file reader. The faults on pages 8 and 44 wait on its
+# reads; the one on page 36 finds the device channel busy.
+@example(
+    DENSE,
+    False,
+    [(page, False, 0.5) for page in (8, 36, 4, 44, 20)],
+    (False, 0.0, (0.0, list(range(FILE_PAGES))), None),
+)
 def test_batched_trace_matches_event_path(file_pages, sparse, raw, boundaries):
     trace = _trace(raw, TOTAL_PAGES)
-    _, jitter, capacity, _ = boundaries
-    host = HostParams(fault_jitter_fraction=jitter)
+    host = HostParams(fault_jitter_fraction=boundaries[1])
     seen = []
     for batch in (False, True):
-        env, handler, device = _build_file_backed(
-            file_pages, sparse, host, capacity
-        )
-        result, readings = _run(env, handler, trace, batch, boundaries)
-        seen.append((_observe(env, handler, device, result), readings))
+        env, handler, file = _build_file_backed(file_pages, sparse, host)
+        result, readings = _run(env, handler, file, trace, batch, boundaries)
+        seen.append((_observe(env, handler, file.device, result), readings))
     assert seen[0] == seen[1]
 
 
 @settings(max_examples=40, deadline=None)
 @given(file_contents, accesses, run_boundaries)
+# Pinned: the handler of the fault on page 9 waits on the reader's
+# read; the one on page 44 finds the device channel busy.
+@example(
+    DENSE,
+    [(9, False, 0.5), (44, False, 0.5)],
+    (False, 0.0, (0.0, list(range(2, FILE_PAGES))), None),
+)
 def test_batched_uffd_faults_match_event_path(file_pages, raw, boundaries):
     # Every page is userfaultfd-registered (REAP's out-of-working-set
     # situation), exercising the synchronous delegation twin.
     trace = _trace(raw, FILE_PAGES)
-    _, jitter, capacity, _ = boundaries
-    host = HostParams(fault_jitter_fraction=jitter)
+    host = HostParams(fault_jitter_fraction=boundaries[1])
     seen = []
     delegated = []
     for batch in (False, True):
-        env, handler, device = _build_uffd(file_pages, host, capacity)
-        result, readings = _run(env, handler, trace, batch, boundaries)
-        seen.append((_observe(env, handler, device, result), readings))
+        env, handler, file = _build_uffd(file_pages, host)
+        result, readings = _run(env, handler, file, trace, batch, boundaries)
+        seen.append((_observe(env, handler, file.device, result), readings))
         delegated.append(handler.uffd.delegated_faults)
     assert seen[0] == seen[1]
     assert delegated[0] == delegated[1]

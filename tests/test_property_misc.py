@@ -11,26 +11,7 @@ from repro.metrics.stats import Histogram, fault_time_histogram
 from repro.sim import Environment
 
 
-# -- page cache LRU -----------------------------------------------------
-
-
-@given(
-    st.lists(
-        st.tuples(st.integers(0, 30), st.booleans()),
-        min_size=1,
-        max_size=200,
-    ),
-    st.integers(min_value=1, max_value=10),
-)
-def test_page_cache_never_exceeds_capacity(ops, capacity):
-    cache = PageCache(Environment(), capacity_pages=capacity)
-    for page, touch in ops:
-        if touch:
-            cache.contains("f", page)
-        else:
-            cache.insert("f", page)
-        assert len(cache) <= capacity
-    assert cache.insertions - cache.evictions == len(cache)
+# -- page cache ---------------------------------------------------------
 
 
 @given(st.lists(st.integers(0, 50), min_size=1, max_size=100))
@@ -45,10 +26,16 @@ def test_page_cache_insert_is_idempotent_in_contents(pages):
 @given(st.lists(st.integers(0, 50), min_size=1, max_size=100))
 def test_insertion_log_superset_of_resident(pages):
     cache = PageCache(Environment())
+    log = cache.watch("f")
     for page in pages:
         cache.insert("f", page)
-    log = cache.insertion_log("f")
+        cache.insert("g", page)
     assert set(cache.pages_for_file("f")) <= set(log)
+    # Only the watched file is logged, and only while watched.
+    assert list(cache.watches) == ["f"]
+    cache.unwatch("f")
+    cache.insert("f", max(pages) + 1)
+    assert cache.watches == {}
     # First occurrences appear in insertion order.
     firsts = []
     seen = set()
