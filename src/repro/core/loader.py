@@ -7,22 +7,24 @@ page cache; guest faults on them become minor faults, and guest
 faults racing an in-flight loader read wait for that read instead of
 issuing their own (§6.5).
 
-Three loader flavours back the Figure 9 ablation ladder:
+There is one loader, :func:`ordered_pages_loader`, over a list of read
+units ``(start, npages)`` of one file. Its inputs back the Figure 9
+ablation ladder:
 
-* :func:`loading_set_loader` — full FaaSnap: stream the compact
-  loading-set file start to finish (it is already laid out in
-  (group, address) order, §4.7);
-* :func:`ordered_pages_loader` over group-ordered pages — per-region
-  ablation: read the working set from the *memory file*, groups in
-  order, addresses ascending within a group (§4.3);
-* :func:`ordered_pages_loader` over address-ordered pages —
-  concurrent-paging-only ablation: read the working set from the
-  memory file in plain address order (§6.5).
+* full FaaSnap: fixed-size chunks of the compact loading-set file,
+  start to finish (:func:`file_chunks`; the file is already laid out
+  in (group, address) order, §4.7);
+* per-region ablation: the working set read from the *memory file*,
+  groups in order, addresses ascending within a group (§4.3),
+  coalesced by :func:`coalesce_ordered_pages`;
+* concurrent-paging-only ablation: the working set read from the
+  memory file in plain address order (§6.5), coalesced the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Generator, List, Sequence, Tuple
 
 from repro.host.page_cache import PageCache
@@ -56,71 +58,15 @@ class LoaderStats:
         return self.finished_us - self.started_us
 
 
-def _read_chunk(
-    env: Environment,
-    cache: PageCache,
-    file: StoredFile,
-    start: int,
-    npages: int,
-    stats: LoaderStats,
-) -> Generator[Event, Any, None]:
-    """Read one contiguous file chunk, publishing pending state so
-    concurrent guest faults wait on it."""
-    # One interval computation instead of a per-page residency +
-    # pending probe: ``fresh`` is the ascending list of sub-ranges the
-    # chunk still has to read.
-    fresh = cache.missing_ranges(file.name, start, npages)
-    if not fresh:
-        return
-    for run_start, run_end in fresh:
-        cache.note_pending_range(file.name, run_start, run_end - run_start)
-    before_requests = file.device.stats.requests
-    before_bytes = file.device.stats.bytes_read
-    try:
-        yield from file.read(start, npages)
-    except BaseException:
-        for run_start, run_end in fresh:
-            cache.abandon_pending_range(
-                file.name, run_start, run_end - run_start
-            )
-        raise
-    # Insert each fresh run in one range operation: runs are ascending,
-    # so pending completions and the insertion log keep the exact
-    # per-page order the per-page loop produced.
-    fetched = 0
-    for run_start, run_end in fresh:
-        cache.insert_range(file.name, run_start, run_end - run_start)
-        fetched += run_end - run_start
-    stats.pages_fetched += fetched
-    stats.requests += file.device.stats.requests - before_requests
-    stats.bytes_read += file.device.stats.bytes_read - before_bytes
-
-
-def loading_set_loader(
-    env: Environment,
-    cache: PageCache,
-    loading_file: StoredFile,
-    stats: LoaderStats,
-    chunk_pages: int = DEFAULT_CHUNK_PAGES,
-) -> Generator[Event, Any, LoaderStats]:
-    """Process helper: stream the whole loading-set file sequentially."""
-    stats.started_us = env.now
-    try:
-        for start in range(0, loading_file.num_pages, chunk_pages):
-            npages = min(chunk_pages, loading_file.num_pages - start)
-            yield from _read_chunk(
-                env, cache, loading_file, start, npages, stats
-            )
-    except DeviceError:
-        # A daemon loader thread hitting an I/O error gives up: the
-        # remaining pages are simply never prefetched and the guest
-        # demand-faults them. Absorbing the error here (the chunk
-        # reader already abandoned its pending marks) keeps the
-        # loader process from dying unobserved — the invocation may
-        # have finished without ever joining it.
-        stats.errors += 1
-    stats.finished_us = env.now
-    return stats
+def file_chunks(
+    num_pages: int, chunk_pages: int = DEFAULT_CHUNK_PAGES
+) -> List[Tuple[int, int]]:
+    """Read units covering ``[0, num_pages)`` in order, ``chunk_pages``
+    each (the last may be short)."""
+    return [
+        (start, min(chunk_pages, num_pages - start))
+        for start in range(0, num_pages, chunk_pages)
+    ]
 
 
 def coalesce_ordered_pages(
@@ -155,25 +101,40 @@ def coalesce_ordered_pages(
 def ordered_pages_loader(
     env: Environment,
     cache: PageCache,
-    memory_file: StoredFile,
-    pages: Sequence[int],
+    file: StoredFile,
+    units: Sequence[Tuple[int, int]],
     stats: LoaderStats,
-    coalesce_gap: int = DEFAULT_COALESCE_GAP,
-    chunk_pages: int = DEFAULT_CHUNK_PAGES,
 ) -> Generator[Event, Any, LoaderStats]:
-    """Process helper: prefetch ``pages`` from the memory file in the
-    given order, coalescing nearby ascending pages into single reads."""
+    """Process helper: prefetch the read ``units`` of ``file`` in
+    order. A unit whose pages are all resident or in flight is
+    skipped; otherwise the whole unit is read and its missing pages
+    inserted (:meth:`PageCache.fill`). ``stats`` counts the pages
+    inserted and the device requests and bytes of the loader's own
+    reads."""
     stats.started_us = env.now
+    name = file.name
     try:
-        for start, npages in coalesce_ordered_pages(
-            pages, coalesce_gap, chunk_pages
-        ):
-            yield from _read_chunk(
-                env, cache, memory_file, start, npages, stats
-            )
+        for start, npages in units:
+            runs = cache.missing_ranges(name, start, npages)
+            if not runs:
+                continue
+            extents = yield from cache.fill(file, start, npages, runs)
+            stats.pages_fetched += sum(end - run for run, end in runs)
+            stats.requests += len(extents)
+            stats.bytes_read += sum(map(itemgetter(1), extents))
     except DeviceError:
-        # Same bail-out as loading_set_loader: give up on the first
-        # injected I/O error and let demand paging cover the rest.
+        # A daemon loader thread hitting an I/O error gives up: the
+        # remaining pages are simply never prefetched and the guest
+        # demand-faults them. Absorbing the error here (the fill
+        # already abandoned its pending marks) keeps the loader
+        # process from dying unobserved — the invocation may have
+        # finished without ever joining it.
         stats.errors += 1
     stats.finished_us = env.now
     return stats
+
+
+#: FaaSnap's loading-set loader is the one loader over
+#: :func:`file_chunks` of the loading-set file. The traced benchmark
+#: run (``perfbench/layers.py``) times the loader under both names.
+loading_set_loader = ordered_pages_loader

@@ -17,10 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Generator, List, Optional, Sequence, Set
 
+# ``loading_set_loader`` is the same function as ``ordered_pages_loader``;
+# the traced benchmark run patches both names in this module too.
 from repro.core.loader import (
-    DEFAULT_CHUNK_PAGES,
-    DEFAULT_COALESCE_GAP,
     LoaderStats,
+    coalesce_ordered_pages,
+    file_chunks,
     loading_set_loader,
     ordered_pages_loader,
 )
@@ -30,14 +32,14 @@ from repro.core.loading_set import (
     build_loading_set,
     write_loading_set_file,
 )
-from repro.core.mapping import DEFAULT_NONZERO_MERGE_GAP, build_faasnap_plan
+from repro.core.mapping import build_faasnap_plan
 from repro.core.policies import Policy
 from repro.core.reap import (
     make_reap_fault_handler,
     reap_setup,
     write_working_set_file,
 )
-from repro.core.recorder import DEFAULT_POLL_INTERVAL_US, mincore_recorder
+from repro.core.recorder import mincore_recorder
 from repro.core.working_set import (
     DEFAULT_GROUP_PAGES,
     ReapWorkingSet,
@@ -74,13 +76,6 @@ class PlatformConfig:
     group_pages: int = DEFAULT_GROUP_PAGES
     #: Gap threshold for merging loading-set regions (paper: 32).
     loading_merge_gap: int = DEFAULT_MERGE_GAP_PAGES
-    #: Gap threshold for coalescing non-zero mapped regions.
-    nonzero_merge_gap: int = DEFAULT_NONZERO_MERGE_GAP
-    #: Loader read granularity and gap coalescing.
-    loader_chunk_pages: int = DEFAULT_CHUNK_PAGES
-    loader_coalesce_gap: int = DEFAULT_COALESCE_GAP
-    #: Recorder procfs poll interval.
-    record_poll_interval_us: float = DEFAULT_POLL_INTERVAL_US
     #: Host CPU slots for guest vCPUs (None = uncontended).
     cpu_slots: Optional[int] = None
     #: Tiered snapshot storage (§7.2 future work): keep the small
@@ -294,7 +289,6 @@ def run_record_phase(
                     profile.total_pages,
                     done,
                     group_pages=config.group_pages,
-                    poll_interval_us=config.record_poll_interval_us,
                     horizon=horizon,
                 ),
                 name=f"{tag}.recorder",
@@ -360,7 +354,6 @@ def run_record_phase(
 
 def _start_loader(
     env: Environment,
-    config: PlatformConfig,
     cache: PageCache,
     artifacts: RecordArtifacts,
     policy: Policy,
@@ -372,48 +365,28 @@ def _start_loader(
     another VM of the same burst already loads this snapshot (the
     daemon's load-once lock, §6.6)."""
     stats = LoaderStats()
-    assert artifacts.ws_groups is not None
-
+    ws_groups = artifacts.ws_groups
+    assert ws_groups is not None
     if policy is Policy.FAASNAP:
-        assert artifacts.loading_file is not None
-        gate_key = artifacts.loading_file.name
-        if loader_gate is not None:
-            if gate_key in loader_gate:
-                return None, stats
-            loader_gate.add(gate_key)
-        proc = env.process(
-            loading_set_loader(
-                env,
-                cache,
-                artifacts.loading_file,
-                stats,
-                chunk_pages=config.loader_chunk_pages,
-            ),
-            name=f"{tag}.loader",
-        )
-        return proc, stats
-
-    memory_file = artifacts.warm_snapshot.memory_file
-    if policy is Policy.FAASNAP_CONCURRENT:
-        pages = artifacts.ws_groups.pages  # plain address order
-    else:  # FAASNAP_PER_REGION: group order, addresses within group
-        group_of = artifacts.ws_groups.group_of
-        pages = sorted(group_of, key=lambda p: (group_of[p], p))
-    gate_key = f"{memory_file.name}:{policy.value}"
+        file = artifacts.loading_file
+        assert file is not None
+        units = file_chunks(file.num_pages)
+        gate_key = file.name
+    else:
+        file = artifacts.warm_snapshot.memory_file
+        if policy is Policy.FAASNAP_CONCURRENT:
+            pages = ws_groups.pages  # plain address order
+        else:  # FAASNAP_PER_REGION: group order, addresses within group
+            group_of = ws_groups.group_of
+            pages = sorted(group_of, key=lambda p: (group_of[p], p))
+        units = coalesce_ordered_pages(pages)
+        gate_key = f"{file.name}:{policy.value}"
     if loader_gate is not None:
         if gate_key in loader_gate:
             return None, stats
         loader_gate.add(gate_key)
     proc = env.process(
-        ordered_pages_loader(
-            env,
-            cache,
-            memory_file,
-            pages,
-            stats,
-            coalesce_gap=config.loader_coalesce_gap,
-            chunk_pages=config.loader_chunk_pages,
-        ),
+        ordered_pages_loader(env, cache, file, units, stats),
         name=f"{tag}.loader",
     )
     return proc, stats
@@ -460,7 +433,7 @@ def invocation_process(
     loader_stats = LoaderStats()
     if policy.uses_loader:
         loader_proc, loader_stats = _start_loader(
-            env, config, cache, artifacts, policy, loader_gate, tag
+            env, cache, artifacts, policy, loader_gate, tag
         )
 
     fetch_time_us = 0.0
@@ -500,12 +473,7 @@ def invocation_process(
         loading_file = (
             artifacts.loading_file if policy.uses_loading_set_file else None
         )
-        plan = build_faasnap_plan(
-            warm,
-            loading_set,
-            loading_file,
-            nonzero_merge_gap=config.nonzero_merge_gap,
-        )
+        plan = build_faasnap_plan(warm, loading_set, loading_file)
         setup_us = yield from vm.restore(warm, plan)
 
     invoke_started = env.now

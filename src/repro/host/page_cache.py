@@ -32,9 +32,20 @@ else is logged.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Any,
+    Dict,
+    Generator,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.sim import Environment, Event, SimulationError
+from repro.storage.filestore import StoredFile
 
 PageKey = Tuple[str, int]
 
@@ -264,27 +275,6 @@ class PageCache:
         self._pending[key] = event
         return event
 
-    def note_pending_range(
-        self, file_name: str, start_page: int, npages: int
-    ) -> None:
-        """Announce in-flight reads for ``npages`` consecutive pages
-        without allocating completion events. A fault arriving while
-        the read is in flight materializes the event on demand via
-        :meth:`pending_event`; pages nobody waits on complete silently
-        (no event ever enters the heap). Pages already pending are
-        left untouched — in particular a materialized event must
-        survive (a waiter holds it; clobbering it with a placeholder
-        would strand the waiter forever). Duplicate announcements
-        happen: a readahead window always includes its faulting page,
-        and two faults on that page can both pass their pending check
-        before either announces (the check and the announcement are
-        separated by the major-fault overhead timeout)."""
-        pending = self._pending
-        for page in range(start_page, start_page + npages):
-            key = (file_name, page)
-            if key not in pending:
-                pending[key] = _PENDING_PLACEHOLDER
-
     def has_pending(self, file_name: str, page_index: int) -> bool:
         """True if an in-flight read covers the page. Unlike
         :meth:`pending_event` this never materializes an event — use
@@ -312,13 +302,43 @@ class PageCache:
         ):
             event.succeed()
 
-    def abandon_pending_range(
-        self, file_name: str, start_page: int, npages: int
-    ) -> None:
-        """Cancel pending reads for ``npages`` consecutive pages, in
-        ascending page order."""
-        for page in range(start_page, start_page + npages):
-            self.abandon_pending(file_name, page)
+    def fill(
+        self,
+        file: StoredFile,
+        start_page: int,
+        npages: int,
+        runs: Sequence[Tuple[int, int]],
+    ) -> Generator[Event, Any, List[Tuple[int, int]]]:
+        """Process helper: read ``[start_page, start_page+npages)`` of
+        ``file`` into the cache, and return the device ``(offset,
+        nbytes)`` extents read (:meth:`StoredFile.extents`).
+
+        The ascending half-open ``runs`` inside the range are the pages
+        this read brings in: they are announced as in flight for the
+        read's duration, so a fault on one waits for this read instead
+        of issuing its own, and are then inserted — or abandoned, waking
+        their waiters, if the read fails. Announcing allocates no
+        completion event: a fault arriving meanwhile materializes one on
+        demand (:meth:`pending_event`), and pages nobody waits on
+        complete silently. A page already in flight keeps its entry — a
+        materialized event must survive, as a waiter holds it."""
+        name = file.name
+        pending = self._pending
+        for run_start, run_end in runs:
+            for page in range(run_start, run_end):
+                key = (name, page)
+                if key not in pending:
+                    pending[key] = _PENDING_PLACEHOLDER
+        try:
+            extents = yield from file.read(start_page, npages)
+        except BaseException:
+            for run_start, run_end in runs:
+                for page in range(run_start, run_end):
+                    self.abandon_pending(name, page)
+            raise
+        for run_start, run_end in runs:
+            self.insert_range(name, run_start, run_end - run_start)
+        return extents
 
     def abandon_all_pending(self) -> int:
         """Fire-and-forget every pending read (host crash teardown).
@@ -365,6 +385,24 @@ class PageCache:
             if run_start is not None:
                 out.append((run_start, gap_end))
         return out
+
+    def first_cached_or_pending(
+        self, file_name: str, start_page: int, end_page: int
+    ) -> int:
+        """The first page of ``[start_page, end_page)`` that is resident
+        or in flight, or ``end_page`` when there is none — where a
+        readahead window stops."""
+        runs = self._runs.get(file_name)
+        if runs is not None:
+            resident = runs.first_at_or_after(start_page)
+            if resident is not None and resident < end_page:
+                end_page = resident
+        pending = self._pending
+        if pending:
+            for page in range(start_page, end_page):
+                if (file_name, page) in pending:
+                    return page
+        return end_page
 
     def drop_file(self, file_name: str) -> int:
         """Evict every resident page of ``file_name`` (drop_caches for

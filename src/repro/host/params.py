@@ -16,17 +16,13 @@ probe sensitivity.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict
-
-from repro.storage.filestore import PAGE_SIZE
+from typing import Any
 
 
 @dataclass(frozen=True)
 class HostParams:
     """Timing and policy constants of the simulated host kernel."""
 
-    #: Bytes per page.
-    page_size: int = PAGE_SIZE
     #: Anonymous (zero-fill) fault service time, microseconds.
     anon_fault_us: float = 2.5
     #: File-backed minor fault (page already in the page cache).
@@ -79,30 +75,3 @@ class HostParams:
     def with_overrides(self, **overrides: Any) -> "HostParams":
         """A copy with the given fields replaced."""
         return replace(self, **overrides)
-
-    def as_dict(self) -> Dict[str, Any]:
-        """Plain-dict view (for reports)."""
-        return {
-            "page_size": self.page_size,
-            "anon_fault_us": self.anon_fault_us,
-            "minor_fault_us": self.minor_fault_us,
-            "present_fault_us": self.present_fault_us,
-            "major_fault_overhead_us": self.major_fault_overhead_us,
-            "vcpu_block_overhead_us": self.vcpu_block_overhead_us,
-            "cow_copy_us": self.cow_copy_us,
-            "readahead_pages": self.readahead_pages,
-            "readahead_max_pages": self.readahead_max_pages,
-            "uffd_wakeup_us": self.uffd_wakeup_us,
-            "uffd_copy_us": self.uffd_copy_us,
-            "uffd_resume_stall_us": self.uffd_resume_stall_us,
-            "mmap_region_us": self.mmap_region_us,
-            "mincore_base_us": self.mincore_base_us,
-            "mincore_per_page_us": self.mincore_per_page_us,
-            "procfs_poll_us": self.procfs_poll_us,
-            "cpu_slots": self.cpu_slots,
-            "fault_jitter_fraction": self.fault_jitter_fraction,
-        }
-
-
-DEFAULT_HOST_PARAMS = HostParams()
-"""Shared default parameter set."""

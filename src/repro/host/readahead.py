@@ -40,7 +40,7 @@ from repro.host.page_cache import PageCache
 from repro.host.params import HostParams
 from repro.sim import Event
 from repro.storage.device import ReadQuote
-from repro.storage.filestore import PAGE_SIZE, StoredFile
+from repro.storage.filestore import StoredFile
 
 #: Slack after the previous window's end still considered sequential.
 _SEQUENTIAL_SLACK_PAGES = 4
@@ -81,20 +81,11 @@ class ReadaheadPolicy:
         ``(end, window_size)``: the window is ``[fault_page, end)``.
         Pass both to :meth:`commit` once the read is actually
         issued."""
-        name = file.name
-        size = self.next_window_size(name, fault_page)
-        limit = min(file.num_pages, fault_page + size)
-        runs = cache._runs.get(name)
-        if runs is not None:
-            resident = runs.first_at_or_after(fault_page + 1)
-            if resident is not None and resident < limit:
-                limit = resident
-        pending = cache._pending
-        if pending:
-            for page in range(fault_page + 1, limit):
-                if (name, page) in pending:
-                    return page, size
-        return limit, size
+        size = self.next_window_size(file.name, fault_page)
+        end = cache.first_cached_or_pending(
+            file.name, fault_page + 1, min(file.num_pages, fault_page + size)
+        )
+        return end, size
 
     def commit(self, file_name: str, end: int, size: int) -> None:
         """Record the issued window, ending at ``end``, in the
@@ -122,7 +113,7 @@ class ReadaheadPolicy:
             return None
         end, size = self.span(file, cache, fault_page)
         npages = end - fault_page
-        extents = _extents(file, fault_page, npages)
+        extents = file.extents(fault_page, npages)
         return WindowRead(
             self, file, fault_page, npages, size, extents,
             device.quote(extents, start),
@@ -133,46 +124,19 @@ class ReadaheadPolicy:
     ) -> Generator[Event, Any, "WindowRead"]:
         """Process helper: perform the readahead read for a fault.
 
-        Marks the window pending, reads it from the device as one
-        contiguous request (split only by sparse holes), inserts the
-        pages into the cache, and returns the read (whose requests and
-        bytes are the fault's own: other readers of the device are not
-        counted).
+        Fills the window into the cache (:meth:`PageCache.fill`) and
+        returns the read, whose requests and bytes are the extents the
+        fill read: other readers of the device are not counted.
         """
-        name = file.name
         end, size = self.span(file, cache, fault_page)
-        self.commit(name, end, size)
+        self.commit(file.name, end, size)
         npages = end - fault_page
-        # The window is contiguous and was trimmed at the first
-        # resident/in-flight page, so one placeholder range announces
-        # it without allocating per-page events.
-        cache.note_pending_range(name, fault_page, npages)
-        try:
-            yield from file.read(fault_page, npages)
-        except BaseException:
-            cache.abandon_pending_range(name, fault_page, npages)
-            raise
-        # The window is contiguous: one range insertion instead of a
-        # per-page loop (completes the pending reads identically).
-        cache.insert_range(name, fault_page, npages)
-        return WindowRead(
-            self, file, fault_page, npages, size,
-            _extents(file, fault_page, npages),
+        # The window was trimmed at the first resident/in-flight page
+        # after the faulting one, so the whole window is brought in.
+        extents = yield from cache.fill(
+            file, fault_page, npages, ((fault_page, end),)
         )
-
-
-def _extents(
-    file: StoredFile, start: int, npages: int
-) -> List[Tuple[int, int]]:
-    """Device ``(offset, nbytes)`` of each request reading the
-    contiguous window of ``npages`` pages from ``start``: one for a
-    dense file; sparse holes split it and cost no I/O."""
-    if not file.sparse:
-        return [(file.base_offset + start * PAGE_SIZE, npages * PAGE_SIZE)]
-    return [
-        (file.device_offset(run), length * PAGE_SIZE)
-        for run, length in file.data_runs(start, npages)
-    ]
+        return WindowRead(self, file, fault_page, npages, size, extents)
 
 
 class WindowRead:

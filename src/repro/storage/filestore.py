@@ -18,7 +18,7 @@ synthesises zeros without touching the device.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.sim import Environment, Event, SimulationError
 from repro.storage.device import BlockDevice
@@ -63,11 +63,6 @@ class StoredFile:
             self.pages.pop(page_index, None)
         else:
             self.pages[page_index] = value
-
-    def device_offset(self, page_index: int) -> int:
-        """Device byte offset where ``page_index`` is stored."""
-        self._check_page(page_index)
-        return self.base_offset + page_index * PAGE_SIZE
 
     def is_hole(self, page_index: int) -> bool:
         """True when the page is all zeros and stored as a hole."""
@@ -139,46 +134,55 @@ class StoredFile:
 
     def read(
         self, page_index: int, npages: int = 1
-    ) -> Generator[Event, Any, None]:
+    ) -> Generator[Event, Any, List[Tuple[int, int]]]:
         """Process helper: read ``npages`` pages starting at
         ``page_index`` from the device (their contents are
-        :meth:`page_value`).
+        :meth:`page_value`), one request per :meth:`extents` entry.
+        Returns those extents."""
+        extents = self.extents(page_index, npages)
+        device = self.device
+        for offset, nbytes in extents:
+            yield from device.read(offset, nbytes)
+        return extents
 
-        Hole pages of sparse files are synthesised without I/O; runs
-        of data pages are issued as single contiguous device reads.
-        """
-        self._check_page(page_index)
-        if npages < 1:
-            raise SimulationError(f"read of {npages} pages")
-        if page_index + npages > self.num_pages:
+    def extents(self, page_index: int, npages: int) -> List[Tuple[int, int]]:
+        """Device ``(offset, nbytes)`` of each request that reads
+        ``npages`` pages from ``page_index``: one for a dense file.
+        Hole pages of sparse files are synthesised without I/O, so
+        they split the range and cost nothing."""
+        if (
+            page_index < 0
+            or npages < 1
+            or page_index + npages > self.num_pages
+        ):
+            self._check_page(page_index)
+            if npages < 1:
+                raise SimulationError(f"read of {npages} pages")
             raise SimulationError(
                 f"read past EOF of {self.name}: page {page_index}+{npages} "
                 f"> {self.num_pages}"
             )
-        for run_start, run_len in self.data_runs(page_index, npages):
-            yield from self.device.read(
-                self.base_offset + run_start * PAGE_SIZE, run_len * PAGE_SIZE
-            )
-
-    def data_runs(
-        self, page_index: int, npages: int
-    ) -> Iterable[Tuple[int, int]]:
-        """Contiguous runs of pages that require device I/O (holes of
-        sparse files split runs and cost nothing)."""
+        base = self.base_offset
         if not self.sparse:
-            yield (page_index, npages)
-            return
+            return [(base + page_index * PAGE_SIZE, npages * PAGE_SIZE)]
         pages = self.pages
+        extents: List[Tuple[int, int]] = []
         run_start: Optional[int] = None
-        for i in range(page_index, page_index + npages):
+        end = page_index + npages
+        for i in range(page_index, end):
             if pages.get(i, 0) != 0:
                 if run_start is None:
                     run_start = i
             elif run_start is not None:
-                yield (run_start, i - run_start)
+                extents.append(
+                    (base + run_start * PAGE_SIZE, (i - run_start) * PAGE_SIZE)
+                )
                 run_start = None
         if run_start is not None:
-            yield (run_start, page_index + npages - run_start)
+            extents.append(
+                (base + run_start * PAGE_SIZE, (end - run_start) * PAGE_SIZE)
+            )
+        return extents
 
     def _check_page(self, page_index: int) -> None:
         if not 0 <= page_index < self.num_pages:

@@ -6,7 +6,7 @@ from repro.core.loading_set import build_loading_set, write_loading_set_file
 from repro.core.loader import (
     LoaderStats,
     coalesce_ordered_pages,
-    loading_set_loader,
+    file_chunks,
     ordered_pages_loader,
 )
 from repro.core.mapping import build_faasnap_plan, nonzero_regions
@@ -136,11 +136,23 @@ def test_coalesce_skips_pages_already_covered():
     assert units == [(0, 4)]
 
 
+def test_file_chunks_cover_the_file_in_order():
+    assert file_chunks(200, chunk_pages=64) == [
+        (0, 64), (64, 64), (128, 64), (192, 8)
+    ]
+    assert file_chunks(128, chunk_pages=64) == [(0, 64), (64, 64)]
+    assert file_chunks(0) == []
+
+
 def test_loading_set_loader_populates_cache_sequentially():
     rig = Rig()
     lf = rig.store.create("ls", 256, pages={i: i + 1 for i in range(256)})
     stats = LoaderStats()
-    rig.run(loading_set_loader(rig.env, rig.cache, lf, stats, chunk_pages=64))
+    rig.run(
+        ordered_pages_loader(
+            rig.env, rig.cache, lf, file_chunks(256, chunk_pages=64), stats
+        )
+    )
     assert rig.cache.count_for_file("ls") == 256
     assert stats.pages_fetched == 256
     assert stats.bytes_read == 256 * 4096
@@ -155,7 +167,9 @@ def test_loader_skips_resident_pages():
     lf = rig.store.create("ls", 64, pages={i: 1 for i in range(64)})
     rig.cache.insert_range("ls", 0, 64)
     stats = LoaderStats()
-    rig.run(loading_set_loader(rig.env, rig.cache, lf, stats))
+    rig.run(
+        ordered_pages_loader(rig.env, rig.cache, lf, file_chunks(64), stats)
+    )
     assert stats.pages_fetched == 0
     assert rig.device.stats.requests == 0
 
@@ -175,7 +189,9 @@ def test_guest_fault_waits_on_loader_pending_read():
         waited.append(rig.env.now)
 
     rig.env.process(
-        loading_set_loader(rig.env, rig.cache, lf, stats, chunk_pages=64)
+        ordered_pages_loader(
+            rig.env, rig.cache, lf, file_chunks(64, chunk_pages=64), stats
+        )
     )
     rig.env.process(guest())
     rig.env.run()
@@ -196,7 +212,11 @@ def test_ordered_pages_loader_address_vs_scattered_order():
         stats = LoaderStats()
         rig.run(
             ordered_pages_loader(
-                rig.env, rig.cache, mem, order, stats, coalesce_gap=8
+                rig.env,
+                rig.cache,
+                mem,
+                coalesce_ordered_pages(order, coalesce_gap=8),
+                stats,
             )
         )
         return stats.fetch_time_us

@@ -3,9 +3,13 @@
 A MAJOR or UFFD row records the block requests and bytes of its own
 readahead read. Another reader of the same device (a FaaSnap loader,
 a second VM, REAP's working-set fetch) may complete requests while the
-fault waits; those belong to that reader, not to the fault.
+fault waits; those belong to that reader, not to the fault. The same
+holds the other way round: a loader's fetch columns count only its
+own chunk reads, not a fault that completed while a chunk was in
+flight.
 """
 
+from repro.core.loader import LoaderStats, ordered_pages_loader
 from repro.core.reap import make_reap_fault_handler
 from repro.host import (
     AddressSpace,
@@ -110,3 +114,46 @@ def test_reap_out_of_working_set_fault_counts_only_its_own_read():
         assert record.block_requests == 1
         assert record.bytes_read == OWN_WINDOW_BYTES
         assert space.pte[10] == snapshot.page_value(10)
+
+
+def test_loader_counts_only_its_own_chunk_reads():
+    # The loader streams pages [128, 192) of the memory file as one
+    # chunk. While it waits for the device, the guest faults on page
+    # 192: a sequential read (the device's cursor ends where the
+    # chunk does) that completes first. The batched vCPU prices and
+    # commits that fault on the fast path, before the chunk's next
+    # event; the per-access vCPU runs it on the event heap.
+    chunk = (128, OTHER_PAGES)
+    rows = []
+    for batch in (False, True):
+        env, device, store, cache, _ = _rig()
+        mem = store.create(
+            "mem", NUM_PAGES, pages={i: i + 1 for i in range(NUM_PAGES)}
+        )
+        space = AddressSpace(NUM_PAGES)
+        space.mmap_file(0, NUM_PAGES, mem, 0)
+        handler = FaultHandler(env, PARAMS, cache, space)
+        stats = LoaderStats()
+        loader = env.process(
+            ordered_pages_loader(env, cache, mem, [chunk], stats)
+        )
+        vcpu = VCpu(env, handler, batch_faults=batch)
+        result = env.run(
+            until=env.process(
+                vcpu.run_trace([GuestAccess(192, think_us=1.0)])
+            )
+        )
+        env.run()
+        (record,) = result.records
+        assert record.kind is FaultKind.MAJOR
+        assert record.start_us + record.duration_us < stats.finished_us
+        rows.append((record.start_us, record.duration_us, stats.finished_us))
+        # The fault's read completed while the chunk was in flight...
+        assert device.stats.requests == 2
+        assert not loader.is_alive
+        # ...but the loader carries only its own chunk's extents.
+        own = mem.extents(*chunk)
+        assert stats.requests == len(own) == 1
+        assert stats.bytes_read == sum(n for _, n in own)
+        assert stats.pages_fetched == OTHER_PAGES
+    assert rows[0] == rows[1]

@@ -340,7 +340,11 @@ def test_batched_vcpu_hands_contended_faults_to_the_event_path():
     # loader's first read, and the read of the fault on page 0 would
     # end after the loader's second completes. Both need the event
     # path; the batched vCPU must reach the same timeline.
-    from repro.core.loader import LoaderStats, ordered_pages_loader
+    from repro.core.loader import (
+        LoaderStats,
+        coalesce_ordered_pages,
+        ordered_pages_loader,
+    )
     from repro.vm.vcpu import GuestAccess, VCpu
 
     results = []
@@ -352,7 +356,13 @@ def test_batched_vcpu_hands_contended_faults_to_the_event_path():
         trace = [GuestAccess(page, think_us=3.0) for page in (9, 0, 1, 30, 2)]
         loaded = [*range(8, 16), *range(50, 58)]
         rig.env.process(
-            ordered_pages_loader(rig.env, rig.cache, f, loaded, LoaderStats())
+            ordered_pages_loader(
+                rig.env,
+                rig.cache,
+                f,
+                coalesce_ordered_pages(loaded),
+                LoaderStats(),
+            )
         )
         vcpu = VCpu(rig.env, rig.handler, batch_faults=batch)
         process = rig.env.process(vcpu.run_trace(trace))

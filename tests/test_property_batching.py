@@ -24,7 +24,11 @@ poller's readings and the reader's accounting must agree too.
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.loader import LoaderStats, ordered_pages_loader
+from repro.core.loader import (
+    LoaderStats,
+    coalesce_ordered_pages,
+    ordered_pages_loader,
+)
 from repro.core.reap import make_reap_fault_handler
 from repro.host import HostParams, PageCache
 from repro.host.fault import (
@@ -100,7 +104,11 @@ def _run(env, handler, file, trace, batch, boundaries):
             if delay_us:
                 yield env.timeout(delay_us)
             yield from ordered_pages_loader(
-                env, handler.cache, file, pages, stats, chunk_pages=16
+                env,
+                handler.cache,
+                file,
+                coalesce_ordered_pages(pages, chunk_pages=16),
+                stats,
             )
 
         env.process(second_reader())

@@ -1,14 +1,23 @@
-"""Property-based tests: page cache, loader coalescing, working sets,
-histograms, and the simulation clock."""
+"""Property-based tests: page cache, page fills, loader coalescing,
+working sets, histograms, and the simulation clock."""
 
-from hypothesis import given, settings
+from collections import Counter
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.loader import coalesce_ordered_pages
+from repro.core.loader import (
+    LoaderStats,
+    coalesce_ordered_pages,
+    ordered_pages_loader,
+)
 from repro.core.working_set import ReapWorkingSet, WorkingSetGroups
-from repro.host import PageCache
+from repro.host import HostParams, PageCache
+from repro.host.readahead import ReadaheadPolicy
 from repro.metrics.stats import Histogram, fault_time_histogram
 from repro.sim import Environment
+from repro.storage import BlockDevice, DeviceSpec, FileStore
+from repro.storage.errors import DeviceError
 
 
 # -- page cache ---------------------------------------------------------
@@ -44,6 +53,198 @@ def test_insertion_log_superset_of_resident(pages):
             seen.add(page)
             firsts.append(page)
     assert log == firsts
+
+
+# -- page fills: the loader and fault readahead on one file -------------
+
+FILL_PAGES = 48
+
+
+class _FillLog:
+    """Forwards to the page cache, logging each :meth:`PageCache.fill`
+    one caller makes: ``(start, npages, runs, extents)``, with extents
+    ``None`` for a fill whose read failed."""
+
+    def __init__(self, cache):
+        self._cache = cache
+        self.fills = []
+
+    def __getattr__(self, name):
+        return getattr(self._cache, name)
+
+    def fill(self, file, start, npages, runs):
+        entry = [start, npages, list(runs), None]
+        self.fills.append(entry)
+        entry[3] = yield from self._cache.fill(file, start, npages, runs)
+        return entry[3]
+
+
+_units = st.lists(
+    st.integers(0, FILL_PAGES - 1).flatmap(
+        lambda start: st.tuples(
+            st.just(start), st.integers(1, min(16, FILL_PAGES - start))
+        )
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sparse=st.booleans(),
+    data_pages=st.sets(st.integers(0, FILL_PAGES - 1), max_size=FILL_PAGES),
+    units=_units,
+    resident=_units,
+    faults=st.lists(
+        st.tuples(
+            st.integers(0, FILL_PAGES - 1),
+            st.sampled_from([0.0, 50.0, 140.0, 400.0]),
+        ),
+        max_size=3,
+    ),
+    waiters=st.lists(
+        st.tuples(
+            st.integers(0, FILL_PAGES - 1),
+            st.sampled_from([0.0, 1.0, 142.0, 300.0]),
+        ),
+        max_size=4,
+    ),
+    fail_at=st.none() | st.integers(0, 6),
+)
+# The loader's second chunk starts at 141.2 us: the fault on page 20
+# checked it at 140 and fills it at 144, after a waiter made the
+# loader's completion event at 142 — that event must survive.
+@example(
+    sparse=False,
+    data_pages=set(),
+    units=[(0, 16), (16, 16)],
+    resident=[],
+    faults=[(20, 140.0)],
+    waiters=[(20, 142.0)],
+    fail_at=None,
+)
+def test_fill_reads_each_unit_once_and_leaves_nothing_in_flight(
+    sparse, data_pages, units, resident, faults, waiters, fail_at
+):
+    env = Environment()
+    device = BlockDevice(
+        env, DeviceSpec("d", 100.0, 10.0, 1589.0, 285_000, queue_depth=16)
+    )
+    file = FileStore(env, device).create(
+        "mem", FILL_PAGES, pages={p: p + 1 for p in data_pages}, sparse=sparse
+    )
+    cache = PageCache(env)
+    for start, npages in resident[: len(resident) // 2]:
+        cache.insert_range("mem", start, npages)
+    inserted = cache.watch("mem")
+
+    # Device requests that completed; the ``fail_at``-th one fails.
+    completed = []
+    issued = [0]
+    device_read = device.read
+
+    def read(offset, nbytes):
+        issued[0] += 1
+        if issued[0] - 1 == fail_at:
+            yield env.timeout(1.0)
+            raise DeviceError("d", offset, nbytes)
+        elapsed = yield from device_read(offset, nbytes)
+        completed.append((offset, nbytes))
+        return elapsed
+
+    device.read = read
+
+    loader_view = _FillLog(cache)
+    fault_view = _FillLog(cache)
+    stats = LoaderStats()
+    params = HostParams()
+    readahead = ReadaheadPolicy(params)
+    processes = [
+        env.process(ordered_pages_loader(env, loader_view, file, units, stats))
+    ]
+
+    def fault(page, at):
+        # The fault handler's major fault: a page neither resident nor
+        # in flight is read after the kernel's fault overhead, by when
+        # another reader may have announced it.
+        yield env.timeout(at)
+        if cache.contains("mem", page) or cache.has_pending("mem", page):
+            return
+        yield env.timeout(params.major_fault_overhead_us)
+        try:
+            yield from readahead.fault_read(file, fault_view, page)
+        except DeviceError:
+            pass
+
+    def waiter(page, at):
+        yield env.timeout(at)
+        event = cache.pending_event("mem", page)
+        if event is not None:
+            yield event
+
+    processes += [env.process(fault(page, at)) for page, at in faults]
+    processes += [env.process(waiter(page, at)) for page, at in waiters]
+    env.run()
+
+    # Every process ended: no waiter sleeps on a read nobody completes,
+    # and no page is left in flight.
+    assert not any(process.is_alive for process in processes)
+    assert not any(cache.has_pending("mem", p) for p in range(FILL_PAGES))
+
+    # Each completed fill read exactly its range's extents; the device
+    # saw those requests plus, for a failed fill, a prefix of its own.
+    fills = loader_view.fills + fault_view.fills
+    for start, npages, _, extents in fills:
+        if extents is not None:
+            assert extents == file.extents(start, npages)
+    done = Counter(
+        extent for _, _, _, extents in fills if extents for extent in extents
+    )
+    leftover = Counter(completed) - done
+    assert not done - Counter(completed)
+    failed = [entry for entry in fills if entry[3] is None]
+    assert len(failed) <= 1
+    if failed:
+        start, npages, _, _ = failed[0]
+        prefix = file.extents(start, npages)[: sum(leftover.values())]
+        assert leftover == Counter(prefix)
+    else:
+        assert not leftover
+
+    # The loader's fills are its units, in order (a unit with nothing
+    # missing is skipped), and its stats count exactly its own reads.
+    remaining = iter(units)
+    for start, npages, _, _ in loader_view.fills:
+        assert (start, npages) in remaining
+    own = [e for f in loader_view.fills if f[3] for e in f[3]]
+    assert stats.requests == len(own)
+    assert stats.bytes_read == sum(n for _, n in own)
+    assert stats.errors == (
+        1 if any(f[3] is None for f in loader_view.fills) else 0
+    )
+
+    # The pages newly inserted are exactly those the completed fills
+    # brought in, each inserted once; pages_fetched counts each page
+    # of the loader's completed fills once.
+    def pages(view):
+        return [
+            page
+            for _, _, runs, extents in view.fills
+            if extents is not None
+            for run, end in runs
+            for page in range(run, end)
+        ]
+
+    loaded = pages(loader_view)
+    assert len(inserted) == len(set(inserted))
+    assert set(inserted) == set(loaded) | set(pages(fault_view))
+    assert len(loaded) == len(set(loaded)) == stats.pages_fetched
+    if fail_at is None:
+        for start, npages in units:
+            assert all(
+                cache.contains("mem", p) for p in range(start, start + npages)
+            )
 
 
 # -- loader coalescing -------------------------------------------------

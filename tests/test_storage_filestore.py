@@ -77,7 +77,9 @@ def test_files_are_contiguous_and_disjoint(setup):
     f2 = store.create("b", 5)
     assert f1.base_offset == 0
     assert f2.base_offset == 10 * PAGE_SIZE
-    assert f1.device_offset(9) + PAGE_SIZE <= f2.device_offset(0)
+    ((last, nbytes),) = f1.extents(9, 1)
+    ((first, _),) = f2.extents(0, 1)
+    assert last + nbytes <= first
 
 
 def test_page_contents_roundtrip(setup):
@@ -122,6 +124,9 @@ def test_read_past_eof_rejected(setup):
 
     with pytest.raises(SimulationError):
         run(env, proc())
+    for start, npages in ((3, 2), (-1, 1), (4, 1), (0, 0)):
+        with pytest.raises(SimulationError):
+            f.extents(start, npages)
 
 
 def test_sparse_hole_read_costs_no_io(setup):
@@ -141,14 +146,27 @@ def test_sparse_read_splits_into_data_runs(setup):
     env, device, store = setup
     # pages 1,2 and 5 hold data; 0, 3-4, 6-9 are holes.
     f = store.create("mem", 10, pages={1: 5, 2: 6, 5: 7}, sparse=True)
+    read = []
 
     def proc():
-        yield from f.read(0, 10)
+        read.append((yield from f.read(0, 10)))
 
     run(env, proc())
     assert [f.page_value(i) for i in range(10)] == [0, 5, 6, 0, 0, 7, 0, 0, 0, 0]
     assert device.stats.requests == 2  # run [1,2] and run [5]
     assert device.stats.bytes_read == 3 * PAGE_SIZE
+    # The read issued exactly the extents the file splits the range into.
+    base = f.base_offset
+    assert read == [f.extents(0, 10)]
+    assert f.extents(0, 10) == [
+        (base + 1 * PAGE_SIZE, 2 * PAGE_SIZE),
+        (base + 5 * PAGE_SIZE, PAGE_SIZE),
+    ]
+    assert f.extents(2, 4) == [
+        (base + 2 * PAGE_SIZE, PAGE_SIZE),
+        (base + 5 * PAGE_SIZE, PAGE_SIZE),
+    ]
+    assert f.extents(6, 4) == []
 
 
 def test_non_sparse_file_reads_holes_from_disk(setup):
@@ -160,6 +178,7 @@ def test_non_sparse_file_reads_holes_from_disk(setup):
 
     run(env, proc())
     assert device.stats.bytes_read == 10 * PAGE_SIZE
+    assert f.extents(3, 4) == [(f.base_offset + 3 * PAGE_SIZE, 4 * PAGE_SIZE)]
 
 
 def test_is_hole(setup):
