@@ -477,7 +477,7 @@ def invocation_process(
         setup_us = yield from vm.restore(warm, plan)
 
     invoke_started = env.now
-    yield from vm.vcpu.run_trace(trace.accesses, tail_think_us=trace.tail_think_us)
+    yield from vm.vcpu.run_trace(trace.columns, tail_think_us=trace.tail_think_us)
     invoke_us = env.now - invoke_started
 
     if loader_proc is not None:

@@ -48,8 +48,9 @@ answer at once. Two callers share it:
   each fault and commits a resolution at once, inline — when its end
   falls before the observer horizon and, for a fault that reads or
   delegates, before the next heap event, so no other process could
-  have seen the difference. It stops at the first access that cannot
-  be served so and says why;
+  have seen the difference. On a warm VM it serves each stretch of
+  image pages between the pages outside the image at once. It stops
+  at the first access that cannot be served so and says why;
 * :meth:`FaultHandler.access`, the event path, classifies at
   ``env.now``, sleeps to each leg's end and commits, or runs the
   blocking leg first. It prices reads and handlers at the instant they
@@ -71,11 +72,20 @@ from __future__ import annotations
 import enum
 import operator
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress
-from typing import Any, Generator, Iterator, List, Optional, Sequence, Tuple
+from itertools import accumulate, compress
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Generator,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.host.page_cache import PageCache
 from repro.host.params import HostParams
@@ -83,6 +93,9 @@ from repro.host.readahead import ReadaheadPolicy, WindowRead
 from repro.host.uffd import UffdRegistration, UserfaultfdManager
 from repro.host.vma import ANONYMOUS, AddressSpace, FileBacking, Vma
 from repro.sim import Environment, Event, SimulationError
+
+if TYPE_CHECKING:
+    from repro.vm.vcpu import TraceColumns
 
 
 #: Why :meth:`FaultHandler.fast_access` stopped a run when servicing
@@ -571,7 +584,7 @@ class FaultHandler:
 
     def fast_access(
         self,
-        trace: Sequence[Any],
+        trace: TraceColumns,
         index: int,
         stop: int,
         vnow: float,
@@ -585,10 +598,10 @@ class FaultHandler:
         This is the batching fast path (the paper's §3 observation
         that anonymous ≈2.5 µs, minor ≈3.7 µs and EPT-fixup faults
         have deterministic service times makes aggregation exact).
-        ``trace`` holds :class:`~repro.vm.vcpu.GuestAccess` items; the
-        run serves ``trace[index:stop]`` on the caller's virtual clock
-        ``vnow``, which already includes the think time of
-        ``trace[index]``; the think time of each later access is folded
+        ``trace`` is the vCPU's :class:`~repro.vm.vcpu.TraceColumns`;
+        the run serves accesses ``index`` to ``stop`` on the caller's
+        virtual clock ``vnow``, which already includes the think time of
+        access ``index``; the think time of each later access is folded
         in before it is served. A read of a page mapped in EPT or the
         image is no fault (its start instant goes to ``none_starts``);
         a store to one goes through :meth:`mapped_write`. Any other
@@ -597,6 +610,15 @@ class FaultHandler:
         reach, so a later :meth:`Environment.wake_at` flush lands the
         real clock on it. ``logged`` gets one byte per served access, 1
         when it logged a row.
+
+        On a space backed by a shared image (a warm VM) one set
+        difference finds the run's pages outside the image, and each
+        stretch of image pages between two accesses to those is served
+        at once: its stores go to ``write_anon`` in trace order, and its
+        start instants are the running sums of the think-time column —
+        the same sequential float additions, so every instant is the
+        one the per-access loop reaches. The accesses to pages outside
+        the image are served one by one.
 
         A fault that reads or delegates (MAJOR, UFFD) touches state
         other processes share, so it commits only when no other
@@ -611,7 +633,7 @@ class FaultHandler:
         have made it.
 
         Returns ``(index, vnow, why)``: ``index == stop`` when the whole
-        run was served. Otherwise ``trace[index]`` was not served (its
+        run was served. Otherwise access ``index`` was not served (its
         think time is in ``vnow``) and ``why`` says what it needs:
         ``None`` for the event path (a leg that blocks) or
         :data:`HORIZON_BLOCKED`, for the caller to flush and retry.
@@ -621,6 +643,7 @@ class FaultHandler:
         image = space.image
         pte = space.pte
         write_anon = space.write_anon
+        required_value = self._required_value
         classify = self.classify
         mapped_write = self.mapped_write
         peek = self.env.peek
@@ -632,8 +655,41 @@ class FaultHandler:
         log_duration = stats.duration_us.append
         mark = logged.append
         none_start = none_starts.append
-        access = trace[index]
+        accesses = trace.accesses
+        thinks = trace.thinks
+        if image:
+            pages = trace.pages
+            stores = trace.stores
+            # One C-level set difference finds the run's pages outside
+            # the image; probing the image page by page costs more.
+            misses = iter(
+                trace.positions(
+                    set(pages[index:stop]).difference(image), index, stop
+                )
+            )
         while True:
+            if image:
+                miss = next(misses, stop)
+                if miss > index:
+                    # Image pages up to the next miss: every read is no
+                    # fault, every store shadows the image.
+                    first = bisect_left(stores, index)
+                    last = bisect_left(stores, miss, first)
+                    for position in stores[first:last]:
+                        write_anon(
+                            pages[position],
+                            required_value(accesses[position].value),
+                        )
+                    logged.extend(bytes(miss - index))
+                    none_starts.extend(
+                        accumulate(thinks[index + 1 : miss], initial=vnow)
+                    )
+                    vnow = none_starts[-1]
+                    if miss == stop:
+                        return stop, vnow, None
+                    index = miss
+                    vnow += thinks[index]
+            access = accesses[index]
             page = access.page
             write = access.write
             if page in ept or page in image:
@@ -661,7 +717,7 @@ class FaultHandler:
                     pte[page] = content
                 ept.add(page)
                 if write:
-                    write_anon(page, self._required_value(access.value))
+                    write_anon(page, required_value(access.value))
                 log_kind(code)
                 log_page(page)
                 log_start(vnow)
@@ -680,10 +736,8 @@ class FaultHandler:
             index += 1
             if index == stop:
                 return index, vnow, None
-            access = trace[index]
-            think = access.think_us
-            if think > 0:
-                vnow += think
+            # Non-positive think times are folded to 0.0 in the column.
+            vnow += thinks[index]
 
     def _commit(
         self,

@@ -321,20 +321,25 @@ class PageCache:
         completion event: a fault arriving meanwhile materializes one on
         demand (:meth:`pending_event`), and pages nobody waits on
         complete silently. A page already in flight keeps its entry — a
-        materialized event must survive, as a waiter holds it."""
+        materialized event must survive, as a waiter holds it — and a
+        failed read leaves it to the reader that announced it."""
         name = file.name
         pending = self._pending
+        others = set()
         for run_start, run_end in runs:
             for page in range(run_start, run_end):
                 key = (name, page)
-                if key not in pending:
+                if key in pending:
+                    others.add(page)
+                else:
                     pending[key] = _PENDING_PLACEHOLDER
         try:
             extents = yield from file.read(start_page, npages)
         except BaseException:
             for run_start, run_end in runs:
                 for page in range(run_start, run_end):
-                    self.abandon_pending(name, page)
+                    if page not in others:
+                        self.abandon_pending(name, page)
             raise
         for run_start, run_end in runs:
             self.insert_range(name, run_start, run_end - run_start)

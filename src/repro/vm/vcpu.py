@@ -8,7 +8,8 @@ think time loses no fidelity while keeping the simulation fast.
 
 The vCPU serves a trace as runs: the fault handler's run loop serves
 accesses until one needs the event heap, the vCPU serves that one
-access on the heap, and the next run starts after it.
+access on the heap, and the next run starts after it. The run loop
+reads the trace as :class:`TraceColumns`, built once per trace.
 
 When a host CPU :class:`~repro.sim.Resource` is supplied, think time
 runs while holding a CPU slot; fault waits release it. With more
@@ -18,8 +19,10 @@ grows — the paper's observation at 64-way parallelism (§6.6).
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Any, Generator, List, Optional, Sequence
+from typing import Any, Collection, Generator, List, Optional, Sequence, Union
 
 from repro.host.fault import (
     HORIZON_BLOCKED,
@@ -59,14 +62,72 @@ class GuestAccess:
     think_us: float = 0.0
 
 
+class TraceColumns:
+    """A guest trace as columns, built once and kept by whoever owns
+    the trace (a :class:`~repro.workloads.base.WorkloadTrace` builds
+    its own at synthesis), so they live exactly as long as it does.
+
+    ``pages[i]`` is ``accesses[i].page``; ``thinks[i]`` its think time
+    with every non-positive one folded to 0.0 (nothing to wait for);
+    ``stores`` the ascending positions of the stores. The fault
+    handler's run loop serves whole stretches of image pages from
+    these columns without touching the :class:`GuestAccess` objects.
+    """
+
+    __slots__ = (
+        "accesses",
+        "pages",
+        "thinks",
+        "stores",
+        "_by_page",
+        "__weakref__",
+    )
+
+    def __init__(self, accesses: Sequence[GuestAccess]):
+        self.accesses = accesses
+        self.pages = [access.page for access in accesses]
+        self.thinks = [
+            think if (think := access.think_us) > 0 else 0.0
+            for access in accesses
+        ]
+        self.stores = array(
+            "q",
+            [index for index, access in enumerate(accesses) if access.write],
+        )
+        #: Every position ordered by page, sorted on the first call of
+        #: :meth:`positions` (only runs on a shared image make one).
+        self._by_page: Optional[array] = None
+
+    def positions(
+        self, pages: Collection[int], start: int, stop: int
+    ) -> List[int]:
+        """The ascending positions in ``[start, stop)`` of the accesses
+        to any of ``pages``."""
+        if not pages:
+            return []
+        key = self.pages.__getitem__
+        by_page = self._by_page
+        if by_page is None:
+            by_page = self._by_page = array(
+                "q", sorted(range(len(self.pages)), key=key)
+            )
+        found = []
+        for page in pages:
+            low = bisect_left(by_page, page, key=key)
+            found += by_page[low : bisect_right(by_page, page, low, key=key)]
+        found.sort()
+        return found[bisect_left(found, start) : bisect_left(found, stop)]
+
+
 class VCpuResult:
     """Outcome of running one trace.
 
     The faults live in the handler's log (rows ``first_row`` onward);
-    ``logged`` holds one byte per access of ``trace``, 1 when the
-    access logged a row, and ``none_starts`` the start instants of the
-    accesses that did not (reads of EPT-mapped pages and plain stores,
-    which the batched loop handles without allocating anything).
+    ``logged`` holds one byte per access of ``trace`` (the run's
+    :class:`TraceColumns`), 1 when the access logged a row, and
+    ``none_starts`` the start instants of the accesses that did not
+    (reads of EPT-mapped pages and plain stores, which the batched
+    loop handles without allocating anything).
     :attr:`records` and :attr:`fault_count` are built from these on
     first use, so they cost nothing unless someone looks.
     """
@@ -86,7 +147,7 @@ class VCpuResult:
         self,
         started_us: float,
         finished_us: float,
-        trace: Sequence[GuestAccess],
+        trace: TraceColumns,
         log: FaultStats,
         first_row: int,
         logged: bytearray,
@@ -111,8 +172,8 @@ class VCpuResult:
             self._records = [
                 next(rows)
                 if logged
-                else FaultRecord(none, access.page, next(starts), 0.0)
-                for access, logged in zip(self._trace, self._logged)
+                else FaultRecord(none, page, next(starts), 0.0)
+                for page, logged in zip(self._trace.pages, self._logged)
             ]
         return self._records
 
@@ -174,10 +235,13 @@ class VCpu:
             telemetry.profiler.add("vcpu.event_path", 0.0, slow)
 
     def run_trace(
-        self, trace: List[GuestAccess], tail_think_us: float = 0.0
+        self,
+        trace: Union[TraceColumns, Sequence[GuestAccess]],
+        tail_think_us: float = 0.0,
     ) -> Generator[Event, Any, VCpuResult]:
         """Process helper: execute ``trace`` then ``tail_think_us`` of
-        final compute (e.g. serialising the response).
+        final compute (e.g. serialising the response). A plain sequence
+        of accesses gets its :class:`TraceColumns` built here.
 
         ``vnow`` is the vCPU's virtual clock: it runs ahead of
         ``env.now`` while the handler's run loop
@@ -190,6 +254,8 @@ class VCpu:
         it must contend, so it flushes first and each run is one
         access.
         """
+        if not isinstance(trace, TraceColumns):
+            trace = TraceColumns(trace)
         env = self.env
         handler = self.handler
         log = handler.stats
@@ -202,18 +268,20 @@ class VCpu:
         fast_access = handler.fast_access
         batch = self.batch_faults
         fold_think = batch and self.cpu is None
+        accesses = trace.accesses
+        thinks = trace.thinks
         slow = 0
         index = 0
-        count = len(trace)
+        count = len(thinks)
         while index < count:
-            access = trace[index]
-            if access.think_us > 0:
+            think = thinks[index]
+            if think > 0:
                 if fold_think:
-                    vnow += access.think_us
+                    vnow += think
                 else:
                     if vnow > env.now:
                         yield env.wake_at(vnow)
-                    yield from self._compute(access.think_us)
+                    yield from self._compute(think)
                     vnow = env.now
             if batch:
                 stop = count if fold_think else index + 1
@@ -237,8 +305,8 @@ class VCpu:
                     break
                 if index == stop:
                     continue
-                access = trace[index]
             # The event path, with this access's think time in ``vnow``.
+            access = accesses[index]
             if vnow > env.now:
                 yield env.wake_at(vnow)
             record = yield from handler.access(

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.vm.layout import DEFAULT_BOOT_PAGES, DEFAULT_GUEST_PAGES, GuestLayout
-from repro.vm.vcpu import GuestAccess
+from repro.vm.vcpu import GuestAccess, TraceColumns
 
 #: Interleave granularity for the processing phase, in pages.
 _CHUNK_PAGES = 64
@@ -169,6 +169,12 @@ class WorkloadTrace:
     _derived: Dict[Any, "WorkloadTrace"] = field(
         default_factory=dict, repr=False, compare=False
     )
+    #: The accesses as the vCPU's run-loop columns, built with the
+    #: trace and dying with it.
+    columns: TraceColumns = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.columns = TraceColumns(self.accesses)
 
     @property
     def touched_pages(self) -> Set[int]:

@@ -4,6 +4,9 @@ import pytest
 
 from repro.host import PageCache
 from repro.sim import Environment, SimulationError
+from repro.storage import BlockDevice, DeviceSpec, FileStore
+from repro.storage.errors import DeviceError
+from repro.storage.filestore import PAGE_SIZE
 
 
 @pytest.fixture
@@ -128,3 +131,52 @@ def test_drop_file_leaves_pending_untouched():
     cache.drop_file("f")
     assert cache.pending_event("f", 1) is event
     assert not cache.contains("f", 0)
+
+
+def test_failed_fill_leaves_another_readers_pages_in_flight():
+    # A loader fill of pages 16-31 is in flight when a fault's fill of
+    # page 20 (announced by the loader already) fails at 3 us. Page 20
+    # must stay pending until the loader's read completes, so a later
+    # fault waits on that read instead of issuing a duplicate.
+    env = Environment()
+    device = BlockDevice(
+        env, DeviceSpec("d", 100.0, 10.0, 1589.0, 285_000, queue_depth=16)
+    )
+    file = FileStore(env, device).create("mem", 48)
+    cache = PageCache(env)
+    device_read = device.read
+
+    def read(offset, nbytes):
+        if nbytes == PAGE_SIZE:
+            yield env.timeout(3.0)
+            raise DeviceError("d", offset, nbytes)
+        return (yield from device_read(offset, nbytes))
+
+    device.read = read
+    loaded = []
+    woken = []
+
+    def loader():
+        yield from cache.fill(file, 16, 16, [(16, 32)])
+        loaded.append(env.now)
+
+    def fault():
+        with pytest.raises(DeviceError):
+            yield from cache.fill(file, 20, 1, [(20, 21)])
+
+    def waiter():
+        yield env.timeout(4.0)
+        yield cache.pending_event("mem", 20)
+        woken.append(env.now)
+
+    env.process(loader())
+    env.process(fault())
+    env.process(waiter())
+    env.run(until=3.5)
+    assert cache.has_pending("mem", 20)
+    assert not cache.contains("mem", 20)
+    env.run()
+    assert loaded == [pytest.approx(141.2, abs=0.05)]
+    assert woken == loaded
+    assert cache.pages_for_file("mem") == list(range(16, 32))
+    assert not any(cache.has_pending("mem", p) for p in range(48))

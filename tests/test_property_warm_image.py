@@ -9,15 +9,21 @@ reference below does exactly that, and random traces mixing reads and
 writes of image pages with first touches of fresh pages (plus an
 optional MAP_FIXED remap half-way) must observe the same records,
 clock, resident set and memory contents on both.
+
+The batched vCPU serves a run of image pages in bulk, between the
+pages outside the image, so image-backed VMs are also held to the
+event path (``batch_faults=False``) on traces of a few hundred
+accesses, under a host CPU slot and an observation-horizon poller.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterConfig, ClusterSimulator
 from repro.fleet.workload import Arrival, ArrivalTrace, FleetFunction
 from repro.host import HostParams, PageCache
-from repro.sim import Environment
+from repro.sim import Environment, Resource, SimulationError
 from repro.storage import BlockDevice, DeviceSpec, FileStore
 from repro.vm import (
     GuestAccess,
@@ -26,6 +32,7 @@ from repro.vm import (
     VmmParams,
     capture_memory_contents,
 )
+from repro.vm.vcpu import ObservationHorizon
 
 HOST = HostParams()
 VMM = VmmParams()
@@ -34,14 +41,20 @@ RUNTIME_INIT_US = 1_000.0
 SECOND = 1_000_000.0
 
 
-def _rig(batch):
+def _rig(batch, cpu=False):
     env = Environment()
     device = BlockDevice(
         env, DeviceSpec("d", 100.0, 10.0, 1589.0, 285_000, queue_depth=16)
     )
     store = FileStore(env, device)
     vm = MicroVM(
-        env, HOST, VMM, PageCache(env), NUM_PAGES, batch_faults=batch
+        env,
+        HOST,
+        VMM,
+        PageCache(env),
+        NUM_PAGES,
+        cpu=Resource(env, capacity=1) if cpu else None,
+        batch_faults=batch,
     )
     return env, store, vm
 
@@ -175,6 +188,82 @@ def test_image_matches_eager_install(contents, how, batch, raw, remap, raw2):
             observed.append(_observe(env, vm, result))
         seen.append(observed)
     assert seen[0] == seen[1]
+
+
+#: Long traces: image pages, fresh first touches and re-touches of
+#: pages already faulted in, so a run spans many stretches of image
+#: pages, each ended by a page outside the image.
+long_accesses = st.lists(
+    st.tuples(
+        st.integers(0, NUM_PAGES - 1),
+        st.booleans(),
+        st.sampled_from([0.0, 0.0, 0.5, 3.25]),
+    ),
+    min_size=150,
+    max_size=400,
+)
+
+
+def _poll(env, vm, poll_us):
+    """Read the resident-set and EPT sizes every ``poll_us`` behind an
+    observation horizon, as the mincore recorder does."""
+    horizon = ObservationHorizon(env.now + poll_us)
+    vm.vcpu.observer_horizon = horizon
+    readings = []
+    space = vm.space
+
+    def poller():
+        while True:
+            yield env.timeout(poll_us)
+            readings.append((env.now, space.rss_pages(), len(space.ept)))
+            horizon.next_at = env.now + poll_us
+
+    env.process(poller())
+    return readings
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    contents_st,
+    st.sampled_from(["warm", "boot"]),
+    long_accesses,
+    st.booleans(),
+    st.sampled_from([None, None, 2.0, 9.0, 150.0]),
+)
+def test_image_runs_match_event_path(contents, how, raw, cpu, poll_us):
+    seen = []
+    for batch in (False, True):
+        env, store, vm = _rig(batch, cpu=cpu)
+        _set_up(env, store, vm, contents, how, eager=False)
+        readings = [] if poll_us is None else _poll(env, vm, poll_us)
+        result = env.run(
+            until=env.process(
+                vm.vcpu.run_trace(_trace(raw), tail_think_us=1.0)
+            )
+        )
+        seen.append((_observe(env, vm, result), readings))
+    assert seen[0] == seen[1]
+
+
+@pytest.mark.parametrize("batch", [True, False])
+def test_valueless_store_in_an_image_run_raises_at_that_store(batch):
+    env, store, vm = _rig(batch)
+    vm.make_warm(_snapshot(store, {p: p + 100 for p in range(0, 40)}))
+    trace = [
+        GuestAccess(page=1, write=True, value=11, think_us=0.5),
+        GuestAccess(page=50, write=True, value=12),
+        GuestAccess(page=2),
+        GuestAccess(page=3, write=True, value=13, think_us=0.5),
+        GuestAccess(page=4, write=True),
+        GuestAccess(page=5, write=True, value=15),
+        GuestAccess(page=51, write=True, value=16),
+    ]
+    with pytest.raises(SimulationError, match="requires a value"):
+        env.run(until=env.process(vm.vcpu.run_trace(trace)))
+    # Every store before the valueless one landed, none after it.
+    assert vm.space.anon_contents == {1: 11, 50: 12, 3: 13}
+    assert vm.space.backing_value(5) == 105
+    assert not vm.space.is_installed(51)
 
 
 def test_warm_vms_share_the_snapshot_image_read_only():

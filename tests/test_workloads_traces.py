@@ -1,5 +1,9 @@
 """Behavioural tests for workload trace generation."""
 
+import dataclasses
+import gc
+import weakref
+
 import pytest
 
 from repro.vm.layout import GuestLayout
@@ -10,6 +14,7 @@ from repro.workloads import (
     generate_trace_pair,
     get_profile,
 )
+from repro.workloads import base as workloads_base
 from repro.workloads.base import (
     INPUT_A,
     InputSpec,
@@ -214,3 +219,37 @@ def test_input_b_spec():
     b = SMALL.input_b()
     assert b.content_id != INPUT_A.content_id
     assert b.size_ratio == SMALL.input_b_ratio
+
+
+def test_trace_columns_match_the_accesses():
+    pair = generate_trace_pair(SMALL, INPUT_A, SMALL.input_b())
+    for trace in (pair.record, pair.test):
+        columns = trace.columns
+        accesses = trace.accesses
+        assert columns.accesses is accesses
+        assert columns.pages == [a.page for a in accesses]
+        assert columns.thinks == [max(a.think_us, 0.0) for a in accesses]
+        stores = [i for i, a in enumerate(accesses) if a.write]
+        assert stores and list(columns.stores) == stores
+        # Every access to a stored page is a store in these traces.
+        stored = {a.page for a in accesses if a.write}
+        assert columns.positions(stored, 0, len(accesses)) == stores
+        assert columns.positions(stored, 10, stores[-1]) == [
+            i for i in stores if 10 <= i < stores[-1]
+        ]
+
+
+def test_trace_columns_die_with_their_trace():
+    # No cache outside the trace may keep its columns (or the trace)
+    # alive once the trace memo lets go of it.
+    profile = dataclasses.replace(SMALL, name="lifetime-probe")
+    pair = generate_trace_pair(profile, INPUT_A, profile.input_b())
+    refs = [
+        weakref.ref(obj)
+        for trace in (pair.record, pair.test)
+        for obj in (trace, trace.columns)
+    ]
+    del pair
+    workloads_base._TRACE_CACHE.clear()
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 4
