@@ -16,8 +16,9 @@ paper's Figure 1 and Figure 8 grids covering every restore policy and
 both the batching fast path and the event-driven machinery — and the
 4-host cluster smoke, and checks them exactly against the pins in
 ``BENCH_core.json`` (next to this file): the dispatched heap-event
-count, and the cluster's invocation count and latency checksum. A
-change in either means simulated behaviour changed. It times nothing.
+counts of the record phases and of the invocations, and the cluster's
+invocation count and latency checksum. A change in any means
+simulated behaviour changed. It times nothing.
 ``--update`` rewrites the pins.
 
 ``--parity`` runs :data:`PARITY_MATRIX`, the determinism contract as
@@ -86,20 +87,25 @@ SMOKE_CELLS = [
 
 
 def run_workload(cells) -> dict:
-    """Run the workload on one fresh platform; return its counts."""
+    """Run the workload on one fresh platform; return its counts: the
+    heap events the record phases and the invocations dispatched, and
+    the cells measured."""
     functions = tuple(dict.fromkeys(name for name, _ in cells))
     platform, handles = fresh_platform(functions=functions)
-    measured = 0
+    env = platform.env
+    counts = {"record_events": 0, "invocation_events": 0, "cells": 0}
     for name, ratio in cells:
         spec = InputSpec(content_id=9, size_ratio=ratio)
-        for policy in MAIN_POLICIES:
+        for policy in (*MAIN_POLICIES, Policy.WARM):
+            # The invocation reuses the record run here.
+            before = env.events_processed
+            platform.ensure_record(handles[name], INPUT_A, policy)
+            recorded = env.events_processed
             measure(platform, handles[name], policy, spec, INPUT_A)
-            measured += 1
-        measure(
-            platform, handles[name], Policy.WARM, InputSpec(9, ratio), INPUT_A
-        )
-        measured += 1
-    return {"events": platform.env.events_processed, "cells": measured}
+            counts["record_events"] += recorded - before
+            counts["invocation_events"] += env.events_processed - recorded
+            counts["cells"] += 1
+    return counts
 
 
 #: The cluster entries, each one fleet trace served on page-level
@@ -255,7 +261,7 @@ def run_smoke(baseline: dict, update: bool) -> Tuple[int, dict]:
     metrics."""
     kernel = run_workload(SMOKE_CELLS)
     for key, value in kernel.items():
-        print(f"{key:>16}: {value}")
+        print(f"{key:>17}: {value}")
     cluster = run_cluster_workload()
     for key, value in cluster.items():
         print(f"{'cluster.' + key:>28}: {value}")
@@ -268,14 +274,20 @@ def run_smoke(baseline: dict, update: bool) -> Tuple[int, dict]:
         baseline.setdefault("cluster_sharded", {})["smoke"] = sharded
         return 0, cluster
     failed = [
-        _pin_fails("kernel", baseline.get("smoke", {}), kernel, ("events",)),
+        _pin_fails(
+            "kernel",
+            baseline.get("smoke", {}),
+            kernel,
+            ("record_events", "invocation_events"),
+        ),
         _pin_fails(
             "cluster", baseline.get("cluster", {}), cluster, CLUSTER_COMPONENTS
         ),
     ]
     if any(failed):
         return 1, cluster
-    print(f"OK: exact event count ({kernel['events']}), cluster invocations "
+    print(f"OK: exact event counts ({kernel['record_events']} record / "
+          f"{kernel['invocation_events']} invocation), cluster invocations "
           f"and checksum ({cluster['invocations']} / "
           f"{cluster['latency_checksum_us']})")
     return 0, cluster

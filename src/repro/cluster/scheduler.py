@@ -117,7 +117,7 @@ from repro.fleet.workload import (
 )
 from repro.sim import AllFailed, Environment, Event, Interrupt, Resource
 from repro.storage.device import BlockDevice
-from repro.storage.filestore import PAGE_SIZE, FileStore
+from repro.storage.filestore import PAGE_SIZE, FileStore, StoredFile
 from repro.storage.presets import EBS_IO2
 from repro.workloads.base import INPUT_A, InputSpec, WorkloadProfile
 from repro.workloads.registry import get_profile
@@ -530,6 +530,9 @@ class ClusterSimulator:
         self._retry_budget: Optional[RetryBudget] = None
         self._hedge_tracker: Optional[HedgeTracker] = None
         self._checksum_cache: Dict[Any, Any] = {}
+        #: Per function, each memory file folded so far with its
+        #: checksums (see :meth:`_snapshot_checksums`).
+        self._folded: Dict[str, List[Tuple[StoredFile, Tuple[int, ...]]]] = {}
         self._robust_ready = False
         if self._armed:
             self._install_robust_machinery()
@@ -916,7 +919,9 @@ class ClusterSimulator:
         """Golden per-chunk checksums of ``function``'s snapshot
         artefacts on ``host_id`` (``None`` before its record phase).
         Cached per (host, function): artefact contents are fixed at
-        record time."""
+        record time. The checksums depend only on the memory file's
+        size and page map (and the chunk size), so a host whose file
+        equals one already folded for ``function`` reuses its tuple."""
         key = (host_id, function)
         cached = self._checksum_cache.get(key)
         if cached is not None:
@@ -934,9 +939,17 @@ class ClusterSimulator:
             )
         if artifacts is None:
             return None
-        checksums = artifacts.warm_snapshot.memory_file.chunk_checksums(
-            config.durability.chunk_pages
-        )
+        memory = artifacts.warm_snapshot.memory_file
+        folded = self._folded.setdefault(function, [])
+        for other, checksums in folded:
+            if (
+                other.num_pages == memory.num_pages
+                and other.pages == memory.pages
+            ):
+                break
+        else:
+            checksums = memory.chunk_checksums(config.durability.chunk_pages)
+            folded.append((memory, checksums))
         self._checksum_cache[key] = checksums
         return checksums
 

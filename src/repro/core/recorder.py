@@ -8,19 +8,24 @@ readahead brought in that the guest never faulted on. Each scan's
 pages extend the working set in scan order, which is what defines the
 working-set groups (§4.3).
 
-The recorder runs as a simulation process concurrent with the guest
-vCPU, exactly like the daemon thread it models.
+The daemon only reads state the recorded VM changes, so the recorder
+replays it once the invocation is done, from two time-stamped logs:
+the VM's fault log (the RSS) and the page cache's watch on the memory
+file (the scans). Nothing of it is on the event heap while the VM
+runs.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional
+from bisect import bisect_left
+from itertools import islice
+from typing import Any, Generator, List
 
+from repro.host.fault import FaultStats
 from repro.host.page_cache import PageCache
 from repro.host.params import HostParams
 from repro.host.procfs import Procfs
 from repro.sim import Environment, Event
-from repro.vm.vcpu import ObservationHorizon
 from repro.core.working_set import DEFAULT_GROUP_PAGES, WorkingSetGroups
 
 #: How often the daemon polls procfs, microseconds. The paper does
@@ -36,71 +41,75 @@ def mincore_recorder(
     procfs: Procfs,
     memory_file_name: str,
     num_pages: int,
-    done: Event,
+    started: float,
+    faults: FaultStats,
     group_pages: int = DEFAULT_GROUP_PAGES,
     poll_interval_us: float = DEFAULT_POLL_INTERVAL_US,
-    horizon: Optional[ObservationHorizon] = None,
 ) -> Generator[Event, Any, WorkingSetGroups]:
-    """Process helper: record the working set of one invocation.
+    """Process helper, called when the recorded invocation is done:
+    record its working set, and return it when the daemon would have.
 
-    Runs until ``done`` fires, then performs a final sweep so pages
-    resident at invocation end are never lost. Returns the grouped
-    working set.
+    From ``started`` the daemon polls procfs for the RSS (charging the
+    procfs read); when the RSS has grown by ``group_pages`` since its
+    last scan it scans the mapping (charging the full present-bit
+    scan, base + per-page); then it sleeps ``poll_interval_us``. Once
+    the invocation is done it makes a final sweep, so pages resident
+    at invocation end are never lost. The replay walks that schedule
+    with the same float additions. A poll reads the RSS procfs reports
+    now less the PTE installs ``faults`` (the VM's fault log) logged
+    at or after the read. A scan reads the pages the page cache's
+    watch on ``memory_file_name`` (opened by the caller before the VM
+    ran, closed after) logged since the previous scan that are still
+    resident and not seen before.
 
-    Cost model: each RSS poll charges the procfs read; each mincore
-    scan charges the full present-bit scan of the mapping (base +
-    per-page), even though the simulation diffs incrementally: it
-    reads the page cache's watch on ``memory_file_name`` (joining the
-    one the caller opened before the VM ran, else opening it), whose
-    log holds every page inserted since the watch opened. Closing the
-    watch is the caller's job.
-
-    ``horizon`` lets the recorded VM's vCPU batch its fault fast path
-    without ever being observed mid-batch: before each sleep this
-    process publishes the instant of its *next* read of shared state
-    (the RSS count, the watch log), and the batching vCPU flushes
-    rather than install a page at or past that instant.
+    Ties: an install, insertion or drop at exactly a read's instant is
+    not seen by that read, and the invocation ending at exactly an
+    instant the daemon wakes is seen then.
     """
+    watch = cache.watch(memory_file_name)
+    now = started
+    finished = env.now
+    installs = sorted(faults.install_instants())
+    base_rss = procfs.space.rss_pages() - len(installs)
 
-    def publish(next_read_at: float) -> None:
-        if horizon is not None:
-            horizon.next_at = next_read_at
-
-    log = cache.watch(memory_file_name)
-    batches: List[List[int]] = []
-    cursor = 0
-    seen: set = set()
+    # The daemon's schedule: the instant each scan reads the watch.
+    scan_cost = (
+        params.mincore_base_us + params.mincore_per_page_us * num_pages
+    )
+    scans: List[float] = []
     rss_at_last_scan = 0
+    while finished > now:
+        now += params.procfs_poll_us
+        procfs.polls += 1
+        rss = base_rss + bisect_left(installs, now)
+        if rss - rss_at_last_scan >= group_pages:
+            now += scan_cost
+            scans.append(now)
+            rss_at_last_scan = rss
+        if finished <= now:
+            break
+        now += poll_interval_us
+    now += scan_cost
+    scans.append(now)
+    yield env.wake_at(now)
 
-    def scan() -> Generator[Event, Any, None]:
-        nonlocal cursor
-        # Charge the real mincore cost for scanning the whole mapping.
-        scan_cost = (
-            params.mincore_base_us + params.mincore_per_page_us * num_pages
-        )
-        publish(env.now + scan_cost)
-        yield env.timeout(scan_cost)
+    pages = watch.pages
+    instants = watch.instants
+    batches: List[List[int]] = []
+    seen: set = set()
+    cursor = 0
+    for at in scans:
+        stop = bisect_left(instants, at, cursor)
+        # A page logged before the last drop the scan sees is resident
+        # only if logged again after it.
+        drops = [logged for instant, logged in watch.drops if instant < at]
+        resident = set(pages[drops[-1] : stop]) if drops else None
         fresh: List[int] = []
-        for page in log[cursor:]:
-            if page not in seen and cache.contains(memory_file_name, page):
+        for page in islice(pages, cursor, stop):
+            if page not in seen and (resident is None or page in resident):
                 seen.add(page)
                 fresh.append(page)
-        cursor = len(log)
+        cursor = stop
         if fresh:
             batches.append(fresh)
-
-    while not done.triggered:
-        # procfs.rss_pages charges its poll cost, then reads the RSS.
-        publish(env.now + params.procfs_poll_us)
-        rss = yield from procfs.rss_pages()
-        if rss - rss_at_last_scan >= group_pages:
-            yield from scan()
-            rss_at_last_scan = rss
-        if done.triggered:
-            break
-        publish(env.now + poll_interval_us + params.procfs_poll_us)
-        yield env.timeout(poll_interval_us)
-
-    publish(float("inf"))
-    yield from scan()
     return WorkingSetGroups.from_batches(batches, group_pages=group_pages)

@@ -53,7 +53,7 @@ from repro.storage.device import DeviceSpec
 from repro.storage.filestore import PAGE_SIZE, FileStore, StoredFile
 from repro.storage.presets import NVME_LOCAL
 from repro.vm.snapshot import Snapshot, capture_memory_contents, create_snapshot
-from repro.vm.vcpu import GuestAccess, ObservationHorizon
+from repro.vm.vcpu import GuestAccess
 from repro.vm.vmm import MappingPlan, MicroVM, VmmParams, full_file_plan
 from repro.workloads.base import InputSpec, WorkloadProfile, WorkloadTrace
 from repro.workloads.base import generate_trace
@@ -89,11 +89,9 @@ class PlatformConfig:
     #: aggregation exact — every simulated number is bit-identical
     #: either way (the golden-parity tests machine-check this) — but
     #: test-phase invocations run roughly an order of magnitude
-    #: faster. Record phases batch too: the mincore recorder publishes
-    #: the instant of its next shared-state read through an
-    #: :class:`~repro.vm.vcpu.ObservationHorizon`, and the vCPU
-    #: flushes rather than install a page at or past that instant, so
-    #: the recorder sees bit-identical RSS and cache state either way.
+    #: faster. Record phases batch too: the mincore recorder replays
+    #: its polls from time-stamped logs once the VM is done, so the
+    #: VM runs with no observer on the event heap.
     batch_faults: bool = True
 
 
@@ -243,8 +241,8 @@ def run_record_phase(
     )
     if sanitize:
         # The recorder's mincore scans read this watch: it logs every
-        # page inserted into the fresh memory file until the record
-        # invocation ends.
+        # page inserted into the fresh memory file, and when, until the
+        # record invocation ends.
         cache.watch(clean.memory_file.name)
     try:
         vm = MicroVM(
@@ -268,40 +266,23 @@ def run_record_phase(
                 for page in trace.freed_pages
             )
 
-        done = env.event()
-        recorder_proc = None
-        if sanitize:
-            # The recorder reads shared state (RSS, the watch log) at
-            # known instants; publishing them through the horizon lets
-            # the vCPU batch its fault fast path without ever being
-            # observed mid-batch. Pre-seed the first poll instant — the
-            # vCPU runs synchronously before the recorder's init event
-            # dispatches.
-            horizon = ObservationHorizon(env.now + config.host.procfs_poll_us)
-            vm.vcpu.observer_horizon = horizon
-            recorder_proc = env.process(
-                mincore_recorder(
-                    env,
-                    config.host,
-                    cache,
-                    vm.procfs,
-                    clean.memory_file.name,
-                    profile.total_pages,
-                    done,
-                    group_pages=config.group_pages,
-                    horizon=horizon,
-                ),
-                name=f"{tag}.recorder",
-            )
-
+        started = env.now
         yield from vm.vcpu.run_trace(
             accesses, tail_think_us=trace.tail_think_us
         )
-        done.succeed()
-
         ws_groups: Optional[WorkingSetGroups] = None
-        if recorder_proc is not None:
-            ws_groups = yield recorder_proc
+        if sanitize:
+            ws_groups = yield from mincore_recorder(
+                env,
+                config.host,
+                cache,
+                vm.procfs,
+                clean.memory_file.name,
+                profile.total_pages,
+                started,
+                vm.handler.stats,
+                group_pages=config.group_pages,
+            )
     finally:
         cache.unwatch(clean.memory_file.name)
 

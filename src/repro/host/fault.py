@@ -45,12 +45,12 @@ answer at once. Two callers share it:
 * :meth:`FaultHandler.fast_access`, the batched path, is a run loop
   over a stretch of the vCPU's trace: on the vCPU's virtual clock it
   folds think time, answers mapped-page accesses inline, classifies
-  each fault and commits a resolution at once, inline — when its end
-  falls before the observer horizon and, for a fault that reads or
-  delegates, before the next heap event, so no other process could
-  have seen the difference. On a warm VM it serves each stretch of
-  image pages between the pages outside the image at once. It stops
-  at the first access that cannot be served so and says why;
+  each fault and commits a resolution at once, inline — for a fault
+  that reads or delegates, when it ends before the next heap event, so
+  no other process could have seen the difference. On a warm VM it
+  serves each stretch of image pages between the pages outside the
+  image at once. It stops at the first access that cannot be served
+  so, or that must let a heap event run first;
 * :meth:`FaultHandler.access`, the event path, classifies at
   ``env.now``, sleeps to each leg's end and commits, or runs the
   blocking leg first. It prices reads and handlers at the instant they
@@ -97,12 +97,6 @@ from repro.sim import Environment, Event, SimulationError
 if TYPE_CHECKING:
     from repro.vm.vcpu import TraceColumns
 
-
-#: Why :meth:`FaultHandler.fast_access` stopped a run when servicing
-#: the next access eagerly would install a PTE at or past the observer
-#: horizon (see :class:`repro.vm.vcpu.ObservationHorizon`), or before
-#: the next heap event.
-HORIZON_BLOCKED = object()
 
 #: A resolved fault: ``(kind code, split, end, content, read)``. ``end``
 #: is the instant the fault ends; ``split`` the instant its last cost
@@ -173,6 +167,13 @@ _KIND_MASKS = tuple(
     for code in range(len(KINDS))
 )
 _IO_MASK = bytes(1 if b in IO_CODES else 0 for b in range(256))
+#: The kinds whose fault installs a host PTE, growing the resident set
+#: procfs reports (a PRESENT fault finds the PTE there; a COW break
+#: rewrites one).
+_INSTALL_MASK = bytes(
+    1 if b in (ANON_CODE, MINOR_CODE, MAJOR_CODE, UFFD_CODE) else 0
+    for b in range(256)
+)
 #: Jitter buckets of a fault kind's service cost, and each kind's salt
 #: in the page hash that picks one (:func:`_bucket`).
 _BUCKETS = 1024
@@ -321,6 +322,14 @@ class FaultStats:
         if kind is None:
             return sum(self.duration_us)
         return sum(self._of_kind(self.duration_us, KIND_CODE[kind]))
+
+    def install_instants(self) -> List[float]:
+        """The instants the rows that install a host PTE ended, in row
+        order: start plus duration, exactly the logged end whenever the
+        fault started at least its own duration after instant 0."""
+        rows = zip(self.start_us, self.duration_us)
+        mask = self.kinds.translate(_INSTALL_MASK)
+        return [start + duration for start, duration in compress(rows, mask)]
 
     def total_block_requests(self) -> int:
         return sum(self.io_requests)
@@ -588,10 +597,9 @@ class FaultHandler:
         index: int,
         stop: int,
         vnow: float,
-        horizon: float,
         logged: bytearray,
         none_starts: List[float],
-    ) -> Tuple[int, float, Any]:
+    ) -> Tuple[int, float, bool]:
         """Serve a run of guest accesses synchronously, as long as none
         can block.
 
@@ -626,17 +634,11 @@ class FaultHandler:
         against the event heap) — which covers the common cold-start
         stream of one uncontended readahead window per fault.
 
-        ``horizon`` is the next instant a concurrent observer reads
-        the installed-PTE count (the mincore recorder's RSS poll); no
-        fault whose completion would land at or past it commits, so no
-        observer sees an install earlier than the event path would
-        have made it.
-
-        Returns ``(index, vnow, why)``: ``index == stop`` when the whole
-        run was served. Otherwise access ``index`` was not served (its
-        think time is in ``vnow``) and ``why`` says what it needs:
-        ``None`` for the event path (a leg that blocks) or
-        :data:`HORIZON_BLOCKED`, for the caller to flush and retry.
+        Returns ``(index, vnow, retry)``: ``index == stop`` when the
+        whole run was served. Otherwise access ``index`` was not served
+        (its think time is in ``vnow``): ``retry`` when it reads or
+        delegates past the next heap event, for the caller to flush
+        and retry, else it needs the event path (a leg that blocks).
         """
         space = self.space
         ept = space.ept
@@ -686,7 +688,7 @@ class FaultHandler:
                     )
                     vnow = none_starts[-1]
                     if miss == stop:
-                        return stop, vnow, None
+                        return stop, vnow, False
                     index = miss
                     vnow += thinks[index]
             access = accesses[index]
@@ -705,11 +707,11 @@ class FaultHandler:
             else:
                 outcome = classify(page, write, vnow)
                 if outcome is None:
-                    return index, vnow, None
+                    return index, vnow, False
                 code, _, end, content, read = outcome
                 io = code in IO_CODES
-                if end >= horizon or (io and peek() <= end):
-                    return index, vnow, HORIZON_BLOCKED
+                if io and peek() <= end:
+                    return index, vnow, True
                 # The commit, inlined: the event path's twin is _commit.
                 if read is not None:
                     read.commit(cache)
@@ -735,7 +737,7 @@ class FaultHandler:
                 mark(1)
             index += 1
             if index == stop:
-                return index, vnow, None
+                return index, vnow, False
             # Non-positive think times are folded to 0.0 in the column.
             vnow += thinks[index]
 

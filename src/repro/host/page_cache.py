@@ -25,13 +25,16 @@ boundary pairs instead of hundreds of thousands of set entries, and
 
 A file can be *watched* (:meth:`PageCache.watch`): while the watch is
 open, every page newly inserted into the file is logged in insertion
-order. FaaSnap's host page recording (§4.4) reads that log; nothing
-else is logged.
+order with the simulated instant of its insertion, and so is each drop
+of the file (a :class:`Watch`). FaaSnap's host page recording (§4.4)
+replays that log; nothing else is logged.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
+from itertools import repeat
 from typing import (
     Any,
     Dict,
@@ -154,6 +157,20 @@ class _IntervalRuns:
         return out
 
 
+class Watch:
+    """The log of one watched file: ``pages`` newly inserted since the
+    watch opened, in insertion order (a page dropped and inserted again
+    repeats), the instant each was inserted at (``instants``) and, for
+    each drop of the file, ``(instant, len(pages))`` (``drops``)."""
+
+    __slots__ = ("pages", "instants", "drops")
+
+    def __init__(self) -> None:
+        self.pages: List[int] = []
+        self.instants = array("d")
+        self.drops: List[Tuple[float, int]] = []
+
+
 class PageCache:
     """Host page cache with pending-read tracking."""
 
@@ -165,9 +182,8 @@ class PageCache:
         #: waits, else :data:`_PENDING_PLACEHOLDER`.
         self._pending: Dict[PageKey, object] = {}
         self.insertions = 0
-        #: Open watches: file name -> pages newly inserted since the
-        #: watch opened, in insertion order (see :meth:`watch`).
-        self.watches: Dict[str, List[int]] = {}
+        #: Open watches: file name -> its :class:`Watch`.
+        self.watches: Dict[str, Watch] = {}
         # The cache is the one per-host object every invocation's
         # fault handler reaches (``handler.cache``), so it hosts the
         # per-host instrument bundle that invocation teardown absorbs
@@ -205,9 +221,16 @@ class PageCache:
         """Mark a page resident; completes any pending read on it."""
         self.insert_range(file_name, page_index, 1)
 
-    def insert_range(self, file_name: str, start_page: int, npages: int) -> None:
+    def insert_range(
+        self,
+        file_name: str,
+        start_page: int,
+        npages: int,
+        at: Optional[float] = None,
+    ) -> None:
         """Mark ``npages`` consecutive pages resident; completes any
-        pending read on them."""
+        pending read on them. A watch logs them as inserted at instant
+        ``at`` (default ``env.now``)."""
         end_page = start_page + npages
         # Complete pending reads in the range regardless of residency,
         # in ascending page order (succeed() order feeds the event
@@ -241,18 +264,20 @@ class PageCache:
         if runs is None:
             runs = self._runs[file_name] = _IntervalRuns()
         fresh = runs.add_range(start_page, end_page)
-        log = self.watches.get(file_name)
+        watch = self.watches.get(file_name)
+        if at is None:
+            at = self.env.now
         for gap_start, gap_end in fresh:
             self.insertions += gap_end - gap_start
-            if log is not None:
-                log.extend(range(gap_start, gap_end))
+            if watch is not None:
+                watch.pages.extend(range(gap_start, gap_end))
+                watch.instants.extend(repeat(at, gap_end - gap_start))
 
-    def watch(self, file_name: str) -> List[int]:
+    def watch(self, file_name: str) -> Watch:
         """Open a watch on ``file_name`` (or join the open one) and
-        return its log: every page newly inserted into the file from
-        now on, in insertion order (a page dropped and inserted again
-        repeats). The log grows until :meth:`unwatch`."""
-        return self.watches.setdefault(file_name, [])
+        return its log (:class:`Watch`), which grows until
+        :meth:`unwatch`."""
+        return self.watches.setdefault(file_name, Watch())
 
     def unwatch(self, file_name: str) -> None:
         """Close the watch on ``file_name``, if one is open."""
@@ -413,11 +438,16 @@ class PageCache:
         """Evict every resident page of ``file_name`` (drop_caches for
         one file, as the paper does between test runs, §6.1).
         Pending reads are unaffected."""
+        watch = self.watches.get(file_name)
+        if watch is not None:
+            watch.drops.append((self.env.now, len(watch.pages)))
         runs = self._runs.pop(file_name, None)
         return runs.count if runs is not None else 0
 
     def drop_all(self) -> int:
         """Evict everything (echo 3 > /proc/sys/vm/drop_caches)."""
+        for watch in self.watches.values():
+            watch.drops.append((self.env.now, len(watch.pages)))
         count = len(self)
         self._runs.clear()
         return count

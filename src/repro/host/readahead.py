@@ -181,10 +181,10 @@ class WindowRead:
     def commit(self, cache: PageCache) -> None:
         """Apply the quoted read, in the order :meth:`fault_read`
         would: stream state, device statistics and cursor, then cache
-        residency."""
+        residency, inserted at the instant the read completes."""
         name = self.file.name
         start = self.start
         npages = self.npages
         self.readahead.commit(name, start + npages, self.size)
         self.file.device.settle(self.quote)
-        cache.insert_range(name, start, npages)
+        cache.insert_range(name, start, npages, self.end)

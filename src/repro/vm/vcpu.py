@@ -24,30 +24,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Collection, Generator, List, Optional, Sequence, Union
 
-from repro.host.fault import (
-    HORIZON_BLOCKED,
-    FaultHandler,
-    FaultKind,
-    FaultRecord,
-    FaultStats,
-)
+from repro.host.fault import FaultHandler, FaultKind, FaultRecord, FaultStats
 from repro.sim import Environment, Event, Resource
-
-INFINITY = float("inf")
-
-
-class ObservationHorizon:
-    """The next simulated instant at which a concurrent observer (the
-    mincore recorder) will read state the fault fast path mutates
-    eagerly (the installed-PTE count). The batching vCPU never lets an
-    install whose per-event completion would land at or past this
-    instant happen early — it flushes, lets the observer catch up, and
-    retries — so observers see bit-identical state either way."""
-
-    __slots__ = ("next_at",)
-
-    def __init__(self, next_at: float = float("inf")):
-        self.next_at = next_at
 
 
 @dataclass(frozen=True, slots=True)
@@ -214,10 +192,6 @@ class VCpu:
         self.handler = handler
         self.cpu = cpu
         self.batch_faults = batch_faults
-        #: Set when a concurrent observer (mincore recorder) watches
-        #: this VM's resident-set size; bounds how far ahead of the
-        #: real clock the fast path may install PTEs.
-        self.observer_horizon: Optional[ObservationHorizon] = None
 
     def _count_paths(self, total: int, slow: int) -> None:
         """Attribute this run's accesses to the fast vs event path in
@@ -264,7 +238,6 @@ class VCpu:
         logged = bytearray()
         none_starts: List[float] = []
         vnow = started
-        horizon = self.observer_horizon
         fast_access = handler.fast_access
         batch = self.batch_faults
         fold_think = batch and self.cpu is None
@@ -286,23 +259,14 @@ class VCpu:
             if batch:
                 stop = count if fold_think else index + 1
                 while True:
-                    index, vnow, why = fast_access(
-                        trace,
-                        index,
-                        stop,
-                        vnow,
-                        horizon.next_at if horizon is not None else INFINITY,
-                        logged,
-                        none_starts,
+                    index, vnow, retry = fast_access(
+                        trace, index, stop, vnow, logged, none_starts
                     )
-                    if why is HORIZON_BLOCKED and vnow > env.now:
-                        # An eager install would land at or past the
-                        # next observer read. Flush so the observer
-                        # catches up (moving its horizon forward), then
-                        # retry.
-                        yield env.wake_at(vnow)
-                        continue
-                    break
+                    if not (retry and vnow > env.now):
+                        break
+                    # Another event fires before this fault's read or
+                    # handler would end: flush so it runs, then retry.
+                    yield env.wake_at(vnow)
                 if index == stop:
                     continue
             # The event path, with this access's think time in ``vnow``.

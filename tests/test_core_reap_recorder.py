@@ -10,6 +10,7 @@ from repro.core.reap import (
 from repro.core.recorder import mincore_recorder
 from repro.core.working_set import ReapWorkingSet
 from repro.host import HostParams, PageCache, Procfs
+from repro.host.fault import ANON_CODE, FaultStats
 from repro.sim import Environment
 from repro.storage import BlockDevice, DeviceSpec, FileStore
 from repro.vm import MicroVM, VmmParams, create_snapshot
@@ -111,39 +112,42 @@ def test_mincore_recorder_groups_by_scan_order():
 
     space = AddressSpace(10_000)
     procfs = Procfs(rig.env, HOST, space)
-    done = rig.env.event()
+    faults = FaultStats()
+    rig.cache.watch("mem")
+
+    def install(page):
+        rig.cache.insert("mem", page)
+        space.install_pte(page, 1)
+        faults.log(ANON_CODE, page, rig.env.now, 0.0)
 
     def guest():
         # Make 1500 pages resident in two waves; RSS mirrors that.
         for page in range(1500):
-            rig.cache.insert("mem", page)
-            space.install_pte(page, 1)
+            install(page)
             if page % 100 == 0:
                 yield rig.env.timeout(300)
         yield rig.env.timeout(2_000)
         for page in range(4000, 5500):
-            rig.cache.insert("mem", page)
-            space.install_pte(page, 1)
+            install(page)
             if page % 100 == 0:
                 yield rig.env.timeout(300)
         yield rig.env.timeout(500)
-        done.succeed()
-
-    recorder = rig.env.process(
-        mincore_recorder(
-            rig.env,
-            HOST,
-            rig.cache,
-            procfs,
-            "mem",
-            10_000,
-            done,
-            group_pages=1024,
-            poll_interval_us=100,
+        return (
+            yield from mincore_recorder(
+                rig.env,
+                HOST,
+                rig.cache,
+                procfs,
+                "mem",
+                10_000,
+                0.0,
+                faults,
+                group_pages=1024,
+                poll_interval_us=100,
+            )
         )
-    )
-    rig.env.process(guest())
-    ws = rig.env.run(until=recorder)
+
+    ws = rig.run(guest())
     assert len(ws) == 3000
     # Pages of the first wave are in earlier groups than the second.
     assert ws.group(0) < ws.group(4100)
@@ -159,7 +163,8 @@ def test_mincore_recorder_final_sweep_catches_tail():
 
     space = AddressSpace(1000)
     procfs = Procfs(rig.env, HOST, space)
-    done = rig.env.event()
+    faults = FaultStats()
+    rig.cache.watch("mem")
 
     def guest():
         yield rig.env.timeout(50)
@@ -167,14 +172,13 @@ def test_mincore_recorder_final_sweep_catches_tail():
         for page in range(10):
             rig.cache.insert("mem", page)
             space.install_pte(page, 1)
-        done.succeed()
-
-    recorder = rig.env.process(
-        mincore_recorder(
-            rig.env, HOST, rig.cache, procfs, "mem", 1000, done
+            faults.log(ANON_CODE, page, rig.env.now, 0.0)
+        return (
+            yield from mincore_recorder(
+                rig.env, HOST, rig.cache, procfs, "mem", 1000, 0.0, faults
+            )
         )
-    )
-    rig.env.process(guest())
-    ws = rig.env.run(until=recorder)
+
+    ws = rig.run(guest())
     assert len(ws) == 10
     assert ws.num_groups == 1

@@ -12,14 +12,20 @@ over the log's records, one record at a time.
 
 Each test also draws the settings that end a batched run of accesses
 early: a host CPU slot (every run is one access, as think time must
-contend), fault-cost jitter (the per-kind cost tables), a concurrent
-reader of the same memory file (a FaaSnap loader: a fault on a page it
-has in flight waits on its read, and a fault read that would overlap
-one of its reads goes to the event path mid-run) and a concurrent
-poller that reads the installed-PTE count behind an observation
-horizon (a run stops at the horizon, flushes and resumes). The
-poller's readings and the reader's accounting must agree too.
+contend), fault-cost jitter (the per-kind cost tables) and a
+concurrent reader of the same memory file (a FaaSnap loader: a fault
+on a page it has in flight waits on its read, and a fault read that
+would overlap one of its reads goes to the event path mid-run). The
+reader's accounting must agree too.
+
+A sanitized record phase runs the mincore recorder's replay over the
+VM's fault log and the page cache's time-stamped watch; on small
+generated profiles, both paths must record the same working set and
+loading set and end the phase at the same instant.
 """
+
+from functools import partial
+from unittest.mock import patch
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -29,7 +35,11 @@ from repro.core.loader import (
     coalesce_ordered_pages,
     ordered_pages_loader,
 )
+from repro.core.daemon import FaaSnapPlatform
+from repro.core.policies import Policy
 from repro.core.reap import make_reap_fault_handler
+from repro.core.recorder import mincore_recorder
+from repro.core.restore import PlatformConfig
 from repro.host import HostParams, PageCache
 from repro.host.fault import (
     FAULTING_KINDS,
@@ -44,7 +54,8 @@ from repro.metrics.telemetry import HostTelemetry, MetricsRegistry
 from repro.sim import Environment, Resource
 from repro.storage import BlockDevice, DeviceSpec, FileStore
 from repro.vm import create_snapshot
-from repro.vm.vcpu import GuestAccess, ObservationHorizon, VCpu
+from repro.vm.vcpu import GuestAccess, VCpu
+from repro.workloads.base import InputSpec, WorkloadProfile
 
 #: File-backed pages [0, FILE_PAGES) then anonymous pages up to TOTAL.
 FILE_PAGES = 48
@@ -85,9 +96,8 @@ def _build_uffd(file_pages, host):
 
 def _run(env, handler, file, trace, batch, boundaries):
     """Run ``trace`` on one vCPU under the drawn run ``boundaries``;
-    returns the result and what the poller and the second reader of
-    ``file`` saw."""
-    cpu, _, reader, poll_us = boundaries
+    returns the result and what the second reader of ``file`` saw."""
+    cpu, _, reader = boundaries
     vcpu = VCpu(
         env,
         handler,
@@ -112,18 +122,6 @@ def _run(env, handler, file, trace, batch, boundaries):
             )
 
         env.process(second_reader())
-    if poll_us is not None:
-        horizon = ObservationHorizon(env.now + poll_us)
-        vcpu.observer_horizon = horizon
-        space = handler.space
-
-        def poller():
-            while True:
-                yield env.timeout(poll_us)
-                readings.append((env.now, len(space.pte), len(space.ept)))
-                horizon.next_at = env.now + poll_us
-
-        env.process(poller())
     result = env.run(
         until=env.process(vcpu.run_trace(trace, tail_think_us=1.0))
     )
@@ -266,13 +264,12 @@ second_readers = st.one_of(
 #: from the device.
 DENSE = {page: page % 9 + 1 for page in range(FILE_PAGES)}
 
-#: ``(host CPU slot, fault_jitter_fraction, second reader, poll
-#: interval)``: each ends batched runs in its own way.
+#: ``(host CPU slot, fault_jitter_fraction, second reader)``: each
+#: ends batched runs in its own way.
 run_boundaries = st.tuples(
     st.booleans(),
     st.sampled_from([0.0, 0.3]),
     second_readers,
-    st.sampled_from([None, None, 2.0, 9.0, 150.0]),
 )
 
 
@@ -284,7 +281,7 @@ run_boundaries = st.tuples(
     DENSE,
     False,
     [(page, False, 0.5) for page in (8, 36, 4, 44, 20)],
-    (False, 0.0, (0.0, list(range(FILE_PAGES))), None),
+    (False, 0.0, (0.0, list(range(FILE_PAGES)))),
 )
 def test_batched_trace_matches_event_path(file_pages, sparse, raw, boundaries):
     trace = _trace(raw, TOTAL_PAGES)
@@ -304,7 +301,7 @@ def test_batched_trace_matches_event_path(file_pages, sparse, raw, boundaries):
 @example(
     DENSE,
     [(9, False, 0.5), (44, False, 0.5)],
-    (False, 0.0, (0.0, list(range(2, FILE_PAGES))), None),
+    (False, 0.0, (0.0, list(range(2, FILE_PAGES)))),
 )
 def test_batched_uffd_faults_match_event_path(file_pages, raw, boundaries):
     # Every page is userfaultfd-registered (REAP's out-of-working-set
@@ -354,3 +351,73 @@ def test_absorb_matches_reference_fold_on_any_log(rows):
         log.add(record)
     assert log.records == records
     _check_absorb(log)
+
+
+# -- sanitized record phases --------------------------------------------
+
+record_profiles = st.builds(
+    lambda core, var, pool, data, anon, compute, spread: WorkloadProfile(
+        name="gen",
+        description="generated record-phase profile",
+        core_pages=core,
+        var_base_pages=var,
+        var_pool_pages=var + pool,
+        data_pages=data,
+        data_read_pages=data // 2,
+        anon_base_pages=anon,
+        compute_base_us=compute,
+        spread_factor=spread,
+        total_pages=4096,
+        boot_pages=256,
+    ),
+    st.integers(1, 200),
+    st.integers(0, 80),
+    st.integers(0, 150),
+    st.integers(0, 150),
+    st.integers(0, 150),
+    st.sampled_from([0.0, 300.0, 5_000.0]),
+    st.sampled_from([1.0, 3.0, 6.0]),
+)
+
+
+def _record(profile, ratio, group_pages, poll_us, jitter, batch):
+    """One sanitized record phase; what the test phases read of it."""
+    config = PlatformConfig(
+        host=HostParams(fault_jitter_fraction=jitter),
+        group_pages=group_pages,
+        batch_faults=batch,
+    )
+    platform = FaaSnapPlatform(config=config)
+    handle = platform.register_function(profile)
+    recorder = partial(mincore_recorder, poll_interval_us=poll_us)
+    with patch("repro.core.restore.mincore_recorder", recorder):
+        artifacts = platform.ensure_record(
+            handle, InputSpec(content_id=1, size_ratio=ratio), Policy.FAASNAP
+        )
+    loading = artifacts.loading_set
+    return (
+        platform.env.now.hex(),
+        sorted(artifacts.ws_groups.group_of.items()),
+        [(r.start, r.npages, r.group, r.file_offset) for r in loading.regions],
+        loading.essential_pages,
+        loading.total_pages,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    record_profiles,
+    st.sampled_from([0.5, 1.0, 2.0]),
+    st.sampled_from([1, 16, 64, 1024]),
+    # Down to well under one major fault (~100 us on this device).
+    st.sampled_from([0.5, 7.0, 200.0, 5_000.0]),
+    st.sampled_from([0.0, 0.3]),
+)
+def test_sanitized_record_matches_event_path(
+    profile, ratio, group_pages, poll_us, jitter
+):
+    batched, reference = (
+        _record(profile, ratio, group_pages, poll_us, jitter, batch)
+        for batch in (True, False)
+    )
+    assert batched == reference

@@ -35,7 +35,7 @@ def test_page_cache_insert_is_idempotent_in_contents(pages):
 @given(st.lists(st.integers(0, 50), min_size=1, max_size=100))
 def test_insertion_log_superset_of_resident(pages):
     cache = PageCache(Environment())
-    log = cache.watch("f")
+    log = cache.watch("f").pages
     for page in pages:
         cache.insert("f", page)
         cache.insert("g", page)
@@ -137,7 +137,7 @@ def test_fill_reads_each_unit_once_and_leaves_nothing_in_flight(
     cache = PageCache(env)
     for start, npages in resident[: len(resident) // 2]:
         cache.insert_range("mem", start, npages)
-    inserted = cache.watch("mem")
+    inserted = cache.watch("mem").pages
 
     # Device requests that completed; the ``fail_at``-th one fails.
     completed = []

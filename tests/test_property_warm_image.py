@@ -13,7 +13,7 @@ clock, resident set and memory contents on both.
 The batched vCPU serves a run of image pages in bulk, between the
 pages outside the image, so image-backed VMs are also held to the
 event path (``batch_faults=False``) on traces of a few hundred
-accesses, under a host CPU slot and an observation-horizon poller.
+accesses, with and without a host CPU slot.
 """
 
 import pytest
@@ -32,7 +32,6 @@ from repro.vm import (
     VmmParams,
     capture_memory_contents,
 )
-from repro.vm.vcpu import ObservationHorizon
 
 HOST = HostParams()
 VMM = VmmParams()
@@ -204,44 +203,24 @@ long_accesses = st.lists(
 )
 
 
-def _poll(env, vm, poll_us):
-    """Read the resident-set and EPT sizes every ``poll_us`` behind an
-    observation horizon, as the mincore recorder does."""
-    horizon = ObservationHorizon(env.now + poll_us)
-    vm.vcpu.observer_horizon = horizon
-    readings = []
-    space = vm.space
-
-    def poller():
-        while True:
-            yield env.timeout(poll_us)
-            readings.append((env.now, space.rss_pages(), len(space.ept)))
-            horizon.next_at = env.now + poll_us
-
-    env.process(poller())
-    return readings
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     contents_st,
     st.sampled_from(["warm", "boot"]),
     long_accesses,
     st.booleans(),
-    st.sampled_from([None, None, 2.0, 9.0, 150.0]),
 )
-def test_image_runs_match_event_path(contents, how, raw, cpu, poll_us):
+def test_image_runs_match_event_path(contents, how, raw, cpu):
     seen = []
     for batch in (False, True):
         env, store, vm = _rig(batch, cpu=cpu)
         _set_up(env, store, vm, contents, how, eager=False)
-        readings = [] if poll_us is None else _poll(env, vm, poll_us)
         result = env.run(
             until=env.process(
                 vm.vcpu.run_trace(_trace(raw), tail_think_us=1.0)
             )
         )
-        seen.append((_observe(env, vm, result), readings))
+        seen.append(_observe(env, vm, result))
     assert seen[0] == seen[1]
 
 
@@ -325,5 +304,8 @@ def test_cluster_vcpu_path_counters_are_pinned():
 
 #: Counted by the record-per-access vCPU loop these counters were
 #: defined against (two cold starts, two warm starts, one more cold).
-FAST_PATH_PIN = 38388
-EVENT_PATH_PIN = 3076
+#: Nothing observes a record VM from the event heap (the mincore
+#: recorder replays its polls afterwards), so every access of this
+#: run takes the fast path.
+FAST_PATH_PIN = 41464
+EVENT_PATH_PIN = 0
