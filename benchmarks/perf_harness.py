@@ -33,8 +33,10 @@ reference CPU speed, so a slow box reads about what a fast one does.
 The gate fails when a run is not ``correct``, ran another seed than
 its baseline, has no baseline, or reads an end-to-end metric of the
 ``perfbench`` section of ``BENCH_core.json`` worse than the baseline
-by more than that metric's ``bound`` in ``BENCHMARK.json``. With
-``--update`` it records, per workload, the median of the runs given.
+by more than that metric's ``bound`` in ``BENCHMARK.json``. It also
+prints an ``info:`` line for each of :data:`INFO_METRICS` against its
+baseline, which never fails. With ``--update`` it records, per
+workload, the median of the runs given of every one of these metrics.
 
 ``--figures`` regenerates whole experiments and reports wall-clock per
 experiment; with ``--update`` the timings are recorded in the
@@ -595,6 +597,11 @@ def time_figures(names) -> dict:
 #: benchmark's own multi-run comparison.
 GATED_METRICS = ("inv_per_s",)
 
+#: End-to-end metrics ``--perfbench`` shows against their recorded
+#: medians on ``info:`` lines, ungated for the reasons above: a change
+#: to set-up time or memory shows up in CI without failing it.
+INFO_METRICS = ("setup_s", "peak_rss_mb")
+
 
 def read_perfbench(text: str) -> dict:
     """The workload, seed, ``correct`` flag and end-to-end metric values
@@ -650,6 +657,12 @@ def perfbench_gate(texts, section: dict, spec: dict) -> List[str]:
                 f"{verdict}: {name} {metric} {value:.4g}, limit {limit:.4g} "
                 f"(baseline {expected:.4g}, bound {bound:.0%})"
             )
+        for metric, expected in base.get("info", {}).items():
+            value = run["metrics"].get(metric, float("nan"))
+            lines.append(
+                f"info: {name} {metric} {value:.4g} (baseline "
+                f"{expected:.4g}, {value / expected - 1.0:+.1%})"
+            )
     return lines
 
 
@@ -665,6 +678,16 @@ def check_perfbench(paths, baseline: dict) -> int:
         print(line, file=sys.stderr if line in failed else sys.stdout)
     print(f"PERFBENCH: {'FAIL' if failed else 'OK'} ({len(paths)} runs)")
     return int(bool(failed))
+
+
+def _medians(runs, metrics) -> Dict[str, float]:
+    """Each of ``metrics``' median over ``runs``, to 3 decimals."""
+    return {
+        metric: round(
+            statistics.median(run["metrics"][metric] for run in runs), 3
+        )
+        for metric in metrics
+    }
 
 
 def record_perfbench(paths, baseline: dict) -> None:
@@ -691,12 +714,8 @@ def record_perfbench(paths, baseline: dict) -> None:
             "commit": commit or None,
             "seed": seeds.pop(),
             "runs": len(runs),
-            "metrics": {
-                metric: round(
-                    statistics.median(run["metrics"][metric] for run in runs), 3
-                )
-                for metric in GATED_METRICS
-            },
+            "metrics": _medians(runs, GATED_METRICS),
+            "info": _medians(runs, INFO_METRICS),
         }
         print(f"{name}: {section[name]}")
 

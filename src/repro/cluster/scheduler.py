@@ -273,6 +273,20 @@ class ClusterReport(FleetReport):
         return sum(1 for s in self.served if s.host == host)
 
 
+def _artifact_files(
+    artifacts: RecordArtifacts,
+) -> Tuple[Optional[StoredFile], ...]:
+    """A record phase's files, in a fixed order: the clean and warm
+    memory files, then the loading-set and REAP working-set files
+    (``None`` where the record policy writes none)."""
+    return (
+        artifacts.clean_snapshot.memory_file,
+        artifacts.warm_snapshot.memory_file,
+        artifacts.loading_file,
+        artifacts.reap_ws_file,
+    )
+
+
 class _HostState(HostView):
     """One host plus the scheduler's bookkeeping about it."""
 
@@ -533,6 +547,10 @@ class ClusterSimulator:
         #: Per function, each memory file folded so far with its
         #: checksums (see :meth:`_snapshot_checksums`).
         self._folded: Dict[str, List[Tuple[StoredFile, Tuple[int, ...]]]] = {}
+        #: Per (function, sanitize), the first artefacts recorded in
+        #: this run: later hosts' equal files share their page maps
+        #: (see :meth:`_share_page_maps`).
+        self._map_donors: Dict[Tuple[str, bool], RecordArtifacts] = {}
         self._robust_ready = False
         if self._armed:
             self._install_robust_machinery()
@@ -690,23 +708,57 @@ class ClusterSimulator:
         record."""
         if self._costs is not None:
             return
-        config = self.config
-        shared = config.snapshot_tier == TIER_SHARED_EBS
-        recorders = self._hosts[:1] if shared else self._hosts
-        for hs in recorders:
-            for fleet_fn in self.fleet:
-                profile = self._profiles[fleet_fn.name]
-                for policy in self._record_plan():
-                    artifacts = yield from hs.host.record_process(
-                        profile, config.record_input, policy
-                    )
-                    if shared:
-                        for other in self._hosts[1:]:
-                            other.host.adopt_artifacts(
-                                config.record_input, artifacts
-                            )
+        if self.config.snapshot_tier == TIER_SHARED_EBS:
+            yield from self._record_host(self._hosts[0], self._hosts[1:])
+        else:
+            for hs in self._hosts:
+                yield from self._record_host(hs)
         for hs in self._hosts:
             hs.host.drop_caches()
+
+    def _record_host(
+        self, hs: "_HostState", adopters: Sequence["_HostState"] = ()
+    ) -> Generator[Event, Any, None]:
+        """Run every needed record phase on ``hs`` — the one record
+        step of the prep epoch and of a host added live — and share
+        each result's page maps (:meth:`_share_page_maps`).
+        ``adopters`` register each result as their own (the shared
+        tier's hosts restore files another host recorded)."""
+        config = self.config
+        for fleet_fn in self.fleet:
+            profile = self._profiles[fleet_fn.name]
+            for policy in self._record_plan():
+                artifacts = yield from hs.host.record_process(
+                    profile, config.record_input, policy
+                )
+                self._share_page_maps(artifacts)
+                for other in adopters:
+                    other.host.adopt_artifacts(config.record_input, artifacts)
+
+    def _share_page_maps(self, artifacts: RecordArtifacts) -> None:
+        """Point each of ``artifacts``' files at the page map of the
+        same file of the run's first recording of that function and
+        record policy, where their sizes and maps are equal.
+
+        Recording is seeded, so every host computes the same artefact
+        contents; page maps are immutable, and one map per distinct
+        file is what keeps a many-host prep's memory flat."""
+        donor = self._map_donors.setdefault(
+            (artifacts.profile.name, artifacts.sanitize), artifacts
+        )
+        if donor is artifacts:
+            return
+        for mine, theirs in zip(
+            _artifact_files(artifacts), _artifact_files(donor)
+        ):
+            if (
+                mine is not None
+                and theirs is not None
+                and mine.pages is not theirs.pages
+                and mine.num_pages == theirs.num_pages
+                and mine.pages == theirs.pages
+            ):
+                mine.pages = theirs.pages
 
     # -- serving core --------------------------------------------------
     #
@@ -942,9 +994,8 @@ class ClusterSimulator:
         memory = artifacts.warm_snapshot.memory_file
         folded = self._folded.setdefault(function, [])
         for other, checksums in folded:
-            if (
-                other.num_pages == memory.num_pages
-                and other.pages == memory.pages
+            if other.num_pages == memory.num_pages and (
+                other.pages is memory.pages or other.pages == memory.pages
             ):
                 break
         else:
@@ -1059,12 +1110,7 @@ class ClusterSimulator:
         hs.healthy = False
 
         def _prep_new_host() -> Generator[Event, Any, None]:
-            for fleet_fn in self.fleet:
-                profile = self._profiles[fleet_fn.name]
-                for policy in self._record_plan():
-                    yield from hs.host.record_process(
-                        profile, config.record_input, policy
-                    )
+            yield from self._record_host(hs)
             hs.host.drop_caches()
             hs.drained = False
             hs.healthy = True

@@ -56,8 +56,9 @@ class SnapshotStager:
         """Process helper: copy ``remote`` to the local store.
 
         Reads the remote file sequentially (holes free), creates the
-        local twin with identical contents, and memoizes it so a
-        second staging request is free.
+        local twin sharing the remote file's page map (maps are
+        immutable), and memoizes it so a second staging request is
+        free.
         """
         cached = self._staged.get(remote.name)
         if cached is not None:
@@ -70,7 +71,7 @@ class SnapshotStager:
         local = self.local_store.create(
             f"staged.{remote.name}",
             remote.num_pages,
-            pages=dict(remote.pages),
+            pages=remote.pages,
             sparse=remote.sparse,
         )
         self._staged[remote.name] = local

@@ -13,6 +13,11 @@ keeping the simulation cheap.
 
 Sparse files never pay disk I/O for hole (zero) pages: the filesystem
 synthesises zeros without touching the device.
+
+A file's page map is an immutable value. :meth:`FileStore.create` keeps
+the map it is given, and nothing mutates it afterwards, so any number
+of files (and warm VMs' images, see
+:meth:`~repro.vm.vmm.MicroVM.make_warm`) may share one map object.
 """
 
 from __future__ import annotations
@@ -35,13 +40,18 @@ _MASK32 = _MOD32 - 1
 
 @dataclass
 class StoredFile:
-    """A named file occupying a contiguous device extent."""
+    """A named file occupying a contiguous device extent.
+
+    ``pages`` is never mutated in place: other files, the clean
+    snapshot memo and warm VMs' images may hold the same map object.
+    :meth:`write_page` replaces the map instead."""
 
     name: str
     device: BlockDevice
     base_offset: int
     num_pages: int
     #: Page index -> content token. Missing entries are zero (holes).
+    #: Shared, so never mutated (see the class docstring).
     pages: Dict[int, int] = field(default_factory=dict)
     #: Sparse files skip device I/O for hole pages.
     sparse: bool = False
@@ -57,12 +67,16 @@ class StoredFile:
 
     def write_page(self, page_index: int, value: int) -> None:
         """Set page contents (metadata operation; snapshot creation is
-        not on the measured critical path, see §4.1 record phase)."""
+        not on the measured critical path, see §4.1 record phase).
+        Replaces the page map with an edited copy, so files sharing
+        the old map keep their contents."""
         self._check_page(page_index)
+        pages = dict(self.pages)
         if value == 0:
-            self.pages.pop(page_index, None)
+            pages.pop(page_index, None)
         else:
-            self.pages[page_index] = value
+            pages[page_index] = value
+        self.pages = pages
 
     def is_hole(self, page_index: int) -> bool:
         """True when the page is all zeros and stored as a hole."""
@@ -208,23 +222,32 @@ class FileStore:
         pages: Optional[Dict[int, int]] = None,
         sparse: bool = False,
     ) -> StoredFile:
-        """Create ``name`` with ``num_pages`` pages of capacity."""
+        """Create ``name`` with ``num_pages`` pages of capacity.
+
+        The file keeps ``pages`` itself, not a copy: the caller must
+        never mutate the map afterwards (files and warm VMs share page
+        maps). Every program caller passes a zero-free map —
+        :func:`~repro.vm.snapshot.create_snapshot` strips zero values,
+        the loading-set and REAP working-set writers store only
+        non-zero ones, and staging passes an existing file's map — as
+        :func:`~repro.vm.snapshot.capture_memory_contents` expects."""
         if name in self._files:
             raise SimulationError(f"file {name!r} already exists")
         if num_pages < 0:
             raise SimulationError(f"negative file size: {num_pages}")
-        for page in pages or ():
-            if not 0 <= page < num_pages:
-                raise SimulationError(
-                    f"page {page} out of range for {name} "
-                    f"({num_pages} pages)"
-                )
+        if pages:
+            for page in (min(pages), max(pages)):
+                if not 0 <= page < num_pages:
+                    raise SimulationError(
+                        f"page {page} out of range for {name} "
+                        f"({num_pages} pages)"
+                    )
         stored = StoredFile(
             name=name,
             device=self.device,
             base_offset=self._next_offset,
             num_pages=num_pages,
-            pages=dict(pages or {}),
+            pages={} if pages is None else pages,
             sparse=sparse,
         )
         self._files[name] = stored

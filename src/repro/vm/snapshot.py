@@ -51,9 +51,12 @@ def create_snapshot(
     """Write a snapshot named ``name`` into ``store``.
 
     ``contents`` maps guest page -> content token; zero / missing
-    pages become holes when ``sparse``. Snapshot creation happens in
-    the record phase, off the measured critical path, so no simulated
-    time is charged.
+    pages become holes when ``sparse``. The memory file keeps
+    ``contents`` as its page map (see :meth:`FileStore.create`), so
+    the caller must not mutate it afterwards; a map holding zero
+    values is replaced by a copy without them, so memory files are
+    zero-free. Snapshot creation happens in the record phase, off the
+    measured critical path, so no simulated time is charged.
     """
     if 0 in contents.values():
         contents = {p: v for p, v in contents.items() if v != 0}
@@ -77,7 +80,13 @@ def capture_memory_contents(
 
     Iterates only pages that can be non-zero — each mapping's backing
     file entries, the space's shared image, and the dirtied pages — so
-    capturing a 2 GB guest stays cheap. (``base`` is accepted for
+    capturing a 2 GB guest stays cheap. A mapping of a whole file at
+    guest page 0 (the record VM's full-file restore) copies the file's
+    map with one ``dict.update``: :meth:`FileStore.create` rejects
+    pages past the file's end, and the maps of every program caller
+    hold no zero values (see there), so no entry needs a test. A map
+    with zero values would pass them through, which
+    :func:`create_snapshot` strips again. (``base`` is accepted for
     call-site symmetry; the mappings themselves carry everything
     needed.)
     """
@@ -86,11 +95,14 @@ def capture_memory_contents(
         backing = vma.backing
         if not isinstance(backing, FileBacking):
             continue
-        file_pages = backing.file.pages
+        file = backing.file
+        file_pages = file.pages
         first = backing.file_start_page
         last = first + vma.npages
         base_guest = vma.start - first
-        if len(file_pages) <= vma.npages:
+        if base_guest == 0 and first == 0 and last >= file.num_pages:
+            contents.update(file_pages)
+        elif len(file_pages) <= vma.npages:
             for file_page, value in file_pages.items():
                 if first <= file_page < last and value != 0:
                     contents[base_guest + file_page] = value

@@ -299,12 +299,13 @@ def clean_snapshot_contents(profile: WorkloadProfile) -> Dict[int, int]:
     Non-zero pages: the whole boot region, every populated runtime
     page (core + pool: the interpreter and its imported libraries),
     and the data region. The heap is all zeros. Deterministic per
-    profile, so the construction is memoised; a fresh copy is
-    returned each call.
+    profile, so the construction is memoised and every call returns
+    the memo itself: every clean memory file shares it as its page
+    map, so callers must never mutate it.
     """
     cached = _CLEAN_CONTENTS_CACHE.get(profile)
     if cached is not None:
-        return dict(cached)
+        return cached
     layout = build_layout(profile)
     contents: Dict[int, int] = {}
     for offset in range(profile.boot_pages):
@@ -317,7 +318,7 @@ def clean_snapshot_contents(profile: WorkloadProfile) -> Dict[int, int]:
         page = layout.data_page(offset)
         contents[page] = content_token(page, 0)
     _CLEAN_CONTENTS_CACHE[profile] = contents
-    return dict(contents)
+    return contents
 
 
 def _interleave_chunks(

@@ -103,6 +103,41 @@ def test_gate_fails_a_run_without_the_gated_metric():
     assert "inv_per_s" in line
 
 
+def test_info_lines_show_setup_and_rss_without_gating_them():
+    section = {
+        "cluster-steady": dict(
+            SECTION["cluster-steady"],
+            info={"setup_s": 2.3, "peak_rss_mb": 111.0},
+        )
+    }
+    # Twice the recorded memory and set-up time: shown, never failed.
+    text = stdout().replace("342.4", "222.0")
+    lines = harness.perfbench_gate([text], section, SPEC)
+    assert not [line for line in lines if line.startswith("FAIL")]
+    info = [line for line in lines if line.startswith("info:")]
+    assert info == [
+        "info: cluster-steady setup_s 4.6 (baseline 2.3, +100.0%)",
+        "info: cluster-steady peak_rss_mb 222 (baseline 111, +100.0%)",
+    ]
+    traced = text.replace('"peak_rss_mb"', '"trace.peak"')
+    lines = harness.perfbench_gate([traced], section, SPEC)
+    assert "info: cluster-steady peak_rss_mb nan (baseline 111, +nan%)" in lines
+
+
+def test_update_records_gated_and_info_medians(tmp_path):
+    paths = []
+    for index, rate in enumerate((690.0, 700.0, 720.0)):
+        path = tmp_path / f"run{index}.txt"
+        path.write_text(stdout(inv_per_s=rate))
+        paths.append(path)
+    baseline = {}
+    harness.record_perfbench(paths, baseline)
+    entry = baseline["perfbench"]["cluster-steady"]
+    assert entry["runs"] == 3 and entry["seed"] == 7
+    assert entry["metrics"] == {"inv_per_s": 700.0}
+    assert entry["info"] == {"setup_s": 4.6, "peak_rss_mb": 342.4}
+
+
 def test_every_benchmark_workload_has_a_perfbench_baseline():
     section = BASELINE["perfbench"]
     assert set(section) == {w["name"] for w in SPEC["workloads"]}
@@ -110,6 +145,7 @@ def test_every_benchmark_workload_has_a_perfbench_baseline():
     for entry in section.values():
         assert entry["seed"] == 7 and entry["runs"] >= 5
         assert entry["metrics"] and set(entry["metrics"]) <= bounded
+        assert set(entry["info"]) == set(harness.INFO_METRICS)
 
 
 def test_no_wall_clock_figure_outside_experiments():
