@@ -287,6 +287,11 @@ def _artifact_files(
     )
 
 
+#: The record artefacts that are plain values besides the files: the
+#: FaaSnap working set and loading set, and the REAP working set.
+_SHARED_SETS = ("ws_groups", "loading_set", "reap_ws")
+
+
 class _HostState(HostView):
     """One host plus the scheduler's bookkeeping about it."""
 
@@ -548,8 +553,9 @@ class ClusterSimulator:
         #: checksums (see :meth:`_snapshot_checksums`).
         self._folded: Dict[str, List[Tuple[StoredFile, Tuple[int, ...]]]] = {}
         #: Per (function, sanitize), the first artefacts recorded in
-        #: this run: later hosts' equal files share their page maps
-        #: (see :meth:`_share_page_maps`).
+        #: this run: later hosts' equal files share their page maps,
+        #: and equal working and loading sets are shared too (see
+        #: :meth:`_share_page_maps`).
         self._map_donors: Dict[Tuple[str, bool], RecordArtifacts] = {}
         self._robust_ready = False
         if self._armed:
@@ -738,11 +744,13 @@ class ClusterSimulator:
     def _share_page_maps(self, artifacts: RecordArtifacts) -> None:
         """Point each of ``artifacts``' files at the page map of the
         same file of the run's first recording of that function and
-        record policy, where their sizes and maps are equal.
+        record policy, where their sizes and maps are equal, and its
+        working sets and loading set at that recording's, where equal.
 
         Recording is seeded, so every host computes the same artefact
-        contents; page maps are immutable, and one map per distinct
-        file is what keeps a many-host prep's memory flat."""
+        contents; page maps, working sets and loading sets are never
+        mutated once recorded, and one object per distinct value is
+        what keeps a many-host prep's memory flat."""
         donor = self._map_donors.setdefault(
             (artifacts.profile.name, artifacts.sanitize), artifacts
         )
@@ -759,6 +767,11 @@ class ClusterSimulator:
                 and mine.pages == theirs.pages
             ):
                 mine.pages = theirs.pages
+        for name in _SHARED_SETS:
+            mine = getattr(artifacts, name)
+            theirs = getattr(donor, name)
+            if mine is not None and mine is not theirs and mine == theirs:
+                setattr(artifacts, name, theirs)
 
     # -- serving core --------------------------------------------------
     #

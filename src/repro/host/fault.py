@@ -457,8 +457,9 @@ class FaultHandler:
         name = file.name
         file_page = backing.file_start_page + (page - vma.start)
         # Inlined StoredFile.is_hole / page_value and the page-cache
-        # residency probe: this branch runs once per minor fault and
-        # the general accessors' overhead is measurable at that rate.
+        # residency and in-flight probes: this branch runs once per
+        # minor or major fault and the general accessors' overhead is
+        # measurable at that rate.
         content = file.pages.get(file_page, 0)
         cache = self.cache
         if file.sparse and content == 0:
@@ -478,7 +479,7 @@ class FaultHandler:
                 return MINOR_CODE, end, end + params.cow_copy_us, content, None
             return MINOR_CODE, None, end, content, None
 
-        if cache.has_pending(name, file_page):
+        if (name, file_page) in cache._pending:
             if eager:
                 return None
             return self._wait_leg(name, file_page, content, write)

@@ -74,14 +74,6 @@ class _IntervalRuns:
         index = bisect_right(self.starts, page) - 1
         return index >= 0 and page < self.ends[index]
 
-    def first_at_or_after(self, page: int) -> Optional[int]:
-        """The lowest covered page at or after ``page``, or None."""
-        index = bisect_right(self.starts, page) - 1
-        if index >= 0 and page < self.ends[index]:
-            return page
-        index += 1
-        return self.starts[index] if index < len(self.starts) else None
-
     def gaps_in(self, start: int, end: int) -> List[Tuple[int, int]]:
         """Sub-ranges of ``[start, end)`` *not* covered by any run, in
         ascending order. The complement of residency — what a loader
@@ -112,27 +104,37 @@ class _IntervalRuns:
         so callers can maintain watch logs and counters identically.
         """
         starts, ends = self.starts, self.ends
-        # Fast path: at or past the tail run — the common shape for
-        # loaders, readahead windows and sequential scans.
-        if starts and start >= ends[-1]:
-            if start == ends[-1]:
-                ends[-1] = end
+        # Fast path: a range that overlaps no run — every quoted
+        # readahead window (cut at the first resident page), and loaders
+        # and sequential scans appending at the tail. One bisect finds
+        # its neighbours: it extends the run that ends at ``start``, the
+        # one that starts at ``end``, bridges the two, or is a run of
+        # its own.
+        index = bisect_right(starts, start)
+        n = len(starts)
+        if (index == 0 or ends[index - 1] <= start) and (
+            index == n or end <= starts[index]
+        ):
+            if index and ends[index - 1] == start:
+                if index < n and starts[index] == end:
+                    ends[index - 1] = ends[index]
+                    del starts[index]
+                    del ends[index]
+                else:
+                    ends[index - 1] = end
+            elif index < n and starts[index] == end:
+                starts[index] = start
             else:
-                starts.append(start)
-                ends.append(end)
+                starts.insert(index, start)
+                ends.insert(index, end)
             self.count += end - start
             return [(start, end)]
         # Runs that overlap or are adjacent to [start, end): the first
         # whose end reaches start, through the last whose start is at
         # most end (end == run.start is adjacency — merge to keep the
-        # run list canonical).
+        # run list canonical). At least one overlaps.
         low = bisect_left(ends, start)
         high = bisect_right(starts, end) - 1
-        if low > high:
-            starts.insert(low, start)
-            ends.insert(low, end)
-            self.count += end - start
-            return [(start, end)]
         gaps: List[Tuple[int, int]] = []
         cursor = start
         for k in range(low, high + 1):
@@ -263,13 +265,14 @@ class PageCache:
         runs = self._runs.get(file_name)
         if runs is None:
             runs = self._runs[file_name] = _IntervalRuns()
+        count = runs.count
         fresh = runs.add_range(start_page, end_page)
+        self.insertions += runs.count - count
         watch = self.watches.get(file_name)
-        if at is None:
-            at = self.env.now
-        for gap_start, gap_end in fresh:
-            self.insertions += gap_end - gap_start
-            if watch is not None:
+        if watch is not None:
+            if at is None:
+                at = self.env.now
+            for gap_start, gap_end in fresh:
                 watch.pages.extend(range(gap_start, gap_end))
                 watch.instants.extend(repeat(at, gap_end - gap_start))
 
@@ -424,9 +427,12 @@ class PageCache:
         readahead window stops."""
         runs = self._runs.get(file_name)
         if runs is not None:
-            resident = runs.first_at_or_after(start_page)
-            if resident is not None and resident < end_page:
-                end_page = resident
+            starts = runs.starts
+            index = bisect_right(starts, start_page)
+            if index and start_page < runs.ends[index - 1]:
+                return start_page
+            if index < len(starts) and starts[index] < end_page:
+                end_page = starts[index]
         pending = self._pending
         if pending:
             for page in range(start_page, end_page):

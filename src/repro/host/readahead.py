@@ -33,7 +33,6 @@ else ran meanwhile.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.host.page_cache import PageCache
@@ -55,22 +54,6 @@ class ReadaheadPolicy:
         #: Per-file stream state: file name -> (window_end, window_size).
         self._streams: Dict[str, Tuple[int, int]] = {}
 
-    def next_window_size(self, file_name: str, fault_page: int) -> int:
-        """Window size for a fault at ``fault_page``, updating the
-        per-file sequential-stream state."""
-        base = self.params.readahead_pages
-        previous = self._streams.get(file_name)
-        if previous is not None:
-            window_end, window_size = previous
-            sequential = (
-                window_end
-                <= fault_page
-                <= window_end + _SEQUENTIAL_SLACK_PAGES
-            )
-            if sequential:
-                return min(window_size * 2, self.params.readahead_max_pages)
-        return base
-
     def span(
         self, file: StoredFile, cache: PageCache, fault_page: int
     ) -> Tuple[int, int]:
@@ -80,10 +63,21 @@ class ReadaheadPolicy:
         limit, or the first resident/in-flight page. Returns
         ``(end, window_size)``: the window is ``[fault_page, end)``.
         Pass both to :meth:`commit` once the read is actually
-        issued."""
-        size = self.next_window_size(file.name, fault_page)
+        issued.
+
+        The window size is the base size, or — when the fault lands at
+        or just past the previous window's end — that window's size
+        doubled, up to the ceiling."""
+        name = file.name
+        params = self.params
+        size = params.readahead_pages
+        stream = self._streams.get(name)
+        if stream is not None:
+            window_end, window_size = stream
+            if window_end <= fault_page <= window_end + _SEQUENTIAL_SLACK_PAGES:
+                size = min(window_size * 2, params.readahead_max_pages)
         end = cache.first_cached_or_pending(
-            file.name, fault_page + 1, min(file.num_pages, fault_page + size)
+            name, fault_page + 1, min(file.num_pages, fault_page + size)
         )
         return end, size
 
@@ -91,15 +85,6 @@ class ReadaheadPolicy:
         """Record the issued window, ending at ``end``, in the
         sequential-stream state."""
         self._streams[file_name] = (end, size)
-
-    def window(
-        self, file: StoredFile, cache: PageCache, fault_page: int
-    ) -> List[int]:
-        """File pages to read for a fault on ``fault_page``, listed
-        (spans and commits in one step)."""
-        end, size = self.span(file, cache, fault_page)
-        self.commit(file.name, end, size)
-        return list(range(fault_page, end))
 
     def quote(
         self, file: StoredFile, cache: PageCache, fault_page: int, start: float
@@ -173,7 +158,12 @@ class WindowRead:
         self.npages = npages
         self.size = size
         self.requests = len(extents)
-        self.nbytes = sum(map(itemgetter(1), extents))
+        # A plain sum: building an itemgetter costs more than adding
+        # a window's one or two extents.
+        nbytes = 0
+        for _, extent_bytes in extents:
+            nbytes += extent_bytes
+        self.nbytes = nbytes
         self.quote = quote
         #: The instant the quoted read completes.
         self.end = None if quote is None else quote[0]

@@ -133,6 +133,13 @@ class BlockDevice:
         self.env = env
         self.spec = spec
         self.stats = DeviceStats()
+        # The healthy device's per-request costs, from the frozen spec:
+        # the access latencies floored by the IOPS cap, and the
+        # bandwidth (:meth:`_service_times`, :meth:`quote`).
+        floor = spec.min_request_interval_us
+        self._sequential_us = max(spec.sequential_latency_us, floor)
+        self._random_us = max(spec.random_latency_us, floor)
+        self._bandwidth = spec.bandwidth_bytes_per_us
         self._slots = Resource(env, capacity=spec.queue_depth)
         self._channel = Resource(env, capacity=1)
         self._next_sequential_offset: Optional[int] = None
@@ -255,7 +262,7 @@ class BlockDevice:
             self._slots.release(slot)
 
         elapsed = self.env.now - start
-        self._account(nbytes, sequential, elapsed)
+        self._account(((nbytes, sequential, elapsed),))
         return elapsed
 
     def _service_times(
@@ -263,17 +270,17 @@ class BlockDevice:
     ) -> Tuple[float, float]:
         """Access latency and transfer time of one request issued
         under ``degradation`` (``None``: the healthy device)."""
+        if degradation is None:
+            return (
+                self._sequential_us if sequential else self._random_us,
+                nbytes / self._bandwidth,
+            )
         spec = self.spec
         latency = (
             spec.sequential_latency_us
             if sequential
             else spec.random_latency_us
         )
-        if degradation is None:
-            return (
-                max(latency, spec.min_request_interval_us),
-                nbytes / spec.bandwidth_bytes_per_us,
-            )
         return (
             max(
                 latency * degradation.latency_factor,
@@ -282,15 +289,18 @@ class BlockDevice:
             nbytes / (spec.bandwidth_bytes_per_us * degradation.bandwidth_factor),
         )
 
-    def _account(self, nbytes: int, sequential: bool, elapsed: float) -> None:
-        """Count one completed request."""
+    def _account(self, reads: Sequence[Tuple[int, bool, float]]) -> None:
+        """Count completed requests, ``(nbytes, sequential, elapsed)``
+        each, in order."""
         stats = self.stats
-        stats.requests += 1
-        if sequential:
-            stats.sequential_requests += 1
-        stats.bytes_read += nbytes
-        stats.per_request_sizes.append(nbytes)
-        stats.busy_time_us += elapsed
+        sizes = stats.per_request_sizes
+        for nbytes, sequential, elapsed in reads:
+            stats.requests += 1
+            if sequential:
+                stats.sequential_requests += 1
+            stats.bytes_read += nbytes
+            sizes.append(nbytes)
+            stats.busy_time_us += elapsed
 
     def can_read_immediately(self) -> bool:
         """True when a read issued right now would acquire a queue
@@ -311,17 +321,21 @@ class BlockDevice:
         ``start`` on a device that :meth:`can_read_immediately`, with
         nothing else reading meanwhile. Mutates nothing: the quote
         lands, float for float, on the instant :meth:`read` would
-        reach, and :meth:`settle` then applies the reads' effects."""
+        reach — the healthy costs of :meth:`_service_times`, each leg
+        added as its own timeout — and :meth:`settle` then applies the
+        reads' effects."""
         cursor = self._next_sequential_offset
+        sequential_us = self._sequential_us
+        random_us = self._random_us
+        bandwidth = self._bandwidth
         end = start
         reads = []
         for offset, nbytes in extents:
             sequential = offset == cursor
             cursor = offset + nbytes
-            latency, transfer = self._service_times(sequential, nbytes, None)
             begin = end
-            end = end + latency
-            end = end + transfer
+            end = end + (sequential_us if sequential else random_us)
+            end = end + nbytes / bandwidth
             reads.append((nbytes, sequential, end - begin))
         return end, reads, cursor
 
@@ -329,8 +343,7 @@ class BlockDevice:
         """Apply a :meth:`quote`: the statistics and the
         sequential-detector cursor its reads leave behind."""
         _, reads, cursor = quote
-        for nbytes, sequential, elapsed in reads:
-            self._account(nbytes, sequential, elapsed)
+        self._account(reads)
         self._next_sequential_offset = cursor
 
     def push_degradation(self, degradation: Degradation) -> None:

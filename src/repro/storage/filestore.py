@@ -179,12 +179,12 @@ class StoredFile:
         base = self.base_offset
         if not self.sparse:
             return [(base + page_index * PAGE_SIZE, npages * PAGE_SIZE)]
-        pages = self.pages
+        get = self.pages.get
         extents: List[Tuple[int, int]] = []
         run_start: Optional[int] = None
         end = page_index + npages
         for i in range(page_index, end):
-            if pages.get(i, 0) != 0:
+            if get(i, 0) != 0:
                 if run_start is None:
                     run_start = i
             elif run_start is not None:

@@ -313,8 +313,8 @@ def test_readahead_window_trims_at_resident_page():
     f = rig.store.create("mem", 64, pages={i: 1 for i in range(64)})
     rig.cache.insert("mem", 4)
     policy = ReadaheadPolicy(params)
-    window = policy.window(f, rig.cache, 0)
-    assert window == [0, 1, 2, 3]
+    # The window [0, 4), cut from a window of 8.
+    assert policy.span(f, rig.cache, 0) == (4, 8)
 
 
 def test_readahead_window_clips_at_eof():
@@ -322,7 +322,7 @@ def test_readahead_window_clips_at_eof():
     rig = Rig(params=params)
     f = rig.store.create("mem", 10, pages={i: 1 for i in range(10)})
     policy = ReadaheadPolicy(params)
-    assert policy.window(f, rig.cache, 7) == [7, 8, 9]
+    assert policy.span(f, rig.cache, 7) == (10, 8)  # [7, 10)
 
 
 def test_readahead_window_includes_faulting_page_even_if_pending():
@@ -331,7 +331,7 @@ def test_readahead_window_includes_faulting_page_even_if_pending():
     f = rig.store.create("mem", 16, pages={i: 1 for i in range(16)})
     rig.cache.begin_pending("mem", 1)
     policy = ReadaheadPolicy(params)
-    assert policy.window(f, rig.cache, 0) == [0]
+    assert policy.span(f, rig.cache, 0) == (1, 4)  # [0, 1)
 
 
 def test_batched_vcpu_hands_contended_faults_to_the_event_path():

@@ -18,10 +18,22 @@ def rig():
     return env, device, PageCache(env), f
 
 
+def _window(policy, f, cache, fault_page):
+    """Span and commit a window; its page count."""
+    end, size = policy.span(f, cache, fault_page)
+    policy.commit(f.name, end, size)
+    return end - fault_page
+
+
+def _size(policy, f, cache, fault_page):
+    """The size of the window a fault would be cut from."""
+    return policy.span(f, cache, fault_page)[1]
+
+
 def test_window_starts_at_base(rig):
     env, device, cache, f = rig
     policy = ReadaheadPolicy(PARAMS)
-    assert policy.next_window_size("mem", 0) == 8
+    assert _size(policy, f, cache, 0) == 8
 
 
 def test_sequential_faults_ramp_up(rig):
@@ -30,34 +42,35 @@ def test_sequential_faults_ramp_up(rig):
     sizes = []
     cursor = 0
     for _ in range(5):
-        window = policy.window(f, cache, cursor)
-        sizes.append(len(window))
-        cursor += len(window)
+        npages = _window(policy, f, cache, cursor)
+        sizes.append(npages)
+        cursor += npages
     assert sizes == [8, 16, 32, 64, 64]  # doubles, capped at max
 
 
 def test_random_fault_resets_window(rig):
     env, device, cache, f = rig
     policy = ReadaheadPolicy(PARAMS)
-    policy.window(f, cache, 0)
-    policy.window(f, cache, 8)  # sequential: ramps to 16
-    assert policy.next_window_size("mem", 2000) == 8  # jump: reset
+    _window(policy, f, cache, 0)
+    _window(policy, f, cache, 8)  # sequential: ramps to 16
+    assert _size(policy, f, cache, 2000) == 8  # jump: reset
 
 
 def test_slack_still_counts_as_sequential(rig):
     env, device, cache, f = rig
     policy = ReadaheadPolicy(PARAMS)
-    policy.window(f, cache, 0)  # covers [0, 8)
+    _window(policy, f, cache, 0)  # covers [0, 8)
     # A fault a few pages past the window end is still a stream.
-    assert policy.next_window_size("mem", 10) == 16
+    assert _size(policy, f, cache, 10) == 16
 
 
 def test_streams_tracked_per_file(rig):
     env, device, cache, f = rig
+    other = FileStore(env, device).create("other", 64)
     policy = ReadaheadPolicy(PARAMS)
-    policy.window(f, cache, 0)
+    _window(policy, f, cache, 0)
     # A different file has independent stream state.
-    assert policy.next_window_size("other", 8) == 8
+    assert _size(policy, other, cache, 8) == 8
 
 
 def test_fault_read_failure_abandons_pending(rig):

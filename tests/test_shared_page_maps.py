@@ -4,10 +4,14 @@ Recording is seeded, so every host of a local-tier cluster computes
 the same artefacts. After prep each distinct page map must exist once,
 however many hosts hold a file with it — including a host the live
 service adds later — and editing one file must leave the others (and
-the clean-snapshot memo) alone.
+the clean-snapshot memo) alone. The working sets and loading sets of
+equal recordings are shared the same way.
 """
 
+import dataclasses
+
 from repro.cluster import ClusterConfig, ClusterSimulator
+from repro.core.working_set import WorkingSetGroups
 from repro.fleet import synthesize_fleet
 from repro.service import AddHostCommand, AdvanceCommand
 from repro.service.core import ClusterService
@@ -105,3 +109,44 @@ def test_equal_artefacts_share_one_page_map_across_hosts():
 def test_clean_snapshot_contents_hands_out_its_memo():
     profile = get_profile("json")
     assert clean_snapshot_contents(profile) is clean_snapshot_contents(profile)
+
+
+def test_equal_working_and_loading_sets_are_shared_across_hosts():
+    service = _prepped_service()
+    simulator = service.simulator
+    donors = simulator._hosts[0].host._artifacts
+    shared = 0
+    for hs in simulator._hosts[1:]:
+        for key, artifacts in hs.host._artifacts.items():
+            donor = donors[key]
+            assert artifacts is not donor
+            for name in ("ws_groups", "loading_set", "reap_ws"):
+                mine, theirs = getattr(artifacts, name), getattr(donor, name)
+                assert (mine is None) == (theirs is None)
+                if mine is not None:
+                    assert mine is theirs
+                    shared += 1
+    # Two functions x two record policies: the sanitized record has a
+    # working set and a loading set, the plain one a REAP working set.
+    assert shared == 2 * (len(simulator._hosts) - 1) * 3
+
+    # An unequal set keeps its own object; the equal ones are shared.
+    key, donor = next(
+        (key, artifacts)
+        for key, artifacts in donors.items()
+        if artifacts.ws_groups is not None
+    )
+    mine = simulator._hosts[1].host._artifacts[key]
+    group_of = dict(donor.ws_groups.group_of)
+    page = next(iter(group_of))
+    group_of[page] += 1
+    edited = WorkingSetGroups(group_of=group_of)
+    copy = dataclasses.replace(
+        mine,
+        ws_groups=edited,
+        loading_set=dataclasses.replace(donor.loading_set),
+    )
+    assert copy.loading_set is not donor.loading_set
+    simulator._share_page_maps(copy)
+    assert copy.ws_groups is edited
+    assert copy.loading_set is donor.loading_set
