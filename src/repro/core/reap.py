@@ -25,6 +25,7 @@ leg that waits on the event heap.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Generator
 
 from repro.core.working_set import ReapWorkingSet
@@ -79,14 +80,17 @@ def reap_setup(
     """
     start = env.now
     total = len(working_set)
+    memory_file = snapshot.memory_file
+    pte = vm.space.pte
+    order = working_set.pages_in_fault_order
     for offset in range(0, total, _WS_READ_CHUNK_PAGES):
         npages = min(_WS_READ_CHUNK_PAGES, total - offset)
         yield from ws_file.read(offset, npages)
         yield env.timeout(params.uffd_copy_us * npages)
-        for guest_page in working_set.pages_in_fault_order[
-            offset : offset + npages
-        ]:
-            vm.space.install_pte(guest_page, snapshot.page_value(guest_page))
+        chunk = order[offset : offset + npages]
+        memory_file.check_pages(chunk)
+        contents = memory_file.pages.get
+        pte.update(zip(chunk, map(contents, chunk, repeat(0))))
     return env.now - start
 
 

@@ -53,7 +53,7 @@ from repro.storage.device import DeviceSpec
 from repro.storage.filestore import PAGE_SIZE, FileStore, StoredFile
 from repro.storage.presets import NVME_LOCAL
 from repro.vm.snapshot import Snapshot, capture_memory_contents, create_snapshot
-from repro.vm.vcpu import GuestAccess
+from repro.vm.vcpu import TraceColumns
 from repro.vm.vmm import MappingPlan, MicroVM, VmmParams, full_file_plan
 from repro.workloads.base import InputSpec, WorkloadProfile, WorkloadTrace
 from repro.workloads.base import generate_trace
@@ -205,6 +205,12 @@ def artifact_file_names(artifacts: RecordArtifacts) -> List[str]:
     return names
 
 
+def sanitized_columns(trace: WorkloadTrace) -> TraceColumns:
+    """The record invocation with freed-page sanitization: ``trace``
+    followed by a zeroing store to each page it freed."""
+    return trace.columns.with_stores(trace.freed_pages, 0, _SANITIZE_WRITE_US)
+
+
 def run_record_phase(
     env: Environment,
     config: PlatformConfig,
@@ -257,19 +263,10 @@ def run_record_phase(
         yield from vm.restore(clean, full_file_plan(clean))
 
         trace = generate_trace(profile, record_input)
-        accesses = list(trace.accesses)
-        if sanitize:
-            accesses.extend(
-                GuestAccess(
-                    page=page, write=True, value=0, think_us=_SANITIZE_WRITE_US
-                )
-                for page in trace.freed_pages
-            )
+        columns = sanitized_columns(trace) if sanitize else trace.columns
 
         started = env.now
-        yield from vm.vcpu.run_trace(
-            accesses, tail_think_us=trace.tail_think_us
-        )
+        yield from vm.vcpu.run_trace(columns, tail_think_us=trace.tail_think_us)
         ws_groups: Optional[WorkingSetGroups] = None
         if sanitize:
             ws_groups = yield from mincore_recorder(

@@ -658,10 +658,11 @@ class FaultHandler:
         log_duration = stats.duration_us.append
         mark = logged.append
         none_start = none_starts.append
-        accesses = trace.accesses
+        pages = trace.pages
+        writes = trace.writes
+        values = trace.values
         thinks = trace.thinks
         if image:
-            pages = trace.pages
             stores = trace.stores
             # One C-level set difference finds the run's pages outside
             # the image; probing the image page by page costs more.
@@ -681,7 +682,7 @@ class FaultHandler:
                     for position in stores[first:last]:
                         write_anon(
                             pages[position],
-                            required_value(accesses[position].value),
+                            required_value(values[position]),
                         )
                     logged.extend(bytes(miss - index))
                     none_starts.extend(
@@ -692,13 +693,12 @@ class FaultHandler:
                         return stop, vnow, False
                     index = miss
                     vnow += thinks[index]
-            access = accesses[index]
-            page = access.page
-            write = access.write
+            page = pages[index]
+            write = writes[index]
             if page in ept or page in image:
                 # A mapped page: a read is no fault and no cost; a
                 # store faults only to break copy-on-write.
-                end = mapped_write(page, access.value, vnow) if write else None
+                end = mapped_write(page, values[index], vnow) if write else None
                 if end is None:
                     mark(0)
                     none_start(vnow)
@@ -720,7 +720,7 @@ class FaultHandler:
                     pte[page] = content
                 ept.add(page)
                 if write:
-                    write_anon(page, required_value(access.value))
+                    write_anon(page, required_value(values[index]))
                 log_kind(code)
                 log_page(page)
                 log_start(vnow)

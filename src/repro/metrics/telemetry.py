@@ -47,7 +47,7 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 from typing import (
     Any,
     Callable,
@@ -144,10 +144,12 @@ class HistogramInstrument:
     def observe_all(self, values: Sequence[float]) -> None:
         """Observe each of ``values`` in order: the same bucket counts
         and the same running sum, to the bit, as one :meth:`observe`
-        per value."""
+        per value. Fault logs repeat a few durations many times, so
+        each distinct value is bucketed once."""
         counts = self.histogram.counts
-        ranks = map(partial(bisect_right, self.histogram.edges), values)
-        for rank, n in collections.Counter(ranks).items():
+        edges = self.histogram.edges
+        for value, n in collections.Counter(values).items():
+            rank = bisect_right(edges, value)
             counts[rank - 1 if rank > 0 else 0] += n
         self.sum = reduce(operator.add, values, self.sum)
 

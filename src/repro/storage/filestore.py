@@ -23,7 +23,7 @@ of files (and warm VMs' images, see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.sim import Environment, Event, SimulationError
 from repro.storage.device import BlockDevice
@@ -197,6 +197,12 @@ class StoredFile:
                 (base + run_start * PAGE_SIZE, (end - run_start) * PAGE_SIZE)
             )
         return extents
+
+    def check_pages(self, pages: Sequence[int]) -> None:
+        """Raise unless every one of ``pages`` (non-empty) lies in
+        the file."""
+        self._check_page(min(pages))
+        self._check_page(max(pages))
 
     def _check_page(self, page_index: int) -> None:
         if not 0 <= page_index < self.num_pages:

@@ -24,7 +24,7 @@ mapping plans all agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 #: 2 GB guest / 4 KiB pages (paper §6.1).
 DEFAULT_GUEST_PAGES = 524_288
@@ -114,6 +114,19 @@ class GuestLayout:
                 f"offset {offset} outside {region} region of {npages} pages"
             )
         return start + offset
+
+    def region_pages(self, region: str, offsets: Sequence[int]) -> List[int]:
+        """The guest pages of ``offsets`` within ``region``, in order:
+        one :meth:`_page` per offset, with the bounds checked once."""
+        start, npages = self._bounds[region]
+        if offsets:
+            for offset in (min(offsets), max(offsets)):
+                if not 0 <= offset < npages:
+                    raise ValueError(
+                        f"offset {offset} outside {region} region of "
+                        f"{npages} pages"
+                    )
+        return list(map(start.__add__, offsets))
 
     def region_of(self, page: int) -> str:
         """Name of the region containing ``page``."""

@@ -1,15 +1,21 @@
 """The vCPU: replays a guest access trace through the fault handler.
 
-A trace is a list of :class:`GuestAccess` items, each "compute for
-``think_us``, then touch ``page``". Traces contain only *first
-touches* plus the compute time between them — repeated accesses to an
-already-mapped page cost nothing at the host, so folding them into
-think time loses no fidelity while keeping the simulation fast.
+A trace is a sequence of steps, each "compute for ``think_us``, then
+touch ``page``" (a store also carries the content ``value`` it
+writes). Traces contain only *first touches* plus the compute time
+between them — repeated accesses to an already-mapped page cost
+nothing at the host, so folding them into think time loses no
+fidelity while keeping the simulation fast.
+
+A trace is held as :class:`TraceColumns`: one list per field (pages,
+write flags, values, think times). Trace synthesis writes straight
+into them (:mod:`repro.workloads.base`). :class:`GuestAccess` is the
+one-object-per-step form for hand-written traces: tests pass a list
+of them, and :meth:`TraceColumns.of` turns it into columns.
 
 The vCPU serves a trace as runs: the fault handler's run loop serves
 accesses until one needs the event heap, the vCPU serves that one
-access on the heap, and the next run starts after it. The run loop
-reads the trace as :class:`TraceColumns`, built once per trace.
+access on the heap, and the next run starts after it.
 
 When a host CPU :class:`~repro.sim.Resource` is supplied, think time
 runs while holding a CPU slot; fault waits release it. With more
@@ -22,6 +28,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import compress
 from typing import Any, Collection, Generator, List, Optional, Sequence, Union
 
 from repro.host.fault import FaultHandler, FaultKind, FaultRecord, FaultStats
@@ -41,40 +48,96 @@ class GuestAccess:
 
 
 class TraceColumns:
-    """A guest trace as columns, built once and kept by whoever owns
-    the trace (a :class:`~repro.workloads.base.WorkloadTrace` builds
-    its own at synthesis), so they live exactly as long as it does.
+    """A guest trace as columns, kept by whoever owns the trace (a
+    :class:`~repro.workloads.base.WorkloadTrace` is built around its
+    own), so they live exactly as long as it does.
 
-    ``pages[i]`` is ``accesses[i].page``; ``thinks[i]`` its think time
-    with every non-positive one folded to 0.0 (nothing to wait for);
-    ``stores`` the ascending positions of the stores. The fault
-    handler's run loop serves whole stretches of image pages from
-    these columns without touching the :class:`GuestAccess` objects.
+    ``pages[i]``, ``writes[i]`` and ``values[i]`` are step ``i``'s
+    page, write flag and stored value (``None`` for a read);
+    ``thinks[i]`` its think time, never negative (nothing to wait
+    for); ``stores`` the ascending positions of the stores. The fault
+    handler's run loop serves the trace from these columns, whole
+    stretches of image pages at once.
     """
 
     __slots__ = (
-        "accesses",
         "pages",
+        "writes",
+        "values",
         "thinks",
         "stores",
+        "_accesses",
         "_by_page",
         "__weakref__",
     )
 
-    def __init__(self, accesses: Sequence[GuestAccess]):
-        self.accesses = accesses
-        self.pages = [access.page for access in accesses]
-        self.thinks = [
-            think if (think := access.think_us) > 0 else 0.0
-            for access in accesses
-        ]
-        self.stores = array(
-            "q",
-            [index for index, access in enumerate(accesses) if access.write],
-        )
+    def __init__(
+        self,
+        pages: List[int],
+        writes: List[bool],
+        values: List[Optional[int]],
+        thinks: List[float],
+        accesses: Optional[Sequence[GuestAccess]] = None,
+    ):
+        self.pages = pages
+        self.writes = writes
+        self.values = values
+        self.thinks = thinks
+        self.stores = array("q", compress(range(len(pages)), writes))
+        #: The steps as objects, built on the first read of
+        #: :attr:`accesses` unless the columns were made from them.
+        self._accesses = accesses
         #: Every position ordered by page, sorted on the first call of
         #: :meth:`positions` (only runs on a shared image make one).
         self._by_page: Optional[array] = None
+
+    @classmethod
+    def of(cls, accesses: Sequence[GuestAccess]) -> "TraceColumns":
+        """The columns of a hand-written list of accesses; every
+        non-positive think time is folded to 0.0."""
+        return cls(
+            [access.page for access in accesses],
+            [access.write for access in accesses],
+            [access.value for access in accesses],
+            [
+                think if (think := access.think_us) > 0 else 0.0
+                for access in accesses
+            ],
+            accesses,
+        )
+
+    @property
+    def accesses(self) -> Sequence[GuestAccess]:
+        """The trace as :class:`GuestAccess` objects: the list the
+        columns were made from, else one built from the columns."""
+        if self._accesses is None:
+            self._accesses = list(
+                map(GuestAccess, self.pages, self.writes, self.values, self.thinks)
+            )
+        return self._accesses
+
+    def with_stores(
+        self, pages: Sequence[int], value: int, think_us: float
+    ) -> "TraceColumns":
+        """These columns followed by one store of ``value`` to each of
+        ``pages``, each after ``think_us`` of compute."""
+        count = len(pages)
+        return TraceColumns(
+            self.pages + list(pages),
+            self.writes + [True] * count,
+            self.values + [value] * count,
+            self.thinks + [think_us if think_us > 0 else 0.0] * count,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TraceColumns):
+            return NotImplemented
+        return (
+            self.pages == other.pages
+            and self.writes == other.writes
+            and self.values == other.values
+            and self.thinks == other.thinks
+        )
 
     def positions(
         self, pages: Collection[int], start: int, stop: int
@@ -215,7 +278,8 @@ class VCpu:
     ) -> Generator[Event, Any, VCpuResult]:
         """Process helper: execute ``trace`` then ``tail_think_us`` of
         final compute (e.g. serialising the response). A plain sequence
-        of accesses gets its :class:`TraceColumns` built here.
+        of accesses gets its :class:`TraceColumns` built here
+        (:meth:`TraceColumns.of`).
 
         ``vnow`` is the vCPU's virtual clock: it runs ahead of
         ``env.now`` while the handler's run loop
@@ -229,7 +293,7 @@ class VCpu:
         access.
         """
         if not isinstance(trace, TraceColumns):
-            trace = TraceColumns(trace)
+            trace = TraceColumns.of(trace)
         env = self.env
         handler = self.handler
         log = handler.stats
@@ -241,7 +305,9 @@ class VCpu:
         fast_access = handler.fast_access
         batch = self.batch_faults
         fold_think = batch and self.cpu is None
-        accesses = trace.accesses
+        pages = trace.pages
+        writes = trace.writes
+        values = trace.values
         thinks = trace.thinks
         slow = 0
         index = 0
@@ -270,11 +336,10 @@ class VCpu:
                 if index == stop:
                     continue
             # The event path, with this access's think time in ``vnow``.
-            access = accesses[index]
             if vnow > env.now:
                 yield env.wake_at(vnow)
             record = yield from handler.access(
-                access.page, write=access.write, value=access.value
+                pages[index], write=writes[index], value=values[index]
             )
             vnow = env.now
             slow += 1

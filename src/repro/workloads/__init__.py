@@ -4,8 +4,8 @@ FaaSnap never inspects function semantics — only the *page access
 pattern* of the guest: which guest-physical pages an invocation
 touches, in what order, how the set varies with input, what gets
 allocated fresh and freed. Each function from the paper's Table 2 is
-therefore modelled as a deterministic generator of
-:class:`~repro.vm.vcpu.GuestAccess` traces, calibrated so that the
+therefore modelled as a deterministic generator of guest access
+traces (:class:`~repro.vm.vcpu.TraceColumns`), calibrated so that the
 working-set sizes match Table 2 and warm execution times land in the
 paper's ballpark.
 

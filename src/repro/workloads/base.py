@@ -2,7 +2,9 @@
 
 A :class:`WorkloadProfile` describes a function's memory behaviour;
 :func:`generate_trace` turns a profile plus an :class:`InputSpec` into
-a deterministic guest access trace. :func:`generate_trace_pair`
+a deterministic guest access trace, written straight into the
+vCPU's run-loop columns (:class:`~repro.vm.vcpu.TraceColumns`).
+:func:`generate_trace_pair`
 produces the record-phase and test-phase traces together so the test
 phase can reuse heap pages the record phase freed, exactly like a
 guest kernel allocator would (§4.5's released set).
@@ -32,6 +34,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.vm.layout import DEFAULT_BOOT_PAGES, DEFAULT_GUEST_PAGES, GuestLayout
@@ -119,6 +122,8 @@ class WorkloadProfile:
             raise ValueError("anon_free_fraction must be in [0, 1]")
         if self.data_read_pages > self.data_pages:
             raise ValueError("cannot read more data pages than exist")
+        if self.compute_base_us < 0:
+            raise ValueError("compute_base_us must be non-negative")
 
     # -- derived sizes -------------------------------------------------
 
@@ -155,13 +160,18 @@ class WorkloadTrace:
 
     profile: WorkloadProfile
     input: InputSpec
-    accesses: List[GuestAccess]
+    #: The accesses as the vCPU's run-loop columns, built by synthesis
+    #: and dying with the trace.
+    columns: TraceColumns = field(repr=False)
     #: Guest pages freed when the invocation finishes (released set).
     freed_pages: List[int]
     #: Heap allocation high-water mark, in heap-region offsets.
     heap_bump: int
     #: Final compute after the last access, microseconds.
     tail_think_us: float
+    #: The profile's start-up prefix, shared with every trace derived
+    #: from this one (see :class:`_Prefix`).
+    _prefix: "_Prefix" = field(repr=False, compare=False)
     #: Memo of traces derived *from* this one (``prior=self``), keyed
     #: by ``(profile, input)`` — generation is deterministic, so the
     #: derived trace is a pure function of those. Living on the prior
@@ -169,16 +179,17 @@ class WorkloadTrace:
     _derived: Dict[Any, "WorkloadTrace"] = field(
         default_factory=dict, repr=False, compare=False
     )
-    #: The accesses as the vCPU's run-loop columns, built with the
-    #: trace and dying with it.
-    columns: TraceColumns = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        self.columns = TraceColumns(self.accesses)
+    @property
+    def accesses(self) -> Sequence[GuestAccess]:
+        """The trace as :class:`GuestAccess` objects, built on first
+        use (tests and analyses read them; the simulator reads
+        :attr:`columns`)."""
+        return self.columns.accesses
 
     @property
     def touched_pages(self) -> Set[int]:
-        return {access.page for access in self.accesses}
+        return set(self.columns.pages)
 
     @property
     def working_set_pages(self) -> int:
@@ -190,7 +201,7 @@ class WorkloadTrace:
 
     @property
     def total_think_us(self) -> float:
-        return sum(a.think_us for a in self.accesses) + self.tail_think_us
+        return sum(self.columns.thinks) + self.tail_think_us
 
 
 @dataclass
@@ -322,24 +333,58 @@ def clean_snapshot_contents(profile: WorkloadProfile) -> Dict[int, int]:
 
 
 def _interleave_chunks(
-    rng: random.Random, streams: Sequence[List[GuestAccess]]
-) -> List[GuestAccess]:
+    rng: random.Random, streams: Sequence[Tuple[List[int], Optional[List[int]]]]
+) -> Tuple[List[int], List[bool], List[Optional[int]]]:
     """Round-robin merge of access streams in chunks, modelling a
     function that alternates between reading libraries, reading data
-    and writing buffers."""
+    and writing buffers.
+
+    Each stream is its pages and, for a stream of stores, their
+    values (``None`` for a stream of reads); returns the merged page,
+    write-flag and value columns."""
+    pages: List[int] = []
+    writes: List[bool] = []
+    values: List[Optional[int]] = []
     cursors = [0] * len(streams)
-    merged: List[GuestAccess] = []
-    active = [i for i, s in enumerate(streams) if s]
+    active = [i for i, (stream, _) in enumerate(streams) if stream]
     while active:
         index = active[rng.randrange(len(active))] if len(active) > 1 else active[0]
-        stream = streams[index]
+        stream, stored = streams[index]
         cursor = cursors[index]
-        take = min(_CHUNK_PAGES, len(stream) - cursor)
-        merged.extend(stream[cursor : cursor + take])
-        cursors[index] = cursor + take
-        if cursors[index] >= len(stream):
+        end = min(cursor + _CHUNK_PAGES, len(stream))
+        pages += stream[cursor:end]
+        if stored is None:
+            writes += repeat(False, end - cursor)
+            values += repeat(None, end - cursor)
+        else:
+            writes += repeat(True, end - cursor)
+            values += stored[cursor:end]
+        cursors[index] = end
+        if end >= len(stream):
             active.remove(index)
-    return merged
+    return pages, writes, values
+
+
+@dataclass(frozen=True)
+class _Prefix:
+    """What every trace of one profile shares: the guest pages of its
+    core accesses in start-up order, and of its variable-page pool.
+
+    A record trace computes it and every trace derived from that
+    record reuses it, so it dies with the trace memo."""
+
+    core_pages: List[int]
+    pool_pages: List[int]
+
+    @staticmethod
+    def of(profile: WorkloadProfile, layout: GuestLayout) -> "_Prefix":
+        placement = _placement(profile)
+        core_order = placement["core"]
+        _rng("core-order", profile.name).shuffle(core_order)
+        return _Prefix(
+            core_pages=layout.region_pages("runtime", core_order),
+            pool_pages=layout.region_pages("runtime", placement["pool"]),
+        )
 
 
 #: Memo of prior-less traces keyed by ``(profile, input)``. Trace
@@ -377,67 +422,53 @@ def _generate_trace(
     prior: Optional[WorkloadTrace],
 ) -> WorkloadTrace:
     layout = build_layout(profile)
-    placement = _placement(profile)
     ratio = input_spec.size_ratio
+    content_id = input_spec.content_id
+    if prior is not None and prior.profile == profile:
+        prefix = prior._prefix
+    else:
+        prefix = _Prefix.of(profile, layout)
 
     # 1. Core pages: fixed startup order, input independent.
-    core_order = list(placement["core"])
-    _rng("core-order", profile.name).shuffle(core_order)
-    core_accesses = [
-        GuestAccess(page=layout.runtime_page(off)) for off in core_order
-    ]
+    core_pages = prefix.core_pages
 
-    # 2. Variable pages: content-seeded sample of the pool.
+    # 2. Variable pages: content-seeded sample of the pool. Sampling
+    # the pool's pages draws the same positions as sampling its
+    # offsets would.
     n_var = profile.var_pages_at(ratio)
-    var_rng = _rng("var", profile.name, input_spec.content_id, ratio)
-    var_offsets = (
-        var_rng.sample(placement["pool"], n_var) if n_var else []
-    )
-    var_accesses = [
-        GuestAccess(page=layout.runtime_page(off)) for off in var_offsets
-    ]
+    var_rng = _rng("var", profile.name, content_id, ratio)
+    var_pages = var_rng.sample(prefix.pool_pages, n_var) if n_var else []
 
     # 3. Data pages: sequential scan (read-list, model weights).
-    data_accesses = [
-        GuestAccess(page=layout.data_page(off))
-        for off in range(profile.data_read_pages)
-    ]
+    data_pages = layout.region_pages("data", range(profile.data_read_pages))
 
     # 4. Anonymous heap: reuse freed pages first, then bump-allocate.
     # Freed ranges coalesce in the guest buddy allocator and are
     # handed back in ascending address order on the next allocation.
+    heap_pages = layout.heap_pages
     n_anon = profile.anon_pages_at(ratio) if profile.anon_base_pages else 0
-    n_anon = min(n_anon, layout.heap_pages)
-    free_list = sorted(prior.freed_pages) if prior else []
+    n_anon = min(n_anon, heap_pages)
+    anon_pages = sorted(prior.freed_pages)[:n_anon] if prior else []
     bump = prior.heap_bump if prior else 0
-    anon_pages: List[int] = []
-    for _ in range(n_anon):
-        if free_list:
-            anon_pages.append(free_list.pop(0))
-        elif bump < layout.heap_pages:
-            anon_pages.append(layout.heap_page(bump))
-            bump += 1
-        else:
-            break
-    anon_accesses = [
-        GuestAccess(
-            page=page,
-            write=True,
-            value=content_token(page, input_spec.content_id),
-        )
-        for page in anon_pages
-    ]
+    fresh = max(0, min(n_anon - len(anon_pages), heap_pages - bump))
+    anon_pages += layout.region_pages("heap", range(bump, bump + fresh))
+    bump += fresh
+    anon_values = list(map(content_token, anon_pages, repeat(content_id)))
 
     # Assemble: startup core pages, then interleaved processing.
-    mix_rng = _rng("interleave", profile.name, input_spec.content_id, ratio)
-    processing = _interleave_chunks(
-        mix_rng, [var_accesses, data_accesses, anon_accesses]
+    mix_rng = _rng("interleave", profile.name, content_id, ratio)
+    pages, writes, values = _interleave_chunks(
+        mix_rng,
+        [(var_pages, None), (data_pages, None), (anon_pages, anon_values)],
     )
-    accesses = core_accesses + processing
+    n_core = len(core_pages)
+    pages[:0] = core_pages
+    writes[:0] = repeat(False, n_core)
+    values[:0] = repeat(None, n_core)
 
     # Distribute compute over the trace.
     compute = profile.compute_us_at(ratio)
-    accesses = _spread_think_time(accesses, len(core_accesses), compute)
+    thinks = _spread_think_time(len(pages), n_core, compute)
     tail = compute * _TAIL_FRACTION
 
     # Free a suffix of this invocation's allocations (transient
@@ -449,42 +480,33 @@ def _generate_trace(
     return WorkloadTrace(
         profile=profile,
         input=input_spec,
-        accesses=accesses,
+        columns=TraceColumns(pages, writes, values, thinks),
         freed_pages=freed,
         heap_bump=bump,
         tail_think_us=tail,
+        _prefix=prefix,
     )
 
 
 def _spread_think_time(
-    accesses: List[GuestAccess], n_startup: int, compute_us: float
-) -> List[GuestAccess]:
-    """Attach per-access think time: a startup slice across the core
-    accesses and a processing slice across the rest (the tail slice is
-    carried separately on the trace)."""
-    if not accesses:
-        return accesses
+    n_accesses: int, n_startup: int, compute_us: float
+) -> List[float]:
+    """The per-access think-time column: a startup slice across the
+    core accesses and a processing slice across the rest (the tail
+    slice is carried separately on the trace)."""
+    if not n_accesses:
+        return []
     startup_budget = compute_us * _STARTUP_FRACTION
     processing_budget = compute_us * (1.0 - _STARTUP_FRACTION - _TAIL_FRACTION)
-    n_processing = len(accesses) - n_startup
+    n_processing = n_accesses - n_startup
     startup_each = startup_budget / n_startup if n_startup else 0.0
     processing_each = (
         processing_budget / n_processing if n_processing else 0.0
     )
-    out: List[GuestAccess] = []
-    for index, access in enumerate(accesses):
-        think = startup_each if index < n_startup else processing_each
-        if n_processing == 0 and index == n_startup - 1:
-            think += processing_budget
-        out.append(
-            GuestAccess(
-                page=access.page,
-                write=access.write,
-                value=access.value,
-                think_us=think,
-            )
-        )
-    return out
+    thinks = [startup_each] * n_startup + [processing_each] * n_processing
+    if n_processing == 0:
+        thinks[-1] = startup_each + processing_budget
+    return thinks
 
 
 def generate_trace_pair(

@@ -11,7 +11,7 @@ from repro.core.recorder import mincore_recorder
 from repro.core.working_set import ReapWorkingSet
 from repro.host import HostParams, PageCache, Procfs
 from repro.host.fault import ANON_CODE, FaultStats
-from repro.sim import Environment
+from repro.sim import Environment, SimulationError
 from repro.storage import BlockDevice, DeviceSpec, FileStore
 from repro.vm import MicroVM, VmmParams, create_snapshot
 
@@ -63,6 +63,34 @@ def test_reap_setup_installs_ptes_and_reads_sequentially():
     assert rig.device.stats.sequential_requests == 1
     # Install cost is part of the blocking setup.
     assert elapsed >= 512 * HOST.uffd_copy_us
+
+
+def test_reap_setup_installs_in_fault_order_with_holes_as_zero():
+    rig = Rig()
+    snapshot = create_snapshot(rig.store, "fn", 1024, {3: 33, 700: 77})
+    order = [700, 5, 3] + list(range(10, 300))
+    ws = ReapWorkingSet(pages_in_fault_order=order)
+    ws_file = write_working_set_file(rig.store, "fn.ws", ws, snapshot)
+    vm = MicroVM(rig.env, HOST, VmmParams(), rig.cache, 1024, use_uffd=True)
+    vm.space.pte[5] = 55
+    rig.run(reap_setup(rig.env, HOST, vm, ws, ws_file, snapshot))
+    # An entry already present keeps its place and takes the file's
+    # contents; new entries follow in fault order.
+    assert list(vm.space.pte) == [5, 700, 3] + list(range(10, 300))
+    assert vm.space.pte[700] == 77 and vm.space.pte[3] == 33
+    assert vm.space.pte[5] == 0 and vm.space.pte[10] == 0
+
+
+def test_reap_setup_rejects_a_page_outside_the_snapshot():
+    rig = Rig()
+    snapshot = create_snapshot(rig.store, "fn", 64, {3: 33})
+    ws = ReapWorkingSet(pages_in_fault_order=[3, 64])
+    ws_file = write_working_set_file(
+        rig.store, "fn.ws", ReapWorkingSet([3, 4]), snapshot
+    )
+    vm = MicroVM(rig.env, HOST, VmmParams(), rig.cache, 128, use_uffd=True)
+    with pytest.raises(SimulationError, match="out of range"):
+        rig.run(reap_setup(rig.env, HOST, vm, ws, ws_file, snapshot))
 
 
 def test_reap_handler_serves_hole_cached_and_disk():

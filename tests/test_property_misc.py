@@ -1,6 +1,7 @@
 """Property-based tests: page cache, page fills, loader coalescing,
 working sets, histograms, and the simulation clock."""
 
+from array import array
 from collections import Counter
 
 from hypothesis import example, given, settings
@@ -14,7 +15,8 @@ from repro.core.loader import (
 from repro.core.working_set import ReapWorkingSet, WorkingSetGroups
 from repro.host import HostParams, PageCache
 from repro.host.readahead import ReadaheadPolicy
-from repro.metrics.stats import Histogram, fault_time_histogram
+from repro.metrics.stats import FIGURE2_EDGES, Histogram, fault_time_histogram
+from repro.metrics.telemetry import HistogramInstrument
 from repro.sim import Environment
 from repro.storage import BlockDevice, DeviceSpec, FileStore
 from repro.storage.errors import DeviceError
@@ -325,6 +327,34 @@ def test_histogram_bucket_membership(values):
     mid = sum(1 for v in values if 10 <= v < 50)
     high = sum(1 for v in values if v >= 50)
     assert histogram.counts == [low, mid, high]
+
+
+_FAULT_EDGES = list(FIGURE2_EDGES)
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from(_FAULT_EDGES),
+            st.sampled_from([-1.0, 0.0, _FAULT_EDGES[0] / 2]),
+            st.floats(min_value=_FAULT_EDGES[-1], max_value=1e9),
+            st.floats(
+                min_value=-1e3, max_value=1e6, allow_nan=False, width=32
+            ),
+        ),
+        max_size=300,
+    ),
+    st.booleans(),
+)
+def test_observe_all_equals_one_observe_per_value(values, as_array):
+    batched = HistogramInstrument("batched", _FAULT_EDGES)
+    looped = HistogramInstrument("looped", _FAULT_EDGES)
+    batched.sum = looped.sum = 0.1
+    batched.observe_all(array("d", values) if as_array else values)
+    for value in values:
+        looped.observe(value)
+    assert batched.histogram.counts == looped.histogram.counts
+    assert batched.sum.hex() == looped.sum.hex()
 
 
 # -- simulation clock ----------------------------------------------------

@@ -56,6 +56,23 @@ def test_region_offset_bounds_checked():
         layout.region_of(layout.total_pages)
 
 
+def test_region_pages_match_one_page_per_offset():
+    layout = GuestLayout(runtime_pages=100, data_pages=50)
+    offsets = [7, 0, 99, 42]
+    assert layout.region_pages("runtime", offsets) == [
+        layout.runtime_page(offset) for offset in offsets
+    ]
+    assert layout.region_pages("data", range(50)) == [
+        layout.data_page(offset) for offset in range(50)
+    ]
+    assert layout.region_pages("heap", []) == []
+    for bad in ([3, 100, 5], [3, -1]):
+        with pytest.raises(ValueError):
+            layout.region_pages("runtime", bad)
+    with pytest.raises(ValueError):
+        layout.region_pages("data", range(51))
+
+
 def test_oversized_layout_rejected():
     with pytest.raises(ValueError):
         GuestLayout(total_pages=1000, boot_pages=600, runtime_pages=500)

@@ -6,7 +6,13 @@ import weakref
 
 import pytest
 
+from repro.core.restore import _SANITIZE_WRITE_US, sanitized_columns
+from repro.host import HostParams, PageCache
+from repro.sim import Environment, SimulationError
+from repro.storage import BlockDevice, DeviceSpec, FileStore
+from repro.vm import MicroVM, VmmParams, create_snapshot
 from repro.vm.layout import GuestLayout
+from repro.vm.vcpu import GuestAccess, TraceColumns
 from repro.workloads import (
     build_layout,
     clean_snapshot_contents,
@@ -210,6 +216,13 @@ def test_invalid_profiles_rejected():
         )
 
 
+def test_negative_compute_rejected():
+    # Synthesis writes think times straight into the run-loop column,
+    # which must never hold a negative one.
+    with pytest.raises(ValueError, match="compute_base_us"):
+        dataclasses.replace(SMALL, compute_base_us=-1.0)
+
+
 def test_invalid_input_spec_rejected():
     with pytest.raises(ValueError):
         InputSpec(content_id=1, size_ratio=0.0)
@@ -228,6 +241,8 @@ def test_trace_columns_match_the_accesses():
         accesses = trace.accesses
         assert columns.accesses is accesses
         assert columns.pages == [a.page for a in accesses]
+        assert columns.writes == [a.write for a in accesses]
+        assert columns.values == [a.value for a in accesses]
         assert columns.thinks == [max(a.think_us, 0.0) for a in accesses]
         stores = [i for i, a in enumerate(accesses) if a.write]
         assert stores and list(columns.stores) == stores
@@ -237,6 +252,83 @@ def test_trace_columns_match_the_accesses():
         assert columns.positions(stored, 10, stores[-1]) == [
             i for i in stores if 10 <= i < stores[-1]
         ]
+
+
+def test_trace_columns_round_trip_through_accesses():
+    pair = generate_trace_pair(SMALL, INPUT_A, SMALL.input_b())
+    for trace in (pair.record, pair.test):
+        accesses = trace.accesses
+        assert all(type(a) is GuestAccess for a in accesses)
+        again = TraceColumns.of(accesses)
+        assert again == trace.columns
+        assert list(again.stores) == list(trace.columns.stores)
+        assert again.accesses is accesses
+        assert TraceColumns.of(list(accesses)).accesses == accesses
+    # Trace equality compares contents: a trace synthesized afresh
+    # equals the memoised one.
+    workloads_base._TRACE_CACHE.clear()
+    assert generate_trace(SMALL, INPUT_A) == pair.record
+    assert generate_trace(SMALL, INPUT_A) is not pair.record
+
+
+HAND_WRITTEN = [
+    GuestAccess(page=1, write=True, value=11, think_us=-2.0),
+    GuestAccess(page=2, think_us=0.5),
+    GuestAccess(page=3, write=True),
+    GuestAccess(page=4, write=True, value=14, think_us=0.0),
+]
+
+
+def test_trace_columns_of_a_hand_written_list():
+    columns = TraceColumns.of(HAND_WRITTEN)
+    assert columns.accesses is HAND_WRITTEN
+    assert columns.pages == [1, 2, 3, 4]
+    assert columns.writes == [True, False, True, True]
+    assert columns.values == [11, None, None, 14]
+    # Non-positive think times fold to 0.0: nothing to wait for.
+    assert columns.thinks == [0.0, 0.5, 0.0, 0.0]
+    assert list(columns.stores) == [0, 2, 3]
+
+
+@pytest.mark.parametrize("batch", [True, False])
+@pytest.mark.parametrize("as_columns", [True, False])
+def test_valueless_store_raises_at_that_store(batch, as_columns):
+    env = Environment()
+    device = BlockDevice(
+        env, DeviceSpec("d", 100.0, 10.0, 1589.0, 285_000, queue_depth=16)
+    )
+    snapshot = create_snapshot(
+        FileStore(env, device), "fn", 64, {p: p + 100 for p in range(8)}
+    )
+    vm = MicroVM(
+        env, HostParams(), VmmParams(), PageCache(env), 64, batch_faults=batch
+    )
+    env.run(until=env.process(vm.restore(snapshot)))
+    trace = TraceColumns.of(HAND_WRITTEN) if as_columns else HAND_WRITTEN
+    with pytest.raises(SimulationError, match="requires a value"):
+        env.run(until=env.process(vm.vcpu.run_trace(trace)))
+    # The store before the valueless one landed, the one after did not.
+    assert vm.handler.observed_value(1) == 11
+    assert vm.handler.observed_value(4) == 104
+
+
+def test_sanitized_record_columns_extend_the_record_trace():
+    trace = generate_trace(SMALL, INPUT_A)
+    assert trace.freed_pages
+    listed = TraceColumns.of(
+        list(trace.accesses)
+        + [
+            GuestAccess(
+                page=page, write=True, value=0, think_us=_SANITIZE_WRITE_US
+            )
+            for page in trace.freed_pages
+        ]
+    )
+    sanitized = sanitized_columns(trace)
+    assert sanitized == listed
+    assert list(sanitized.stores) == list(listed.stores)
+    # The record trace's own columns are left as they were.
+    assert len(trace.columns.pages) == len(trace.accesses)
 
 
 def test_trace_columns_die_with_their_trace():
