@@ -269,9 +269,6 @@ class ClusterReport(FleetReport):
     #: Injector + durability counters (empty on an unarmed run).
     fault_summary: Dict[str, int] = field(default_factory=dict)
 
-    def count_on(self, host: str) -> int:
-        return sum(1 for s in self.served if s.host == host)
-
 
 def _artifact_files(
     artifacts: RecordArtifacts,

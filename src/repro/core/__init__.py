@@ -36,7 +36,6 @@ from repro.core.mapping import build_faasnap_plan, nonzero_regions
 from repro.core.policies import Policy
 from repro.core.restore import InvocationResult, RecordArtifacts
 from repro.core.staging import SnapshotStager
-from repro.core.storage_manager import SnapshotStorageManager
 from repro.core.working_set import ReapWorkingSet, WorkingSetGroups
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "ReapWorkingSet",
     "RecordArtifacts",
     "SnapshotStager",
-    "SnapshotStorageManager",
     "WorkingSetGroups",
     "build_faasnap_plan",
     "build_loading_set",

@@ -4,9 +4,9 @@ FaaSnap tolerates working-set change better than REAP, but any
 recorded set goes stale if inputs keep drifting (paper §6.3 shows the
 benefit shrinking as test inputs grow past the recorded ones; §7.2
 notes snapshots should follow the workload). This module closes the
-loop: watch the *slow-fault fraction* of each invocation — the pages
-that had to block on disk or user-level handling because the loading
-set missed them — and re-run the record phase with the current input
+loop: count the *slow faults* of each invocation — the pages that had
+to block on disk or user-level handling because the loading set
+missed them — and re-run the record phase with the current input
 once it crosses a threshold.
 
 Re-recording costs one slower invocation's worth of daemon work off
@@ -25,18 +25,6 @@ from repro.core.policies import Policy
 from repro.core.restore import InvocationResult
 from repro.host.fault import FaultKind
 from repro.workloads.base import INPUT_A, InputSpec
-
-
-def slow_fault_fraction(result: InvocationResult) -> float:
-    """Fraction of this invocation's faults that took the slow path
-    (blocking majors or user-level userfaultfd handling)."""
-    total = result.fault_count()
-    if total == 0:
-        return 0.0
-    slow = result.fault_count(FaultKind.MAJOR) + result.fault_count(
-        FaultKind.UFFD
-    )
-    return slow / total
 
 
 def slow_fault_count(result: InvocationResult) -> int:

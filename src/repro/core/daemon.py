@@ -99,24 +99,8 @@ class FaaSnapPlatform:
         return self.host.store
 
     @property
-    def local_device(self):
-        return self.host.local_device
-
-    @property
-    def artifact_store(self):
-        return self.host.artifact_store
-
-    @property
     def cache(self):
         return self.host.cache
-
-    @property
-    def cpu(self):
-        return self.host.cpu
-
-    @property
-    def _artifacts(self):
-        return self.host._artifacts
 
     # -- functions -----------------------------------------------------
 
@@ -139,12 +123,6 @@ class FaaSnapPlatform:
         )
         self._functions[profile.name] = handle
         return handle
-
-    def function(self, name: str) -> FunctionHandle:
-        try:
-            return self._functions[name]
-        except KeyError:
-            raise KeyError(f"function {name!r} is not registered") from None
 
     # -- record phase ----------------------------------------------------
 

@@ -51,10 +51,6 @@ class Policy(enum.Enum):
         return self.is_faasnap_family
 
     @property
-    def uses_per_region_mapping(self) -> bool:
-        return self in (Policy.FAASNAP, Policy.FAASNAP_PER_REGION)
-
-    @property
     def uses_loading_set_file(self) -> bool:
         return self is Policy.FAASNAP
 

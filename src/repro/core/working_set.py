@@ -73,10 +73,6 @@ class WorkingSetGroups:
         """Group number of ``page`` (KeyError if not in the set)."""
         return self.group_of[page]
 
-    def pages_of_group(self, group: int) -> List[int]:
-        """Pages of one group in address order."""
-        return sorted(p for p, g in self.group_of.items() if g == group)
-
     def size_mb(self) -> float:
         return len(self.group_of) * 4096 / 1e6
 
@@ -94,17 +90,3 @@ class ReapWorkingSet:
 
     def __len__(self) -> int:
         return len(self.pages_in_fault_order)
-
-    def __contains__(self, page: int) -> bool:
-        return page in self._page_set
-
-    @property
-    def _page_set(self) -> frozenset:
-        cached = getattr(self, "_cached_page_set", None)
-        if cached is None or len(cached) != len(self.pages_in_fault_order):
-            cached = frozenset(self.pages_in_fault_order)
-            object.__setattr__(self, "_cached_page_set", cached)
-        return cached
-
-    def size_mb(self) -> float:
-        return len(self.pages_in_fault_order) * 4096 / 1e6

@@ -43,10 +43,6 @@ class FleetFunction:
     #: Mean interarrival time of its invocations, microseconds.
     mean_interarrival_us: float
 
-    @property
-    def invocations_per_hour(self) -> float:
-        return US_PER_HOUR / self.mean_interarrival_us
-
 
 @dataclass(frozen=True)
 class Arrival:
@@ -65,12 +61,6 @@ class ArrivalTrace:
 
     def __len__(self) -> int:
         return len(self.arrivals)
-
-    def per_function_counts(self) -> dict:
-        counts: dict = {}
-        for arrival in self.arrivals:
-            counts[arrival.function] = counts.get(arrival.function, 0) + 1
-        return counts
 
 
 def synthesize_fleet(

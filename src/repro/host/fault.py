@@ -75,7 +75,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, compress
+from itertools import compress
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -152,7 +152,6 @@ class FaultRecord:
 #: Every kind, indexed by its code in a fault log's ``kinds`` column.
 KINDS: Tuple[FaultKind, ...] = tuple(FaultKind)
 KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
-NONE_CODE = KIND_CODE[FaultKind.NONE]
 PRESENT_CODE = KIND_CODE[FaultKind.PRESENT]
 ANON_CODE = KIND_CODE[FaultKind.ANON]
 MINOR_CODE = KIND_CODE[FaultKind.MINOR]
@@ -219,33 +218,6 @@ class FaultStats:
 
     def __len__(self) -> int:
         return len(self.kinds)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FaultStats):
-            return NotImplemented
-        return all(
-            getattr(self, name) == getattr(other, name)
-            for name in self.__slots__
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def add(self, record: FaultRecord) -> None:
-        """Append one record."""
-        code = KIND_CODE[record.kind]
-        if code == NONE_CODE:
-            raise ValueError("a NONE access is no fault and has no row")
-        if code in IO_CODES:
-            self.log_io(
-                code,
-                record.page,
-                record.start_us,
-                record.duration_us,
-                record.block_requests,
-                record.bytes_read,
-            )
-        else:
-            self.log(code, record.page, record.start_us, record.duration_us)
 
     def log(
         self, code: int, page: int, start_us: float, duration_us: float
@@ -336,11 +308,6 @@ class FaultStats:
 
     def total_bytes_read(self) -> int:
         return sum(self.io_bytes)
-
-    def durations(self, kind: Optional[FaultKind] = None) -> List[float]:
-        if kind is None:
-            return self.duration_us.tolist()
-        return list(self._of_kind(self.duration_us, KIND_CODE[kind]))
 
 
 class FaultHandler:
@@ -598,8 +565,6 @@ class FaultHandler:
         index: int,
         stop: int,
         vnow: float,
-        logged: bytearray,
-        none_starts: List[float],
     ) -> Tuple[int, float, bool]:
         """Serve a run of guest accesses synchronously, as long as none
         can block.
@@ -612,21 +577,19 @@ class FaultHandler:
         virtual clock ``vnow``, which already includes the think time of
         access ``index``; the think time of each later access is folded
         in before it is served. A read of a page mapped in EPT or the
-        image is no fault (its start instant goes to ``none_starts``);
-        a store to one goes through :meth:`mapped_write`. Any other
-        access is classified, and a resolved fault committed and logged
-        at once: its end instant is the one the event path would
-        reach, so a later :meth:`Environment.wake_at` flush lands the
-        real clock on it. ``logged`` gets one byte per served access, 1
-        when it logged a row.
+        image is no fault and logs no row; a store to one goes through
+        :meth:`mapped_write`. Any other access is classified, and a
+        resolved fault committed and logged at once: its end instant is
+        the one the event path would reach, so a later
+        :meth:`Environment.wake_at` flush lands the real clock on it.
 
         On a space backed by a shared image (a warm VM) one set
         difference finds the run's pages outside the image, and each
         stretch of image pages between two accesses to those is served
-        at once: its stores go to ``write_anon`` in trace order, and its
-        start instants are the running sums of the think-time column —
-        the same sequential float additions, so every instant is the
-        one the per-access loop reaches. The accesses to pages outside
+        at once: its stores go to ``write_anon`` in trace order, and the
+        clock moves by its think times added one by one in trace order —
+        the same sequential float additions, so the clock lands on the
+        instant the per-access loop reaches. The accesses to pages outside
         the image are served one by one.
 
         A fault that reads or delegates (MAJOR, UFFD) touches state
@@ -656,8 +619,6 @@ class FaultHandler:
         log_page = stats.pages.append
         log_start = stats.start_us.append
         log_duration = stats.duration_us.append
-        mark = logged.append
-        none_start = none_starts.append
         pages = trace.pages
         writes = trace.writes
         values = trace.values
@@ -684,11 +645,7 @@ class FaultHandler:
                             pages[position],
                             required_value(values[position]),
                         )
-                    logged.extend(bytes(miss - index))
-                    none_starts.extend(
-                        accumulate(thinks[index + 1 : miss], initial=vnow)
-                    )
-                    vnow = none_starts[-1]
+                    vnow = reduce(operator.add, thinks[index + 1 : miss], vnow)
                     if miss == stop:
                         return stop, vnow, False
                     index = miss
@@ -698,13 +655,10 @@ class FaultHandler:
             if page in ept or page in image:
                 # A mapped page: a read is no fault and no cost; a
                 # store faults only to break copy-on-write.
-                end = mapped_write(page, values[index], vnow) if write else None
-                if end is None:
-                    mark(0)
-                    none_start(vnow)
-                else:
-                    vnow = end
-                    mark(1)
+                if write:
+                    end = mapped_write(page, values[index], vnow)
+                    if end is not None:
+                        vnow = end
             else:
                 outcome = classify(page, write, vnow)
                 if outcome is None:
@@ -735,7 +689,6 @@ class FaultHandler:
                         stats.io_requests.append(read.requests)
                         stats.io_bytes.append(read.nbytes)
                 vnow = end
-                mark(1)
             index += 1
             if index == stop:
                 return index, vnow, False

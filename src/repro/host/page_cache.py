@@ -152,12 +152,6 @@ class _IntervalRuns:
         self.count += sum(e - s for s, e in gaps)
         return gaps
 
-    def pages(self) -> List[int]:
-        out: List[int] = []
-        for start, end in zip(self.starts, self.ends):
-            out.extend(range(start, end))
-        return out
-
 
 class Watch:
     """The log of one watched file: ``pages`` newly inserted since the
@@ -218,10 +212,6 @@ class PageCache:
         """True if the page is resident."""
         runs = self._runs.get(file_name)
         return runs is not None and runs.contains(page_index)
-
-    def insert(self, file_name: str, page_index: int) -> None:
-        """Mark a page resident; completes any pending read on it."""
-        self.insert_range(file_name, page_index, 1)
 
     def insert_range(
         self,
@@ -458,11 +448,6 @@ class PageCache:
         self._runs.clear()
         return count
 
-    def pages_for_file(self, file_name: str) -> List[int]:
-        """Sorted resident page indices of ``file_name``."""
-        runs = self._runs.get(file_name)
-        return runs.pages() if runs is not None else []
-
     def count_for_file(self, file_name: str) -> int:
         runs = self._runs.get(file_name)
         return runs.count if runs is not None else 0
@@ -472,7 +457,8 @@ class PageCache:
         return {
             (name, page)
             for name, runs in self._runs.items()
-            for page in runs.pages()
+            for start, end in zip(runs.starts, runs.ends)
+            for page in range(start, end)
         }
 
     def warm_file(self, file_name: str, pages: Iterable[int]) -> None:

@@ -158,12 +158,6 @@ class AddressSpace:
         self._discard_state(vma.start, vma.end)
         return vma
 
-    def munmap(self, start: int, npages: int) -> None:
-        """Unmap a range (splitting overlapping VMAs)."""
-        self._carve(start, npages)
-        self.version += 1
-        self._discard_state(start, start + npages)
-
     def map_image(self, image: Dict[int, int]) -> None:
         """Back the whole space with anonymous memory holding
         ``image`` (page -> content), every page mapped at both levels.
@@ -252,10 +246,6 @@ class AddressSpace:
     def vmas(self) -> List[Vma]:
         """All VMAs in address order."""
         return list(self._vmas)
-
-    @property
-    def vma_count(self) -> int:
-        return len(self._vmas)
 
     # -- PTE / contents ----------------------------------------------
 

@@ -17,7 +17,7 @@ from repro.metrics.stats import (
     mean,
     stddev,
 )
-from repro.metrics.report import render_bars, render_table
+from repro.metrics.report import render_table
 from repro.metrics.telemetry import (
     Counter,
     Gauge,
@@ -50,7 +50,7 @@ from repro.metrics.slo import (
     SloObjective,
     render_slo_status,
 )
-from repro.metrics.flight import FlightRecorder, render_postmortem
+from repro.metrics.flight import FlightRecorder
 
 __all__ = [
     "BurnRateRule",
@@ -63,7 +63,6 @@ __all__ = [
     "TraceContext",
     "TraceEvent",
     "causal_to_chrome_trace",
-    "render_postmortem",
     "Gauge",
     "Histogram",
     "HistogramInstrument",
@@ -78,7 +77,6 @@ __all__ = [
     "merge_shard_snapshots",
     "parse_prometheus",
     "registry_snapshot",
-    "render_bars",
     "render_run_report",
     "render_slo_status",
     "render_table",

@@ -119,26 +119,3 @@ class FlightRecorder:
 
     def to_json(self) -> str:
         return json.dumps(self.document(), indent=2, sort_keys=True)
-
-
-def render_postmortem(postmortem: dict) -> str:
-    """Readable rendering of one postmortem (docs/debug helper)."""
-    lines = [
-        f"postmortem @ {postmortem['t_us'] / 1000:.3f} ms — "
-        f"{postmortem['reason']}"
-    ]
-    for key, value in sorted(postmortem.get("context", {}).items()):
-        lines.append(f"  {key}: {value}")
-    for host, ring in postmortem.get("rings", {}).items():
-        lines.append(f"  [{host}] last {len(ring)} events:")
-        for event in ring:
-            detail = " ".join(
-                f"{k}={v}"
-                for k, v in sorted(event.items())
-                if k not in ("t_us", "kind")
-            )
-            lines.append(
-                f"    {event['t_us'] / 1000:10.3f} ms  {event['kind']}"
-                f"{(' ' + detail) if detail else ''}"
-            )
-    return "\n".join(lines)

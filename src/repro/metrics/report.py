@@ -17,36 +17,6 @@ def _format_cell(value: Any) -> str:
     return str(value)
 
 
-def render_bars(
-    labels: Sequence[str],
-    values: Sequence[float],
-    width: int = 50,
-    unit: str = "",
-    title: str = "",
-) -> str:
-    """Render a horizontal ASCII bar chart (for figure-style output).
-
-    Bars scale linearly to the maximum value; each row shows the
-    label, the bar, and the numeric value.
-    """
-    if len(labels) != len(values):
-        raise ValueError("labels and values must have equal length")
-    if not labels:
-        return title
-    peak = max(values)
-    label_width = max(len(label) for label in labels)
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    for label, value in zip(labels, values):
-        bar_len = int(round(width * value / peak)) if peak > 0 else 0
-        bar = "#" * bar_len
-        lines.append(
-            f"{label.ljust(label_width)}  {bar} {_format_cell(float(value))}{unit}"
-        )
-    return "\n".join(lines)
-
-
 def render_table(
     headers: Sequence[str],
     rows: Sequence[Sequence[Any]],

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 
 def mean(values: Sequence[float]) -> float:
@@ -108,9 +108,6 @@ class Histogram:
             else:
                 labels.append(f">={edge:g}")
         return list(zip(labels, self.counts))
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self.buckets())
 
 
 #: Figure 2's x ticks: 0.5, 1, 2 ... 512 microseconds.

@@ -157,9 +157,6 @@ class HistogramInstrument:
     def count(self) -> int:
         return self.histogram.total
 
-    def read(self):
-        return {"count": self.count, "sum": self.sum}
-
 
 Instrument = Any  # Counter | PullCounter | Gauge | HistogramInstrument
 
@@ -182,74 +179,38 @@ class MetricsRegistry:
 
     # -- creation ------------------------------------------------------
 
-    def _register(self, factory, name: str, kind: str) -> Instrument:
+    def _existing(self, name: str, cls: type) -> Optional[Instrument]:
+        """The instrument already registered as ``name``, if any;
+        raises when it is not a ``cls``."""
         existing = self._instruments.get(name)
-        if existing is not None:
-            if existing.kind != kind or type(existing) is not factory.cls:
-                raise TelemetryError(
-                    f"instrument {name!r} already registered as "
-                    f"{type(existing).__name__}"
-                )
-            return existing
-        instrument = factory()
-        self._instruments[name] = instrument
+        if existing is not None and type(existing) is not cls:
+            raise TelemetryError(
+                f"instrument {name!r} already registered as "
+                f"{type(existing).__name__}"
+            )
+        return existing
+
+    def _add(self, instrument: Instrument) -> Instrument:
+        self._instruments[instrument.name] = instrument
         return instrument
 
     def counter(self, name: str) -> Counter:
-        existing = self._instruments.get(name)
-        if existing is not None:
-            if type(existing) is not Counter:
-                raise TelemetryError(
-                    f"instrument {name!r} already registered as "
-                    f"{type(existing).__name__}"
-                )
-            return existing
-        instrument = Counter(name)
-        self._instruments[name] = instrument
-        return instrument
+        return self._existing(name, Counter) or self._add(Counter(name))
 
     def pull_counter(self, name: str, fn: Callable[[], Any]) -> PullCounter:
-        existing = self._instruments.get(name)
-        if existing is not None:
-            if type(existing) is not PullCounter:
-                raise TelemetryError(
-                    f"instrument {name!r} already registered as "
-                    f"{type(existing).__name__}"
-                )
-            return existing
-        instrument = PullCounter(name, fn)
-        self._instruments[name] = instrument
-        return instrument
+        return self._existing(name, PullCounter) or self._add(
+            PullCounter(name, fn)
+        )
 
     def gauge(self, name: str, fn: Callable[[], Any]) -> Gauge:
-        existing = self._instruments.get(name)
-        if existing is not None:
-            if type(existing) is not Gauge:
-                raise TelemetryError(
-                    f"instrument {name!r} already registered as "
-                    f"{type(existing).__name__}"
-                )
-            return existing
-        instrument = Gauge(name, fn)
-        self._instruments[name] = instrument
-        return instrument
+        return self._existing(name, Gauge) or self._add(Gauge(name, fn))
 
     def histogram(
         self, name: str, edges: Optional[Iterable[float]] = None
     ) -> HistogramInstrument:
-        existing = self._instruments.get(name)
-        if existing is not None:
-            if type(existing) is not HistogramInstrument:
-                raise TelemetryError(
-                    f"instrument {name!r} already registered as "
-                    f"{type(existing).__name__}"
-                )
-            return existing
-        instrument = HistogramInstrument(
-            name, FIGURE2_EDGES if edges is None else edges
+        return self._existing(name, HistogramInstrument) or self._add(
+            HistogramInstrument(name, FIGURE2_EDGES if edges is None else edges)
         )
-        self._instruments[name] = instrument
-        return instrument
 
     def unique_prefix(self, base: str) -> str:
         """Reserve an unused namespace prefix (``base``, ``base.2``,
@@ -266,15 +227,6 @@ class MetricsRegistry:
 
     def get(self, name: str) -> Optional[Instrument]:
         return self._instruments.get(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._instruments
-
-    def names(self) -> List[str]:
-        return list(self._instruments)
-
-    def instruments(self) -> Iterator[Instrument]:
-        return iter(self._instruments.values())
 
     def counters(self) -> Iterator[Tuple[str, Instrument]]:
         for name, inst in self._instruments.items():
@@ -491,9 +443,6 @@ class Sampler:
         for _, row in self.samples:
             names.update(row)
         return sorted(names)
-
-    def series(self, name: str) -> List[Tuple[float, Any]]:
-        return [(t, row[name]) for t, row in self.samples if name in row]
 
     def values(self, name: str) -> List[Any]:
         return [row[name] for _, row in self.samples if name in row]

@@ -6,8 +6,7 @@ are accessible on the Zipkin web page"). This module provides the
 same visibility for simulated invocations. A restore reports its
 phases once, in its :class:`~repro.core.restore.InvocationResult`;
 :func:`phase_spans` is the span-tree view of that result, a
-:class:`Tracer` collects the trees of a run, :func:`render_trace`
-prints one as an indented tree with durations, and
+:class:`Tracer` collects the trees of a run, and
 :meth:`Tracer.to_json` exports the Zipkin-flavoured JSON document
 that the CLI's ``--trace-out`` writes. The cluster's causal ``phase``
 records are the depth-first flattening of the same tree
@@ -44,9 +43,6 @@ class Span:
     def annotate(self, note: str) -> None:
         self.annotations.append(note)
 
-    def tag(self, key: str, value: str) -> None:
-        self.tags[key] = value
-
     def to_dict(self) -> dict:
         """JSON-ready representation (Zipkin-flavoured fields)."""
         return {
@@ -57,16 +53,6 @@ class Span:
             "tags": dict(self.tags),
             "children": [child.to_dict() for child in self.children],
         }
-
-    def find(self, name: str) -> Optional["Span"]:
-        """Depth-first lookup of a descendant span by name."""
-        for child in self.children:
-            if child.name == name:
-                return child
-            found = child.find(name)
-            if found is not None:
-                return found
-        return None
 
     def walk(self, depth: int = 0) -> Iterator[Tuple["Span", int]]:
         """This span and its descendants depth-first, with depths."""
@@ -148,14 +134,3 @@ def phase_spans(result, **tags: str) -> Span:
             f"{loader.requests} requests"
         )
     return root
-
-
-def render_trace(span: Span, indent: int = 0) -> str:
-    """Indented text rendering of a span tree (a textual Zipkin)."""
-    pad = "  " * indent
-    lines = [f"{pad}{span.name}: {span.duration_us / 1000:.2f} ms"]
-    for note in span.annotations:
-        lines.append(f"{pad}  - {note}")
-    for child in span.children:
-        lines.append(render_trace(child, indent + 1))
-    return "\n".join(lines)

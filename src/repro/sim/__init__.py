@@ -25,7 +25,7 @@ from repro.sim.engine import (
     SimulationError,
     Timeout,
 )
-from repro.sim.resources import Resource, ResourceRequest, Store
+from repro.sim.resources import Resource, ResourceRequest
 
 __all__ = [
     "AllFailed",
@@ -39,6 +39,5 @@ __all__ = [
     "Resource",
     "ResourceRequest",
     "SimulationError",
-    "Store",
     "Timeout",
 ]

@@ -435,10 +435,6 @@ class Environment:
         self._sequence += 1
         heapq.heappush(self._queue, (self._now + delay, self._sequence, event))
 
-    def event(self) -> Event:
-        """Create an untriggered event bound to this environment."""
-        return Event(self)
-
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires after ``delay`` microseconds.
 

@@ -1,15 +1,13 @@
 """Shared-resource primitives built on the event kernel.
 
 :class:`Resource` is a counted FIFO resource (disk queue slots, CPU
-slots, the FaaSnap loading lock). :class:`Store` is an unbounded FIFO
-of items with blocking ``get`` (used for message queues between
-daemon components).
+slots, the FaaSnap loading lock).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, List
+from typing import Deque
 
 from repro.sim.engine import Environment, Event, SimulationError
 
@@ -50,11 +48,6 @@ class Resource:
         """Number of currently granted slots."""
         return self._in_use
 
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for a slot."""
-        return len(self._waiting)
-
     def request(self) -> ResourceRequest:
         """Ask for a slot; the returned event fires when granted."""
         req = ResourceRequest(self)
@@ -79,42 +72,3 @@ class Resource:
             nxt = self._waiting.popleft()
             self._in_use += 1
             nxt.succeed()
-
-    def acquire(self) -> Generator[Event, Any, ResourceRequest]:
-        """Process helper: ``req = yield from resource.acquire()``."""
-        req = self.request()
-        yield req
-        return req
-
-
-class Store:
-    """Unbounded FIFO of items with blocking ``get``."""
-
-    def __init__(self, env: Environment):
-        self.env = env
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Add ``item``; wakes the oldest waiting getter, if any."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Event that fires with the next item (immediately if one is
-        queued)."""
-        event = Event(self.env)
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
-
-    def items(self) -> List[Any]:
-        """Snapshot of queued items (for inspection in tests)."""
-        return list(self._items)

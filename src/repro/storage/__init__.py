@@ -18,12 +18,7 @@ snapshot memory files (§7.2).
 
 from repro.storage.device import BlockDevice, DeviceSpec, DeviceStats
 from repro.storage.filestore import FileStore, StoredFile
-from repro.storage.presets import (
-    EBS_IO2,
-    NVME_LOCAL,
-    make_ebs_device,
-    make_nvme_device,
-)
+from repro.storage.presets import EBS_IO2, NVME_LOCAL
 
 __all__ = [
     "BlockDevice",
@@ -33,6 +28,4 @@ __all__ = [
     "FileStore",
     "NVME_LOCAL",
     "StoredFile",
-    "make_ebs_device",
-    "make_nvme_device",
 ]

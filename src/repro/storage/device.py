@@ -116,10 +116,6 @@ class DeviceStats:
     errors: int = 0
     per_request_sizes: list = field(default_factory=list)
 
-    @property
-    def random_requests(self) -> int:
-        return self.requests - self.sequential_requests
-
 
 class BlockDevice:
     """A simulated block device attached to a simulation environment."""
@@ -380,12 +376,3 @@ class BlockDevice:
         depend on whatever unrelated I/O happened to run before it.
         """
         self._next_sequential_offset = None
-
-    def estimate_read_time(self, nbytes: int, sequential: bool = False) -> float:
-        """Uncontended service-time estimate (used for sanity checks
-        and tests; the simulation itself never uses this shortcut)."""
-        latency, transfer = self._service_times(sequential, nbytes, None)
-        return latency + transfer
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<BlockDevice {self.spec.name}>"

@@ -42,9 +42,9 @@ _MASK32 = _MOD32 - 1
 class StoredFile:
     """A named file occupying a contiguous device extent.
 
-    ``pages`` is never mutated in place: other files, the clean
-    snapshot memo and warm VMs' images may hold the same map object.
-    :meth:`write_page` replaces the map instead."""
+    ``pages`` is immutable by construction: nothing in the class
+    writes it, so other files, the clean snapshot memo and warm VMs'
+    images may hold the same map object."""
 
     name: str
     device: BlockDevice
@@ -64,19 +64,6 @@ class StoredFile:
         """Content token of ``page_index`` (0 for holes)."""
         self._check_page(page_index)
         return self.pages.get(page_index, 0)
-
-    def write_page(self, page_index: int, value: int) -> None:
-        """Set page contents (metadata operation; snapshot creation is
-        not on the measured critical path, see §4.1 record phase).
-        Replaces the page map with an edited copy, so files sharing
-        the old map keep their contents."""
-        self._check_page(page_index)
-        pages = dict(self.pages)
-        if value == 0:
-            pages.pop(page_index, None)
-        else:
-            pages[page_index] = value
-        self.pages = pages
 
     def is_hole(self, page_index: int) -> bool:
         """True when the page is all zeros and stored as a hole."""
@@ -259,22 +246,3 @@ class FileStore:
         self._files[name] = stored
         self._next_offset += num_pages * PAGE_SIZE
         return stored
-
-    def get(self, name: str) -> StoredFile:
-        """Look up an existing file."""
-        try:
-            return self._files[name]
-        except KeyError:
-            raise SimulationError(f"no such file: {name!r}") from None
-
-    def delete(self, name: str) -> None:
-        """Remove a file (its extent is not reused)."""
-        if name not in self._files:
-            raise SimulationError(f"no such file: {name!r}")
-        del self._files[name]
-
-    def exists(self, name: str) -> bool:
-        return name in self._files
-
-    def names(self) -> List[str]:
-        return sorted(self._files)

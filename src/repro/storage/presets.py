@@ -13,8 +13,7 @@ on NVMe, and proportionally slower on EBS).
 
 from __future__ import annotations
 
-from repro.sim import Environment
-from repro.storage.device import BlockDevice, DeviceSpec
+from repro.storage.device import DeviceSpec
 
 #: Local NVMe SSD of the AWS c5d.metal host (paper §6.1).
 NVME_LOCAL = DeviceSpec(
@@ -48,13 +47,3 @@ S3_OBJECT = DeviceSpec(
     iops=3_500.0,
     queue_depth=32,
 )
-
-
-def make_nvme_device(env: Environment) -> BlockDevice:
-    """A local NVMe SSD attached to ``env``."""
-    return BlockDevice(env, NVME_LOCAL)
-
-
-def make_ebs_device(env: Environment) -> BlockDevice:
-    """A remote EBS io2 volume attached to ``env``."""
-    return BlockDevice(env, EBS_IO2)

@@ -24,7 +24,7 @@ mapping plans all agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 #: 2 GB guest / 4 KiB pages (paper §6.1).
 DEFAULT_GUEST_PAGES = 524_288
@@ -89,10 +89,6 @@ class GuestLayout:
     def heap_pages(self) -> int:
         return self.total_pages - self.heap_start
 
-    def region_bounds(self) -> Dict[str, Tuple[int, int]]:
-        """``{region: (start, npages)}`` for all four regions."""
-        return dict(self._bounds)
-
     # -- addressing ------------------------------------------------------
 
     def boot_page(self, offset: int) -> int:
@@ -103,9 +99,6 @@ class GuestLayout:
 
     def data_page(self, offset: int) -> int:
         return self._page("data", offset)
-
-    def heap_page(self, offset: int) -> int:
-        return self._page("heap", offset)
 
     def _page(self, region: str, offset: int) -> int:
         start, npages = self._bounds[region]

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Any, Collection, Generator, List, Optional, Sequence, Union
 
-from repro.host.fault import FaultHandler, FaultKind, FaultRecord, FaultStats
+from repro.host.fault import FaultHandler
 from repro.sim import Environment, Event, Resource
 
 
@@ -161,70 +161,20 @@ class TraceColumns:
 
 
 class VCpuResult:
-    """Outcome of running one trace.
+    """Outcome of running one trace: its start and end instants, and
+    the row of the handler's fault log its faults start at (a run's
+    faults are rows ``first_row`` onward; a NONE access has no row)."""
 
-    The faults live in the handler's log (rows ``first_row`` onward);
-    ``logged`` holds one byte per access of ``trace`` (the run's
-    :class:`TraceColumns`), 1 when the access logged a row, and
-    ``none_starts`` the start instants of the accesses that did not
-    (reads of EPT-mapped pages and plain stores, which the batched
-    loop handles without allocating anything).
-    :attr:`records` and :attr:`fault_count` are built from these on
-    first use, so they cost nothing unless someone looks.
-    """
+    __slots__ = ("started_us", "finished_us", "first_row")
 
-    __slots__ = (
-        "started_us",
-        "finished_us",
-        "_trace",
-        "_log",
-        "_first_row",
-        "_logged",
-        "_none_starts",
-        "_records",
-    )
-
-    def __init__(
-        self,
-        started_us: float,
-        finished_us: float,
-        trace: TraceColumns,
-        log: FaultStats,
-        first_row: int,
-        logged: bytearray,
-        none_starts: List[float],
-    ):
+    def __init__(self, started_us: float, finished_us: float, first_row: int):
         self.started_us = started_us
         self.finished_us = finished_us
-        self._trace = trace
-        self._log = log
-        self._first_row = first_row
-        self._logged = logged
-        self._none_starts = none_starts
-        self._records: Optional[List[FaultRecord]] = None
-
-    @property
-    def records(self) -> List[FaultRecord]:
-        """One :class:`FaultRecord` per access, in trace order."""
-        if self._records is None:
-            none = FaultKind.NONE
-            rows = iter(self._log.records[self._first_row :])
-            starts = iter(self._none_starts)
-            self._records = [
-                next(rows)
-                if logged
-                else FaultRecord(none, page, next(starts), 0.0)
-                for page, logged in zip(self._trace.pages, self._logged)
-            ]
-        return self._records
+        self.first_row = first_row
 
     @property
     def elapsed_us(self) -> float:
         return self.finished_us - self.started_us
-
-    @property
-    def fault_count(self) -> int:
-        return self._logged.count(1)
 
 
 class VCpu:
@@ -296,11 +246,8 @@ class VCpu:
             trace = TraceColumns.of(trace)
         env = self.env
         handler = self.handler
-        log = handler.stats
         started = env.now
-        first_row = len(log)
-        logged = bytearray()
-        none_starts: List[float] = []
+        first_row = len(handler.stats)
         vnow = started
         fast_access = handler.fast_access
         batch = self.batch_faults
@@ -325,9 +272,7 @@ class VCpu:
             if batch:
                 stop = count if fold_think else index + 1
                 while True:
-                    index, vnow, retry = fast_access(
-                        trace, index, stop, vnow, logged, none_starts
-                    )
+                    index, vnow, retry = fast_access(trace, index, stop, vnow)
                     if not (retry and vnow > env.now):
                         break
                     # Another event fires before this fault's read or
@@ -338,16 +283,11 @@ class VCpu:
             # The event path, with this access's think time in ``vnow``.
             if vnow > env.now:
                 yield env.wake_at(vnow)
-            record = yield from handler.access(
+            yield from handler.access(
                 pages[index], write=writes[index], value=values[index]
             )
             vnow = env.now
             slow += 1
-            if record.kind is FaultKind.NONE:
-                logged.append(0)
-                none_starts.append(record.start_us)
-            else:
-                logged.append(1)
             index += 1
         if tail_think_us > 0:
             if fold_think:
@@ -359,10 +299,8 @@ class VCpu:
                 vnow = env.now
         if vnow > env.now:
             yield env.wake_at(vnow)
-        self._count_paths(len(logged), slow)
-        return VCpuResult(
-            started, env.now, trace, log, first_row, logged, none_starts
-        )
+        self._count_paths(count, slow)
+        return VCpuResult(started, env.now, first_row)
 
     def _compute(self, think_us: float) -> Generator[Event, Any, None]:
         """Burn CPU time, holding a host CPU slot if one is modelled."""

@@ -190,7 +190,3 @@ class MicroVM:
         # files are immutable once written).
         self.space.map_image(snapshot.memory_file.pages)
         self._setup_done = True
-
-    @property
-    def is_set_up(self) -> bool:
-        return self._setup_done

@@ -199,10 +199,6 @@ class WorkloadTrace:
     def working_set_mb(self) -> float:
         return self.working_set_pages * 4096 / 1e6
 
-    @property
-    def total_think_us(self) -> float:
-        return sum(self.columns.thinks) + self.tail_think_us
-
 
 @dataclass
 class TracePair:

@@ -7,7 +7,6 @@ from repro.core.adaptive import (
     AdaptiveConfig,
     AdaptiveSnapshotManager,
     slow_fault_count,
-    slow_fault_fraction,
 )
 from repro.workloads.base import INPUT_A, InputSpec, WorkloadProfile
 
@@ -98,5 +97,4 @@ def test_slow_fault_helpers_on_empty_result():
         setup_us=0.0,
         invoke_us=0.0,
     )
-    assert slow_fault_fraction(empty) == 0.0
     assert slow_fault_count(empty) == 0

@@ -66,7 +66,7 @@ def test_clone_artifacts_are_cached_across_bursts():
         same_snapshot=False,
         clones=clones,
     )
-    records_before = len(platform._artifacts)
+    records_before = len(platform.host._artifacts)
     second = platform.invoke_burst(
         handle,
         INPUT_A,
@@ -75,7 +75,7 @@ def test_clone_artifacts_are_cached_across_bursts():
         same_snapshot=False,
         clones=clones,
     )
-    assert len(platform._artifacts) == records_before  # no new records
+    assert len(platform.host._artifacts) == records_before  # no new records
     assert len(first) == len(second) == 2
 
 

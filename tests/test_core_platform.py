@@ -48,7 +48,6 @@ def fn(platform):
 def test_register_by_name(platform):
     handle = platform.register_function("hello-world")
     assert handle.name == "hello-world"
-    assert platform.function("hello-world") is handle
 
 
 def test_register_twice_rejected(platform, fn):
@@ -57,8 +56,9 @@ def test_register_twice_rejected(platform, fn):
 
 
 def test_unknown_function_lookup(platform):
-    with pytest.raises(KeyError):
-        platform.function("ghost")
+    # Registering by name looks the profile up in Table 2's registry.
+    with pytest.raises(KeyError, match="unknown function 'ghost'"):
+        platform.register_function("ghost")
 
 
 @pytest.mark.parametrize("policy", MAIN_POLICIES + [Policy.WARM])
@@ -198,7 +198,7 @@ def test_memory_integrity_every_policy(platform, fn, policy):
             platform.config,
             platform.store,
             platform.cache,
-            platform.cpu,
+            platform.host.cpu,
             artifacts,
             INPUT_B,
             policy,
@@ -222,7 +222,7 @@ def test_mismatched_record_policy_rejected(platform, fn):
             platform.config,
             platform.store,
             platform.cache,
-            platform.cpu,
+            platform.host.cpu,
             artifacts,
             INPUT_B,
             Policy.FAASNAP,
@@ -299,7 +299,7 @@ def test_cpu_contention_config():
         FaaSnapPlatform().config, cpu_slots=2
     )
     platform = FaaSnapPlatform(config)
-    assert platform.cpu is not None
+    assert platform.host.cpu is not None
     fn = platform.register_function(TINY)
     results = platform.invoke_burst(
         fn, INPUT_A, Policy.FAASNAP, parallelism=4

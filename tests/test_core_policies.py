@@ -18,13 +18,6 @@ def test_loader_usage_matches_family():
         assert policy.uses_loader == policy.is_faasnap_family
 
 
-def test_per_region_mapping_flags():
-    assert Policy.FAASNAP.uses_per_region_mapping
-    assert Policy.FAASNAP_PER_REGION.uses_per_region_mapping
-    assert not Policy.FAASNAP_CONCURRENT.uses_per_region_mapping
-    assert not Policy.FIRECRACKER.uses_per_region_mapping
-
-
 def test_loading_set_file_only_full_faasnap():
     assert Policy.FAASNAP.uses_loading_set_file
     for policy in Policy:

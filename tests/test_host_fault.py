@@ -76,7 +76,7 @@ def test_minor_fault_when_page_cached():
     rig = Rig()
     f = rig.store.create("mem", 256, pages={7: 70})
     rig.space.mmap_file(0, 256, f, 0)
-    rig.cache.insert("mem", 7)
+    rig.cache.insert_range("mem", 7, 1)
     (record,) = rig.run_accesses([(7, False, None)])
     assert record.kind is FaultKind.MINOR
     assert record.duration_us == pytest.approx(PARAMS.minor_fault_us)
@@ -128,7 +128,7 @@ def test_fault_waits_on_pending_read_without_own_io():
     def loader():
         rig.cache.begin_pending("mem", 20)
         yield from f.read(20, 1)
-        rig.cache.insert("mem", 20)
+        rig.cache.insert_range("mem", 20, 1)
 
     def guest():
         yield rig.env.timeout(1)
@@ -173,7 +173,7 @@ def test_cow_break_on_first_write_to_file_page():
     rig = Rig()
     f = rig.store.create("mem", 256, pages={2: 22})
     rig.space.mmap_file(0, 256, f, 0)
-    rig.cache.insert("mem", 2)
+    rig.cache.insert_range("mem", 2, 1)
     records = rig.run_accesses(
         [(2, False, None), (2, True, 55), (2, True, 66)]
     )
@@ -311,7 +311,7 @@ def test_readahead_window_trims_at_resident_page():
     params = HostParams(readahead_pages=8)
     rig = Rig(params=params)
     f = rig.store.create("mem", 64, pages={i: 1 for i in range(64)})
-    rig.cache.insert("mem", 4)
+    rig.cache.insert_range("mem", 4, 1)
     policy = ReadaheadPolicy(params)
     # The window [0, 4), cut from a window of 8.
     assert policy.span(f, rig.cache, 0) == (4, 8)
@@ -371,7 +371,7 @@ def test_batched_vcpu_hands_contended_faults_to_the_event_path():
             (
                 [
                     (r.kind, r.start_us, r.duration_us, r.block_requests)
-                    for r in result.records
+                    for r in rig.handler.stats.records[result.first_row :]
                 ],
                 sorted(rig.cache.resident_set()),
                 rig.env.now,

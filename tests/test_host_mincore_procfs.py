@@ -33,9 +33,9 @@ def test_mincore_reports_present_pages():
     env = Environment()
     cache = PageCache(env)
     cache.watch("mem")
-    cache.insert("mem", 1)
-    cache.insert("mem", 3)
-    cache.insert("other", 2)
+    cache.insert_range("mem", 1, 1)
+    cache.insert_range("mem", 3, 1)
+    cache.insert_range("other", 2, 1)
 
     ws = _record(env, cache, 5)
     assert ws.pages == [1, 3]
@@ -101,17 +101,16 @@ def test_mincore_new_pages_incremental():
 
     def invocation():
         for page in (0, 5):
-            cache.insert("mem", page)
+            cache.insert_range("mem", page, 1)
             guest.install(page, env.now)
         yield env.timeout(500)
         cache.drop_file("mem")
         for page in (3, 0):
-            cache.insert("mem", page)
+            cache.insert_range("mem", page, 1)
         yield env.timeout(500)
 
     ws = guest.record(invocation, group_pages=2, poll_interval_us=100)
-    assert ws.pages_of_group(1) == [0, 5]
-    assert ws.pages_of_group(2) == [3]
+    assert ws.group_of == {0: 1, 5: 1, 3: 2}
     watch = cache.watches["mem"]
     assert watch.pages == [0, 5, 3, 0]
     assert watch.instants.tolist() == [0.0, 0.0, 500.0, 500.0]
@@ -119,7 +118,10 @@ def test_mincore_new_pages_incremental():
 
 
 def _groups(ws):
-    return [ws.pages_of_group(g) for g in range(1, ws.num_groups + 1)]
+    return [
+        sorted(page for page, group in ws.group_of.items() if group == g)
+        for g in range(1, ws.num_groups + 1)
+    ]
 
 
 @pytest.mark.parametrize("ends_before_the_read", [False, True])
@@ -133,7 +135,7 @@ def test_an_install_at_a_read_instant_is_not_seen_by_it(ends_before_the_read):
     end = FIRST_READ - 0.5 if ends_before_the_read else FIRST_READ
 
     def invocation():
-        cache.insert("mem", 1)
+        cache.insert_range("mem", 1, 1)
         guest.install(1, 0.0)
         guest.install(3, 0.0, end)
         yield env.timeout(100)
@@ -154,7 +156,7 @@ def test_an_insertion_at_a_scan_instant_is_not_seen_by_it():
     scan_at = FIRST_READ + SCAN_US
 
     def invocation():
-        cache.insert("mem", 1)
+        cache.insert_range("mem", 1, 1)
         guest.install(1, 0.0)
         guest.install(5, 0.0)
         yield env.wake_at(scan_at)

@@ -20,7 +20,7 @@ def test_empty_cache(cache):
 
 
 def test_insert_and_contains(cache):
-    cache.insert("f", 3)
+    cache.insert_range("f", 3, 1)
     assert cache.contains("f", 3)
     assert not cache.contains("f", 4)
     assert not cache.contains("g", 3)
@@ -29,13 +29,13 @@ def test_insert_and_contains(cache):
 
 def test_insert_range(cache):
     cache.insert_range("f", 10, 5)
-    assert cache.pages_for_file("f") == [10, 11, 12, 13, 14]
+    assert cache.resident_set() == {("f", page) for page in range(10, 15)}
     assert cache.count_for_file("f") == 5
 
 
 def test_reinsert_is_idempotent(cache):
-    cache.insert("f", 1)
-    cache.insert("f", 1)
+    cache.insert_range("f", 1, 1)
+    cache.insert_range("f", 1, 1)
     assert len(cache) == 1
     assert cache.insertions == 1
 
@@ -61,7 +61,7 @@ def test_pending_read_lifecycle():
     event = cache.begin_pending("f", 5)
     assert cache.pending_event("f", 5) is event
     assert not event.triggered
-    cache.insert("f", 5)
+    cache.insert_range("f", 5, 1)
     assert event.triggered
     assert cache.pending_event("f", 5) is None
     assert cache.contains("f", 5)
@@ -76,7 +76,7 @@ def test_begin_pending_twice_returns_same_event():
 
 def test_begin_pending_on_resident_page_rejected():
     cache = PageCache(Environment())
-    cache.insert("f", 1)
+    cache.insert_range("f", 1, 1)
     with pytest.raises(SimulationError):
         cache.begin_pending("f", 1)
 
@@ -98,7 +98,7 @@ def test_waiter_blocks_until_pending_completes():
     def loader():
         cache.begin_pending("f", 0)
         yield env.timeout(50)
-        cache.insert("f", 0)
+        cache.insert_range("f", 0, 1)
 
     def faulter():
         yield env.timeout(1)
@@ -119,14 +119,14 @@ def test_warm_file(cache):
 
 
 def test_resident_set_snapshot(cache):
-    cache.insert("a", 1)
-    cache.insert("b", 2)
+    cache.insert_range("a", 1, 1)
+    cache.insert_range("b", 2, 1)
     assert cache.resident_set() == {("a", 1), ("b", 2)}
 
 
 def test_drop_file_leaves_pending_untouched():
     cache = PageCache(Environment())
-    cache.insert("f", 0)
+    cache.insert_range("f", 0, 1)
     event = cache.begin_pending("f", 1)
     cache.drop_file("f")
     assert cache.pending_event("f", 1) is event
@@ -178,5 +178,5 @@ def test_failed_fill_leaves_another_readers_pages_in_flight():
     env.run()
     assert loaded == [pytest.approx(141.2, abs=0.05)]
     assert woken == loaded
-    assert cache.pages_for_file("mem") == list(range(16, 32))
+    assert cache.resident_set() == {("mem", page) for page in range(16, 32)}
     assert not any(cache.has_pending("mem", p) for p in range(48))

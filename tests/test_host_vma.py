@@ -66,7 +66,7 @@ def test_map_fixed_overlay_splits_underlying(store):
     space = AddressSpace(100)
     space.mmap_anonymous(0, 100)
     space.mmap_file(30, 10, f, 30)
-    assert space.vma_count == 3
+    assert len(space.vmas()) == 3
     assert space.resolve(29).backing is ANONYMOUS
     assert isinstance(space.resolve(35).backing, FileBacking)
     assert space.resolve(40).backing is ANONYMOUS
@@ -107,14 +107,6 @@ def test_overlay_clears_pte_and_contents(store):
     assert not space.is_installed(3)
     assert 3 not in space.ept
     assert 4 not in space.anon_contents
-
-
-def test_munmap_creates_gap(store):
-    space = AddressSpace(10)
-    space.mmap_anonymous(0, 10)
-    space.munmap(4, 2)
-    assert space.resolve(4) is None
-    assert space.coverage_gaps() == [(4, 2)]
 
 
 def test_backing_value_priority(store):
@@ -163,4 +155,4 @@ def test_adjacent_mappings_no_gap(store):
     space.mmap_anonymous(10, 10)
     space.mmap_anonymous(20, 10)
     assert space.coverage_gaps() == []
-    assert space.vma_count == 3
+    assert len(space.vmas()) == 3

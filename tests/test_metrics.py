@@ -55,7 +55,7 @@ def test_histogram_add_and_buckets():
     assert histogram.total == 4
     labels = [label for label, _ in histogram.buckets()]
     assert labels == ["[0,1)", "[1,10)", ">=10"]
-    assert histogram.as_dict()["[0,1)"] == 2
+    assert dict(histogram.buckets())["[0,1)"] == 2
 
 
 def test_histogram_below_first_edge_goes_to_first_bucket():
@@ -74,7 +74,7 @@ def test_figure2_edges_are_powers_of_two():
 def test_fault_time_histogram():
     histogram = fault_time_histogram([2.5, 3.7, 100.0, 600.0])
     assert histogram.total == 4
-    assert histogram.as_dict()[">=512"] == 1
+    assert dict(histogram.buckets())[">=512"] == 1
 
 
 def test_histogram_percentile_nearest_rank():
@@ -157,32 +157,3 @@ def test_render_table_empty_rows():
     out = render_table(["a", "b"], [])
     assert "a" in out and "b" in out
 
-
-# -- bar charts ------------------------------------------------------------
-
-
-def test_render_bars_scaling():
-    from repro.metrics import render_bars
-
-    out = render_bars(["a", "bb"], [50.0, 100.0], width=10, unit="ms")
-    lines = out.splitlines()
-    assert lines[0].startswith("a ")
-    assert lines[0].count("#") == 5
-    assert lines[1].count("#") == 10
-    assert "ms" in lines[0]
-
-
-def test_render_bars_zero_and_title():
-    from repro.metrics import render_bars
-
-    out = render_bars(["x"], [0.0], title="T")
-    assert out.splitlines()[0] == "T"
-    assert "#" not in out
-
-
-def test_render_bars_validation():
-    from repro.metrics import render_bars
-
-    with pytest.raises(ValueError):
-        render_bars(["a"], [1.0, 2.0])
-    assert render_bars([], [], title="empty") == "empty"

@@ -140,10 +140,8 @@ def test_chrome_trace_has_required_keys():
 
 def test_chrome_trace_groups_pids_by_host_and_tids_by_root():
     tracer = Tracer()
-    a = Span(name="a", start_us=0.0, end_us=10.0)
-    a.tag("host", "host1")
-    b = Span(name="b", start_us=5.0, end_us=15.0)
-    b.tag("host", "host0")
+    a = Span(name="a", start_us=0.0, end_us=10.0, tags={"host": "host1"})
+    b = Span(name="b", start_us=5.0, end_us=15.0, tags={"host": "host0"})
     a.children.append(Span(name="a.child", start_us=1.0, end_us=2.0))
     tracer.roots.extend([a, b])
     events = {e["name"]: e for e in to_chrome_trace(tracer)["traceEvents"]}

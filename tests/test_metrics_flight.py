@@ -6,12 +6,7 @@ import json
 
 import pytest
 
-from repro.metrics.flight import (
-    CLUSTER_RING,
-    FLIGHT_SCHEMA,
-    FlightRecorder,
-    render_postmortem,
-)
+from repro.metrics.flight import CLUSTER_RING, FLIGHT_SCHEMA, FlightRecorder
 
 
 def test_ring_is_bounded_per_host():
@@ -63,16 +58,6 @@ def test_document_round_trips_through_json():
     assert doc["schema"] == FLIGHT_SCHEMA
     assert doc["recorded"] == 1
     assert doc["postmortems"][0]["context"] == {"host": "host0"}
-
-
-def test_render_postmortem_is_readable():
-    recorder = FlightRecorder()
-    recorder.record(1_000.0, "host0", "shed", load=9)
-    postmortem = recorder.dump(2_000.0, "invocation-failed", function="f7")
-    text = render_postmortem(postmortem)
-    assert "invocation-failed" in text
-    assert "function: f7" in text
-    assert "shed load=9" in text
 
 
 # -- scheduler integration ---------------------------------------------

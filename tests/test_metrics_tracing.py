@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import FaaSnapPlatform, Policy
-from repro.metrics.tracing import Span, Tracer, render_trace
+from repro.metrics.tracing import Span, Tracer
 from repro.workloads.base import INPUT_A, WorkloadProfile
 
 TINY = WorkloadProfile(
@@ -20,6 +20,14 @@ TINY = WorkloadProfile(
 )
 
 
+def _find(span, name):
+    """The first descendant of ``span`` named ``name``, depth-first."""
+    return next(
+        (node for node, depth in span.walk() if depth and node.name == name),
+        None,
+    )
+
+
 def test_closed_span_serializes_without_marker():
     span = Span(name="closed", start_us=3.0, end_us=8.0)
     payload = span.to_dict()
@@ -33,22 +41,11 @@ def test_record_posthoc_span():
     child = Span(name="child", start_us=10.0, end_us=60.0)
     root.children.append(child)
     tracer.roots.append(root)
-    assert root.find("child") is child
-    assert root.find("ghost") is None
+    assert tracer.roots == [root]
     assert [(span.name, depth) for span, depth in root.walk()] == [
         ("root", 0),
         ("child", 1),
     ]
-
-
-def test_render_trace_tree():
-    root = Span(name="invocation", start_us=0.0, end_us=100_000.0)
-    root.children.append(Span(name="setup", start_us=0.0, end_us=40_000.0))
-    root.annotate("note")
-    text = render_trace(root)
-    assert "invocation: 100.00 ms" in text
-    assert "  setup: 40.00 ms" in text
-    assert "- note" in text
 
 
 def test_export_json_roundtrips():
@@ -68,8 +65,8 @@ def test_export_json_roundtrips():
 
 def test_span_tags_serialize():
     span = Span(name="x", start_us=0.0, end_us=5.0)
-    span.tag("host", "host3")
-    span.tag("policy", "faasnap")
+    span.tags["host"] = "host3"
+    span.tags["policy"] = "faasnap"
     payload = span.to_dict()
     assert payload["tags"] == {"host": "host3", "policy": "faasnap"}
 
@@ -80,7 +77,7 @@ def test_tracer_to_json_parses():
     tracer = Tracer()
     root = Span(name="root", start_us=0.0, end_us=50.0)
     root.children.append(Span(name="child", start_us=5.0, end_us=25.0))
-    root.tag("host", "host0")
+    root.tags["host"] = "host0"
     tracer.roots.append(root)
     parsed = json.loads(tracer.to_json())
     assert parsed[0]["tags"] == {"host": "host0"}
@@ -102,17 +99,17 @@ def test_invocation_records_span_tree(policy):
     assert root.start_us == result.request_us
     assert root.end_us == result.end_us
     assert all(span.tags == {"host": "host0"} for span, _ in root.walk())
-    setup = root.find("setup")
-    invoke = root.find("invoke")
+    setup = _find(root, "setup")
+    invoke = _find(root, "invoke")
     assert setup is not None and invoke is not None
     assert setup.duration_us == pytest.approx(result.setup_us)
     assert invoke.duration_us == pytest.approx(result.invoke_us)
-    fetch = setup.find("working-set fetch + UFFDIO_COPY")
+    fetch = _find(setup, "working-set fetch + UFFDIO_COPY")
     assert (fetch is not None) == (policy is Policy.REAP)
     if fetch is not None:
         assert fetch.duration_us == pytest.approx(result.fetch_time_us)
         assert fetch.end_us == setup.end_us
-    loader = root.find("concurrent loader")
+    loader = _find(root, "concurrent loader")
     assert (loader is not None) == policy.uses_loader
     if loader is not None:
         assert loader.annotations  # fetched N MB note
@@ -127,8 +124,6 @@ def test_reap_invocation_traces_fetch():
     tracer = Tracer()
     platform.invoke(handle, INPUT_A, Policy.REAP, tracer=tracer)
     (root,) = tracer.roots
-    fetch = root.find("working-set fetch + UFFDIO_COPY")
+    fetch = _find(root, "working-set fetch + UFFDIO_COPY")
     assert fetch is not None
     assert fetch.duration_us > 0
-    text = render_trace(root)
-    assert "working-set fetch" in text

@@ -2,8 +2,8 @@
 
 The batched vCPU must be observationally equivalent to the per-event
 path for *arbitrary* traces, not just the paper's workloads: same
-fault records (bit-identical floats), same fault-log rows, same finish
-time, same final address-space, page-cache and device state.
+fault-log rows (bit-identical floats), same finish time, same final
+address-space, page-cache and device state.
 Hypothesis drives random mixes of file-backed reads/writes, anonymous
 touches, repeats and think time through both paths and compares
 everything. Each path's fault log is also absorbed into a fresh
@@ -43,6 +43,7 @@ from repro.core.restore import PlatformConfig
 from repro.host import HostParams, PageCache
 from repro.host.fault import (
     FAULTING_KINDS,
+    KIND_CODE,
     FaultHandler,
     FaultKind,
     FaultRecord,
@@ -206,7 +207,7 @@ def _observe(env, handler, device, result):
         result.started_us,
         result.finished_us,
         env.now,
-        _rows(result.records),
+        result.first_row,
         _rows(handler.stats.records),
         sorted(space.pte.items()),
         sorted(space.anon_contents.items()),
@@ -347,8 +348,11 @@ def test_absorb_matches_reference_fold_on_any_log(rows):
         else FaultRecord(kind, page, start, duration)
         for kind, page, start, duration, requests, nbytes in rows
     ]
-    for record in records:
-        log.add(record)
+    for kind, page, start, duration, requests, nbytes in rows:
+        if kind in io_kinds:
+            log.log_io(KIND_CODE[kind], page, start, duration, requests, nbytes)
+        else:
+            log.log(KIND_CODE[kind], page, start, duration)
     assert log.records == records
     _check_absorb(log)
 

@@ -29,8 +29,8 @@ from repro.storage.errors import DeviceError
 def test_page_cache_insert_is_idempotent_in_contents(pages):
     cache = PageCache(Environment())
     for page in pages:
-        cache.insert("f", page)
-    assert set(cache.pages_for_file("f")) == set(pages)
+        cache.insert_range("f", page, 1)
+    assert cache.resident_set() == {("f", page) for page in pages}
     assert cache.count_for_file("f") == len(set(pages))
 
 
@@ -39,13 +39,13 @@ def test_insertion_log_superset_of_resident(pages):
     cache = PageCache(Environment())
     log = cache.watch("f").pages
     for page in pages:
-        cache.insert("f", page)
-        cache.insert("g", page)
-    assert set(cache.pages_for_file("f")) <= set(log)
+        cache.insert_range("f", page, 1)
+        cache.insert_range("g", page, 1)
+    assert {page for name, page in cache.resident_set() if name == "f"} <= set(log)
     # Only the watched file is logged, and only while watched.
     assert list(cache.watches) == ["f"]
     cache.unwatch("f")
-    cache.insert("f", max(pages) + 1)
+    cache.insert_range("f", max(pages) + 1, 1)
     assert cache.watches == {}
     # First occurrences appear in insertion order.
     firsts = []
@@ -291,8 +291,8 @@ def test_working_set_groups_are_contiguous_and_bounded(batches, group_pages):
     if ws.group_of:
         groups = sorted(set(ws.group_of.values()))
         assert groups == list(range(1, len(groups) + 1))
-        for group in groups:
-            assert 1 <= len(ws.pages_of_group(group)) <= group_pages
+        sizes = Counter(ws.group_of.values())
+        assert all(1 <= sizes[group] <= group_pages for group in groups)
 
 
 @given(st.lists(st.integers(0, 100), max_size=300))

@@ -7,7 +7,7 @@ EPT and anonymous-contents maps. The image must be indistinguishable
 from installing every page eagerly, which is what both did before: the
 reference below does exactly that, and random traces mixing reads and
 writes of image pages with first touches of fresh pages (plus an
-optional MAP_FIXED remap half-way) must observe the same records,
+optional MAP_FIXED remap half-way) must observe the same fault-log rows,
 clock, resident set and memory contents on both.
 
 The batched vCPU serves a run of image pages in bulk, between the
@@ -115,7 +115,7 @@ def _observe(env, vm, result):
         result.started_us,
         result.finished_us,
         env.now,
-        result.fault_count,
+        result.first_row,
         tuple(
             (
                 r.kind,
@@ -125,7 +125,7 @@ def _observe(env, vm, result):
                 r.block_requests,
                 r.bytes_read,
             )
-            for r in result.records
+            for r in vm.handler.stats.records[result.first_row :]
         ),
         space.rss_pages(),
         tuple(space.backing_value(p) for p in range(NUM_PAGES)),

@@ -65,7 +65,7 @@ def test_all_of_with_failing_child_propagates():
 
 def test_all_of_with_already_failed_child():
     env = Environment()
-    failed = env.event()
+    failed = Event(env)
     failed.fail(ValueError("pre-failed"))
     env.run(until=0)  # process the failure event
     caught = []
@@ -111,12 +111,13 @@ def test_interrupt_while_waiting_on_resource():
     env.process(interrupter())
     env.run()
     assert log == ["interrupted"]
-    assert res.queue_length == 0
+    # The withdrawn request was not granted when the holder released.
+    assert res.in_use == 0
 
 
 def test_event_fail_requires_exception():
     env = Environment()
-    event = env.event()
+    event = Event(env)
     with pytest.raises(SimulationError):
         event.fail("not an exception")  # type: ignore[arg-type]
 
@@ -142,7 +143,7 @@ def test_cross_environment_event_rejected():
 
 def test_run_until_event_with_drained_queue_raises():
     env = Environment()
-    never = env.event()
+    never = Event(env)
     with pytest.raises(SimulationError, match="drained"):
         env.run(until=never)
 

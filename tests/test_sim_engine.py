@@ -138,7 +138,7 @@ def test_manual_event_succeed():
         value = yield evt
         got.append(value)
 
-    evt = env.event()
+    evt = Event(env)
     env.process(waiter(evt))
 
     def trigger():
@@ -152,7 +152,7 @@ def test_manual_event_succeed():
 
 def test_event_double_trigger_rejected():
     env = Environment()
-    evt = env.event()
+    evt = Event(env)
     evt.succeed(1)
     with pytest.raises(SimulationError):
         evt.succeed(2)
@@ -168,7 +168,7 @@ def test_event_fail_propagates_into_waiter():
         except ValueError as exc:
             caught.append(str(exc))
 
-    evt = env.event()
+    evt = Event(env)
     env.process(waiter(evt))
     evt.fail(ValueError("boom"))
     env.run()

@@ -1,8 +1,8 @@
-"""Unit tests for simulation resources (Resource, Store)."""
+"""Unit tests for the counted simulation resource."""
 
 import pytest
 
-from repro.sim import Environment, Resource, SimulationError, Store
+from repro.sim import Environment, Resource, SimulationError
 
 
 def test_resource_capacity_validation():
@@ -18,7 +18,6 @@ def test_resource_grants_up_to_capacity_immediately():
     assert r1.triggered and r2.triggered
     assert not r3.triggered
     assert res.in_use == 2
-    assert res.queue_length == 1
 
 
 def test_resource_fifo_order():
@@ -58,7 +57,6 @@ def test_release_waiting_request_cancels_it():
     r1 = res.request()
     r2 = res.request()
     res.release(r2)  # cancel while still queued
-    assert res.queue_length == 0
     res.release(r1)
     assert res.in_use == 0
 
@@ -79,80 +77,3 @@ def test_release_without_grant_rejected():
     res.release(req)
     with pytest.raises(SimulationError):
         res.release(req)
-
-
-def test_acquire_helper():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    log = []
-
-    def user(tag):
-        req = yield from res.acquire()
-        log.append((tag, env.now))
-        yield env.timeout(3)
-        res.release(req)
-
-    env.process(user("first"))
-    env.process(user("second"))
-    env.run()
-    assert log == [("first", 0.0), ("second", 3.0)]
-
-
-def test_store_put_then_get():
-    env = Environment()
-    store = Store(env)
-    store.put("x")
-    got = store.get()
-    assert got.triggered
-    assert got.value == "x"
-    assert len(store) == 0
-
-
-def test_store_get_blocks_until_put():
-    env = Environment()
-    store = Store(env)
-    received = []
-
-    def consumer():
-        item = yield store.get()
-        received.append((env.now, item))
-
-    def producer():
-        yield env.timeout(8)
-        store.put("late")
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert received == [(8.0, "late")]
-
-
-def test_store_fifo_order():
-    env = Environment()
-    store = Store(env)
-    for item in (1, 2, 3):
-        store.put(item)
-    assert store.items() == [1, 2, 3]
-    assert [store.get().value for _ in range(3)] == [1, 2, 3]
-
-
-def test_store_multiple_waiting_getters_fifo():
-    env = Environment()
-    store = Store(env)
-    received = []
-
-    def consumer(tag):
-        item = yield store.get()
-        received.append((tag, item))
-
-    env.process(consumer("a"))
-    env.process(consumer("b"))
-
-    def producer():
-        yield env.timeout(1)
-        store.put("first")
-        store.put("second")
-
-    env.process(producer())
-    env.run()
-    assert received == [("a", "first"), ("b", "second")]

@@ -31,10 +31,9 @@ def run(env, gen):
 def test_create_and_get(setup):
     env, device, store = setup
     f = store.create("mem", 100)
-    assert store.get("mem") is f
+    assert store._files == {"mem": f}
+    assert (f.name, f.device, f.base_offset) == ("mem", device, 0)
     assert f.size_bytes == 100 * PAGE_SIZE
-    assert store.exists("mem")
-    assert store.names() == ["mem"]
 
 
 def test_duplicate_create_rejected(setup):
@@ -51,24 +50,9 @@ def test_create_rejects_out_of_range_pages(setup, pages):
     _, _, store = setup
     with pytest.raises(SimulationError):
         store.create("f", 4, pages=pages)
-    assert not store.exists("f")
-    # Nothing was allocated: the next file still starts at offset 0.
-    assert store.create("g", 4, pages={0: 1, 3: 2}).base_offset == 0
-
-
-def test_get_missing_rejected(setup):
-    _, _, store = setup
-    with pytest.raises(SimulationError):
-        store.get("nope")
-
-
-def test_delete(setup):
-    _, _, store = setup
-    store.create("a", 1)
-    store.delete("a")
-    assert not store.exists("a")
-    with pytest.raises(SimulationError):
-        store.delete("a")
+    # Nothing was allocated: the name is still free and the next file
+    # still starts at offset 0.
+    assert store.create("f", 4, pages={0: 1, 3: 2}).base_offset == 0
 
 
 def test_files_are_contiguous_and_disjoint(setup):
@@ -84,13 +68,10 @@ def test_files_are_contiguous_and_disjoint(setup):
 
 def test_page_contents_roundtrip(setup):
     _, _, store = setup
-    f = store.create("mem", 10)
-    f.write_page(3, 777)
+    f = store.create("mem", 10, pages={3: 777, 7: 5})
     assert f.page_value(3) == 777
     assert f.page_value(4) == 0
-    f.write_page(3, 0)
-    assert f.page_value(3) == 0
-    assert f.nonzero_pages() == []
+    assert f.nonzero_pages() == [3, 7]
 
 
 def test_page_bounds_checked(setup):
@@ -99,7 +80,7 @@ def test_page_bounds_checked(setup):
     with pytest.raises(SimulationError):
         f.page_value(10)
     with pytest.raises(SimulationError):
-        f.write_page(-1, 5)
+        f.page_value(-1)
 
 
 def test_read_returns_contents_and_costs_io(setup):

@@ -30,12 +30,11 @@ def test_default_layout_is_2gb():
 
 def test_regions_are_contiguous_and_cover_memory():
     layout = GuestLayout(runtime_pages=1000, data_pages=2000)
-    bounds = layout.region_bounds()
-    assert bounds["boot"][0] == 0
-    assert bounds["runtime"][0] == bounds["boot"][0] + bounds["boot"][1]
-    assert bounds["data"][0] == bounds["runtime"][0] + bounds["runtime"][1]
-    assert bounds["heap"][0] == bounds["data"][0] + bounds["data"][1]
-    assert bounds["heap"][0] + bounds["heap"][1] == layout.total_pages
+    assert layout.boot_start == 0
+    assert layout.runtime_start == layout.boot_start + layout.boot_pages
+    assert layout.data_start == layout.runtime_start + layout.runtime_pages
+    assert layout.heap_start == layout.data_start + layout.data_pages
+    assert layout.heap_start + layout.heap_pages == layout.total_pages
 
 
 def test_region_addressing_roundtrip():
@@ -43,7 +42,7 @@ def test_region_addressing_roundtrip():
     assert layout.region_of(layout.boot_page(0)) == "boot"
     assert layout.region_of(layout.runtime_page(99)) == "runtime"
     assert layout.region_of(layout.data_page(0)) == "data"
-    assert layout.region_of(layout.heap_page(0)) == "heap"
+    assert layout.region_of(layout.heap_start) == "heap"
 
 
 def test_region_offset_bounds_checked():

@@ -82,15 +82,19 @@ def test_larger_ratio_touches_more_pages():
     assert base.working_set_pages < large.working_set_pages
 
 
+def _total_think_us(trace):
+    return sum(trace.columns.thinks) + trace.tail_think_us
+
+
 def test_larger_ratio_computes_longer():
     base = generate_trace(SMALL, InputSpec(content_id=1, size_ratio=1.0))
     large = generate_trace(SMALL, InputSpec(content_id=1, size_ratio=4.0))
-    assert large.total_think_us > base.total_think_us
+    assert _total_think_us(large) > _total_think_us(base)
 
 
 def test_total_think_time_matches_profile():
     trace = generate_trace(SMALL, INPUT_A)
-    assert trace.total_think_us == pytest.approx(
+    assert _total_think_us(trace) == pytest.approx(
         SMALL.compute_base_us, rel=0.01
     )
 
