@@ -545,10 +545,6 @@ class ClusterSimulator:
         self.durability: Optional[DurabilityManager] = None
         self._retry_budget: Optional[RetryBudget] = None
         self._hedge_tracker: Optional[HedgeTracker] = None
-        self._checksum_cache: Dict[Any, Any] = {}
-        #: Per function, each memory file folded so far with its
-        #: checksums (see :meth:`_snapshot_checksums`).
-        self._folded: Dict[str, List[Tuple[StoredFile, Tuple[int, ...]]]] = {}
         #: Per (function, sanitize), the first artefacts recorded in
         #: this run: later hosts' equal files share their page maps,
         #: and equal working and loading sets are shared too (see
@@ -747,7 +743,8 @@ class ClusterSimulator:
         Recording is seeded, so every host computes the same artefact
         contents; page maps, working sets and loading sets are never
         mutated once recorded, and one object per distinct value is
-        what keeps a many-host prep's memory flat."""
+        what keeps a many-host prep's memory flat. A shared map also
+        shares what it memoizes: its data runs and its checksums."""
         donor = self._map_donors.setdefault(
             (artifacts.profile.name, artifacts.sanitize), artifacts
         )
@@ -980,14 +977,8 @@ class ClusterSimulator:
     def _snapshot_checksums(self, host_id: str, function: str):
         """Golden per-chunk checksums of ``function``'s snapshot
         artefacts on ``host_id`` (``None`` before its record phase).
-        Cached per (host, function): artefact contents are fixed at
-        record time. The checksums depend only on the memory file's
-        size and page map (and the chunk size), so a host whose file
-        equals one already folded for ``function`` reuses its tuple."""
-        key = (host_id, function)
-        cached = self._checksum_cache.get(key)
-        if cached is not None:
-            return cached
+        The warm memory file's page map memoizes them, so hosts whose
+        maps :meth:`_share_page_maps` shared get one tuple."""
         hs = self._host_by_id.get(host_id)
         if hs is None:
             return None
@@ -1001,18 +992,9 @@ class ClusterSimulator:
             )
         if artifacts is None:
             return None
-        memory = artifacts.warm_snapshot.memory_file
-        folded = self._folded.setdefault(function, [])
-        for other, checksums in folded:
-            if other.num_pages == memory.num_pages and (
-                other.pages is memory.pages or other.pages == memory.pages
-            ):
-                break
-        else:
-            checksums = memory.chunk_checksums(config.durability.chunk_pages)
-            folded.append((memory, checksums))
-        self._checksum_cache[key] = checksums
-        return checksums
+        return artifacts.warm_snapshot.memory_file.chunk_checksums(
+            config.durability.chunk_pages
+        )
 
     def durability_status(self) -> Dict[str, Any]:
         """Canonical durability-plane document (the

@@ -85,7 +85,7 @@ def faasnap_coverage(
     if artifacts.loading_set is None:
         raise ValueError("artifacts carry no FaaSnap loading set")
     trace = trace or trace_for(artifacts, test_input)
-    nonzero = set(artifacts.warm_snapshot.memory_file.pages)
+    nonzero = artifacts.warm_snapshot.memory_file.pages
     fast = set(artifacts.loading_set.covered_pages())
     fast |= {p for p in trace.touched_pages if p not in nonzero}
     return _coverage(fast, trace)

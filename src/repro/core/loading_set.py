@@ -14,10 +14,10 @@ guest address space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Set, Tuple
+from typing import Container, List, Set, Tuple
 
 from repro.core.working_set import WorkingSetGroups
-from repro.storage.filestore import FileStore, StoredFile
+from repro.storage.filestore import FileStore, StoredFile, page_runs
 from repro.vm.snapshot import Snapshot
 
 #: Paper §4.6: merge regions separated by at most 32 pages.
@@ -73,56 +73,43 @@ class LoadingSet:
         return covered
 
 
-def _runs(pages: List[int]) -> List[Tuple[int, int]]:
-    """Maximal consecutive runs ``(start, npages)`` of sorted pages."""
-    runs: List[Tuple[int, int]] = []
-    if not pages:
-        return runs
-    start = prev = pages[0]
-    for page in pages[1:]:
-        if page == prev + 1:
-            prev = page
-            continue
-        runs.append((start, prev - start + 1))
-        start = prev = page
-    runs.append((start, prev - start + 1))
-    return runs
-
-
 def _merge_runs(
-    runs: List[Tuple[int, int]], merge_gap: int
+    starts: List[int], ends: List[int], merge_gap: int
 ) -> List[Tuple[int, int]]:
-    """Merge runs whose separating gap is at most ``merge_gap`` pages,
-    absorbing the gap pages (paper §4.6)."""
+    """``(start, npages)`` regions of the runs ``[starts[i], ends[i])``
+    (see :func:`~repro.storage.filestore.page_runs`), merging runs
+    whose separating gap is at most ``merge_gap`` pages and absorbing
+    the gap pages (paper §4.6)."""
     merged: List[Tuple[int, int]] = []
-    for start, npages in runs:
+    for start, end in zip(starts, ends):
         if merged:
             prev_start, prev_npages = merged[-1]
             gap = start - (prev_start + prev_npages)
             if gap <= merge_gap:
-                merged[-1] = (prev_start, start + npages - prev_start)
+                merged[-1] = (prev_start, end - prev_start)
                 continue
-        merged.append((start, npages))
+        merged.append((start, end - start))
     return merged
 
 
 def build_loading_set(
     working_set: WorkingSetGroups,
-    nonzero_pages: Iterable[int],
+    nonzero_pages: Container[int],
     merge_gap: int = DEFAULT_MERGE_GAP_PAGES,
 ) -> LoadingSet:
     """Intersect the working set with the non-zero pages, merge, sort.
 
-    The region's group number is the lowest group of any working-set
-    page it contains (§4.5: "a region is also assigned a group number,
-    which is the lowest group number of any page in the region").
+    ``nonzero_pages`` is any container of the snapshot's non-zero
+    pages, such as its memory file's page map. The region's group
+    number is the lowest group of any working-set page it contains
+    (§4.5: "a region is also assigned a group number, which is the
+    lowest group number of any page in the region").
     """
     if merge_gap < 0:
         raise ValueError("merge_gap must be >= 0")
-    nonzero = set(nonzero_pages)
-    loading_pages = sorted(p for p in working_set.pages if p in nonzero)
-    raw_runs = _runs(loading_pages)
-    merged = _merge_runs(raw_runs, merge_gap)
+    loading_pages = sorted(p for p in working_set.pages if p in nonzero_pages)
+    starts, ends = page_runs(loading_pages)
+    merged = _merge_runs(starts, ends, merge_gap)
 
     regions: List[Tuple[int, int, int]] = []  # (group, start, npages)
     for start, npages in merged:
@@ -148,7 +135,7 @@ def build_loading_set(
         regions=placed,
         essential_pages=len(loading_pages),
         total_pages=offset,
-        unmerged_region_count=len(raw_runs),
+        unmerged_region_count=len(starts),
     )
 
 
@@ -162,12 +149,11 @@ def write_loading_set_file(
     file is dense (not sparse): gap pages are stored as real zero
     blocks so the loader's reads stay contiguous.
     """
-    pages = {}
-    for region in loading_set.regions:
-        for i in range(region.npages):
-            value = snapshot.page_value(region.start + i)
-            if value != 0:
-                pages[region.file_offset + i] = value
+    pages = {
+        region.file_offset + i: snapshot.page_value(region.start + i)
+        for region in loading_set.regions
+        for i in range(region.npages)
+    }
     return store.create(
         name, max(loading_set.total_pages, 1), pages=pages, sparse=False
     )

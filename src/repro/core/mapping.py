@@ -23,10 +23,10 @@ semantics are preserved).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.core.loading_set import LoadingSet, _merge_runs, _runs
-from repro.storage.filestore import StoredFile
+from repro.core.loading_set import LoadingSet, _merge_runs
+from repro.storage.filestore import PageMap, StoredFile
 from repro.vm.snapshot import Snapshot
 from repro.vm.vmm import MappingPlan
 
@@ -35,12 +35,12 @@ DEFAULT_NONZERO_MERGE_GAP = 16
 
 
 def nonzero_regions(
-    nonzero_pages: Iterable[int], merge_gap: int = DEFAULT_NONZERO_MERGE_GAP
+    pages: PageMap, merge_gap: int = DEFAULT_NONZERO_MERGE_GAP
 ) -> List[Tuple[int, int]]:
-    """Coalesced ``(start, npages)`` regions covering all non-zero
-    pages (and at most ``merge_gap``-page zero gaps between them)."""
-    pages = sorted(set(nonzero_pages))
-    return _merge_runs(_runs(pages), merge_gap)
+    """Coalesced ``(start, npages)`` regions covering all of ``pages``
+    (and at most ``merge_gap``-page zero gaps between them): the
+    map's data runs, merged."""
+    return _merge_runs(*pages.runs(), merge_gap)
 
 
 def build_faasnap_plan(
@@ -58,8 +58,8 @@ def build_faasnap_plan(
         raise ValueError("loading_set and loading_file go together")
     # Snapshot contents are immutable after capture and the plan is
     # read-only when applied, so the (identical) plan every restore of
-    # the same artefacts would rebuild — a full nonzero-page scan plus
-    # run merging — is memoized on the snapshot.
+    # the same artefacts would rebuild — a region merge and a mapping
+    # per region — is memoized on the snapshot.
     key = (
         loading_file.name if loading_file is not None else None,
         nonzero_merge_gap,
@@ -74,7 +74,7 @@ def build_faasnap_plan(
     plan = MappingPlan()
     plan.add_anonymous(0, snapshot.num_pages)
     for start, npages in nonzero_regions(
-        snapshot.nonzero_pages(), nonzero_merge_gap
+        snapshot.memory_file.pages, nonzero_merge_gap
     ):
         plan.add_file(start, npages, snapshot.memory_file, start)
     if loading_set is not None and loading_file is not None:

@@ -53,11 +53,10 @@ def write_working_set_file(
     File page ``i`` holds the contents of the ``i``-th faulted guest
     page; a single sequential read fetches everything.
     """
-    pages = {}
-    for index, guest_page in enumerate(working_set.pages_in_fault_order):
-        value = snapshot.page_value(guest_page)
-        if value != 0:
-            pages[index] = value
+    pages = {
+        index: snapshot.page_value(guest_page)
+        for index, guest_page in enumerate(working_set.pages_in_fault_order)
+    }
     return store.create(
         name, max(len(working_set), 1), pages=pages, sparse=False
     )

@@ -303,7 +303,7 @@ def run_record_phase(
         assert ws_groups is not None
         artifacts.loading_set = build_loading_set(
             ws_groups,
-            warm.nonzero_pages(),
+            warm.memory_file.pages,
             merge_gap=config.loading_merge_gap,
         )
         artifacts.loading_file = write_loading_set_file(

@@ -75,7 +75,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress
+from itertools import compress, filterfalse
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -583,8 +583,8 @@ class FaultHandler:
         the one the event path would reach, so a later
         :meth:`Environment.wake_at` flush lands the real clock on it.
 
-        On a space backed by a shared image (a warm VM) one set
-        difference finds the run's pages outside the image, and each
+        On a space backed by a shared image (a warm VM) one C-level
+        pass finds the run's pages outside the image, and each
         stretch of image pages between two accesses to those is served
         at once: its stores go to ``write_anon`` in trace order, and the
         clock moves by its think times added one by one in trace order —
@@ -607,6 +607,10 @@ class FaultHandler:
         space = self.space
         ept = space.ept
         image = space.image
+        # ``page in image`` would go through a generic slot (a dict
+        # subclass does not inherit dict's C membership test); the key
+        # view's test is the dict's own.
+        image_pages = image.keys()
         pte = space.pte
         write_anon = space.write_anon
         required_value = self._required_value
@@ -625,11 +629,16 @@ class FaultHandler:
         thinks = trace.thinks
         if image:
             stores = trace.stores
-            # One C-level set difference finds the run's pages outside
-            # the image; probing the image page by page costs more.
+            # The run's distinct pages outside the image, in C-level
+            # passes (``set.difference`` would walk the whole image: its
+            # fast path takes exact dicts only, and the image is a
+            # PageMap).
+            distinct = set(pages[index:stop])
             misses = iter(
                 trace.positions(
-                    set(pages[index:stop]).difference(image), index, stop
+                    set(filterfalse(image.__contains__, distinct)),
+                    index,
+                    stop,
                 )
             )
         while True:
@@ -652,7 +661,7 @@ class FaultHandler:
                     vnow += thinks[index]
             page = pages[index]
             write = writes[index]
-            if page in ept or page in image:
+            if page in ept or page in image_pages:
                 # A mapped page: a read is no fault and no cost; a
                 # store faults only to break copy-on-write.
                 if write:

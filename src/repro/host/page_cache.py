@@ -39,7 +39,6 @@ from typing import (
     Any,
     Dict,
     Generator,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -48,7 +47,7 @@ from typing import (
 )
 
 from repro.sim import Environment, Event, SimulationError
-from repro.storage.filestore import StoredFile
+from repro.storage.filestore import PageMap, StoredFile
 
 PageKey = Tuple[str, int]
 
@@ -461,20 +460,9 @@ class PageCache:
             for page in range(start, end)
         }
 
-    def warm_file(self, file_name: str, pages: Iterable[int]) -> None:
-        """Instantly mark pages resident without I/O — used only to
-        construct the paper's impractical-but-useful *Cached* baseline
-        (§3.1) and warm starts. Consecutive pages collapse into range
-        insertions (a whole memory file is one or a few runs)."""
-        run_start: Optional[int] = None
-        run_end = 0
-        for page in pages:
-            if run_start is None:
-                run_start, run_end = page, page + 1
-            elif page == run_end:
-                run_end += 1
-            else:
-                self.insert_range(file_name, run_start, run_end - run_start)
-                run_start, run_end = page, page + 1
-        if run_start is not None:
-            self.insert_range(file_name, run_start, run_end - run_start)
+    def warm_file(self, file_name: str, pages: PageMap) -> None:
+        """Instantly mark the pages of ``pages`` resident without I/O —
+        used only to construct the paper's impractical-but-useful
+        *Cached* baseline (§3.1). One range insertion per data run."""
+        for start, end in zip(*pages.runs()):
+            self.insert_range(file_name, start, end - start)

@@ -19,10 +19,11 @@ A guest that booted, or a warm VM that already served an invocation,
 holds its whole non-zero memory in anonymous pages mapped at both
 levels. Rather than copying tens of thousands of entries into
 ``pte``/``ept``/``anon_contents`` per VM, such a space carries a
-shared read-only :attr:`AddressSpace.image`: a page -> content map
-whose pages count as installed, EPT-mapped and privately held. Writes
-shadow image pages in ``anon_contents``/``pte``; the image itself is
-never mutated, so one snapshot's page map can back any number of VMs.
+shared read-only :attr:`AddressSpace.image`: a page -> content
+:class:`~repro.storage.filestore.PageMap` whose pages count as
+installed, EPT-mapped and privately held. Writes shadow image pages in
+``anon_contents``/``pte``; the image itself is immutable, so one
+snapshot's page map can back any number of VMs.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.sim import SimulationError
-from repro.storage.filestore import StoredFile
+from repro.storage.filestore import EMPTY_PAGES, PageMap, StoredFile
 
 
 class _AnonymousBacking:
@@ -115,7 +116,7 @@ class AddressSpace:
         #: Shared read-only anonymous contents (see module docs):
         #: every page here is mapped at PTE and EPT level unless a
         #: write has shadowed it in ``anon_contents``/``pte``.
-        self.image: Dict[int, int] = {}
+        self.image: PageMap = EMPTY_PAGES
         #: Number of mmap() calls issued (paper §4.6 counts these).
         self.mmap_calls = 0
         #: Bumped whenever the VMA list changes; lets the fault
@@ -158,12 +159,11 @@ class AddressSpace:
         self._discard_state(vma.start, vma.end)
         return vma
 
-    def map_image(self, image: Dict[int, int]) -> None:
+    def map_image(self, image: PageMap) -> None:
         """Back the whole space with anonymous memory holding
         ``image`` (page -> content), every page mapped at both levels.
 
-        O(1): the map is shared, not copied, so the caller must never
-        mutate it afterwards."""
+        O(1): the immutable map is shared, not copied."""
         self.mmap_anonymous(0, self.num_pages)
         self.image = image
 
@@ -199,7 +199,7 @@ class AddressSpace:
     def _materialize_image(self) -> None:
         """Copy the image into the private maps and drop it."""
         image = self.image
-        self.image = {}
+        self.image = EMPTY_PAGES
         for page, value in image.items():
             if page not in self.anon_contents:
                 self.anon_contents[page] = value

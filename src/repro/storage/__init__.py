@@ -17,7 +17,7 @@ snapshot memory files (§7.2).
 """
 
 from repro.storage.device import BlockDevice, DeviceSpec, DeviceStats
-from repro.storage.filestore import FileStore, StoredFile
+from repro.storage.filestore import FileStore, PageMap, StoredFile
 from repro.storage.presets import EBS_IO2, NVME_LOCAL
 
 __all__ = [
@@ -27,5 +27,6 @@ __all__ = [
     "EBS_IO2",
     "FileStore",
     "NVME_LOCAL",
+    "PageMap",
     "StoredFile",
 ]

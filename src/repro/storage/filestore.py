@@ -14,15 +14,16 @@ keeping the simulation cheap.
 Sparse files never pay disk I/O for hole (zero) pages: the filesystem
 synthesises zeros without touching the device.
 
-A file's page map is an immutable value. :meth:`FileStore.create` keeps
-the map it is given, and nothing mutates it afterwards, so any number
-of files (and warm VMs' images, see
-:meth:`~repro.vm.vmm.MicroVM.make_warm`) may share one map object.
+A file's page map is a :class:`PageMap`: immutable and zero-free, so
+any number of files (and warm VMs' images, see
+:meth:`~repro.vm.vmm.MicroVM.make_warm`) may share one map object,
+which computes its data runs and checksums once for all of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.sim import Environment, Event, SimulationError
@@ -31,28 +32,138 @@ from repro.storage.device import BlockDevice
 PAGE_SIZE = 4096
 """Bytes per page, matching the x86 base page size used throughout."""
 
-#: 32-bit FNV-1a parameters of :meth:`StoredFile.chunk_checksums`.
+#: 32-bit FNV-1a parameters of :meth:`PageMap.chunk_checksums`.
 _FNV_OFFSET = 2166136261
 _FNV_PRIME = 16777619
 _MOD32 = 1 << 32
 _MASK32 = _MOD32 - 1
 
 
+def page_runs(pages: List[int]) -> Tuple[List[int], List[int]]:
+    """Maximal runs of consecutive pages in ascending ``pages``, as
+    parallel lists of first pages and exclusive ends."""
+    starts: List[int] = []
+    ends: List[Optional[int]] = []  # each run's start closes the run before
+    end: Optional[int] = None
+    for page in pages:
+        if page != end:
+            starts.append(page)
+            ends.append(end)
+        end = page + 1
+    ends.append(end)
+    return starts, ends[1:]
+
+
+class PageMap(dict):
+    """An immutable page map: page index -> non-zero content token.
+
+    Zero values are dropped at construction, so a page is a hole
+    exactly when it is missing. Every mutator raises, which is what
+    lets files, the clean snapshot memo and warm VMs' images share
+    one map, and lets the map memoize what is derived from it: its
+    sorted data runs (:meth:`runs`) and its per-chunk checksums
+    (:meth:`chunk_checksums`). Lookups are the ``dict``'s own C
+    methods; it pickles (and deep-copies) as a fresh, equal map."""
+
+    __slots__ = ("_runs", "_checksums")
+
+    def __init__(self, pages: Dict[int, int] = {}) -> None:
+        if 0 in pages.values():
+            pages = {page: value for page, value in pages.items() if value}
+        dict.__init__(self, pages)
+        self._runs: Optional[Tuple[List[int], List[int]]] = None
+        self._checksums: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+
+    def _immutable(self, *args: Any, **kwargs: Any) -> Any:
+        raise TypeError("a PageMap is immutable")
+
+    __setitem__ = __delitem__ = __ior__ = _immutable
+    update = pop = popitem = clear = setdefault = _immutable
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return PageMap, (dict(self),)
+
+    def runs(self) -> Tuple[List[int], List[int]]:
+        """The map's :func:`page_runs`, built on first call."""
+        if self._runs is None:
+            self._runs = page_runs(sorted(self))
+        return self._runs
+
+    def chunk_checksums(
+        self, num_pages: int, chunk_pages: int
+    ) -> Tuple[int, ...]:
+        """Per-chunk FNV-1a checksums over the page content tokens of a
+        ``num_pages``-page file holding this map, memoized per (file
+        size, chunk size).
+
+        Chunk ``i`` covers pages ``[i*chunk_pages, (i+1)*chunk_pages)``
+        (the last chunk may be short). Holes hash as zeros, so two
+        files with identical logical contents checksum identically
+        whether stored sparse or dense. This is the integrity unit
+        the snapshot durability plane publishes, verifies at restore
+        time, and scrubs (:mod:`repro.faults.durability`)."""
+        key = (num_pages, chunk_pages)
+        memo = self._checksums.get(key)
+        if memo is not None:
+            return memo
+        if chunk_pages < 1:
+            raise SimulationError(
+                f"chunk_pages must be >= 1, got {chunk_pages}"
+            )
+        # Folding a zero token is ``digest * FNV_PRIME mod 2**32``, so a
+        # run of z zero pages multiplies by FNV_PRIME**z: each chunk
+        # visits only the pages of the data runs inside it. Bit-identical
+        # to folding every page in turn.
+        powers: Dict[int, int] = {}
+
+        def fold_zeros(digest: int, zeros: int) -> int:
+            factor = powers.get(zeros)
+            if factor is None:
+                factor = powers[zeros] = pow(_FNV_PRIME, zeros, _MOD32)
+            return (digest * factor) & _MASK32
+
+        starts, ends = self.runs()
+        value_of = self.__getitem__
+        checksums: List[int] = []
+        run = 0
+        for first in range(0, num_pages, chunk_pages):
+            last = min(first + chunk_pages, num_pages)
+            digest = _FNV_OFFSET
+            cursor = first  # first page of the chunk not yet folded in
+            while run < len(starts) and starts[run] < last:
+                start = max(starts[run], cursor)
+                end = min(ends[run], last)
+                digest = fold_zeros(digest, start - cursor)
+                for page in range(start, end):
+                    value = value_of(page) & _MASK32
+                    digest = ((digest ^ value) * _FNV_PRIME) & _MASK32
+                cursor = end
+                if ends[run] > last:
+                    break  # the run goes on in the next chunk
+                run += 1
+            checksums.append(fold_zeros(digest, last - cursor))
+        memo = self._checksums[key] = tuple(checksums)
+        return memo
+
+
+#: The page map of every file created without contents.
+EMPTY_PAGES = PageMap()
+
+
 @dataclass
 class StoredFile:
     """A named file occupying a contiguous device extent.
 
-    ``pages`` is immutable by construction: nothing in the class
-    writes it, so other files, the clean snapshot memo and warm VMs'
-    images may hold the same map object."""
+    ``pages`` is a :class:`PageMap`, immutable by construction, so
+    other files, the clean snapshot memo and warm VMs' images may hold
+    the same map object."""
 
     name: str
     device: BlockDevice
     base_offset: int
     num_pages: int
-    #: Page index -> content token. Missing entries are zero (holes).
-    #: Shared, so never mutated (see the class docstring).
-    pages: Dict[int, int] = field(default_factory=dict)
+    #: Page index -> non-zero content token; missing pages are holes.
+    pages: PageMap
     #: Sparse files skip device I/O for hole pages.
     sparse: bool = False
 
@@ -69,69 +180,10 @@ class StoredFile:
         """True when the page is all zeros and stored as a hole."""
         return self.sparse and self.page_value(page_index) == 0
 
-    def nonzero_pages(self) -> List[int]:
-        """Sorted indices of pages with nonzero contents."""
-        return sorted(self.pages)
-
     def chunk_checksums(self, chunk_pages: int) -> Tuple[int, ...]:
-        """Per-chunk FNV-1a checksums over page content tokens.
-
-        Chunk ``i`` covers pages ``[i*chunk_pages, (i+1)*chunk_pages)``
-        (the last chunk may be short). Holes hash as zeros, so two
-        files with identical logical contents checksum identically
-        whether stored sparse or dense. This is the integrity unit
-        the snapshot durability plane publishes, verifies at restore
-        time, and scrubs (:mod:`repro.faults.durability`)."""
-        if chunk_pages < 1:
-            raise SimulationError(
-                f"chunk_pages must be >= 1, got {chunk_pages}"
-            )
-        # Folding a zero token is ``digest * FNV_PRIME mod 2**32``, so a
-        # run of z zero pages multiplies by FNV_PRIME**z: only non-zero
-        # entries are visited, and each all-zero chunk costs one list
-        # slot. Bit-identical to folding every page in turn.
-        num_pages = self.num_pages
-        powers: Dict[int, int] = {}
-        checksums: List[int] = []
-
-        def fold_zeros(digest: int, zeros: int) -> int:
-            factor = powers.get(zeros)
-            if factor is None:
-                factor = powers[zeros] = pow(_FNV_PRIME, zeros, _MOD32)
-            return (digest * factor) & _MASK32
-
-        def close(chunk: int, digest: int, cursor: int, until: int) -> None:
-            """Emit ``chunk`` (folded up to page ``cursor``) and the
-            all-zero chunks after it, up to chunk ``until``."""
-            end = min((chunk + 1) * chunk_pages, num_pages)
-            checksums.append(fold_zeros(digest, end - cursor))
-            if until > chunk + 1:
-                empty = fold_zeros(_FNV_OFFSET, chunk_pages)
-                checksums.extend([empty] * (until - chunk - 2))
-                last = (until - 1) * chunk_pages
-                checksums.append(
-                    fold_zeros(_FNV_OFFSET, min(chunk_pages, num_pages - last))
-                )
-
-        pages = self.pages
-        chunk = 0
-        digest = _FNV_OFFSET
-        cursor = 0  # first page of ``chunk`` not yet folded in
-        for index in sorted(pages):
-            target = index // chunk_pages
-            if target != chunk:
-                close(chunk, digest, cursor, target)
-                chunk = target
-                digest = _FNV_OFFSET
-                cursor = target * chunk_pages
-            if index > cursor:
-                digest = fold_zeros(digest, index - cursor)
-            value = pages[index] & _MASK32
-            digest = ((digest ^ value) * _FNV_PRIME) & _MASK32
-            cursor = index + 1
-        if num_pages:
-            close(chunk, digest, cursor, -(-num_pages // chunk_pages))
-        return tuple(checksums)
+        """The file's :meth:`PageMap.chunk_checksums`: files sharing a
+        page map share the tuple."""
+        return self.pages.chunk_checksums(self.num_pages, chunk_pages)
 
     def read(
         self, page_index: int, npages: int = 1
@@ -166,23 +218,21 @@ class StoredFile:
         base = self.base_offset
         if not self.sparse:
             return [(base + page_index * PAGE_SIZE, npages * PAGE_SIZE)]
-        get = self.pages.get
-        extents: List[Tuple[int, int]] = []
-        run_start: Optional[int] = None
+        # The data runs that overlap the window, clipped to it.
         end = page_index + npages
-        for i in range(page_index, end):
-            if get(i, 0) != 0:
-                if run_start is None:
-                    run_start = i
-            elif run_start is not None:
-                extents.append(
-                    (base + run_start * PAGE_SIZE, (i - run_start) * PAGE_SIZE)
-                )
-                run_start = None
-        if run_start is not None:
-            extents.append(
-                (base + run_start * PAGE_SIZE, (end - run_start) * PAGE_SIZE)
-            )
+        starts, ends = self.pages.runs()
+        index = bisect_right(ends, page_index)
+        count = len(starts)
+        extents: List[Tuple[int, int]] = []
+        while index < count and starts[index] < end:
+            lo = starts[index]
+            hi = ends[index]
+            index += 1
+            if lo < page_index:
+                lo = page_index
+            if hi > end:
+                hi = end
+            extents.append((base + lo * PAGE_SIZE, (hi - lo) * PAGE_SIZE))
         return extents
 
     def check_pages(self, pages: Sequence[int]) -> None:
@@ -217,13 +267,8 @@ class FileStore:
     ) -> StoredFile:
         """Create ``name`` with ``num_pages`` pages of capacity.
 
-        The file keeps ``pages`` itself, not a copy: the caller must
-        never mutate the map afterwards (files and warm VMs share page
-        maps). Every program caller passes a zero-free map —
-        :func:`~repro.vm.snapshot.create_snapshot` strips zero values,
-        the loading-set and REAP working-set writers store only
-        non-zero ones, and staging passes an existing file's map — as
-        :func:`~repro.vm.snapshot.capture_memory_contents` expects."""
+        A :class:`PageMap` is kept as it is (files share page maps);
+        any other mapping is converted once, dropping zero values."""
         if name in self._files:
             raise SimulationError(f"file {name!r} already exists")
         if num_pages < 0:
@@ -235,12 +280,14 @@ class FileStore:
                         f"page {page} out of range for {name} "
                         f"({num_pages} pages)"
                     )
+        if not isinstance(pages, PageMap):
+            pages = PageMap(pages or {})
         stored = StoredFile(
             name=name,
             device=self.device,
             base_offset=self._next_offset,
             num_pages=num_pages,
-            pages={} if pages is None else pages,
+            pages=pages or EMPTY_PAGES,
             sparse=sparse,
         )
         self._files[name] = stored

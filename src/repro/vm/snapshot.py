@@ -10,8 +10,9 @@ FaaSnap's zero-region scan does (§4.5).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.host.vma import AddressSpace, FileBacking
 from repro.storage.filestore import FileStore, StoredFile
@@ -32,11 +33,6 @@ class Snapshot:
     def num_pages(self) -> int:
         return self.memory_file.num_pages
 
-    def nonzero_pages(self) -> List[int]:
-        """Sorted guest pages with non-zero contents — the scan
-        FaaSnap performs after the record phase (§4.5)."""
-        return self.memory_file.nonzero_pages()
-
     def page_value(self, page: int) -> int:
         return self.memory_file.page_value(page)
 
@@ -51,15 +47,12 @@ def create_snapshot(
     """Write a snapshot named ``name`` into ``store``.
 
     ``contents`` maps guest page -> content token; zero / missing
-    pages become holes when ``sparse``. The memory file keeps
-    ``contents`` as its page map (see :meth:`FileStore.create`), so
-    the caller must not mutate it afterwards; a map holding zero
-    values is replaced by a copy without them, so memory files are
-    zero-free. Snapshot creation happens in the record phase, off the
-    measured critical path, so no simulated time is charged.
+    pages become holes when ``sparse``. The memory file's page map is
+    ``contents`` itself when it is a :class:`PageMap`, else a zero-free
+    copy (see :meth:`FileStore.create`). Snapshot creation happens in
+    the record phase, off the measured critical path, so no simulated
+    time is charged.
     """
-    if 0 in contents.values():
-        contents = {p: v for p, v in contents.items() if v != 0}
     memory = store.create(
         f"{name}.mem", num_pages, pages=contents, sparse=sparse
     )
@@ -80,15 +73,13 @@ def capture_memory_contents(
 
     Iterates only pages that can be non-zero — each mapping's backing
     file entries, the space's shared image, and the dirtied pages — so
-    capturing a 2 GB guest stays cheap. A mapping of a whole file at
-    guest page 0 (the record VM's full-file restore) copies the file's
-    map with one ``dict.update``: :meth:`FileStore.create` rejects
-    pages past the file's end, and the maps of every program caller
-    hold no zero values (see there), so no entry needs a test. A map
-    with zero values would pass them through, which
-    :func:`create_snapshot` strips again. (``base`` is accepted for
-    call-site symmetry; the mappings themselves carry everything
-    needed.)
+    capturing a 2 GB guest stays cheap. File maps and the image are
+    zero-free :class:`PageMap` values, so none of their entries needs
+    a test: a mapping of a whole file at guest page 0 (the record VM's
+    full-file restore) copies the file's map with one ``dict.update``,
+    and any other file mapping copies the file's data runs inside it.
+    (``base`` is accepted for call-site symmetry; the mappings
+    themselves carry everything needed.)
     """
     contents: Dict[int, int] = {}
     for vma in space.vmas():
@@ -102,20 +93,16 @@ def capture_memory_contents(
         base_guest = vma.start - first
         if base_guest == 0 and first == 0 and last >= file.num_pages:
             contents.update(file_pages)
-        elif len(file_pages) <= vma.npages:
-            for file_page, value in file_pages.items():
-                if first <= file_page < last and value != 0:
-                    contents[base_guest + file_page] = value
-        else:
-            for file_page in range(first, last):
-                value = file_pages.get(file_page, 0)
-                if value != 0:
-                    contents[base_guest + file_page] = value
+            continue
+        starts, ends = file_pages.runs()
+        for run in range(bisect_right(ends, first), bisect_left(starts, last)):
+            for file_page in range(
+                max(starts[run], first), min(ends[run], last)
+            ):
+                contents[base_guest + file_page] = file_pages[file_page]
     # The shared image is anonymous memory the guest already holds;
     # private (dirtied) pages override it and whatever backs them.
-    for page, value in space.image.items():
-        if value != 0:
-            contents[page] = value
+    contents.update(space.image)
     for page, value in space.anon_contents.items():
         if value != 0:
             contents[page] = value

@@ -21,7 +21,7 @@ from repro.host.procfs import Procfs
 from repro.host.uffd import UserfaultfdManager
 from repro.host.vma import AddressSpace
 from repro.sim import Environment, Event, Resource, SimulationError
-from repro.storage.filestore import StoredFile
+from repro.storage.filestore import PageMap, StoredFile
 from repro.vm.snapshot import Snapshot
 from repro.vm.vcpu import VCpu
 
@@ -171,9 +171,7 @@ class MicroVM:
         yield self.env.timeout(self.vmm_params.vmm_start_us)
         yield self.env.timeout(self.vmm_params.cold_boot_us)
         yield self.env.timeout(runtime_init_us)
-        self.space.map_image(
-            {page: value for page, value in contents.items() if value != 0}
-        )
+        self.space.map_image(PageMap(contents))
         self._setup_done = True
         return self.env.now - start
 

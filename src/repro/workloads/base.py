@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.storage.filestore import PageMap
 from repro.vm.layout import DEFAULT_BOOT_PAGES, DEFAULT_GUEST_PAGES, GuestLayout
 from repro.vm.vcpu import GuestAccess, TraceColumns
 
@@ -295,10 +296,10 @@ def runtime_resident_offsets(profile: WorkloadProfile) -> List[int]:
     return sorted(placement["core"] + placement["pool"])
 
 
-_CLEAN_CONTENTS_CACHE: Dict[WorkloadProfile, Dict[int, int]] = {}
+_CLEAN_CONTENTS_CACHE: Dict[WorkloadProfile, PageMap] = {}
 
 
-def clean_snapshot_contents(profile: WorkloadProfile) -> Dict[int, int]:
+def clean_snapshot_contents(profile: WorkloadProfile) -> PageMap:
     """Guest memory contents of the *clean* snapshot: the VM booted,
     runtime initialised and data loaded, but no invocation served yet
     (paper Figure 5, "restore clean snapshot").
@@ -307,8 +308,8 @@ def clean_snapshot_contents(profile: WorkloadProfile) -> Dict[int, int]:
     page (core + pool: the interpreter and its imported libraries),
     and the data region. The heap is all zeros. Deterministic per
     profile, so the construction is memoised and every call returns
-    the memo itself: every clean memory file shares it as its page
-    map, so callers must never mutate it.
+    the memo itself, an immutable :class:`PageMap` that every clean
+    memory file shares as its page map.
     """
     cached = _CLEAN_CONTENTS_CACHE.get(profile)
     if cached is not None:
@@ -324,8 +325,8 @@ def clean_snapshot_contents(profile: WorkloadProfile) -> Dict[int, int]:
     for offset in range(profile.data_pages):
         page = layout.data_page(offset)
         contents[page] = content_token(page, 0)
-    _CLEAN_CONTENTS_CACHE[profile] = contents
-    return contents
+    cached = _CLEAN_CONTENTS_CACHE[profile] = PageMap(contents)
+    return cached
 
 
 def _interleave_chunks(

@@ -91,7 +91,7 @@ def test_write_loading_set_file_layout():
         store, "fn", 100, {0: 10, 1: 11, 50: 60, 51: 61}
     )
     ws = groups({50: 1, 51: 1, 0: 2, 1: 2})
-    ls = build_loading_set(ws, snapshot.nonzero_pages(), merge_gap=0)
+    ls = build_loading_set(ws, snapshot.memory_file.pages, merge_gap=0)
     f = write_loading_set_file(store, "fn.ls", ls, snapshot)
     # Group 1 region (guest 50-51) comes first in the file.
     assert f.page_value(0) == 60
@@ -107,7 +107,7 @@ def test_write_loading_set_file_gap_pages_are_zero():
     store = FileStore(env, device)
     snapshot = create_snapshot(store, "fn", 100, {0: 10, 3: 13})
     ws = groups({0: 1, 3: 1})
-    ls = build_loading_set(ws, snapshot.nonzero_pages(), merge_gap=5)
+    ls = build_loading_set(ws, snapshot.memory_file.pages, merge_gap=5)
     f = write_loading_set_file(store, "fn.ls", ls, snapshot)
     assert f.num_pages == 4
     assert f.page_value(0) == 10

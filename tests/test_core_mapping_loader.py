@@ -13,7 +13,7 @@ from repro.core.mapping import build_faasnap_plan, nonzero_regions
 from repro.core.working_set import WorkingSetGroups
 from repro.host import ANONYMOUS, AddressSpace, FileBacking, PageCache
 from repro.sim import Environment
-from repro.storage import BlockDevice, DeviceSpec, FileStore
+from repro.storage import BlockDevice, DeviceSpec, FileStore, PageMap
 from repro.vm import MicroVM, VmmParams, create_snapshot
 from repro.host.params import HostParams
 
@@ -21,17 +21,22 @@ from repro.host.params import HostParams
 # -- nonzero region coalescing -----------------------------------------
 
 
+def _map(pages):
+    return PageMap({page: 1 for page in pages})
+
+
 def test_nonzero_regions_exact_runs():
-    assert nonzero_regions([0, 1, 2, 10, 11], merge_gap=0) == [(0, 3), (10, 2)]
+    regions = nonzero_regions(_map([11, 0, 1, 2, 10]), merge_gap=0)
+    assert regions == [(0, 3), (10, 2)]
 
 
 def test_nonzero_regions_merge_small_gaps():
-    assert nonzero_regions([0, 1, 5, 6], merge_gap=4) == [(0, 7)]
-    assert nonzero_regions([0, 1, 5, 6], merge_gap=2) == [(0, 2), (5, 2)]
+    assert nonzero_regions(_map([0, 1, 5, 6]), merge_gap=4) == [(0, 7)]
+    assert nonzero_regions(_map([0, 1, 5, 6]), merge_gap=2) == [(0, 2), (5, 2)]
 
 
 def test_nonzero_regions_empty():
-    assert nonzero_regions([]) == []
+    assert nonzero_regions(PageMap()) == []
 
 
 # -- plan construction ----------------------------------------------------
@@ -56,7 +61,7 @@ def test_faasnap_plan_layers():
         rig.store, "fn", 1000, {10: 1, 11: 2, 500: 5, 501: 6}
     )
     ws = WorkingSetGroups(group_of={10: 1, 11: 1})
-    ls = build_loading_set(ws, snapshot.nonzero_pages(), merge_gap=0)
+    ls = build_loading_set(ws, snapshot.memory_file.pages, merge_gap=0)
     lf = write_loading_set_file(rig.store, "fn.ls", ls, snapshot)
     plan = build_faasnap_plan(snapshot, ls, lf, nonzero_merge_gap=0)
     # anonymous base + 2 nonzero regions + 1 loading region
@@ -100,7 +105,7 @@ def test_plan_memory_integrity():
     contents = {i: 100 + i for i in list(range(5, 15)) + list(range(40, 44))}
     snapshot = create_snapshot(rig.store, "fn", 64, contents)
     ws = WorkingSetGroups(group_of={5: 1, 6: 1, 41: 2})
-    ls = build_loading_set(ws, snapshot.nonzero_pages(), merge_gap=2)
+    ls = build_loading_set(ws, snapshot.memory_file.pages, merge_gap=2)
     lf = write_loading_set_file(rig.store, "fn.ls", ls, snapshot)
     plan = build_faasnap_plan(snapshot, ls, lf, nonzero_merge_gap=4)
     vm = MicroVM(rig.env, HostParams(), VmmParams(), rig.cache, 64)

@@ -154,8 +154,8 @@ def test_sanitize_zeroes_freed_pages_in_snapshot(platform, fn):
     plain = platform.ensure_record(fn, INPUT_A, Policy.FIRECRACKER)
     freed = set(sanitized.record_trace.freed_pages)
     assert freed
-    sanitized_nonzero = set(sanitized.warm_snapshot.nonzero_pages())
-    plain_nonzero = set(plain.warm_snapshot.nonzero_pages())
+    sanitized_nonzero = set(sanitized.warm_snapshot.memory_file.pages)
+    plain_nonzero = set(plain.warm_snapshot.memory_file.pages)
     assert not (freed & sanitized_nonzero)  # released set zeroed
     assert freed <= plain_nonzero  # garbage survives without sanitize
 
@@ -168,7 +168,7 @@ def test_host_page_recording_includes_readahead_pages(platform, fn):
     ws_pages = set(faasnap.ws_groups.pages)
     # REAP's set contains heap pages (not file-resident); compare only
     # pages that live in the clean memory file.
-    clean_nonzero = set(faasnap.clean_snapshot.nonzero_pages())
+    clean_nonzero = set(faasnap.clean_snapshot.memory_file.pages)
     reap_file_pages = {
         p for p in reap.reap_ws.pages_in_fault_order if p in clean_nonzero
     }

@@ -6,7 +6,7 @@ from repro.host import PageCache
 from repro.sim import Environment, SimulationError
 from repro.storage import BlockDevice, DeviceSpec, FileStore
 from repro.storage.errors import DeviceError
-from repro.storage.filestore import PAGE_SIZE
+from repro.storage.filestore import PAGE_SIZE, PageMap
 
 
 @pytest.fixture
@@ -114,7 +114,7 @@ def test_waiter_blocks_until_pending_completes():
 
 
 def test_warm_file(cache):
-    cache.warm_file("mem", range(100))
+    cache.warm_file("mem", PageMap(dict.fromkeys(range(100), 1)))
     assert cache.count_for_file("mem") == 100
 
 

@@ -3,8 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.loading_set import _merge_runs, _runs, build_loading_set
+from repro.core.loading_set import _merge_runs, build_loading_set
 from repro.core.working_set import WorkingSetGroups
+from repro.storage.filestore import page_runs
 
 pages_strategy = st.sets(st.integers(min_value=0, max_value=5000), max_size=400)
 
@@ -24,17 +25,20 @@ def working_sets(draw):
 @given(pages_strategy)
 def test_runs_partition_pages_exactly(pages):
     ordered = sorted(pages)
-    runs = _runs(ordered)
+    starts, ends = page_runs(ordered)
     covered = []
-    for start, npages in runs:
-        covered.extend(range(start, start + npages))
+    for start, end in zip(starts, ends):
+        assert start < end
+        covered.extend(range(start, end))
     assert covered == ordered
+    # Maximal: consecutive runs never touch.
+    assert all(end < start for end, start in zip(ends, starts[1:]))
 
 
 @given(pages_strategy, st.integers(min_value=0, max_value=64))
 def test_merged_runs_cover_all_pages_and_respect_gap(pages, gap):
     ordered = sorted(pages)
-    merged = _merge_runs(_runs(ordered), gap)
+    merged = _merge_runs(*page_runs(ordered), gap)
     covered = set()
     previous_end = None
     for start, npages in merged:

@@ -67,17 +67,18 @@ def _eager_install(space, pages):
 
 
 def _snapshot(store, contents):
-    # Built directly so the memory file may hold explicit zero tokens,
-    # which count as mapped pages like any other image entry.
+    # Built directly so explicit zero tokens reach the store, which
+    # drops them: a memory file's page map is zero-free.
     memory = store.create("fn.mem", NUM_PAGES, pages=contents, sparse=True)
     vmstate = store.create("fn.vmstate", 1)
     return Snapshot("fn", memory, vmstate)
 
 
 def _set_up(env, store, vm, contents, how, eager):
+    nonzero = {p: v for p, v in contents.items() if v != 0}
     if how == "warm":
         if eager:
-            _eager_install(vm.space, dict(contents))
+            _eager_install(vm.space, nonzero)
             vm._setup_done = True
         else:
             vm.make_warm(_snapshot(store, contents))
@@ -88,9 +89,7 @@ def _set_up(env, store, vm, contents, how, eager):
             yield env.timeout(VMM.vmm_start_us)
             yield env.timeout(VMM.cold_boot_us)
             yield env.timeout(RUNTIME_INIT_US)
-            _eager_install(
-                vm.space, {p: v for p, v in contents.items() if v != 0}
-            )
+            _eager_install(vm.space, nonzero)
 
         env.run(until=env.process(boot()))
     else:

@@ -12,6 +12,7 @@ import dataclasses
 
 from repro.cluster import ClusterConfig, ClusterSimulator
 from repro.core.working_set import WorkingSetGroups
+from repro.faults.durability import DurabilityPolicy
 from repro.fleet import synthesize_fleet
 from repro.service import AddHostCommand, AdvanceCommand
 from repro.service.core import ClusterService
@@ -45,9 +46,9 @@ def _all_stored_files(simulator):
             yield from store._files.values()
 
 
-def _prepped_service(num_hosts=3):
+def _prepped_service(num_hosts=3, **config):
     fleet = synthesize_fleet(2, seed=5, profile_names=("json", "pyaes"))
-    config = ClusterConfig(num_hosts=num_hosts, seed=3)
+    config = ClusterConfig(num_hosts=num_hosts, seed=3, **config)
     service = ClusterService(ClusterSimulator(fleet, config))
     service.execute(AdvanceCommand(ms=0))
     return service
@@ -131,3 +132,15 @@ def test_equal_working_and_loading_sets_are_shared_across_hosts():
     simulator._share_page_maps(copy)
     assert copy.ws_groups is edited
     assert copy.loading_set is donor.loading_set
+
+
+def test_equal_warm_memory_files_share_one_checksum_tuple():
+    service = _prepped_service(durability=DurabilityPolicy(enabled=True))
+    simulator = service.simulator
+    hosts = [hs.host.host_id for hs in simulator._hosts]
+    for fn in simulator.fleet:
+        golden = simulator._snapshot_checksums(hosts[0], fn.name)
+        assert golden
+        for host_id in hosts[1:]:
+            assert simulator._snapshot_checksums(host_id, fn.name) is golden
+    assert simulator._snapshot_checksums("no-such-host", fn.name) is None

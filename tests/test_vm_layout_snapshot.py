@@ -84,7 +84,7 @@ def test_create_snapshot_files(store):
     snap = create_snapshot(store, "fn", 1000, {3: 30, 7: 70})
     assert snap.memory_file.num_pages == 1000
     assert snap.vmstate_file.num_pages == VMSTATE_PAGES
-    assert snap.nonzero_pages() == [3, 7]
+    assert sorted(snap.memory_file.pages) == [3, 7]
     assert snap.page_value(3) == 30
     assert snap.page_value(4) == 0
     assert snap.memory_file.sparse
@@ -92,7 +92,7 @@ def test_create_snapshot_files(store):
 
 def test_snapshot_drops_zero_contents(store):
     snap = create_snapshot(store, "fn", 100, {1: 0, 2: 5})
-    assert snap.nonzero_pages() == [2]
+    assert snap.memory_file.pages == {2: 5}
 
 
 def test_capture_contents_from_anonymous_space(store):
