@@ -13,10 +13,9 @@ Run:  python examples/burst_scheduler.py [--max-parallelism 16]
 """
 
 import argparse
-import dataclasses
 
 from repro.core import FaaSnapPlatform, Policy
-from repro.core.restore import PlatformConfig
+from repro.core.restore import C5D_METAL_CPU_SLOTS, PlatformConfig
 from repro.metrics import mean, render_table
 from repro.workloads import get_profile
 from repro.workloads.base import INPUT_A
@@ -24,8 +23,7 @@ from repro.workloads.base import INPUT_A
 
 def sweep(same_snapshot: bool, parallelisms, function_name: str):
     """Mean total latency per policy and burst size."""
-    config = PlatformConfig()
-    config = dataclasses.replace(config, cpu_slots=config.host.cpu_slots)
+    config = PlatformConfig(cpu_slots=C5D_METAL_CPU_SLOTS)
     rows = []
     for policy in (Policy.FIRECRACKER, Policy.REAP, Policy.FAASNAP):
         platform = FaaSnapPlatform(config)

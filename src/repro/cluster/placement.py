@@ -2,11 +2,11 @@
 
 A policy sees a read-only sequence of per-host views and picks a
 *position into that sequence*. Callers usually pass every host, in
-which case the position equals the host's global index — but wrappers
-like :class:`HealthFiltered` pass filtered subsequences and map the
-position back, which is why policies must not assume
-``hosts[i].index == i``. The views expose exactly what production
-placers use:
+which case the position equals the host's global index — but
+:func:`choose_healthy` and :func:`pick_failover` pass filtered
+subsequences and map the position back, which is why policies must
+not assume ``hosts[i].index == i``. The views expose exactly what
+production placers use:
 
 * ``load`` — invocations currently running or queued on the host;
 * ``has_idle_warm(function)`` — an idle warm VM of the function is
@@ -56,8 +56,8 @@ class StaticHostView(HostView):
     ``projected`` counts dispatches the router has since routed there
     within the current window, so same-window arrivals see each
     other's load exactly like same-instant arrivals do on the
-    single-heap path. The ``healthy`` field makes the view compatible
-    with :class:`HealthFiltered`; with ``crashed`` it also serves
+    single-heap path. The ``healthy`` field serves
+    :func:`choose_healthy`; with ``crashed`` it also serves
     :func:`pick_failover`.
     """
 
@@ -151,37 +151,23 @@ def _best(hosts: Sequence[HostView], positions) -> int:
     return min(positions, key=lambda i: (hosts[i].load, hosts[i].index))
 
 
-class HealthFiltered(PlacementPolicy):
-    """Decorator that hides unhealthy hosts from an inner policy.
+def choose_healthy(
+    policy: PlacementPolicy, hosts: Sequence[HostView], function: str
+) -> int:
+    """``policy``'s choice among the healthy views of ``hosts``, as a
+    position into ``hosts``.
 
-    Views carrying a falsy ``healthy`` attribute (drained or crashed
-    hosts, as maintained by
-    :class:`~repro.faults.health.HealthMonitor`) are dropped before
-    the inner policy chooses; the chosen position is then mapped back
-    into the caller's sequence. When *every* host is unhealthy the
-    full list is used unfiltered — routing somewhere and letting the
-    robust serve path fail fast beats dropping the arrival with no
-    defined outcome. Views without a ``healthy`` attribute are
-    treated as healthy, so the wrapper is inert on schedulers that
-    predate health tracking."""
-
-    def __init__(self, inner: PlacementPolicy):
-        self.inner = inner
-        self.name = inner.name
-        #: Placements that had to route around >= 1 unhealthy host.
-        self.filtered_choices = 0
-
-    def choose(self, hosts: Sequence[HostView], function: str) -> int:
-        healthy = [
-            i
-            for i, h in enumerate(hosts)
-            if getattr(h, "healthy", True)
-        ]
-        if not healthy or len(healthy) == len(hosts):
-            return self.inner.choose(hosts, function)
-        self.filtered_choices += 1
-        views = [hosts[i] for i in healthy]
-        return healthy[self.inner.choose(views, function)]
+    Views with a falsy ``healthy`` (drained or crashed hosts, as
+    maintained by :class:`~repro.faults.health.HealthMonitor`) are
+    dropped before the policy chooses; the chosen position is then
+    mapped back into ``hosts``. When every view is healthy, or none
+    is, the policy sees the full list — routing somewhere and letting
+    the robust serve path fail fast beats dropping the arrival with no
+    defined outcome."""
+    healthy = [i for i, h in enumerate(hosts) if h.healthy]
+    if not healthy or len(healthy) == len(hosts):
+        return policy.choose(hosts, function)
+    return healthy[policy.choose([hosts[i] for i in healthy], function)]
 
 
 def pick_failover(
@@ -195,7 +181,8 @@ def pick_failover(
     any non-crashed one), or ``None`` when the cluster has no
     alternative. The views need ``healthy`` and ``crashed``: live
     scheduler hosts and the sharded router's barrier snapshots both
-    have them."""
+    have them. The candidates are all healthy or, in the fallback,
+    all unhealthy, so ``placement`` is given them unfiltered."""
     candidates = [
         v for v in views if v is not exclude and v.healthy and not v.crashed
     ]
@@ -204,68 +191,6 @@ def pick_failover(
     if not candidates:
         return None
     return candidates[placement.choose(candidates, function)]
-
-
-class HotSwappablePlacement(PlacementPolicy):
-    """Decorator whose inner policy can be replaced mid-run.
-
-    The live service's ``swap_placement`` command re-points the
-    cluster's placement at a *fresh* instance of another registered
-    policy while invocations are in flight. A fresh instance (rather
-    than a paused old one) keeps the hand-off deterministic: the new
-    policy starts from its initial state (e.g. a round-robin cursor at
-    0) regardless of what ran before, so a journaled command stream
-    replays to identical placements. Delegation is a plain method
-    call with no state of its own, so wrapping a batch run in this
-    decorator changes nothing."""
-
-    def __init__(self, inner: PlacementPolicy):
-        self.inner = inner
-        self.name = inner.name
-        #: Completed ``swap`` calls (telemetry for the service layer).
-        self.swaps = 0
-
-    def choose(self, hosts: Sequence[HostView], function: str) -> int:
-        return self.inner.choose(hosts, function)
-
-    def swap(self, name: str) -> PlacementPolicy:
-        """Install a fresh instance of policy ``name`` and return it."""
-        self.inner = make_placement(name)
-        self.name = self.inner.name
-        self.swaps += 1
-        return self.inner
-
-
-class CountingPlacement(PlacementPolicy):
-    """Decorator that mirrors an inner policy's decisions into a
-    telemetry registry: a total ``cluster.placement.decisions``
-    counter plus one ``cluster.placement.to.<host_id>`` counter per
-    destination. Delegates ``choose`` verbatim, so placements are
-    unchanged."""
-
-    def __init__(self, inner: PlacementPolicy, registry, host_ids):
-        self.inner = inner
-        self.name = inner.name
-        self._registry = registry
-        self._decisions = registry.counter("cluster.placement.decisions")
-        self._per_host = [
-            registry.counter(f"cluster.placement.to.{host_id}")
-            for host_id in host_ids
-        ]
-
-    def choose(self, hosts: Sequence[HostView], function: str) -> int:
-        index = self.inner.choose(hosts, function)
-        self._decisions.value += 1
-        self._per_host[index].value += 1
-        return index
-
-    def add_host(self, host_id: str) -> None:
-        """Extend the per-destination counters for a host added to the
-        cluster mid-run (positions are appended in host-index order,
-        matching the scheduler's host list)."""
-        self._per_host.append(
-            self._registry.counter(f"cluster.placement.to.{host_id}")
-        )
 
 
 _POLICIES: Dict[str, Callable[[], PlacementPolicy]] = {

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -63,11 +64,9 @@ from typing import (
 )
 
 from repro.cluster.placement import (
-    CountingPlacement,
-    HealthFiltered,
     HostView,
-    HotSwappablePlacement,
     PlacementPolicy,
+    choose_healthy,
     make_placement,
     pick_failover,
 )
@@ -318,7 +317,7 @@ class _HostState(HostView):
         #: re-run the loader; the pages may have been evicted).
         self.gates: Dict[str, List[Any]] = {}
         self.stats = HostStats(host=host.host_id)
-        #: Health plane (read by :class:`HealthFiltered` placement).
+        #: Health plane (read by :func:`choose_healthy` placement).
         self.healthy = True
         #: Operator-drained: out of rotation by command, not by
         #: failure — the health monitor must not reintegrate it.
@@ -517,29 +516,27 @@ class ClusterSimulator:
             placement=self.config.placement,
             snapshot_tier=self.config.snapshot_tier,
         )
-        # Placement chain, innermost out: the configured policy, a
-        # hot-swap shim (the live service's ``swap_placement``), a
-        # health filter, and telemetry counting. The health filter is
-        # always present — it delegates untouched while every host is
-        # healthy, so the unarmed batch path keeps its exact event
-        # schedule, and live drain/crash state works even on runs that
-        # never armed the fault machinery.
-        self._hot_placement = HotSwappablePlacement(
-            make_placement(self.config.placement)
-        )
-        inner: PlacementPolicy = HealthFiltered(self._hot_placement)
-        self._failover_placement = inner
-        self._placement: PlacementPolicy = CountingPlacement(
-            inner,
-            self.registry,
-            [self._host_id(i) for i in range(self.config.num_hosts)],
-        )
+        #: The placement policy: dispatch places through
+        #: :func:`choose_healthy`, and retries and hedges hand it to
+        #: :func:`pick_failover`, so both share its state (e.g. the
+        #: round-robin cursor). ``swap_placement`` rebinds it.
+        self._policy: PlacementPolicy = make_placement(self.config.placement)
         counter = self.registry.counter
-        self._ctr_invocations = counter("cluster.scheduler.invocations")
-        self._ctr_warm = counter("cluster.scheduler.warm_starts")
-        self._ctr_snapshot = counter("cluster.scheduler.snapshot_starts")
-        self._ctr_cold = counter("cluster.scheduler.cold_starts")
-        self._ctr_evictions = counter("cluster.scheduler.evictions")
+        self._placement_decisions = counter("cluster.placement.decisions")
+        self._placement_to = [
+            counter(f"cluster.placement.to.{self._host_id(i)}")
+            for i in range(self.config.num_hosts)
+        ]
+        #: Filled by :meth:`_build_hosts`; the scheduler's counters
+        #: read their :class:`HostStats` sums from it.
+        self._hosts: List[_HostState] = []
+        self._count_stats(
+            ("cluster.scheduler.invocations", "invocations"),
+            ("cluster.scheduler.warm_starts", "warm_starts"),
+            ("cluster.scheduler.snapshot_starts", "snapshot_starts"),
+            ("cluster.scheduler.cold_starts", "cold_starts"),
+            ("cluster.scheduler.evictions", "evictions"),
+        )
         self.injector: Optional[FaultInjector] = None
         self.monitor: Optional[HealthMonitor] = None
         self.durability: Optional[DurabilityManager] = None
@@ -580,6 +577,17 @@ class ClusterSimulator:
             )
         return env
 
+    def _count_stats(self, *counters: Tuple[str, str]) -> None:
+        """Register each ``(name, field)`` as a pull counter reading
+        the sum of that :class:`HostStats` field over the run's hosts
+        (hosts added live included)."""
+        hosts = self._hosts
+        for name, stat in counters:
+            get = attrgetter(f"stats.{stat}")
+            self.registry.pull_counter(
+                name, lambda get=get: sum(map(get, hosts))
+            )
+
     def _install_robust_machinery(self) -> None:
         """Instruments and policy objects the robust serving path
         needs (retry budget, hedge tracker, failure counters). Called
@@ -590,15 +598,14 @@ class ClusterSimulator:
             return
         self._robust_ready = True
         recovery = self.config.recovery
-        counter = self.registry.counter
         self._retry_budget = self._make_retry_budget(recovery)
         self._hedge_tracker = HedgeTracker(recovery.hedge)
-        self._ctr_failed = counter("cluster.scheduler.failed")
-        self._ctr_shed = counter("cluster.scheduler.shed")
-        self._ctr_retries = counter("retry.attempts")
-        self._ctr_degraded = counter("cluster.scheduler.degraded_starts")
-        self._ctr_corrupt = counter(
-            "cluster.scheduler.snapshot_corruptions"
+        self._count_stats(
+            ("cluster.scheduler.failed", "failures"),
+            ("cluster.scheduler.shed", "shed"),
+            ("retry.attempts", "retries"),
+            ("cluster.scheduler.degraded_starts", "degraded_starts"),
+            ("cluster.scheduler.snapshot_corruptions", "snapshot_corruptions"),
         )
         budget = self._retry_budget
         self.registry.pull_counter("retry.spent", lambda: budget.spent)
@@ -611,9 +618,9 @@ class ClusterSimulator:
         )
 
     def _finish_run(self) -> ClusterReport:
-        """Fold device stats into the report and canonicalise its
-        order; the tail end of ``run``, shared with sharded
-        execution's per-host sims."""
+        """Fold device stats and evictions into the report and
+        canonicalise its order; the tail end of ``run``, shared with
+        sharded execution's per-host sims."""
         report = self._report
         for hs in self._hosts:
             stats = hs.stats
@@ -621,6 +628,7 @@ class ClusterSimulator:
             stats.device_bytes_read = hs.host.device.stats.bytes_read
             stats.device_queue_wait_us = hs.host.device.stats.queue_wait_us
             report.host_stats[stats.host] = stats
+        report.evictions = sum(hs.stats.evictions for hs in self._hosts)
         if self.injector is not None:
             report.fault_summary = self.injector.summary()
         #: The run's durability event stream (see
@@ -648,7 +656,6 @@ class ClusterSimulator:
             self._shared_device = shared_device
             shared_store = FileStore(env, shared_device)
         self._shared_store = shared_store
-        self._hosts: List[_HostState] = []
         self._shared_snapshots: Set[str] = set()
         for index in range(config.num_hosts):
             self._hosts.append(self._make_host_state(index))
@@ -707,22 +714,39 @@ class ClusterSimulator:
         record."""
         if self._costs is not None:
             return
-        if self.config.snapshot_tier == TIER_SHARED_EBS:
-            yield from self._record_host(self._hosts[0], self._hosts[1:])
-        else:
-            for hs in self._hosts:
+        for hs in self._hosts:
+            if not self._adopt(hs):
                 yield from self._record_host(hs)
         for hs in self._hosts:
             hs.host.drop_caches()
 
-    def _record_host(
-        self, hs: "_HostState", adopters: Sequence["_HostState"] = ()
-    ) -> Generator[Event, Any, None]:
+    def _adopt(self, hs: "_HostState") -> bool:
+        """The snapshot tier's prep rule, for the prep epoch and for a
+        host added live: on the shared-EBS tier every host but host0
+        registers host0's record artefacts so far as its own (the
+        files live on the shared volume), and returns ``True``; host0
+        and local-NVMe hosts record their own, and get ``False``.
+        Adoption creates no events, and adopting again only adds what
+        host0 recorded since."""
+        if self._shared_store is None or hs.index == 0:
+            return False
+        config = self.config
+        donor = self._hosts[0].host
+        for fleet_fn in self.fleet:
+            for policy in self._record_plan():
+                artifacts = donor.cached_artifacts(
+                    fleet_fn.name, config.record_input, policy
+                )
+                if artifacts is not None:
+                    hs.host.adopt_artifacts(config.record_input, artifacts)
+        return True
+
+    def _record_host(self, hs: "_HostState") -> Generator[Event, Any, None]:
         """Run every needed record phase on ``hs`` — the one record
         step of the prep epoch and of a host added live — and share
-        each result's page maps (:meth:`_share_page_maps`).
-        ``adopters`` register each result as their own (the shared
-        tier's hosts restore files another host recorded)."""
+        each result's page maps (:meth:`_share_page_maps`). The hosts
+        that adopt host0's artefacts take each one as it is recorded,
+        so gauges sampled during prep count it on every host at once."""
         config = self.config
         for fleet_fn in self.fleet:
             profile = self._profiles[fleet_fn.name]
@@ -731,8 +755,8 @@ class ClusterSimulator:
                     profile, config.record_input, policy
                 )
                 self._share_page_maps(artifacts)
-                for other in adopters:
-                    other.host.adopt_artifacts(config.record_input, artifacts)
+                for other in self._hosts[1:]:
+                    self._adopt(other)
 
     def _share_page_maps(self, artifacts: RecordArtifacts) -> None:
         """Point each of ``artifacts``' files at the page map of the
@@ -807,7 +831,9 @@ class ClusterSimulator:
         env = self.env
         for hs in self._hosts:
             self._evict_expired(hs, env.now)
-        index = self._placement.choose(self._hosts, arrival.function)
+        index = choose_healthy(self._policy, self._hosts, arrival.function)
+        self._placement_decisions.value += 1
+        self._placement_to[index].value += 1
         hs = self._hosts[index]
         # Count the placement immediately — the serve process only
         # starts after the driver yields, and same-instant arrivals
@@ -1047,9 +1073,11 @@ class ClusterSimulator:
             self.injector.disarm()
 
     def swap_placement(self, name: str) -> None:
-        """Hot-swap the placement policy to a fresh ``name`` instance
-        (the health-filter and counting wrappers stay in place)."""
-        self._hot_placement.swap(name)
+        """Hot-swap the placement policy to a fresh ``name`` instance.
+        A fresh instance (not a paused old one) starts from its initial
+        state, e.g. a round-robin cursor at 0, whatever ran before, so
+        a journaled command stream replays to identical placements."""
+        self._policy = make_placement(name)
         self.config = dataclasses.replace(self.config, placement=name)
         self._report.placement = name
 
@@ -1080,23 +1108,12 @@ class ClusterSimulator:
         hs = self._make_host_state(index)
         self._hosts.append(hs)
         self._host_by_id[hs.host.host_id] = hs
-        placement = self._placement
-        if isinstance(placement, CountingPlacement):
-            placement.add_host(hs.host.host_id)
+        self._placement_to.append(
+            self.registry.counter(f"cluster.placement.to.{hs.host.host_id}")
+        )
         if self.monitor is not None:
             self.monitor.states.append(hs)
-        config = self.config
-        if self._shared_store is not None and index > 0:
-            donor = self._hosts[0].host
-            for fleet_fn in self.fleet:
-                for policy in self._record_plan():
-                    artifacts = donor.cached_artifacts(
-                        fleet_fn.name, config.record_input, policy
-                    )
-                    if artifacts is not None:
-                        hs.host.adopt_artifacts(
-                            config.record_input, artifacts
-                        )
+        if self._adopt(hs):
             return hs
         hs.drained = True
         hs.healthy = False
@@ -1143,8 +1160,6 @@ class ClusterSimulator:
         """Account one keep-alive VM taken out of ``hs``'s pool."""
         hs.memory_mb -= vm.memory_mb
         hs.stats.evictions += 1
-        self._report.evictions += 1
-        self._ctr_evictions.value += 1
 
     def _evict_expired(self, hs: _HostState, now: float) -> None:
         for vm in hs.idle.pop_expired(now, self.config.keep_alive_ttl_us):
@@ -1215,7 +1230,6 @@ class ClusterSimulator:
         latency = self.env.now - instant if latency_us is None else latency_us
         if outcome is InvocationOutcome.FAILED:
             hs.stats.failures += 1
-            self._ctr_failed.inc()
         self._emit(
             hs.host.host_id, "outcome", ctx,
             outcome=outcome.value,
@@ -1248,7 +1262,6 @@ class ClusterSimulator:
             return False
         hs.queued -= 1
         hs.stats.shed += 1
-        self._ctr_shed.inc()
         self._emit(
             hs.host.host_id, "shed", ctx, load=hs.load, function=function
         )
@@ -1295,7 +1308,6 @@ class ClusterSimulator:
         if deadline_at is not None and env.now + backoff >= deadline_at:
             return None
         hs.stats.retries += 1
-        self._ctr_retries.inc()
         self._emit(
             (hs if at is None else at).host.host_id, "retry", ctx,
             round=rounds, backoff_us=backoff, **detail,
@@ -1421,8 +1433,7 @@ class ClusterSimulator:
                 if hedge_evt is not None and hedge_evt.processed:
                     hedged_this_round = True
                     other = pick_failover(
-                        self._hosts, self._failover_placement, current,
-                        function,
+                        self._hosts, self._policy, current, function
                     )
                     if other is not None:
                         launched += 1
@@ -1461,7 +1472,7 @@ class ClusterSimulator:
                 yield env.timeout(backoff)
             if recovery.failover:
                 nxt = pick_failover(
-                    self._hosts, self._failover_placement, current, function
+                    self._hosts, self._policy, current, function
                 )
                 if nxt is not None:
                     current = nxt
@@ -1556,7 +1567,6 @@ class ClusterSimulator:
                 # instead of falling over.
                 policy = shedding.degraded_policy
                 hs.stats.degraded_starts += 1
-                self._ctr_degraded.inc()
                 self._emit(
                     hs.host.host_id, "degraded", ctx,
                     attempt=attempt_no, policy=policy.value,
@@ -1612,7 +1622,6 @@ class ClusterSimulator:
                         )
                         if verdict == VERIFY_CORRUPT:
                             hs.stats.snapshot_corruptions += 1
-                            self._ctr_corrupt.inc()
                             self._emit(
                                 None, "verify-failed", ctx,
                                 attempt=attempt_no, host=hs.host.host_id,
@@ -1632,7 +1641,6 @@ class ClusterSimulator:
                         )
                     ):
                         hs.stats.snapshot_corruptions += 1
-                        self._ctr_corrupt.inc()
                         raise SnapshotCorrupted(hs.host.host_id, function)
 
             latency_us: Optional[float] = None
@@ -1689,16 +1697,12 @@ class ClusterSimulator:
                 hs.memory_mb -= vm.memory_mb
 
             hs.stats.invocations += 1
-            self._ctr_invocations.value += 1
             if kind is StartKind.WARM:
                 hs.stats.warm_starts += 1
-                self._ctr_warm.value += 1
             elif kind is StartKind.SNAPSHOT:
                 hs.stats.snapshot_starts += 1
-                self._ctr_snapshot.value += 1
             else:
                 hs.stats.cold_starts += 1
-                self._ctr_cold.value += 1
             self._emit(
                 None, "attempt-ok", ctx,
                 attempt=attempt_no,

@@ -16,9 +16,10 @@ wrapped in a single-host :class:`_ShardHostSim`. A **shard** is a
 batch of host sims owned by one worker process; the parent process
 runs the **router**, which owns everything cross-host:
 
-* placement (:class:`~repro.cluster.placement.CountingPlacement` over
-  :class:`~repro.cluster.placement.StaticHostView` snapshots, health-
-  filtered exactly like the single-heap armed path);
+* placement (the configured policy over
+  :class:`~repro.cluster.placement.StaticHostView` snapshots, through
+  :func:`~repro.cluster.placement.choose_healthy` and counted like the
+  single-heap path);
 * the cluster-wide retry budget (each host holds one
   :meth:`~repro.faults.RetryBudget.partitioned` slice, pooled and
   redistributed at every barrier with
@@ -101,9 +102,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.placement import (
-    CountingPlacement,
-    HealthFiltered,
     StaticHostView,
+    choose_healthy,
     make_placement,
     pick_failover,
 )
@@ -802,13 +802,21 @@ class ShardedClusterSimulator:
         armed = run_is_armed(config, fault_plan)
         registry = MetricsRegistry()
         self.registry = registry
-        inner = make_placement(config.placement)
-        if armed:
-            inner = HealthFiltered(inner)
-        failover = inner
-        placement = CountingPlacement(
-            inner, registry, [f"host{i}" for i in range(H)]
-        )
+        policy = make_placement(config.placement)
+        ctr_decisions = registry.counter("cluster.placement.decisions")
+        ctr_to = [
+            registry.counter(f"cluster.placement.to.host{i}")
+            for i in range(H)
+        ]
+
+        def place(views, function: str) -> int:
+            # An unarmed run's views are all healthy, so the filter
+            # hands them to the policy unchanged.
+            index = choose_healthy(policy, views, function)
+            ctr_decisions.value += 1
+            ctr_to[index].value += 1
+            return index
+
         ctr_windows = registry.counter("cluster.router.windows")
         ctr_redispatch = registry.counter("cluster.router.redispatches")
         tracker: Optional[HedgeTracker] = None
@@ -838,8 +846,8 @@ class ShardedClusterSimulator:
             return self._run_router(
                 trace,
                 backend,
-                placement,
-                failover,
+                place,
+                policy,
                 tracker,
                 ctr_windows,
                 ctr_redispatch,
@@ -856,8 +864,8 @@ class ShardedClusterSimulator:
         self,
         trace: ArrivalTrace,
         backend,
-        placement,
-        failover,
+        place,
+        policy,
         tracker: Optional[HedgeTracker],
         ctr_windows,
         ctr_redispatch,
@@ -948,7 +956,7 @@ class ShardedClusterSimulator:
             while heap and heap[0][0] < w_end:
                 _, _, host, d = heapq.heappop(heap)
                 if host < 0:
-                    host = placement.choose(views, d.function)
+                    host = place(views, d.function)
                 if crec is not None:
                     crec.emit(
                         d.inv_id,
@@ -1066,7 +1074,7 @@ class ShardedClusterSimulator:
                 meta.stashed_retry = None
                 if retry_rec is not None:
                     pick = pick_failover(
-                        views, failover, views[retry_rec.host_index],
+                        views, policy, views[retry_rec.host_index],
                         meta.function,
                     )
                     target = (
@@ -1159,7 +1167,7 @@ class ShardedClusterSimulator:
                         ):
                             continue
                         pick = pick_failover(
-                            views, failover, views[meta.primary_host],
+                            views, policy, views[meta.primary_host],
                             meta.function,
                         )
                         if pick is None:

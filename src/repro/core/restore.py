@@ -64,6 +64,11 @@ from repro.workloads.base import clean_snapshot_contents
 #: runs in the unmeasured record phase.
 _SANITIZE_WRITE_US = 0.2
 
+#: Host cores available to guest vCPUs on the paper's c5d.metal (96
+#: vCPUs; each guest uses 2 vCPUs in §6, so ~48 guests run unqueued):
+#: the CPU slots of the bursty-parallel runs (Fig. 10).
+C5D_METAL_CPU_SLOTS = 48
+
 
 @dataclass(frozen=True)
 class PlatformConfig:
@@ -76,7 +81,8 @@ class PlatformConfig:
     group_pages: int = DEFAULT_GROUP_PAGES
     #: Gap threshold for merging loading-set regions (paper: 32).
     loading_merge_gap: int = DEFAULT_MERGE_GAP_PAGES
-    #: Host CPU slots for guest vCPUs (None = uncontended).
+    #: Host CPU slots for guest vCPUs (None = uncontended; the bursty
+    #: experiments use :data:`C5D_METAL_CPU_SLOTS`).
     cpu_slots: Optional[int] = None
     #: Tiered snapshot storage (§7.2 future work): keep the small
     #: loading-set / working-set files on the local NVMe SSD while the

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.policies import Policy
-from repro.core.restore import PlatformConfig
+from repro.core.restore import C5D_METAL_CPU_SLOTS, PlatformConfig
 from repro.experiments.common import fresh_platform
 from repro.experiments.runner import parallel_map
 from repro.metrics.report import render_table
@@ -95,7 +95,7 @@ def run(
     if config is None:
         config = PlatformConfig()
     if config.cpu_slots is None:
-        config = dataclasses.replace(config, cpu_slots=config.host.cpu_slots)
+        config = dataclasses.replace(config, cpu_slots=C5D_METAL_CPU_SLOTS)
     result = Fig10Result(
         parallelisms=tuple(parallelisms), functions=tuple(functions)
     )

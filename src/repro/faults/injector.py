@@ -91,8 +91,18 @@ class FaultInjector:
             return
         epoch = self.env.now if epoch_us is None else epoch_us
         for fault in self.plan.device_faults:
+            degradation = Degradation(
+                latency_factor=fault.latency_factor,
+                bandwidth_factor=fault.bandwidth_factor,
+                iops_factor=fault.iops_factor,
+                error_rate=fault.error_rate,
+            )
             self._spawn(
-                self._device_window(target, fault, epoch),
+                self._window(
+                    target, "device-window", fault.scope, fault, degradation,
+                    epoch, latency_factor=fault.latency_factor,
+                    error_rate=fault.error_rate,
+                ),
                 f"fault.device.{fault.scope}",
             )
         for crash in self.plan.host_crashes:
@@ -108,8 +118,16 @@ class FaultInjector:
                 f"fault.corrupt.{corruption.host}",
             )
         for fail_slow in self.plan.fail_slows:
+            # Gray failure: the host's primary device keeps serving
+            # correctly but ``slowdown``x slower, with no error signal.
+            # Only the health monitor's restore-latency outlier score
+            # can catch it.
+            degradation = Degradation(latency_factor=fail_slow.slowdown)
             self._spawn(
-                self._fail_slow(target, fail_slow, epoch),
+                self._window(
+                    target, "fail-slow", fail_slow.host, fail_slow,
+                    degradation, epoch, slowdown=fail_slow.slowdown,
+                ),
                 f"fault.slow.{fail_slow.host}",
             )
 
@@ -152,10 +170,9 @@ class FaultInjector:
             device.pop_degradation(degradation)
         if kind == "fail-slow":
             self.fail_slows_recovered += 1
-            self._notify("fault.fail-slow.close", scope)
         else:
             self.device_windows_closed += 1
-            self._notify("fault.device-window.close", scope)
+        self._notify(f"fault.{kind}.close", scope)
 
     def _register_metrics(self) -> None:
         registry = getattr(self.env, "metrics", None)
@@ -194,29 +211,33 @@ class FaultInjector:
 
     # -- fault processes -----------------------------------------------
 
-    def _device_window(
-        self, target: Any, fault, epoch: float
+    def _window(
+        self,
+        target: Any,
+        kind: str,
+        scope: str,
+        fault,
+        degradation: Degradation,
+        epoch: float,
+        **detail: Any,
     ) -> Generator[Event, Any, None]:
+        """One degradation window of ``kind`` (``device-window`` or
+        ``fail-slow``, as named in its records) on ``scope``'s devices:
+        sleep until ``fault.start_us``, push ``degradation``, and pop
+        it after ``fault.duration_us`` (never, when that is ``None``).
+        ``detail`` rides on the ``fault.<kind>.open`` record."""
         yield self.env.timeout(
             max(0.0, epoch + fault.start_us - self.env.now)
         )
-        degradation = Degradation(
-            latency_factor=fault.latency_factor,
-            bandwidth_factor=fault.bandwidth_factor,
-            iops_factor=fault.iops_factor,
-            error_rate=fault.error_rate,
-        )
-        devices = list(target.devices_for_scope(fault.scope))
+        devices = list(target.devices_for_scope(scope))
         for device in devices:
             device.push_degradation(degradation)
-        self.device_windows_opened += 1
-        self._notify(
-            "fault.device-window.open",
-            fault.scope,
-            latency_factor=fault.latency_factor,
-            error_rate=fault.error_rate,
-        )
-        entry = [devices, degradation, fault.scope, "device"]
+        if kind == "fail-slow":
+            self.fail_slows_applied += 1
+        else:
+            self.device_windows_opened += 1
+        self._notify(f"fault.{kind}.open", scope, **detail)
+        entry = [devices, degradation, scope, kind]
         self._open_windows.append(entry)
         if fault.duration_us is None:
             return
@@ -225,34 +246,6 @@ class FaultInjector:
         except Interrupt:
             # Disarm revokes the window synchronously via
             # ``_close_window``; nothing left to do here.
-            return
-        self._close_window(entry)
-
-    def _fail_slow(
-        self, target: Any, fault, epoch: float
-    ) -> Generator[Event, Any, None]:
-        """Gray failure: the host's primary device keeps serving
-        correctly but ``slowdown``× slower, with no error signal. Only
-        the :class:`~repro.faults.health.HealthMonitor`'s
-        restore-latency outlier score can catch it."""
-        yield self.env.timeout(
-            max(0.0, epoch + fault.start_us - self.env.now)
-        )
-        degradation = Degradation(latency_factor=fault.slowdown)
-        devices = list(target.devices_for_scope(fault.host))
-        for device in devices:
-            device.push_degradation(degradation)
-        self.fail_slows_applied += 1
-        self._notify(
-            "fault.fail-slow.open", fault.host, slowdown=fault.slowdown
-        )
-        entry = [devices, degradation, fault.host, "fail-slow"]
-        self._open_windows.append(entry)
-        if fault.duration_us is None:
-            return
-        try:
-            yield self.env.timeout(fault.duration_us)
-        except Interrupt:
             return
         self._close_window(entry)
 

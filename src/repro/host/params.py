@@ -62,9 +62,6 @@ class HostParams:
     mincore_per_page_us: float = 0.002
     #: procfs RSS poll cost and interval used by the recorder.
     procfs_poll_us: float = 3.0
-    #: Host cores available to guest vCPUs (c5d.metal: 96 vCPUs; each
-    #: guest uses 2 vCPUs in §6, so ~48 guests run unqueued).
-    cpu_slots: int = 48
     #: Deterministic per-fault service-time jitter: each fault's CPU
     #: cost is scaled by up to +/- this fraction, keyed by a hash of
     #: (page, kind). Zero (the default) keeps costs exact for unit

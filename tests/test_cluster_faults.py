@@ -10,7 +10,7 @@ recovery disabled measurably fails arrivals.
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterSimulator, TIER_SHARED_EBS
-from repro.cluster.placement import HealthFiltered, LeastLoaded, RoundRobin
+from repro.cluster.placement import LeastLoaded, RoundRobin, choose_healthy
 from repro.core.policies import Policy
 from repro.faults import (
     DISABLED_RECOVERY,
@@ -25,8 +25,16 @@ from repro.faults import (
     SheddingPolicy,
     SnapshotCorruption,
 )
+from repro.faults.chaos import scenario_fleet, scenario_trace
 from repro.fleet.scheduler import InvocationOutcome, StartKind
 from repro.fleet.workload import Arrival, ArrivalTrace, FleetFunction
+from repro.service import (
+    AddHostCommand,
+    AdvanceCommand,
+    DrainCommand,
+    InjectCommand,
+)
+from repro.service.core import ClusterService
 
 SECOND = 1_000_000.0
 
@@ -440,25 +448,26 @@ class _View:
         return False
 
 
-def test_health_filtered_routes_around_unhealthy_hosts():
-    policy = HealthFiltered(LeastLoaded())
+def test_choose_healthy_routes_around_unhealthy_hosts():
     views = [_View(0, 0, healthy=False), _View(1, 5), _View(2, 3)]
     # host0 has the least load but is drained; host2 is next-best.
-    assert policy.choose(views, "f") == 2
-    assert policy.filtered_choices == 1
+    assert LeastLoaded().choose(views, "f") == 0
+    assert choose_healthy(LeastLoaded(), views, "f") == 2
 
 
-def test_health_filtered_uses_all_hosts_when_all_unhealthy():
-    policy = HealthFiltered(RoundRobin())
+def test_choose_healthy_uses_all_hosts_when_all_unhealthy():
+    policy = RoundRobin()
     views = [_View(0, 0, healthy=False), _View(1, 0, healthy=False)]
-    assert policy.choose(views, "f") in (0, 1)
+    assert [choose_healthy(policy, views, "f") for _ in range(3)] == [0, 1, 0]
 
 
-def test_health_filtered_inert_on_healthy_cluster():
-    policy = HealthFiltered(LeastLoaded())
+def test_choose_healthy_inert_on_healthy_cluster():
     views = [_View(0, 2), _View(1, 1)]
-    assert policy.choose(views, "f") == 1
-    assert policy.filtered_choices == 0
+    assert choose_healthy(LeastLoaded(), views, "f") == 1
+    # The policy sees the caller's own list, so its positions (and a
+    # round-robin cursor) advance exactly as without the filter.
+    policy = RoundRobin()
+    assert [choose_healthy(policy, views, "f") for _ in range(3)] == [0, 1, 0]
 
 
 # -- deadlines ---------------------------------------------------------
@@ -478,3 +487,72 @@ def test_deadline_fails_invocations_that_cannot_finish():
     assert served.kind is None
     assert served.latency_us == pytest.approx(50_000.0)
     assert report.availability() == 0.0
+
+
+# -- counters read from HostStats --------------------------------------
+
+#: Each scheduler counter and the ``HostStats`` field it sums.
+_STAT_COUNTERS = {
+    "cluster.scheduler.invocations": "invocations",
+    "cluster.scheduler.warm_starts": "warm_starts",
+    "cluster.scheduler.snapshot_starts": "snapshot_starts",
+    "cluster.scheduler.cold_starts": "cold_starts",
+    "cluster.scheduler.evictions": "evictions",
+    "cluster.scheduler.failed": "failures",
+    "cluster.scheduler.shed": "shed",
+    "retry.attempts": "retries",
+    "cluster.scheduler.degraded_starts": "degraded_starts",
+    "cluster.scheduler.snapshot_corruptions": "snapshot_corruptions",
+}
+
+
+def test_scheduler_counters_equal_summed_host_stats():
+    """An armed run with a crash, an error window, corruptions, a short
+    keep-alive and a host added live moves every scheduler counter;
+    each must read the sum of its ``HostStats`` field over all three
+    hosts, and the report's evictions the hosts' evictions."""
+    plan = FaultPlan(
+        host_crashes=[
+            HostCrash(host="host0", at_us=3 * SECOND, reboot_after_us=4 * SECOND)
+        ],
+        device_faults=[
+            DeviceFault(
+                scope="host1",
+                start_us=6 * SECOND,
+                duration_us=4 * SECOND,
+                error_rate=0.9,
+            )
+        ],
+        corruptions=[
+            SnapshotCorruption(host="host1", function="f0", at_us=1.0),
+            SnapshotCorruption(host="host0", function="f1", at_us=1.0),
+        ],
+    )
+    config = ClusterConfig(
+        num_hosts=2,
+        seed=1,
+        recovery=RecoveryPolicy.full(
+            deadline_us=4 * SECOND, max_queue_depth=4, degraded_queue_depth=2
+        ),
+        keep_alive_ttl_us=300_000.0,
+    )
+    sim = ClusterSimulator(scenario_fleet(), config)
+    service = ClusterService(sim, fault_plan=plan)
+    service.execute(
+        InjectCommand.from_arrivals(scenario_trace(60, 200_000.0).arrivals)
+    )
+    service.execute(AdvanceCommand(ms=2_000.0))
+    service.execute(AddHostCommand())
+    service.execute(DrainCommand())
+    report = service.report
+
+    stats = list(report.host_stats.values())
+    assert [s.host for s in stats] == ["host0", "host1", "host2"]
+    counters = sim.registry.collect()["counters"]
+    for name, stat in _STAT_COUNTERS.items():
+        total = sum(getattr(s, stat) for s in stats)
+        assert total > 0, stat
+        assert counters[name] == total, name
+    assert report.evictions == sum(s.evictions for s in stats)
+    assert counters["cluster.placement.decisions"] == 60
+    assert sum(counters[f"cluster.placement.to.{s.host}"] for s in stats) == 60

@@ -21,10 +21,10 @@ from repro.cluster import (
     plan_for_host,
 )
 from repro.cluster.placement import (
-    HealthFiltered,
     LeastLoaded,
     SnapshotLocality,
     StaticHostView,
+    choose_healthy,
 )
 from repro.experiments.runner import parallel_map
 from repro.faults import (
@@ -281,8 +281,8 @@ def test_static_host_view_drives_placement():
     views[1].projected += 5
     assert views[1].load == 6
     views[2].healthy = False
-    filtered = HealthFiltered(LeastLoaded())
-    assert filtered.choose(views, "f") == 0  # host2 unhealthy, host1 loaded
+    # host2 unhealthy, host1 loaded
+    assert choose_healthy(LeastLoaded(), views, "f") == 0
 
 
 def test_retry_budget_partitioning_conserves_tokens():

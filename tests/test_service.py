@@ -156,7 +156,7 @@ def test_swap_placement_takes_effect_live():
     result = service.execute(SwapPlacementCommand(policy="round-robin"))
     assert result["placement"] == "round-robin"
     assert service.simulator.config.placement == "round-robin"
-    assert service.simulator._hot_placement.name == "round-robin"
+    assert service.simulator._policy.name == "round-robin"
     service.execute(AdvanceCommand(ms=60_000.0))
     service.execute(DrainCommand())
     assert service.report.placement == "round-robin"
@@ -180,6 +180,56 @@ def test_add_host_enters_rotation_and_status_reports_it():
     status = service.execute(StatusCommand())
     assert status["hosts"][2]["drained"] is False
     service.execute(DrainCommand())
+
+
+def test_add_host_on_shared_tier_adopts_host0_artifacts(tmp_path):
+    """On the shared-EBS tier a host added live restores the files
+    host0 recorded on the shared volume: it joins undrained, holding
+    host0's artefact objects, and the session replays digest for
+    digest."""
+    path = tmp_path / "svc.journal"
+    journal = JournalWriter(str(path))
+    service = build_service(
+        {
+            "functions": 4,
+            "fleet_seed": 5,
+            "hosts": 2,
+            "seed": 3,
+            "tier": "shared-ebs",
+            "placement": "round-robin",
+            "source": {
+                "kind": "trace",
+                "duration_us": 0.25 * HOUR_US,
+                "seed": 5,
+            },
+        },
+        journal=journal,
+    )
+    service.execute(AdvanceCommand(ms=60_000.0))
+    result = service.execute(AddHostCommand())
+    assert result["host"] == "host2"
+    assert result["drained"] is False
+    sim = service.simulator
+    host0, host2 = sim._hosts[0].host, sim._hosts[2].host
+    config = sim.config
+    for function in sim.fleet:
+        for policy in sim._record_plan():
+            adopted = host2.cached_artifacts(
+                function.name, config.record_input, policy
+            )
+            assert adopted is not None
+            assert adopted is host0.cached_artifacts(
+                function.name, config.record_input, policy
+            )
+    service.execute(AdvanceCommand(ms=120_000.0))
+    service.execute(DrainCommand())
+    journal.close()
+    assert service.report.host_stats["host2"].invocations > 0
+
+    replay = replay_journal(str(path))
+    assert replay.ok, replay.mismatches
+    assert replay.entries == 4
+    assert _checksum(replay.service.report) == _checksum(service.report)
 
 
 def test_drain_and_undrain_host():
