@@ -49,8 +49,17 @@ answer at once. Two callers share it:
   that reads or delegates, when it ends before the next heap event, so
   no other process could have seen the difference. On a warm VM it
   serves each stretch of image pages between the pages outside the
-  image at once. It stops at the first access that cannot be served
-  so, or that must let a heap event run first;
+  image at once. On any other, once it has served a streak of
+  accesses without I/O, it serves the next chunk of the trace in bulk
+  (:meth:`FaultHandler._stretch`): the longest prefix that is all
+  PRESENT faults, or all ANON and MINOR faults on files the page cache
+  holds whole, classified with column operations against the state at
+  the chunk's start and committed at once, its clock one
+  ``accumulate`` (:func:`_stretch_clock`). A NONE access, an I/O
+  fault, a valueless store, jittered costs or a userfaultfd handler's
+  faults end or skip the bulk stretch, and those accesses take the
+  per-access code. The loop stops at the first access that cannot be served so,
+  or that must let a heap event run first;
 * :meth:`FaultHandler.access`, the event path, classifies at
   ``env.now``, sleeps to each leg's end and commits, or runs the
   blocking leg first. It prices reads and handlers at the instant they
@@ -75,13 +84,15 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, filterfalse
+from itertools import accumulate, compress, count, filterfalse, repeat
 from typing import (
     TYPE_CHECKING,
     Any,
+    Dict,
     Generator,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -93,6 +104,7 @@ from repro.host.readahead import ReadaheadPolicy, WindowRead
 from repro.host.uffd import UffdRegistration, UserfaultfdManager
 from repro.host.vma import ANONYMOUS, AddressSpace, FileBacking, Vma
 from repro.sim import Environment, Event, SimulationError
+from repro.storage.filestore import StoredFile
 
 if TYPE_CHECKING:
     from repro.vm.vcpu import TraceColumns
@@ -179,6 +191,93 @@ _BUCKETS = 1024
 _PRESENT_SALT = 1
 _ANON_SALT = 2
 _MINOR_SALT = 3
+
+
+#: The run loop serves accesses in bulk (:meth:`FaultHandler._stretch`)
+#: once it has served this many in a row without I/O, in chunks that
+#: start at ``_STRETCH_FIRST`` accesses and double, up to
+#: ``_STRETCH_MAX``, while each is served whole.
+_STRETCH_ENGAGE = 16
+_STRETCH_FIRST = 64
+_STRETCH_MAX = 4096
+#: What a page faults as in a stretch, its class: unmapped (never
+#: served in bulk), PRESENT, ANON, or MINOR on a mapped file
+#: (``_FILE_CLASS`` plus the file's slot in :attr:`_Layout.files`).
+_UNMAPPED = 0
+_PRESENT_CLASS = 1
+_ANON_CLASS = 2
+_FILE_CLASS = 3
+#: ``bytes.translate`` table from a class to its fault's kind code.
+_CLASS_KINDS = bytes(
+    (0, PRESENT_CODE, ANON_CODE) + (MINOR_CODE,) * (256 - _FILE_CLASS)
+)
+
+
+class _Layout(NamedTuple):
+    """A space's VMAs as :meth:`FaultHandler._stretch` classifies pages,
+    built for one mapping ``version``.
+
+    A space of one VMA keeps just that ``vma``. In any other, ``index``
+    holds each page's segment: 0 is the background (anonymous memory
+    where the VMAs tile the space, else unmapped) and each VMA outside
+    it is a segment of its own. Per segment, ``classes`` holds its class,
+    ``deltas`` what to add to a page for its file page, and ``sources``
+    the map its pages' contents are read from: its file's page map,
+    which never changes (a stored file's map is immutable, and only
+    ever swapped for an equal one), or the space's anonymous contents.
+    ``files`` holds the mapped files, one per slot."""
+
+    version: int
+    vma: Optional[Vma]
+    index: Optional[array]
+    classes: bytes
+    deltas: List[int]
+    sources: List[Dict[int, int]]
+    files: List[StoredFile]
+
+
+def _position(chunk: List[int], hits: Iterator[int]) -> int:
+    """The position in ``chunk`` of the first of ``hits``, a filter over
+    it on a test of the page alone (so the page's first position is the
+    first hit), else the length of ``chunk``."""
+    hit = next(hits, None)
+    return len(chunk) if hit is None else chunk.index(hit)
+
+
+def _first_repeat(chunk: List[int]) -> int:
+    """The position of the first page ``chunk`` repeats, else its
+    length."""
+    seen: Dict[int, int] = {}
+    firsts = map(seen.setdefault, chunk, count())
+    repeats = compress(count(), map(operator.ne, firsts, count()))
+    return next(repeats, len(chunk))
+
+
+def _stretch_clock(
+    vnow: float,
+    costs: List[float],
+    thinks: List[float],
+    copies: List[int],
+    copy_us: float,
+) -> Tuple[List[float], List[float]]:
+    """The start and end instants of faults served back to back from
+    ``vnow``: fault ``i`` costs ``costs[i]``, plus ``copy_us`` when
+    ``i`` is in ``copies`` (a store's copy-on-write leg), and fault
+    ``i + 1`` starts ``thinks[i]`` after fault ``i`` ends.
+
+    One ``accumulate`` runs over interleaved ``[cost, copy, think]``
+    steps, the copy left out when no fault has one and ``0.0`` where
+    one has none (``x + 0.0 == x``): the float additions of the
+    per-access loop, in its order, so every instant is bit for bit
+    the one it reaches."""
+    step = 3 if copies else 2
+    clock = [0.0] * (step * len(costs) - 1)
+    clock[::step] = costs
+    clock[step - 1 :: step] = thinks
+    for offset in copies:
+        clock[step * offset + 1] = copy_us
+    instants = list(accumulate(clock, initial=vnow))
+    return instants[::step], instants[step - 1 :: step]
 
 
 def _bucket(page: int, salt: int) -> int:
@@ -342,6 +441,14 @@ class FaultHandler:
         self._present_costs = self._cost_table(params.present_fault_us)
         self._anon_costs = self._cost_table(params.anon_fault_us)
         self._minor_costs = self._cost_table(params.minor_fault_us)
+        #: Each stretch class's fault cost (jitter keeps stretches off).
+        self._class_costs = (
+            0.0,
+            self._present_costs[0],
+            self._anon_costs[0],
+        ) + (self._minor_costs[0],) * (256 - _FILE_CLASS)
+        #: The space's :class:`_Layout`, built on a stretch's first need.
+        self._layout: Optional[_Layout] = None
 
     def _cost_table(self, base_us: float) -> List[float]:
         """Service costs of one fault kind, one per jitter bucket.
@@ -432,12 +539,11 @@ class FaultHandler:
         if file.sparse and content == 0:
             resident = True
         else:
+            # ``after`` counts the runs starting at or before the page.
             runs = cache._runs.get(name)
-            if runs is None:
-                resident = False
-            else:
-                index = bisect_right(runs.starts, file_page) - 1
-                resident = index >= 0 and file_page < runs.ends[index]
+            starts = () if runs is None else runs.starts
+            after = bisect_right(starts, file_page) if starts else 0
+            resident = after > 0 and file_page < runs.ends[after - 1]
         if resident:
             # Resident page or sparse hole: minor fault, no I/O.
             bucket = _bucket(page, _MINOR_SALT) if self._jitter else 0
@@ -453,7 +559,12 @@ class FaultHandler:
         start = now + params.major_fault_overhead_us
         if not eager:
             return self._read_leg(file, file_page, content, write, start)
-        read = self.readahead.quote(file, cache, file_page, start)
+        # The window stops at the next resident page at the latest: the
+        # start of the run after the probed one, found by the same bisect.
+        resident_from = file.num_pages if after == len(starts) else starts[after]
+        read = self.readahead.quote(
+            file, cache, file_page, start, resident_from
+        )
         if read is None:
             return None
         return self._read_done(read.end, write, content, read)
@@ -541,7 +652,7 @@ class FaultHandler:
         env = self.env
         start = env.now
         space = self.space
-        if page in space.ept or page in space.image:
+        if page in space.ept or page in space.image_pages:
             end = self.mapped_write(page, value, start) if write else None
             if end is None:
                 return FaultRecord(FaultKind.NONE, page, start, 0.0)
@@ -592,6 +703,12 @@ class FaultHandler:
         instant the per-access loop reaches. The accesses to pages outside
         the image are served one by one.
 
+        On any other space, once :data:`_STRETCH_ENGAGE` accesses in a
+        row were served without I/O, the next chunk is served in bulk
+        by :meth:`_stretch`; chunks double while each is served whole,
+        and an I/O fault drops back to the streak. A chunk cut short
+        goes on access by access at the access that cut it.
+
         A fault that reads or delegates (MAJOR, UFFD) touches state
         other processes share, so it commits only when no other
         simulation event fires before it would complete (checked
@@ -607,10 +724,7 @@ class FaultHandler:
         space = self.space
         ept = space.ept
         image = space.image
-        # ``page in image`` would go through a generic slot (a dict
-        # subclass does not inherit dict's C membership test); the key
-        # view's test is the dict's own.
-        image_pages = image.keys()
+        image_pages = space.image_pages
         pte = space.pte
         write_anon = space.write_anon
         required_value = self._required_value
@@ -641,6 +755,13 @@ class FaultHandler:
                     stop,
                 )
             )
+        # Accesses served in a row without I/O; from ``engage`` on, the
+        # loop serves ``chunk`` accesses at a time in bulk. Jittered
+        # costs never engage it: a streak within one call stays below
+        # ``stop``. (Nor does an image, whose stretches are served above.)
+        streak = 0
+        engage = stop if self._jitter else _STRETCH_ENGAGE
+        chunk = _STRETCH_FIRST
         while True:
             if image:
                 miss = next(misses, stop)
@@ -659,6 +780,21 @@ class FaultHandler:
                         return stop, vnow, False
                     index = miss
                     vnow += thinks[index]
+            elif streak >= engage:
+                bound = min(stop, index + chunk)
+                served, vnow = self._stretch(trace, index, bound, vnow)
+                if served:
+                    index += served
+                    if index == stop:
+                        return stop, vnow, False
+                    vnow += thinks[index]
+                    if index == bound:
+                        chunk = min(chunk * 2, _STRETCH_MAX)
+                        continue
+                else:
+                    # Nothing to serve in bulk here: serve another
+                    # streak access by access before trying again.
+                    streak = 0
             page = pages[index]
             write = writes[index]
             if page in ept or page in image_pages:
@@ -668,6 +804,7 @@ class FaultHandler:
                     end = mapped_write(page, values[index], vnow)
                     if end is not None:
                         vnow = end
+                streak += 1
             else:
                 outcome = classify(page, write, vnow)
                 if outcome is None:
@@ -697,12 +834,223 @@ class FaultHandler:
                     else:
                         stats.io_requests.append(read.requests)
                         stats.io_bytes.append(read.nbytes)
+                    streak = 0
+                    chunk = _STRETCH_FIRST
+                else:
+                    streak += 1
                 vnow = end
             index += 1
             if index == stop:
                 return index, vnow, False
             # Non-positive think times are folded to 0.0 in the column.
             vnow += thinks[index]
+
+    def _stretch(
+        self, trace: TraceColumns, index: int, stop: int, vnow: float
+    ) -> Tuple[int, float]:
+        """Serve at once the longest stretch of accesses from ``index``
+        (its think time already in ``vnow``) up to ``stop`` that are
+        faults without I/O: PRESENT faults, or else ANON and MINOR
+        faults. Returns how many were served and the instant the last
+        one ended (``vnow`` when none was).
+
+        The stretch is classified against the state at its start:
+        residency changes only through I/O faults and heap events, and
+        a stretch holds neither. It ends before the first access that
+        is not such a fault, or that the per-access loop must serve:
+
+        * a page mapped in EPT or repeated in the stretch (a NONE
+          access);
+        * after a PRESENT fault, a page without a host PTE; after any
+          other, a page with one;
+        * an unmapped page, or a page of a file the page cache does not
+          hold whole (:meth:`~repro.host.page_cache.PageCache.holds_file`);
+        * a valueless store (the loop raises at it).
+
+        A space with a userfaultfd manager has only PRESENT stretches
+        served so. The fault log, the mappings and the stores are
+        committed with column operations, the stores in trace order;
+        the clock is :func:`_stretch_clock`.
+        """
+        space = self.space
+        pte = space.pte
+        pages = trace.pages
+        chunk = pages[index:stop]
+        present = chunk[0] in pte
+        if present:
+            classes = bytes((_PRESENT_CLASS,)) * len(chunk)
+            contents = None
+        elif self.uffd is None:
+            classes, contents = self._classify_stretch(chunk)
+        else:
+            return 0, vnow
+        # Each cut is the first position of its kind over the whole
+        # chunk; the stretch ends at the first of them.
+        size = len(chunk)
+        ept = space.ept
+        distinct = set(chunk)
+        if len(distinct) < size or not ept.isdisjoint(distinct):
+            size = min(
+                _position(chunk, filter(ept.__contains__, chunk)),
+                _first_repeat(chunk),
+            )
+        if present:
+            if not pte.keys() >= distinct:
+                misses = filterfalse(pte.__contains__, chunk)
+                size = min(size, _position(chunk, misses))
+        elif not pte.keys().isdisjoint(distinct):
+            size = min(size, _position(chunk, filter(pte.__contains__, chunk)))
+        stores = trace.stores
+        first = bisect_left(stores, index)
+        positions = stores[first : bisect_left(stores, index + size, first)]
+        stored = list(map(trace.values.__getitem__, positions))
+        if None in stored:
+            # Left to the per-access loop, which raises at that store.
+            cut = stored.index(None)
+            size = positions[cut] - index
+            del stored[cut:], positions[cut:]
+        if not size:
+            return 0, vnow
+        if size < len(chunk):
+            del chunk[size:]
+            classes = classes[:size]
+            if contents is not None:
+                del contents[size:]
+        kind = classes[0]
+        class_costs = self._class_costs
+        if classes.count(kind) == size:
+            costs = [class_costs[kind]] * size
+            # A MINOR store also copies the page (MAP_PRIVATE).
+            copies = [p - index for p in positions] if kind >= _FILE_CLASS else []
+        else:
+            costs = list(map(class_costs.__getitem__, classes))
+            copies = [
+                p - index for p in positions if classes[p - index] >= _FILE_CLASS
+            ]
+        starts, ends = _stretch_clock(
+            vnow,
+            costs,
+            trace.thinks[index + 1 : index + size],
+            copies,
+            self.params.cow_copy_us,
+        )
+        stats = self.stats
+        stats.kinds += classes.translate(_CLASS_KINDS)
+        stats.pages.fromlist(chunk)
+        stats.start_us.fromlist(starts)
+        stats.duration_us.fromlist(list(map(operator.sub, ends, starts)))
+        ept.update(chunk)
+        if contents is not None:
+            pte.update(zip(chunk, contents))
+        if stored:
+            written = list(map(pages.__getitem__, positions))
+            space.anon_contents.update(zip(written, stored))
+            pte.update(zip(written, stored))
+        return size, ends[-1]
+
+    def _classify_stretch(
+        self, chunk: List[int]
+    ) -> Tuple[bytes, List[int]]:
+        """The class of each page of ``chunk``, as a fault on a page
+        without a host PTE, and the content its fault installs, once
+        ``chunk`` is cut before the first page that is unmapped or of a
+        file the page cache does not hold whole (possibly to nothing)."""
+        space = self.space
+        layout = self._layout
+        if layout is None or layout.version != space.version:
+            layout = self._layout = self._build_layout()
+        vma = layout.vma
+        if vma is not None:
+            # One VMA: one class throughout, and one range check.
+            backing = vma.backing
+            if backing is ANONYMOUS:
+                cls = _ANON_CLASS
+            elif self.cache.holds_file(backing.file):
+                cls = _FILE_CLASS
+            else:
+                cls = _UNMAPPED
+            if cls and vma.start <= min(chunk) and max(chunk) < vma.end:
+                if cls == _ANON_CLASS:
+                    anon = space.anon_contents
+                    contents = list(map(anon.get, chunk, repeat(0)))
+                else:
+                    delta = backing.file_start_page - vma.start
+                    file_pages = (
+                        map(operator.add, chunk, repeat(delta)) if delta else chunk
+                    )
+                    get = backing.file.pages.get
+                    contents = list(map(get, file_pages, repeat(0)))
+                return bytes((cls,)) * len(chunk), contents
+        elif (
+            layout.index is not None
+            and min(chunk) >= 0
+            and max(chunk) < space.num_pages
+        ):
+            segments = list(map(layout.index.__getitem__, chunk))
+            classes = bytes(map(layout.classes.__getitem__, segments))
+            size = classes.find(_UNMAPPED)
+            if size < 0:
+                size = len(chunk)
+            for slot, file in enumerate(layout.files):
+                first = classes.find(_FILE_CLASS + slot, 0, size)
+                if first >= 0 and not self.cache.holds_file(file):
+                    size = first
+            if size < len(chunk):
+                del chunk[size:], segments[size:]
+                classes = classes[:size]
+            file_pages = map(
+                operator.add, chunk, map(layout.deltas.__getitem__, segments)
+            )
+            sources = map(layout.sources.__getitem__, segments)
+            return classes, list(map(dict.get, sources, file_pages, repeat(0)))
+        del chunk[:]
+        return b"", []
+
+    def _build_layout(self) -> _Layout:
+        """The space's :class:`_Layout` at its current mapping version:
+        one with neither a VMA nor an index, which serves nothing in
+        bulk, when the VMAs outnumber an ``H`` array's values or the
+        files a class byte's."""
+        space = self.space
+        version = space.version
+        vmas = space.vmas()
+        if len(vmas) == 1:
+            return _Layout(version, vmas[0], None, b"", [], [], [])
+        unserved = _Layout(version, None, None, b"", [], [], [])
+        if len(vmas) >= 1 << 16:
+            return unserved
+        tiled = sum(vma.npages for vma in vmas) == space.num_pages
+        anon = space.anon_contents
+        classes = bytearray((_ANON_CLASS if tiled else _UNMAPPED,))
+        deltas = [0]
+        sources: List[Dict[int, int]] = [anon]
+        files: List[StoredFile] = []
+        slots: Dict[int, int] = {}
+        index = array("H", (0,)) * space.num_pages
+        for vma in vmas:
+            backing = vma.backing
+            if backing is ANONYMOUS:
+                if tiled:
+                    continue
+                classes.append(_ANON_CLASS)
+                deltas.append(0)
+                sources.append(anon)
+            else:
+                file = backing.file
+                # Files compare by value: slot them by identity.
+                slot = slots.setdefault(id(file), len(files))
+                if slot == len(files):
+                    if _FILE_CLASS + slot > 255:
+                        return unserved
+                    files.append(file)
+                classes.append(_FILE_CLASS + slot)
+                deltas.append(backing.file_start_page - vma.start)
+                sources.append(file.pages)
+            segment = len(deltas) - 1
+            index[vma.start : vma.start + vma.npages] = (
+                array("H", (segment,)) * vma.npages
+            )
+        return _Layout(version, None, index, bytes(classes), deltas, sources, files)
 
     def _commit(
         self,
@@ -752,7 +1100,7 @@ class FaultHandler:
         first store to a clean MAP_PRIVATE file page (a CoW break)."""
         space = self.space
         cow = False
-        if page not in space.anon_contents and page not in space.image:
+        if page not in space.anon_contents and page not in space.image_pages:
             vma = space.resolve(page)
             cow = vma is not None and isinstance(vma.backing, FileBacking)
         space.write_anon(page, self._required_value(value))

@@ -73,6 +73,21 @@ class _IntervalRuns:
         index = bisect_right(self.starts, page) - 1
         return index >= 0 and page < self.ends[index]
 
+    def covers(self, starts: Sequence[int], ends: Sequence[int]) -> bool:
+        """True when each of the ascending disjoint ranges ``[starts[i],
+        ends[i])`` lies inside one run."""
+        mine_starts, mine_ends = self.starts, self.ends
+        if starts == mine_starts and ends == mine_ends:
+            return True
+        total = len(mine_starts)
+        index = 0
+        for start, end in zip(starts, ends):
+            while index < total and mine_ends[index] <= start:
+                index += 1
+            if index == total or mine_starts[index] > start or mine_ends[index] < end:
+                return False
+        return True
+
     def gaps_in(self, start: int, end: int) -> List[Tuple[int, int]]:
         """Sub-ranges of ``[start, end)`` *not* covered by any run, in
         ascending order. The complement of residency — what a loader
@@ -211,6 +226,17 @@ class PageCache:
         """True if the page is resident."""
         runs = self._runs.get(file_name)
         return runs is not None and runs.contains(page_index)
+
+    def holds_file(self, file: StoredFile) -> bool:
+        """True when no fault on ``file`` needs I/O: every page of a
+        dense file is resident, or every page a sparse file holds data
+        for (its holes read as zeros without I/O)."""
+        runs = self._runs.get(file.name)
+        if runs is None:
+            return False
+        if not file.sparse:
+            return runs.covers((0,), (file.num_pages,))
+        return runs.count >= len(file.pages) and runs.covers(*file.pages.runs())
 
     def insert_range(
         self,
@@ -422,6 +448,11 @@ class PageCache:
                 return start_page
             if index < len(starts) and starts[index] < end_page:
                 end_page = starts[index]
+        return self.first_pending(file_name, start_page, end_page)
+
+    def first_pending(self, file_name: str, start_page: int, end_page: int) -> int:
+        """The first page of ``[start_page, end_page)`` that is in
+        flight, or ``end_page`` when there is none."""
         pending = self._pending
         if pending:
             for page in range(start_page, end_page):

@@ -55,15 +55,21 @@ class ReadaheadPolicy:
         self._streams: Dict[str, Tuple[int, int]] = {}
 
     def span(
-        self, file: StoredFile, cache: PageCache, fault_page: int
+        self,
+        file: StoredFile,
+        cache: PageCache,
+        fault_page: int,
+        resident_from: Optional[int] = None,
     ) -> Tuple[int, int]:
         """Compute the window for a fault on ``fault_page`` without
         committing the per-file stream state: the faulting page plus
         forward neighbours, stopping at the file end, the window
         limit, or the first resident/in-flight page. Returns
         ``(end, window_size)``: the window is ``[fault_page, end)``.
-        Pass both to :meth:`commit` once the read is actually
-        issued.
+        Pass both to :meth:`commit` once the read goes ahead. A
+        caller that has just probed the faulting page's residency
+        passes the first resident page after it as ``resident_from``,
+        and only in-flight pages are looked up.
 
         The window size is the base size, or — when the fault lands at
         or just past the previous window's end — that window's size
@@ -76,9 +82,16 @@ class ReadaheadPolicy:
             window_end, window_size = stream
             if window_end <= fault_page <= window_end + _SEQUENTIAL_SLACK_PAGES:
                 size = min(window_size * 2, params.readahead_max_pages)
-        end = cache.first_cached_or_pending(
-            name, fault_page + 1, min(file.num_pages, fault_page + size)
-        )
+        limit = fault_page + size
+        if resident_from is None:
+            end = cache.first_cached_or_pending(
+                name, fault_page + 1, min(file.num_pages, limit)
+            )
+        else:
+            # ``resident_from`` is at most the file's end.
+            if resident_from < limit:
+                limit = resident_from
+            end = cache.first_pending(name, fault_page + 1, limit)
         return end, size
 
     def commit(self, file_name: str, end: int, size: int) -> None:
@@ -87,16 +100,21 @@ class ReadaheadPolicy:
         self._streams[file_name] = (end, size)
 
     def quote(
-        self, file: StoredFile, cache: PageCache, fault_page: int, start: float
+        self,
+        file: StoredFile,
+        cache: PageCache,
+        fault_page: int,
+        start: float,
+        resident_from: Optional[int] = None,
     ) -> Optional["WindowRead"]:
         """Price the read for a fault on ``fault_page`` issued at
         ``start``, mutating nothing, or ``None`` when the device would
         queue it (or is degraded): then only :meth:`fault_read` can
-        tell when it completes."""
+        tell when it completes. ``resident_from`` is :meth:`span`'s."""
         device = file.device
         if not device.can_read_immediately():
             return None
-        end, size = self.span(file, cache, fault_page)
+        end, size = self.span(file, cache, fault_page, resident_from)
         npages = end - fault_page
         extents = file.extents(fault_page, npages)
         return WindowRead(

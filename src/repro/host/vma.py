@@ -117,6 +117,10 @@ class AddressSpace:
         #: every page here is mapped at PTE and EPT level unless a
         #: write has shadowed it in ``anon_contents``/``pte``.
         self.image: PageMap = EMPTY_PAGES
+        #: The image's key view: ``page in image_pages`` is the dict's
+        #: own membership test, where ``page in image`` goes through
+        #: the generic slot of a dict subclass (about 40% slower).
+        self.image_pages = EMPTY_PAGES.keys()
         #: Number of mmap() calls issued (paper §4.6 counts these).
         self.mmap_calls = 0
         #: Bumped whenever the VMA list changes; lets the fault
@@ -166,6 +170,7 @@ class AddressSpace:
         O(1): the immutable map is shared, not copied."""
         self.mmap_anonymous(0, self.num_pages)
         self.image = image
+        self.image_pages = image.keys()
 
     def _discard_state(self, start: int, end: int) -> None:
         """Drop PTEs, anonymous contents and EPT entries in a range,
@@ -200,6 +205,7 @@ class AddressSpace:
         """Copy the image into the private maps and drop it."""
         image = self.image
         self.image = EMPTY_PAGES
+        self.image_pages = EMPTY_PAGES.keys()
         for page, value in image.items():
             if page not in self.anon_contents:
                 self.anon_contents[page] = value
@@ -251,7 +257,7 @@ class AddressSpace:
 
     def is_installed(self, page: int) -> bool:
         """True if a host PTE exists for ``page``."""
-        return page in self.pte or page in self.image
+        return page in self.pte or page in self.image_pages
 
     def install_pte(self, page: int, value: int) -> None:
         """Install a host PTE mapping ``page`` to content ``value``."""
@@ -278,7 +284,7 @@ class AddressSpace:
         page; otherwise zero (fresh anonymous memory)."""
         if page in self.anon_contents:
             return self.anon_contents[page]
-        if page in self.image:
+        if page in self.image_pages:
             return self.image[page]
         vma = self.resolve(page)
         if vma is None:

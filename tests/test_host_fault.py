@@ -1,5 +1,8 @@
 """Unit tests for the page-fault handler and readahead."""
 
+import random
+from unittest.mock import patch
+
 import pytest
 
 from repro.host import (
@@ -11,9 +14,11 @@ from repro.host import (
     ReadaheadPolicy,
     UserfaultfdManager,
 )
+from repro.host.fault import _stretch_clock
 from repro.sim import Environment, SimulationError
 from repro.storage import BlockDevice, DeviceSpec, FileStore
 from repro.storage.filestore import PAGE_SIZE
+from repro.vm.vcpu import GuestAccess, VCpu
 
 
 PARAMS = HostParams()
@@ -383,3 +388,96 @@ def test_batched_vcpu_hands_contended_faults_to_the_event_path():
     assert FaultKind.MINOR in kinds
     # The wait on the loader's read is a MAJOR fault without I/O.
     assert (FaultKind.MAJOR, 0) in [(kind, io) for kind, _, _, io in rows]
+
+
+def _sequential_clock(vnow, costs, thinks, copies, copy_us):
+    """The per-access loop's additions: each fault ends at its start
+    plus its cost (then plus its copy), the next starts a think later."""
+    starts, ends = [], []
+    for i, cost in enumerate(costs):
+        starts.append(vnow)
+        end = vnow + cost
+        if i in copies:
+            end = end + copy_us
+        ends.append(end)
+        if i < len(thinks):
+            vnow = end + thinks[i]
+    return starts, ends
+
+
+@pytest.mark.parametrize("with_copies", [False, True])
+def test_stretch_clock_matches_sequential_additions_bit_for_bit(with_copies):
+    rng = random.Random(5)
+    size = 300
+    # Costs whose sums round: jittered fault costs and awkward thinks,
+    # from a clock far from 0 so every addition rounds.
+    costs = [rng.choice([2.5, 3.7, 3.1 + rng.random()]) for _ in range(size)]
+    thinks = [
+        rng.choice([0.0, 0.1, 0.5, 3.25, rng.random() * 7])
+        for _ in range(size - 1)
+    ]
+    # Copies on a scattered subset: the other positions of the
+    # interleaved clock are 0.0 pads.
+    copies = sorted(rng.sample(range(size), 60)) if with_copies else []
+    vnow = 987_654.321
+    copy_us = 1.9 + 1e-9
+    got = _stretch_clock(vnow, costs, thinks, copies, copy_us)
+    want = _sequential_clock(vnow, costs, thinks, set(copies), copy_us)
+    assert [x.hex() for x in got[0]] == [x.hex() for x in want[0]]
+    assert [x.hex() for x in got[1]] == [x.hex() for x in want[1]]
+
+
+def test_stretch_cut_at_a_cow_break_keeps_the_clock():
+    # A sparse file the cache holds whole, faulted in page order with MINOR
+    # stores (copy-on-write legs), and two stores to pages already
+    # mapped by a read (COW breaks, served one by one) that cut the
+    # stretches: every row and the end instant match the event path bit
+    # for bit.
+    pages = list(range(200))
+    pages.insert(90, 40)
+    pages.insert(150, 120)
+    trace = [
+        GuestAccess(
+            page,
+            write=i % 3 == 0 or i in (90, 150),
+            value=i + 1 if i % 3 == 0 or i in (90, 150) else None,
+            think_us=(0.0, 0.7, 1.3)[i % 3],
+        )
+        for i, page in enumerate(pages)
+    ]
+    assert not trace[40].write and not trace[121].write
+    seen = []
+    served = []
+    stretch = FaultHandler._stretch
+
+    def counting(self, *args):
+        done = stretch(self, *args)
+        served.append(done[0])
+        return done
+
+    for batch in (False, True):
+        rig = Rig(params=HostParams())
+        contents = {i: i + 1 for i in range(0, 256, 2)}
+        f = rig.store.create("mem", 256, pages=contents, sparse=True)
+        rig.space.mmap_file(0, 256, f, 0)
+        rig.cache.insert_range("mem", 0, 256)
+        vcpu = VCpu(rig.env, rig.handler, batch_faults=batch)
+        with patch.object(FaultHandler, "_stretch", counting):
+            result = rig.env.run(until=rig.env.process(vcpu.run_trace(trace)))
+        seen.append(
+            (
+                [
+                    (r.kind, r.page, r.start_us.hex(), r.duration_us.hex())
+                    for r in rig.handler.stats.records
+                ],
+                result.finished_us.hex(),
+                sorted(rig.space.pte.items()),
+                sorted(rig.space.anon_contents.items()),
+            )
+        )
+    assert seen[0] == seen[1]
+    kinds = [kind for kind, _, _, _ in seen[1][0]]
+    assert kinds.count(FaultKind.COW) == 2
+    assert kinds.count(FaultKind.MINOR) == 200
+    # Served in bulk, in more than one stretch around the cuts.
+    assert sum(served) > 150 and len([n for n in served if n]) > 2
