@@ -52,35 +52,29 @@ def build_faasnap_plan(
     """The full per-region mapping plan of Figure 4.
 
     Without a loading set this is the bare per-region ablation: zero
-    regions anonymous, non-zero regions on the memory file.
+    regions anonymous, non-zero regions on the memory file. Built once
+    per snapshot, loading-set file and merge gap
+    (:meth:`~repro.vm.snapshot.Snapshot.cached_plan`).
     """
     if (loading_set is None) != (loading_file is None):
         raise ValueError("loading_set and loading_file go together")
-    # Snapshot contents are immutable after capture and the plan is
-    # read-only when applied, so the (identical) plan every restore of
-    # the same artefacts would rebuild — a region merge and a mapping
-    # per region — is memoized on the snapshot.
+
+    def build() -> MappingPlan:
+        plan = MappingPlan()
+        plan.add_anonymous(0, snapshot.num_pages)
+        for start, npages in nonzero_regions(
+            snapshot.memory_file.pages, nonzero_merge_gap
+        ):
+            plan.add_file(start, npages, snapshot.memory_file, start)
+        if loading_set is not None and loading_file is not None:
+            for region in loading_set.regions:
+                plan.add_file(
+                    region.start, region.npages, loading_file, region.file_offset
+                )
+        return plan
+
     key = (
         loading_file.name if loading_file is not None else None,
         nonzero_merge_gap,
     )
-    cache = getattr(snapshot, "_plan_cache", None)
-    if cache is None:
-        cache = {}
-        snapshot._plan_cache = cache
-    cached = cache.get(key)
-    if cached is not None:
-        return cached
-    plan = MappingPlan()
-    plan.add_anonymous(0, snapshot.num_pages)
-    for start, npages in nonzero_regions(
-        snapshot.memory_file.pages, nonzero_merge_gap
-    ):
-        plan.add_file(start, npages, snapshot.memory_file, start)
-    if loading_set is not None and loading_file is not None:
-        for region in loading_set.regions:
-            plan.add_file(
-                region.start, region.npages, loading_file, region.file_offset
-            )
-    cache[key] = plan
-    return plan
+    return snapshot.cached_plan(key, build)

@@ -54,7 +54,7 @@ from repro.storage.filestore import PAGE_SIZE, FileStore, StoredFile
 from repro.storage.presets import NVME_LOCAL
 from repro.vm.snapshot import Snapshot, capture_memory_contents, create_snapshot
 from repro.vm.vcpu import TraceColumns
-from repro.vm.vmm import MappingPlan, MicroVM, VmmParams, full_file_plan
+from repro.vm.vmm import MicroVM, VmmParams, anonymous_plan, full_file_plan
 from repro.workloads.base import InputSpec, WorkloadProfile, WorkloadTrace
 from repro.workloads.base import generate_trace
 from repro.workloads.base import clean_snapshot_contents
@@ -434,9 +434,7 @@ def invocation_process(
     elif policy is Policy.REAP:
         assert artifacts.reap_ws is not None
         assert artifacts.reap_ws_file is not None
-        plan = MappingPlan()
-        plan.add_anonymous(0, profile.total_pages)
-        setup_us = yield from vm.restore(warm, plan)
+        setup_us = yield from vm.restore(warm, anonymous_plan(warm))
         assert vm.uffd is not None
         vm.uffd.register(
             0,

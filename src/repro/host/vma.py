@@ -46,7 +46,7 @@ class _AnonymousBacking:
 ANONYMOUS = _AnonymousBacking()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FileBacking:
     """File-backed mapping: VMA page ``start + i`` maps to file page
     ``file_start_page + i``."""
@@ -58,9 +58,13 @@ class FileBacking:
 Backing = Union[_AnonymousBacking, FileBacking]
 
 
-@dataclass
+@dataclass(slots=True)
 class Vma:
-    """A contiguous mapped region."""
+    """A contiguous mapped region. Never mutated: a mapping plan's
+    resolved layout shares its VMAs among every space it installs in,
+    and a later mmap replaces the VMAs it splits rather than editing
+    them. (Not ``frozen``: a frozen dataclass's ``__init__`` costs
+    about three times as much, and splits build one per piece.)"""
 
     start: int
     npages: int
@@ -162,6 +166,18 @@ class AddressSpace:
         # and any anonymous contents beneath.
         self._discard_state(vma.start, vma.end)
         return vma
+
+    def install_layout(self, vmas: Tuple[Vma, ...], calls: int) -> None:
+        """Map an empty space with ``vmas``: the sorted, non-overlapping
+        VMAs that ``calls`` mmap() calls leave, resolved beforehand
+        (see :meth:`repro.vm.vmm.MappingPlan.layout`). VMAs are never
+        mutated, so they are shared rather than copied."""
+        if self._vmas:
+            raise SimulationError("install_layout() on a mapped space")
+        self._vmas = list(vmas)
+        self._starts = [vma.start for vma in vmas]
+        self.mmap_calls += calls
+        self.version += 1
 
     def map_image(self, image: PageMap) -> None:
         """Back the whole space with anonymous memory holding

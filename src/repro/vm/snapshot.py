@@ -11,14 +11,16 @@ FaaSnap's zero-region scan does (§4.5).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Dict, Optional
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, Hashable, Optional, TypeVar
 
 from repro.host.vma import AddressSpace, FileBacking
 from repro.storage.filestore import FileStore, StoredFile
 
 #: Size of the vmstate file: device + vCPU state is tens of KB.
 VMSTATE_PAGES = 16
+
+_T = TypeVar("_T")
 
 
 @dataclass
@@ -28,10 +30,26 @@ class Snapshot:
     name: str
     memory_file: StoredFile
     vmstate_file: StoredFile
+    #: Mapping plans built from this snapshot, by key (see
+    #: :meth:`cached_plan`).
+    _plan_cache: Dict[Hashable, Any] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def num_pages(self) -> int:
         return self.memory_file.num_pages
+
+    def cached_plan(self, key: Hashable, build: Callable[[], _T]) -> _T:
+        """The mapping plan stored under ``key``, built by ``build`` on
+        first use. Snapshot contents are immutable after capture and
+        plans are read-only when applied, so every restore of the same
+        artefacts shares one plan, and with it the VMA layout the plan
+        memoises; both die with the snapshot."""
+        plan = self._plan_cache.get(key)
+        if plan is None:
+            plan = self._plan_cache[key] = build()
+        return plan
 
     def page_value(self, page: int) -> int:
         return self.memory_file.page_value(page)

@@ -7,19 +7,24 @@ FaaSnap instead applies a :class:`MappingPlan` — an ordered list of
 ``MAP_FIXED`` mappings forming the hierarchy of Figure 4. Every
 mapped region costs an mmap() call (§4.6), which is why FaaSnap
 merges adjacent loading-set regions.
+
+A plan depends only on its snapshot, so each plan is built once per
+snapshot and resolves the VMA layout its mmaps leave once: a restore
+charges one mmap() per region in simulated time, then installs that
+layout in one step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, List, Optional
+from typing import Any, Generator, List, Optional, Tuple
 
 from repro.host.fault import FaultHandler
 from repro.host.page_cache import PageCache
 from repro.host.params import HostParams
 from repro.host.procfs import Procfs
 from repro.host.uffd import UserfaultfdManager
-from repro.host.vma import AddressSpace
+from repro.host.vma import AddressSpace, Vma
 from repro.sim import Environment, Event, Resource, SimulationError
 from repro.storage.filestore import PageMap, StoredFile
 from repro.vm.snapshot import Snapshot
@@ -45,7 +50,7 @@ class VmmParams:
     cold_boot_us: float = 125_000.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MapDirective:
     """One mmap() in a mapping plan. ``file=None`` maps anonymous."""
 
@@ -64,9 +69,15 @@ class MappingPlan:
     """An ordered list of MAP_FIXED mappings, applied bottom-up."""
 
     directives: List[MapDirective] = field(default_factory=list)
+    #: ``(num_pages, vmas)`` of the last :meth:`layout`; cleared by
+    #: every ``add_*``.
+    _layout: Optional[Tuple[int, Tuple[Vma, ...]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def add_anonymous(self, start: int, npages: int) -> None:
         self.directives.append(MapDirective(start, npages))
+        self._layout = None
 
     def add_file(
         self, start: int, npages: int, file: StoredFile, file_start_page: int
@@ -74,6 +85,31 @@ class MappingPlan:
         self.directives.append(
             MapDirective(start, npages, file, file_start_page)
         )
+        self._layout = None
+
+    def layout(self, num_pages: int) -> Tuple[Vma, ...]:
+        """The VMAs the plan leaves in an empty space of ``num_pages``
+        pages, in address order: its mmaps applied in order to a
+        scratch :class:`AddressSpace`, with every check of
+        ``mmap_anonymous``/``mmap_file``, once until the next
+        ``add_*``."""
+        memo = self._layout
+        if memo is not None and memo[0] == num_pages:
+            return memo[1]
+        space = AddressSpace(num_pages)
+        for directive in self.directives:
+            if directive.is_anonymous:
+                space.mmap_anonymous(directive.start, directive.npages)
+            else:
+                space.mmap_file(
+                    directive.start,
+                    directive.npages,
+                    directive.file,
+                    directive.file_start_page,
+                )
+        vmas = tuple(space.vmas())
+        self._layout = (num_pages, vmas)
+        return vmas
 
     def __len__(self) -> int:
         return len(self.directives)
@@ -81,9 +117,21 @@ class MappingPlan:
 
 def full_file_plan(snapshot: Snapshot) -> MappingPlan:
     """Stock Firecracker: one mapping of the whole memory file."""
-    plan = MappingPlan()
-    plan.add_file(0, snapshot.num_pages, snapshot.memory_file, 0)
-    return plan
+    return snapshot.cached_plan(
+        "full-file",
+        lambda: MappingPlan(
+            [MapDirective(0, snapshot.num_pages, snapshot.memory_file)]
+        ),
+    )
+
+
+def anonymous_plan(snapshot: Snapshot) -> MappingPlan:
+    """REAP: one anonymous mapping of the whole guest, whose faults
+    userfaultfd serves."""
+    return snapshot.cached_plan(
+        "anonymous",
+        lambda: MappingPlan([MapDirective(0, snapshot.num_pages)]),
+    )
 
 
 class MicroVM:
@@ -137,19 +185,19 @@ class MicroVM:
         return self.env.now - start
 
     def apply_plan(self, plan: MappingPlan) -> Generator[Event, Any, None]:
-        """Process helper: apply mappings in order, charging the mmap
-        syscall cost per region."""
-        for directive in plan.directives:
+        """Process helper: map the fresh guest space by ``plan``.
+
+        The mmap() syscall cost is charged per region, one timeout
+        each, so processes running beside the restore (the loader)
+        interleave with the mmaps. The VMAs they
+        leave are resolved once per plan (:meth:`MappingPlan.layout`,
+        which raises for a mapping beyond EOF or outside the space)
+        and installed in one step after the last, into a space that
+        must hold no mapping yet."""
+        layout = plan.layout(self.space.num_pages)
+        for _ in range(len(plan)):
             yield self.env.timeout(self.host_params.mmap_region_us)
-            if directive.is_anonymous:
-                self.space.mmap_anonymous(directive.start, directive.npages)
-            else:
-                self.space.mmap_file(
-                    directive.start,
-                    directive.npages,
-                    directive.file,
-                    directive.file_start_page,
-                )
+        self.space.install_layout(layout, len(plan))
 
     def cold_boot(
         self,
